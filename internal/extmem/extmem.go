@@ -5,8 +5,8 @@
 // operation runs the same in-memory algorithms as the resident simulator;
 // past it, contents live in CRC-32C-checksummed run files (run.go) and the
 // streaming forms of each operation take over — chunked stable sorts plus
-// external merges for Sort, frame-at-a-time rewrites for Update/Filter,
-// carry-buffered batching for segment walks.
+// k-way external merges for Sort, frame-at-a-time rewrites for
+// Update/Filter, carry-buffered batching for segment walks.
 //
 // The determinism contract every layer above relies on: a stable sort has
 // exactly one output permutation, so sorting chunks stably (with the same
@@ -103,11 +103,14 @@ type Store[T any] struct {
 
 	// chunkRecs is both the resident capacity and the unit of external
 	// sorting: the largest record count whose chunk + sort scratch fits the
-	// budget. frameRecs is the streaming I/O slab, in records.
+	// budget. frameRecs is the streaming I/O slab, in records, and the
+	// largest merge frame.
 	chunkRecs int
 	frameRecs int
 
-	mem  []T        // resident contents when runs is nil
+	// mem holds the resident contents when runs is nil. While spilled it is
+	// empty, and its capacity is the external sort's chunk buffer.
+	mem  []T
 	runs []*runFile // spilled contents otherwise; concatenation in order
 	n    int        // logical record count, both modes
 
@@ -115,10 +118,13 @@ type Store[T any] struct {
 	seq  int
 	keep []bool // scratch mask for filters
 
-	// Sort scratch, retained across sorts (≤ one chunk each).
+	// Sort scratch, retained across sorts: the chunk sorts' keys, index and
+	// permutation buffer, reused as the merge frames' cached keys and
+	// decoded records, and the run readers' and writers' byte slabs.
 	sortKeys []uint64
 	sortIdx  []uint32
 	sortBuf  []T
+	sortSlab []byte
 	sorter   par.RadixSorter
 
 	stats Stats
@@ -139,8 +145,8 @@ func NewStore[T any](codec Codec[T], opt Options) *Store[T] {
 	}
 	if opt.Budget > 0 {
 		// A sort chunk costs chunk + merge scratch (2 records each) plus
-		// radix keys+index (12 bytes); the frames of a binary merge are a
-		// fraction of that.
+		// radix keys+index (12 bytes). Merge frames are sized per pass
+		// (mergeShape) to fit the same budget.
 		c := int(opt.Budget) / (2*codec.Size + 16)
 		if c < minChunkRecs {
 			c = minChunkRecs
@@ -214,8 +220,11 @@ func (s *Store[T]) noteMergePass() {
 	}
 }
 
-func (s *Store[T]) noteResident(recs int) {
-	b := int64(recs) * int64(s.codec.Size)
+// recBytes is the in-memory size of n records, as the budget counts them.
+func (s *Store[T]) recBytes(n int) int64 { return int64(n) * int64(s.codec.Size) }
+
+// noteResident records b bytes of buffers in use toward the resident peak.
+func (s *Store[T]) noteResident(b int64) {
 	if b > s.stats.ResidentPeakBytes {
 		s.stats.ResidentPeakBytes = b
 	}
@@ -257,7 +266,7 @@ func (s *Store[T]) LoadFrom(hint int, fill func(emit func(T))) error {
 	if failed != nil {
 		return failed
 	}
-	s.noteResident(len(s.mem))
+	s.noteResident(s.recBytes(len(s.mem)))
 	if len(s.runs) > 0 && len(s.mem) > 0 {
 		return s.flushMem()
 	}
@@ -266,7 +275,7 @@ func (s *Store[T]) LoadFrom(hint int, fill func(emit func(T))) error {
 
 // flushMem writes the resident buffer out as one run and empties it.
 func (s *Store[T]) flushMem() error {
-	w, err := s.newRunWriter()
+	w, err := s.newRunWriter(s.growSlab(s.frameRecs * s.codec.Size))
 	if err != nil {
 		return err
 	}
@@ -278,7 +287,7 @@ func (s *Store[T]) flushMem() error {
 	if err != nil {
 		return err
 	}
-	s.noteResident(len(s.mem))
+	s.noteResident(s.recBytes(len(s.mem)))
 	s.runs = append(s.runs, rf)
 	s.mem = s.mem[:0]
 	return nil
@@ -311,13 +320,15 @@ func (s *Store[T]) Update(fn func(*T)) error {
 		return nil
 	}
 	frame := make([]T, s.frameRecs)
+	slab := make([]byte, 2*s.frameRecs*s.codec.Size)
+	rslab, wslab := slab[:len(slab)/2], slab[len(slab)/2:]
 	out := make([]*runFile, 0, len(s.runs))
 	for _, rf := range s.runs {
-		r, err := s.openRun(rf)
+		r, err := s.openRun(rf, rslab)
 		if err != nil {
 			return err
 		}
-		w, err := s.newRunWriter()
+		w, err := s.newRunWriter(wslab)
 		if err != nil {
 			r.close()
 			return err
@@ -353,7 +364,9 @@ func (s *Store[T]) Update(fn func(*T)) error {
 }
 
 // Filter keeps exactly the records keep reports true for, preserving
-// order. keep must be pure and safe to call concurrently.
+// order. keep may rewrite the record it is handed: a kept record keeps the
+// rewrite, so one Filter can also do an Update's work. keep must depend
+// only on its record and be safe to call concurrently.
 func (s *Store[T]) Filter(keep func(*T) bool) error {
 	if len(s.runs) == 0 {
 		mem := s.mem
@@ -364,12 +377,9 @@ func (s *Store[T]) Filter(keep func(*T) bool) error {
 		return nil
 	}
 	frame := make([]T, s.frameRecs)
-	out, err := s.newRollingWriter()
-	if err != nil {
-		return err
-	}
+	out := s.newRollingWriter()
 	total := 0
-	err = s.streamRuns(frame, func(batch []T) error {
+	err := s.streamRuns(frame, func(batch []T) error {
 		mask := s.mask(len(batch))
 		par.For(s.workers, len(batch), func(i int) { mask[i] = keep(&batch[i]) })
 		kept := compact(batch, mask)
@@ -412,12 +422,9 @@ func (s *Store[T]) FilterSegments(same func(a, b *T) bool, decide func(seg []T, 
 		s.n = len(s.mem)
 		return nil
 	}
-	out, err := s.newRollingWriter()
-	if err != nil {
-		return err
-	}
+	out := s.newRollingWriter()
 	total := 0
-	err = s.carryBatches(same, func(batch []T) error {
+	err := s.carryBatches(same, func(batch []T) error {
 		mask := s.mask(len(batch))
 		s.batchDecide(batch, mask, same, decide)
 		kept := compact(batch, mask)
@@ -496,7 +503,7 @@ func (s *Store[T]) carryBatches(same func(a, b *T) bool, process func(batch []T)
 		if cut == 0 {
 			return nil // one giant segment so far; keep growing
 		}
-		s.noteResident(len(carry))
+		s.noteResident(s.recBytes(len(carry)))
 		if err := process(carry[:cut]); err != nil {
 			return err
 		}
@@ -506,32 +513,38 @@ func (s *Store[T]) carryBatches(same func(a, b *T) bool, process func(batch []T)
 	if err != nil {
 		return err
 	}
-	s.noteResident(len(carry))
+	s.noteResident(s.recBytes(len(carry)))
 	return process(carry)
 }
 
 // streamRuns reads every run in order, passing decoded frames to process.
 func (s *Store[T]) streamRuns(frame []T, process func(batch []T) error) error {
+	return s.eachRun(make([]byte, len(frame)*s.codec.Size), func(r *runReader[T]) error {
+		for {
+			n, err := r.fill(frame)
+			if err != nil || n == 0 {
+				return err
+			}
+			if err := process(frame[:n]); err != nil {
+				return err
+			}
+		}
+	})
+}
+
+// eachRun opens every run in order, reading through slab, and hands its
+// reader to read.
+func (s *Store[T]) eachRun(slab []byte, read func(r *runReader[T]) error) error {
 	for _, rf := range s.runs {
-		r, err := s.openRun(rf)
+		r, err := s.openRun(rf, slab)
 		if err != nil {
 			return err
 		}
-		for {
-			n, err := r.fill(frame)
-			if err != nil {
-				r.close()
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			if err := process(frame[:n]); err != nil {
-				r.close()
-				return err
-			}
-		}
+		err = read(r)
 		r.close()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -540,18 +553,19 @@ func (s *Store[T]) streamRuns(frame []T, process func(batch []T) error) error {
 // shape Filter and FilterSegments rebuild the store in.
 type rollingWriter[T any] struct {
 	s    *Store[T]
+	slab []byte
 	cur  *runWriter[T]
 	runs []*runFile
 }
 
-func (s *Store[T]) newRollingWriter() (*rollingWriter[T], error) {
-	return &rollingWriter[T]{s: s}, nil
+func (s *Store[T]) newRollingWriter() *rollingWriter[T] {
+	return &rollingWriter[T]{s: s, slab: make([]byte, s.frameRecs*s.codec.Size)}
 }
 
 func (rw *rollingWriter[T]) add(recs []T) error {
 	for len(recs) > 0 {
 		if rw.cur == nil {
-			w, err := rw.s.newRunWriter()
+			w, err := rw.s.newRunWriter(rw.slab)
 			if err != nil {
 				return err
 			}
@@ -644,7 +658,7 @@ func (s *Store[T]) maybeUnspill() error {
 	s.runs = nil
 	s.mem = mem
 	s.n = len(mem)
-	s.noteResident(len(mem))
+	s.noteResident(s.recBytes(len(mem)))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package extmem
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,9 +69,7 @@ func dump(t *testing.T, s *Store[rec]) []rec {
 // few thousand records guarantee multiple runs and real merge passes.
 func tinyStore(t *testing.T, workers int) *Store[rec] {
 	t.Helper()
-	s := NewStore(recCodec, Options{Budget: 1, Dir: t.TempDir(), Workers: workers})
-	t.Cleanup(func() { s.Close() })
-	return s
+	return budgetStore(t, 1, workers)
 }
 
 func residentStoreT(t *testing.T, workers int) *Store[rec] {
@@ -108,45 +107,156 @@ func TestLoadScanRoundTrip(t *testing.T) {
 	}
 }
 
+// genTies draws n records whose keys take only distinct values: heavy
+// ties, where most merge decisions between runs are tie-breaks.
+func genTies(n, distinct int, seed uint64) []rec {
+	src := xrand.New(seed)
+	out := make([]rec, n)
+	for i := range out {
+		out[i] = rec{K: uint64(src.Intn(distinct)), V: int64(i)}
+	}
+	return out
+}
+
+// budgetStore is a store under budget bytes (0 = unlimited) that cleans up
+// after the test.
+func budgetStore(t *testing.T, budget int64, workers int) *Store[rec] {
+	t.Helper()
+	s := NewStore(recCodec, Options{Budget: budget, Dir: t.TempDir(), Workers: workers})
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// checkRunDir fails unless the store's run directory holds exactly its own
+// runs: no merge input, staged temp file or abandoned run left behind.
+func checkRunDir(t *testing.T, s *Store[rec]) {
+	t.Helper()
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatalf("reading run dir: %v", err)
+	}
+	want := map[string]bool{}
+	for _, rf := range s.runs {
+		want[filepath.Base(rf.path)] = true
+	}
+	for _, e := range ents {
+		if !want[e.Name()] {
+			t.Errorf("run dir holds %s, which is not one of the store's %d runs", e.Name(), len(s.runs))
+		}
+	}
+	if len(ents) != len(want) {
+		t.Errorf("run dir holds %d files, the store has %d runs", len(ents), len(want))
+	}
+}
+
 // TestSortMatchesResident is the package-level determinism pin: a spilled
 // sort must produce the identical record sequence as the resident sort —
-// which is itself the unique stable permutation — at every worker count.
+// which is itself the unique stable permutation — at every worker count
+// and every merge shape.
 func TestSortMatchesResident(t *testing.T) {
-	data := genRecs(9000, 2)
-	want := append([]rec(nil), data...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].K < want[j].K })
-
-	for _, workers := range []int{1, 3, 0} {
-		for _, byKey := range []bool{true, false} {
-			for _, spill := range []bool{false, true} {
-				var s *Store[rec]
-				if spill {
-					s = tinyStore(t, workers)
-				} else {
-					s = residentStoreT(t, workers)
-				}
-				loadStore(t, s, data)
-				var err error
-				if byKey {
-					err = s.SortKey(func(r *rec) uint64 { return r.K })
-				} else {
-					err = s.SortLess(func(a, b *rec) bool { return a.K < b.K })
-				}
-				if err != nil {
-					t.Fatalf("workers=%d byKey=%v spill=%v: sort: %v", workers, byKey, spill, err)
-				}
-				got := dump(t, s)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d byKey=%v spill=%v: record %d = %+v, want %+v",
-							workers, byKey, spill, i, got[i], want[i])
+	// The 16-byte test record gives chunkRecs = budget/48 (at least 1024).
+	// wide: 64 KiB cuts 9000 records into 7 chunk runs, and all 7 fit one
+	// pass's fan-in. narrow: 32 KiB cuts them into 9 runs of 1024, but
+	// even at minFrameRecs the frames of only 6 (keyed) or 7 (comparator)
+	// inputs fit, so the merge takes two passes. tiny: a 1-byte budget
+	// merges pairwise.
+	stores := []struct {
+		name   string
+		budget int64
+		passes func(p int64) bool
+		want   string
+	}{
+		{"resident", 0, func(p int64) bool { return p == 0 }, "0"},
+		{"tiny", 1, func(p int64) bool { return p > 0 }, "> 0"},
+		{"wide", 64 << 10, func(p int64) bool { return p == 1 }, "exactly 1"},
+		{"narrow", 32 << 10, func(p int64) bool { return p >= 2 }, ">= 2"},
+	}
+	inputs := []struct {
+		name string
+		data []rec
+	}{
+		{"ties", genRecs(9000, 2)},
+		{"heavy-ties", genTies(9000, 3, 12)},
+	}
+	for _, in := range inputs {
+		want := append([]rec(nil), in.data...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].K < want[j].K })
+		for _, workers := range []int{1, 3, 0} {
+			for _, byKey := range []bool{true, false} {
+				for _, st := range stores {
+					name := fmt.Sprintf("%s/workers=%d/byKey=%v/%s", in.name, workers, byKey, st.name)
+					s := budgetStore(t, st.budget, workers) // 0: unlimited, never spills
+					loadStore(t, s, in.data)
+					before := s.Stats().MergePasses
+					var err error
+					if byKey {
+						err = s.SortKey(func(r *rec) uint64 { return r.K })
+					} else {
+						err = s.SortLess(func(a, b *rec) bool { return a.K < b.K })
 					}
-				}
-				if spill && s.Stats().MergePasses == 0 {
-					t.Fatalf("workers=%d byKey=%v: spilled sort ran no merge passes", workers, byKey)
+					if err != nil {
+						t.Fatalf("%s: sort: %v", name, err)
+					}
+					got := dump(t, s)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], want[i])
+						}
+					}
+					if p := s.Stats().MergePasses - before; !st.passes(p) {
+						t.Fatalf("%s: sort ran %d merge passes, want %s", name, p, st.want)
+					}
+					if st.budget > 0 {
+						checkRunDir(t, s)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestMergeStaysInBudget pins the budget contract through the merge: at a
+// realistic budget the merge frames — decoded records, raw bytes and cached
+// keys of every input plus the output's bytes — are counted in the resident
+// peak, and that peak never exceeds the budget.
+func TestMergeStaysInBudget(t *testing.T) {
+	const budget = 256 << 10
+	data := genRecs(60_000, 13)
+	want := append([]rec(nil), data...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].K < want[j].K })
+	for _, byKey := range []bool{true, false} {
+		s := budgetStore(t, budget, 0)
+		loadStore(t, s, data)
+		var err error
+		if byKey {
+			err = s.SortKey(func(r *rec) uint64 { return r.K })
+		} else {
+			err = s.SortLess(func(a, b *rec) bool { return a.K < b.K })
+		}
+		if err != nil {
+			t.Fatalf("byKey=%v: sort: %v", byKey, err)
+		}
+		got := dump(t, s)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("byKey=%v: record %d = %+v, want %+v", byKey, i, got[i], want[i])
+			}
+		}
+		st := s.Stats()
+		if st.MergePasses != 1 {
+			t.Errorf("byKey=%v: %d merge passes over 11 chunk runs, want 1", byKey, st.MergePasses)
+		}
+		if st.ResidentPeakBytes > budget {
+			t.Errorf("byKey=%v: resident peak %d B exceeds the %d B budget", byKey, st.ResidentPeakBytes, budget)
+		}
+		// A chunk and its sort scratch fill under 70% of the budget; the
+		// merge's frames fill nearly all of it, so a peak above the chunk's
+		// shows they were counted.
+		if chunk := 2 * s.recBytes(s.chunkRecs); st.ResidentPeakBytes <= chunk {
+			t.Errorf("byKey=%v: resident peak %d B is no more than a chunk's %d B: merge frames uncounted",
+				byKey, st.ResidentPeakBytes, chunk)
+		}
+		checkRunDir(t, s)
 	}
 }
 

@@ -54,7 +54,9 @@ type runWriter[T any] struct {
 	crc   hash.Hash32
 }
 
-func (s *Store[T]) newRunWriter() (*runWriter[T], error) {
+// newRunWriter stages a new run that encodes through slab, a whole number
+// of records long.
+func (s *Store[T]) newRunWriter(slab []byte) (*runWriter[T], error) {
 	if err := s.ensureDir(); err != nil {
 		return nil, err
 	}
@@ -72,24 +74,32 @@ func (s *Store[T]) newRunWriter() (*runWriter[T], error) {
 		s:    s,
 		af:   af,
 		path: path,
-		slab: make([]byte, s.frameRecs*s.codec.Size),
+		slab: slab,
 		crc:  artifact.NewChecksum(),
 	}, nil
 }
 
 // add appends recs to the run.
 func (w *runWriter[T]) add(recs []T) error {
-	rec := w.s.codec.Size
 	for i := range recs {
-		if w.used+rec > len(w.slab) {
-			if err := w.flush(); err != nil {
-				return err
-			}
+		if err := w.put(&recs[i]); err != nil {
+			return err
 		}
-		w.s.codec.Encode(w.slab[w.used:w.used+rec], &recs[i])
-		w.used += rec
 	}
-	w.count += len(recs)
+	return nil
+}
+
+// put appends one record to the run.
+func (w *runWriter[T]) put(t *T) error {
+	rec := w.s.codec.Size
+	if w.used+rec > len(w.slab) {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	w.s.codec.Encode(w.slab[w.used:w.used+rec], t)
+	w.used += rec
+	w.count++
 	return nil
 }
 
@@ -152,7 +162,9 @@ type codecOf[T any] struct {
 	decode func(src []byte, t *T)
 }
 
-func (s *Store[T]) openRun(rf *runFile) (*runReader[T], error) {
+// openRun opens rf for reading through slab, which bounds each fill to
+// len(slab)/recSize records.
+func (s *Store[T]) openRun(rf *runFile, slab []byte) (*runReader[T], error) {
 	f, err := os.Open(rf.path)
 	if err != nil {
 		return nil, core.ArtifactErrorf(rf.path, "run", err, "opening: %v", err)
@@ -200,7 +212,7 @@ func (s *Store[T]) openRun(rf *runFile) (*runReader[T], error) {
 		path:      rf.path,
 		codec:     codecOf[T]{size: s.codec.Size, decode: s.codec.Decode},
 		remaining: count,
-		slab:      make([]byte, s.frameRecs*s.codec.Size),
+		slab:      slab,
 		crc:       artifact.NewChecksum(),
 		want:      binary.LittleEndian.Uint32(hdr[24:]),
 	}, nil

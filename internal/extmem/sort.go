@@ -7,17 +7,18 @@ package extmem
 //  1. chunking — stream the contents into budget-sized chunks, sort each
 //     chunk in memory with those same primitives, write each back as a
 //     sorted run;
-//  2. merging — repeatedly merge adjacent run pairs with a streaming
-//     stable merge built on par.MergeSorted, until one run remains.
+//  2. merging — k-way merge adjacent runs, as many at once as the budget
+//     has frames for, until one run remains. At practical budgets that is
+//     a single pass over all the chunk runs.
 //
-// Both phases preserve stability, and every merge takes its left input
-// from the earlier part of the original order, so the final permutation is
-// the unique stable-sort permutation — bit-identical to the resident sort
-// at every worker count and every budget.
+// Both phases preserve stability: chunks cover consecutive stretches of the
+// original order, every merge takes a consecutive group of runs, and equal
+// records leave a merge in run order. The final permutation is therefore the
+// unique stable-sort permutation — bit-identical to the resident sort at
+// every worker count and every budget.
 
 import (
 	"os"
-	"sort"
 
 	"mpcspanner/internal/par"
 )
@@ -29,7 +30,7 @@ func (s *Store[T]) SortKey(key func(*T) uint64) error {
 		s.sortMemKey(s.mem, key)
 		return nil
 	}
-	return s.externalSort(key, func(a, b *T) bool { return key(a) < key(b) })
+	return s.externalSort(key, nil)
 }
 
 // SortLess stably sorts the contents by less, exactly matching the
@@ -49,11 +50,11 @@ func (s *Store[T]) sortMemKey(data []T, key func(*T) uint64) {
 	if n == 0 {
 		return
 	}
-	if cap(s.sortKeys) < n {
-		s.sortKeys = make([]uint64, n)
+	keys := s.growKeys(n)
+	if cap(s.sortIdx) < n {
 		s.sortIdx = make([]uint32, n)
 	}
-	keys, idx := s.sortKeys[:n], s.sortIdx[:n]
+	idx := s.sortIdx[:n]
 	par.For(s.workers, n, func(i int) {
 		keys[i] = key(&data[i])
 		idx[i] = uint32(i)
@@ -76,12 +77,66 @@ func (s *Store[T]) growBuf(n int) []T {
 	return s.sortBuf[:n]
 }
 
+func (s *Store[T]) growKeys(n int) []uint64 {
+	if cap(s.sortKeys) < n {
+		s.sortKeys = make([]uint64, n)
+	}
+	return s.sortKeys[:n]
+}
+
+func (s *Store[T]) growSlab(n int) []byte {
+	if cap(s.sortSlab) < n {
+		s.sortSlab = make([]byte, n)
+	}
+	return s.sortSlab[:n]
+}
+
 // externalSort rewrites the spilled contents as sorted chunk runs, then
-// merges adjacent pairs until one run holds everything. key may be nil for
-// pure comparator sorts; less must agree with key when both are given.
+// merges them until one run holds everything. Exactly one of key and less
+// is non-nil.
 func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) error {
-	chunk := make([]T, 0, s.chunkRecs)
-	frame := make([]T, s.frameRecs)
+	if err := s.sortChunks(key, less); err != nil {
+		return err
+	}
+	for len(s.runs) > 1 {
+		s.noteMergePass()
+		fanIn, frame := s.mergeShape(len(s.runs), key != nil)
+		next := make([]*runFile, 0, (len(s.runs)+fanIn-1)/fanIn)
+		for i := 0; i < len(s.runs); i += fanIn {
+			group := s.runs[i:min(i+fanIn, len(s.runs))]
+			if len(group) == 1 {
+				next = append(next, group[0])
+				continue
+			}
+			m, err := s.mergeRuns(group, frame, key, less)
+			if err != nil {
+				// The failed group's inputs are intact, so the store still
+				// holds every record.
+				s.runs = append(next, s.runs[i:]...)
+				return err
+			}
+			for _, rf := range group {
+				os.Remove(rf.path)
+			}
+			next = append(next, m)
+		}
+		s.runs = next
+	}
+	return nil
+}
+
+// sortChunks streams the spilled contents into the retained chunk buffer
+// (the resident buffer, empty while spilled), sorts every full chunk in
+// memory and writes it back as one sorted run. The old runs are removed
+// once every sorted run has committed.
+func (s *Store[T]) sortChunks(key func(*T) uint64, less func(a, b *T) bool) error {
+	chunk := s.mem[:0]
+	if cap(chunk) < s.chunkRecs {
+		chunk = make([]T, 0, s.chunkRecs)
+	}
+	s.mem = chunk
+	slab := s.growSlab(2 * s.frameRecs * s.codec.Size)
+	rslab, wslab := slab[:len(slab)/2], slab[len(slab)/2:]
 	var sorted []*runFile
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -92,8 +147,8 @@ func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) er
 		} else {
 			s.sortMemLess(chunk, less)
 		}
-		s.noteResident(2 * len(chunk)) // chunk + sort scratch
-		w, err := s.newRunWriter()
+		s.noteResident(2 * s.recBytes(len(chunk))) // chunk + sort scratch
+		w, err := s.newRunWriter(wslab)
 		if err != nil {
 			return err
 		}
@@ -109,132 +164,182 @@ func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) er
 		chunk = chunk[:0]
 		return nil
 	}
-	err := s.streamRuns(frame, func(batch []T) error {
-		for len(batch) > 0 {
-			take := s.chunkRecs - len(chunk)
-			if take > len(batch) {
-				take = len(batch)
+	err := s.eachRun(rslab, func(r *runReader[T]) error {
+		for {
+			n, err := r.fill(chunk[len(chunk):s.chunkRecs])
+			if err != nil || n == 0 {
+				return err
 			}
-			chunk = append(chunk, batch[:take]...)
-			batch = batch[take:]
-			if len(chunk) == s.chunkRecs {
+			if chunk = chunk[:len(chunk)+n]; len(chunk) == s.chunkRecs {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
+	if err != nil {
+		for _, rf := range sorted {
+			os.Remove(rf.path)
+		}
 		return err
 	}
 	for _, rf := range s.runs {
 		os.Remove(rf.path)
 	}
 	s.runs = sorted
-
-	for len(s.runs) > 1 {
-		s.noteMergePass()
-		next := make([]*runFile, 0, (len(s.runs)+1)/2)
-		for i := 0; i+1 < len(s.runs); i += 2 {
-			m, err := s.mergePair(s.runs[i], s.runs[i+1], less)
-			if err != nil {
-				return err
-			}
-			next = append(next, m)
-		}
-		if len(s.runs)%2 == 1 {
-			next = append(next, s.runs[len(s.runs)-1])
-		}
-		s.runs = next
-	}
 	return nil
 }
 
-// mergePair merges two adjacent sorted runs into one, streaming both in
-// frames and emitting only records whose final position is already known:
-// whichever frame ends on the smaller record is fully mergeable, together
-// with the strictly-smaller prefix of the other. The actual interleaving
-// is par.MergeSorted, whose ties-take-a rule (a = the earlier run) is what
-// carries stability across the merge tree.
-func (s *Store[T]) mergePair(a, b *runFile, less func(x, y *T) bool) (*runFile, error) {
-	ra, err := s.openRun(a)
-	if err != nil {
-		return nil, err
+// mergeShape sizes one merge pass over runs sorted runs: the widest fan-in
+// whose input frames plus the output frame fit the budget, never below 2.
+// An input frame holds decoded records, their raw bytes and, for key sorts,
+// cached keys; the output frame is raw bytes only. Frames shrink toward
+// minFrameRecs before the fan-in is cut, and never grow past frameRecs.
+func (s *Store[T]) mergeShape(runs int, keyed bool) (fanIn, frame int) {
+	in, out := int64(2*s.codec.Size), int64(s.codec.Size)
+	if keyed {
+		in += 8
 	}
-	defer ra.close()
-	rb, err := s.openRun(b)
-	if err != nil {
-		return nil, err
+	if f := s.budget / (int64(runs)*in + out); f >= minFrameRecs {
+		return runs, int(min(f, int64(s.frameRecs)))
 	}
-	defer rb.close()
-	w, err := s.newRunWriter()
-	if err != nil {
-		return nil, err
+	return int(max(2, (s.budget/minFrameRecs-out)/in)), minFrameRecs
+}
+
+// mergeIn is one input run of a k-way merge: its reader and its frame of
+// decoded records (plus cached keys for key sorts), consumed from pos.
+type mergeIn[T any] struct {
+	r      *runReader[T]
+	recs   []T
+	keys   []uint64
+	pos, n int
+}
+
+// mergeRuns merges the adjacent sorted runs ins into one new run, each
+// input streaming through a frame of the given record count. The frames
+// live in the store's retained sort buffers. A loser tree picks the next
+// record by (key, run index) — (less, run index) for comparator sorts — so
+// equal records leave in run order and the merge is stable. Key sorts call
+// key once per record, as its frame fills. The inputs are left in place for
+// the caller to remove once the merged run has committed.
+func (s *Store[T]) mergeRuns(ins []*runFile, frame int, key func(*T) uint64, less func(a, b *T) bool) (*runFile, error) {
+	k, size := len(ins), frame*s.codec.Size
+	recs := s.growBuf(k * frame)
+	var keys []uint64
+	if key != nil {
+		keys = s.growKeys(k * frame)
+	}
+	slab := s.growSlab((k + 1) * size)
+	bytes := s.recBytes(2*k*frame) + int64(size)
+	if key != nil {
+		bytes += int64(8 * k * frame)
+	}
+	s.noteResident(bytes)
+
+	in := make([]mergeIn[T], k)
+	defer func() {
+		for i := range in {
+			if in[i].r != nil {
+				in[i].r.close()
+			}
+		}
+	}()
+	refill := func(i int) error {
+		x := &in[i]
+		n, err := x.r.fill(x.recs)
+		if err != nil {
+			return err
+		}
+		x.pos, x.n = 0, n
+		if key != nil {
+			for j := range n {
+				x.keys[j] = key(&x.recs[j])
+			}
+		}
+		return nil
+	}
+	for i, rf := range ins {
+		r, err := s.openRun(rf, slab[i*size:(i+1)*size])
+		if err != nil {
+			return nil, err
+		}
+		in[i] = mergeIn[T]{r: r, recs: recs[i*frame : (i+1)*frame]}
+		if key != nil {
+			in[i].keys = keys[i*frame : (i+1)*frame]
+		}
+		if err := refill(i); err != nil {
+			return nil, err
+		}
 	}
 
-	fa := make([]T, s.frameRecs)
-	fb := make([]T, s.frameRecs)
-	dst := make([]T, 2*s.frameRecs)
-	refill := func(r *runReader[T], f []T) ([]T, error) {
-		n, err := r.fill(f)
-		return f[:n], err
+	// beats reports whether run a's head leaves before run b's: exhausted
+	// runs lose to everything, and ties go to the lower run index.
+	beats := func(a, b int) bool {
+		x, y := &in[a], &in[b]
+		if y.pos == y.n {
+			return true
+		}
+		if x.pos == x.n {
+			return false
+		}
+		if key != nil {
+			if a < b {
+				return x.keys[x.pos] <= y.keys[y.pos]
+			}
+			return x.keys[x.pos] < y.keys[y.pos]
+		}
+		if a < b {
+			return !less(&y.recs[y.pos], &x.recs[x.pos])
+		}
+		return less(&x.recs[x.pos], &y.recs[y.pos])
 	}
-	av, err := refill(ra, fa)
-	if err == nil {
-		var bv []T
-		bv, err = refill(rb, fb)
-		for err == nil && len(av) > 0 && len(bv) > 0 {
-			la, lb := &av[len(av)-1], &bv[len(bv)-1]
-			if !less(lb, la) {
-				// All of av is placeable, along with b's strictly-smaller
-				// prefix; b records equal to la wait for a's later equals.
-				k := sort.Search(len(bv), func(j int) bool { return !less(&bv[j], la) })
-				out := dst[:len(av)+k]
-				par.MergeSorted(s.workers, out, av, bv[:k], less)
-				if err = w.add(out); err != nil {
-					break
-				}
-				bv = bv[k:]
-				av, err = refill(ra, fa)
-			} else {
-				// All of bv is placeable, along with a's prefix up to and
-				// including records equal to lb (a wins ties).
-				k := sort.Search(len(av), func(i int) bool { return less(lb, &av[i]) })
-				out := dst[:k+len(bv)]
-				par.MergeSorted(s.workers, out, av[:k], bv, less)
-				if err = w.add(out); err != nil {
-					break
-				}
-				av = av[k:]
-				bv, err = refill(rb, fb)
-			}
+	// tree[1:k] holds the loser of each internal match (leaf i sits at
+	// position k+i) and tree[0] the overall winner.
+	tree := make([]int, k)
+	win := make([]int, 2*k)
+	for i := range k {
+		win[k+i] = i
+	}
+	for node := k - 1; node > 0; node-- {
+		a, b := win[2*node], win[2*node+1]
+		if !beats(a, b) {
+			a, b = b, a
 		}
-		for err == nil && len(av) > 0 {
-			if err = w.add(av); err != nil {
+		win[node], tree[node] = a, b
+	}
+	tree[0] = win[1]
+
+	w, err := s.newRunWriter(slab[k*size:])
+	if err != nil {
+		return nil, err
+	}
+	for {
+		top := tree[0]
+		x := &in[top]
+		if x.pos == x.n {
+			break // every input is exhausted
+		}
+		if err = w.put(&x.recs[x.pos]); err != nil {
+			break
+		}
+		if x.pos++; x.pos == x.n {
+			if err = refill(top); err != nil {
 				break
 			}
-			av, err = refill(ra, fa)
 		}
-		for err == nil && len(bv) > 0 {
-			if err = w.add(bv); err != nil {
-				break
+		for node := (top + k) / 2; node > 0; node /= 2 {
+			if beats(tree[node], top) {
+				tree[node], top = top, tree[node]
 			}
-			bv, err = refill(rb, fb)
 		}
+		tree[0] = top
 	}
 	if err != nil {
 		w.abort()
 		return nil, err
 	}
-	rf, err := w.finish()
-	if err != nil {
-		return nil, err
-	}
-	os.Remove(a.path)
-	os.Remove(b.path)
-	return rf, nil
+	return w.finish()
 }

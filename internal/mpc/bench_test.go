@@ -90,10 +90,11 @@ func BenchmarkMPCBuild(b *testing.B) {
 // build of a 1M-vertex sparse graph under a tuple-byte budget of ¼ of the
 // resident footprint, followed by the same build fully resident. Both rows
 // report edges/s and peak RSS; the budgeted row additionally reports the
-// spill traffic the build paid to stay inside the budget. The budgeted
-// sub-benchmark runs FIRST: VmHWM is a process-wide high-water mark, so
-// only that ordering lets its peak_rss_bytes show the out-of-core build's
-// own footprint rather than the resident build's.
+// spill traffic the build paid to stay inside the budget: bytes spilled,
+// run files written and external merge passes. The budgeted sub-benchmark
+// runs FIRST: VmHWM is a process-wide high-water mark, so only that
+// ordering lets its peak_rss_bytes show the out-of-core build's own
+// footprint rather than the resident build's.
 //
 // Skipped unless BENCH_LARGE=1 — the PR gate's -bench regex would match
 // the name, and a 1M-vertex build has no place in the per-push tier.
@@ -106,7 +107,7 @@ func BenchmarkMPCBuildSpill(b *testing.B) {
 	run := func(b *testing.B, opt Options, wantSpill bool) {
 		b.ReportAllocs()
 		b.ResetTimer()
-		var spilled, runs int64
+		var spilled, runs, passes int64
 		for i := 0; i < b.N; i++ {
 			res, err := BuildSpannerOpts(g, 8, 3, 7, opt)
 			if err != nil {
@@ -115,7 +116,7 @@ func BenchmarkMPCBuildSpill(b *testing.B) {
 			if got := res.SpilledBytes > 0; got != wantSpill {
 				b.Fatalf("spilled=%v, want %v (budget=%d)", got, wantSpill, opt.MemoryBudget)
 			}
-			spilled, runs = res.SpilledBytes, res.SpillRuns
+			spilled, runs, passes = res.SpilledBytes, res.SpillRuns, res.MergePasses
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(g.M())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
@@ -125,6 +126,7 @@ func BenchmarkMPCBuildSpill(b *testing.B) {
 		if wantSpill {
 			b.ReportMetric(float64(spilled), "spilled_bytes")
 			b.ReportMetric(float64(runs), "run_files")
+			b.ReportMetric(float64(passes), "merge_passes")
 		}
 	}
 	b.Run("n=1M/k=8/t=3/budget=quarter", func(b *testing.B) {

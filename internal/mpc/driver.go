@@ -476,19 +476,6 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	}
 	sim.ChargeTree(1)
 
-	err := sim.Filter(func(t *Tuple) bool {
-		if _, dead := removePairs[pairKey{t.Src, t.CDst}]; dead {
-			return false
-		}
-		if _, dead := removePairs[pairKey{t.Dst, t.CSrc}]; dead {
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-
 	// B5 — cluster labels advance: sampled clusters persist, joiners adopt
 	// their target, everything else would die (and can't appear on a live
 	// tuple, which B6 then certifies).
@@ -501,17 +488,19 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		}
 		return none
 	}
-	err = sim.Update(func(t *Tuple) {
+	// Removal, the B5 relabel and B6 run as one local pass: removed tuples
+	// drop first, survivors are relabeled in place, then intra-cluster edges
+	// vanish and dead labels must not survive.
+	var lostCluster atomic.Int64
+	err := sim.Filter(func(t *Tuple) bool {
+		if _, dead := removePairs[pairKey{t.Src, t.CDst}]; dead {
+			return false
+		}
+		if _, dead := removePairs[pairKey{t.Dst, t.CSrc}]; dead {
+			return false
+		}
 		t.CSrc = relabel(t.Src, t.CSrc)
 		t.CDst = relabel(t.Dst, t.CDst)
-	})
-	if err != nil {
-		return err
-	}
-
-	// B6 — intra-cluster edges vanish; dead labels must not survive.
-	var lostCluster atomic.Int64
-	err = sim.Filter(func(t *Tuple) bool {
 		if t.CSrc == none || t.CDst == none {
 			lostCluster.Add(1)
 			return false

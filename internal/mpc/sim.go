@@ -366,8 +366,10 @@ func (m *Sim) Scan(f func(t *Tuple)) error { return m.st.scan(f) }
 func (m *Sim) Update(f func(t *Tuple)) error { return m.st.update(f) }
 
 // Filter drops tuples not accepted by keep (local; no rounds — machines
-// simply release memory). keep runs on the worker pool and must be a pure
-// per-tuple predicate; the surviving tuples retain their order, so the
+// simply release memory). keep may also rewrite the tuple it is handed, and
+// a kept tuple keeps the rewrite, so one Filter can fold in an Update's
+// relabeling. keep runs on the worker pool and must depend only on the
+// tuple it is handed; the surviving tuples retain their order, so the
 // result is identical at every worker count.
 func (m *Sim) Filter(keep func(t *Tuple) bool) error { return m.st.filter(keep) }
 

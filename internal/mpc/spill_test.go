@@ -2,9 +2,11 @@ package mpc
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"mpcspanner/internal/extmem"
 	"mpcspanner/internal/graph"
 )
 
@@ -68,6 +70,94 @@ func TestSpilledBuildBitIdentical(t *testing.T) {
 						name, encName, workers, got, ref)
 				}
 			}
+		}
+	}
+}
+
+// TestQuarterBudgetMergesOncePerSort pins the merge's fan-in at the budget
+// shape of the pipeline benchmark's spilled workload: with a quarter of the
+// tuple footprint, every chunk run of a spilled sort fits one merge pass,
+// for both sort families.
+func TestQuarterBudgetMergesOncePerSort(t *testing.T) {
+	t.Parallel()
+	g := graph.Connectify(graph.GNP(4000, 16/4000.0, graph.UniformWeight(1, 100), 5), 50)
+	budget := int64(2*g.M()*tupleCodec.Size) / 4
+	for _, keyed := range []bool{true, false} {
+		enc := newKeyEncoding(g, 0)
+		if !keyed {
+			enc = nil
+		}
+		res, err := buildSpanner(context.Background(), g, 12, 4, 7,
+			Options{Gamma: 0.5, MemoryBudget: budget}, enc)
+		if err != nil {
+			t.Fatalf("keyed=%v: %v", keyed, err)
+		}
+		if res.MergePasses == 0 || res.MergePasses > int64(res.Sorts) {
+			t.Errorf("keyed=%v: %d merge passes over %d sorts, want between 1 and one per sort",
+				keyed, res.MergePasses, res.Sorts)
+		}
+	}
+}
+
+// TestFilterKeepsRewrites pins the widened Filter contract on every store a
+// Sim can run on: keep may rewrite the tuple it is handed, and survivors
+// carry the rewrite, in their original order.
+func TestFilterKeepsRewrites(t *testing.T) {
+	type filterStore interface {
+		LoadFrom(hint int, fill func(emit func(Tuple))) error
+		Filter(keep func(*Tuple) bool) error
+		Scan(fn func(*Tuple)) error
+	}
+	const n = 5000
+	in := make([]Tuple, n)
+	for i := range in {
+		in[i] = Tuple{Src: int32(i % 97), Dst: int32(i % 89), CSrc: int32(i), CDst: int32(i / 2), W: float64(i % 13), Orig: int32(i)}
+	}
+	for _, workers := range []int{1, 3} {
+		sim, err := NewSim(n, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.SetWorkers(workers)
+		unbudgeted := extmem.NewStore(tupleCodec, extmem.Options{Workers: workers})
+		spilled := extmem.NewStore(tupleCodec, extmem.Options{Budget: 1, Dir: t.TempDir(), Workers: workers})
+		t.Cleanup(func() { unbudgeted.Close(); spilled.Close() })
+		stores := []struct {
+			name string
+			st   filterStore
+		}{{"resident Sim", sim}, {"unbudgeted extmem.Store", unbudgeted}, {"spilled extmem.Store", spilled}}
+		for _, tc := range stores {
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			if err := tc.st.LoadFrom(n, func(emit func(Tuple)) {
+				for _, tu := range in {
+					emit(tu)
+				}
+			}); err != nil {
+				t.Fatalf("%s: load: %v", name, err)
+			}
+			if err := tc.st.Filter(func(t *Tuple) bool {
+				t.CSrc = -t.CSrc - 1
+				return t.Orig%2 == 0
+			}); err != nil {
+				t.Fatalf("%s: filter: %v", name, err)
+			}
+			var got []Tuple
+			if err := tc.st.Scan(func(t *Tuple) { got = append(got, *t) }); err != nil {
+				t.Fatalf("%s: scan: %v", name, err)
+			}
+			if len(got) != n/2 {
+				t.Fatalf("%s: %d survivors, want %d", name, len(got), n/2)
+			}
+			for i, tu := range got {
+				want := in[2*i]
+				want.CSrc = -want.CSrc - 1
+				if tu != want {
+					t.Fatalf("%s: survivor %d = %+v, want %+v", name, i, tu, want)
+				}
+			}
+		}
+		if !spilled.Spilled() {
+			t.Fatalf("workers=%d: the spilled store holds %d records in memory", workers, spilled.Len())
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // pre-store simulator. The spilling store keeps tuples in
 // budget-bounded extmem run files. Every operation is order-preserving and
 // bit-deterministic across implementations and worker counts, which is
-// what lets a budgeted build reproduce an unbudgeted one exactly.
+// what lets a budgeted build reproduce an unbudgeted one exactly. filter's
+// keep may rewrite the tuple it is handed; kept tuples keep the rewrite.
 type tupleStore interface {
 	len() int
 	loadFrom(hint int, fill func(emit func(Tuple))) error
