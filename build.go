@@ -185,18 +185,18 @@ func WithArtifact(a *Artifact) Option {
 
 // SSSPEngine selects the single-source shortest-path engine behind full-row
 // distance fills (see WithSSSP). Every engine returns bit-identical
-// distances on every graph at every worker count — the dist package's
-// exactness contract — so the choice is purely a speed knob.
+// distances on every graph — the dist package's exactness contract — so the
+// choice is purely a speed knob.
 type SSSPEngine = dist.Engine
 
 const (
-	// SSSPAuto (the default) resolves by graph size: delta-stepping at
-	// construction scale, the pooled binary heap below it.
+	// SSSPAuto (the default) resolves to delta-stepping on every graph.
 	SSSPAuto = dist.EngineAuto
 	// SSSPHeap forces the binary-heap Dijkstra.
 	SSSPHeap = dist.EngineHeap
-	// SSSPDeltaStepping forces the bucketed delta-stepping engine, which
-	// parallelizes the relaxations *within* one source over the worker pool.
+	// SSSPDeltaStepping forces the bucketed delta-stepping engine. Each row
+	// is one serial fill; parallelism comes from filling many sources at
+	// once over the WithWorkers pool.
 	SSSPDeltaStepping = dist.EngineDelta
 )
 
@@ -214,9 +214,8 @@ func WithSSSP(e SSSPEngine) Option {
 // WithDelta overrides delta-stepping's bucket width Δ (default: auto-tuned
 // to average edge weight / average degree). The width must be positive and
 // finite, and combining it with WithSSSP(SSSPHeap) is rejected — the heap
-// has no buckets. Under SSSPAuto the width applies only when the resolver
-// picks delta-stepping; a small graph still runs the heap and the width is
-// simply unused.
+// has no buckets. Under SSSPAuto, which resolves to delta-stepping, the
+// width always applies.
 func WithDelta(d float64) Option {
 	return func(c *config) { c.delta = d; c.mark("Delta") }
 }

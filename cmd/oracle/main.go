@@ -49,7 +49,7 @@ func main() {
 	zipf := flag.Float64("zipf", 1.2, "Zipf exponent of the -synth source distribution")
 	shards := flag.Int("shards", 0, "cache shards (0 = default)")
 	rows := flag.Int("rows", 0, "cache budget in resident rows (0 = default)")
-	workers := flag.Int("workers", 0, "batch worker pool size (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	sscfg := cliutil.SSSPFlags(flag.CommandLine)
 	batch := flag.Int("batch", 1024, "serve queries in batches of this size (stats then show cross-batch cache hits); <= 0 = one batch")
 	quiet := flag.Bool("quiet", false, "suppress per-query output, print stats only")

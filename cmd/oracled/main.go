@@ -113,7 +113,7 @@ func runServe(args []string) {
 	t := fs.Int("t", 0, "epoch length (0 = default)")
 	shards := fs.Int("shards", 0, "cache shards (0 = default)")
 	rows := fs.Int("rows", 0, "cache budget in resident rows (0 = default 1024)")
-	workers := fs.Int("workers", 0, "per-batch worker pool size (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "per-batch worker pool size (0 = GOMAXPROCS)")
 	sc := cliutil.SSSPFlags(fs)
 	inflight := fs.Int("inflight", 0, "max concurrent batches inside the oracle (0 = cache row budget / 4)")
 	queueWait := fs.Duration("queue-wait", 100*time.Millisecond, "longest a request may queue for an in-flight slot before 429")

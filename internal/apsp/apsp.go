@@ -261,5 +261,5 @@ func (r *Result) MeasureCDF(sources int, quantiles []float64, seed uint64) ([]fl
 }
 
 func (r *Result) solverOptions() dist.SolverOptions {
-	return dist.SolverOptions{Engine: r.sssp, Delta: r.delta, Workers: r.workers, Metrics: r.metrics}
+	return dist.SolverOptions{Engine: r.sssp, Delta: r.delta, Metrics: r.metrics}
 }

@@ -1,41 +1,39 @@
 package dist
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/par"
 )
 
 // APSP materializes the full all-pairs distance matrix of g: row v is the
 // exact distance row from v. Sources are fanned out over a worker pool of
-// runtime.NumCPU() goroutines — the Graph is immutable and safe for
-// concurrent readers, so the rows are embarrassingly parallel. Each row is
-// filled by a shared Solver (EngineAuto: delta-stepping at scale, the pooled
-// heap below it) with within-source workers pinned to 1, since the
-// across-source fan-out already saturates the cores; per-run state is pooled,
-// so a row costs exactly its own n-float allocation. Memory is n²; this is
-// for verification-scale graphs, as the §7 pipeline notes.
+// GOMAXPROCS goroutines — the Graph is immutable and safe for concurrent
+// readers, so the rows are embarrassingly parallel. Each row is one serial
+// delta-stepping fill by a shared Solver; per-run state is pooled, so a row
+// costs exactly its own n-float allocation. Memory is n²; this is for
+// verification-scale graphs, as the §7 pipeline notes.
 func APSP(g *graph.Graph) [][]float64 {
-	return apspWorkers(g, runtime.NumCPU())
+	return apspWorkers(g, par.Workers(0))
 }
 
 // apspWorkers is APSP with an explicit worker count; workers <= 1 runs the
 // serial loop. Split out so the benchmarks can pin the pool size and track
 // the parallel speedup.
 func apspWorkers(g *graph.Graph, workers int) [][]float64 {
-	s := NewSolver(g, SolverOptions{Workers: 1})
+	s := NewSolver(g, SolverOptions{})
 	m := make([][]float64, g.N())
 	forWorkers(g.N(), workers, func(v int) { m[v] = s.Row(v) })
 	return m
 }
 
-// parallelFor runs fn(0..n-1) on a pool of NumCPU workers. Iterations must
-// be independent; each writes only its own output slot, so results are
+// parallelFor runs fn(0..n-1) on a pool of GOMAXPROCS workers. Iterations
+// must be independent; each writes only its own output slot, so results are
 // deterministic regardless of scheduling.
 func parallelFor(n int, fn func(int)) {
-	forWorkers(n, runtime.NumCPU(), fn)
+	forWorkers(n, par.Workers(0), fn)
 }
 
 // forWorkers is the worker pool behind APSP and the stretch estimators:

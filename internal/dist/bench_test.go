@@ -33,14 +33,14 @@ func largeBenchGraph(n int) *graph.Graph {
 // delta-stepping full-row fills on a sparse synthetic family at construction
 // scale, reporting relaxable arcs per second (2m arcs per row) and peak RSS
 // as custom metrics. The acceptance bar pinned by the committed baseline:
-// delta-stepping ≥ 2× the heap's edges/s at n=1M, workers=0.
+// delta-stepping ≥ 2× the heap's edges/s at n=1M.
 func BenchmarkSSSP(b *testing.B) {
 	for _, size := range []struct {
 		label string
 		n     int
 	}{{"100k", 100_000}, {"1M", 1_000_000}} {
 		for _, engine := range []Engine{EngineHeap, EngineDelta} {
-			b.Run(fmt.Sprintf("n=%s/engine=%s/workers=0", size.label, engine), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%s/engine=%s", size.label, engine), func(b *testing.B) {
 				g := largeBenchGraph(size.n)
 				s := NewSolver(g, SolverOptions{Engine: engine})
 				row := make([]float64, g.N())

@@ -1,10 +1,13 @@
 package dist
 
 // This file is the delta-stepping SSSP engine (Meyer & Sanders 2003): the
-// bucketed, within-source-parallel replacement for the binary-heap Dijkstra
-// on every path that needs a *full* distance row — oracle cold fills, APSP
-// materialization, the pair-stretch estimators. The heap stays behind two
-// paths on purpose: dijkstraTo early-exits after settling a few targets
+// bucketed replacement for the binary-heap Dijkstra on every path that needs
+// a *full* distance row — oracle cold fills, APSP materialization, the
+// pair-stretch estimators. A row is filled by one serial kernel; parallelism
+// comes only from filling many sources at once (the oracle's QueryMany pool,
+// concurrent requests, forWorkers), which keeps every core busy without the
+// atomics a shared row would need. The heap stays behind two paths on
+// purpose: dijkstraTo early-exits after settling a few targets
 // (delta-stepping has no cheap early exit — it settles a whole bucket at a
 // time), and MultiSourceDijkstra's nearest-source attribution breaks ties by
 // heap pop order, an order delta-stepping does not reproduce.
@@ -15,10 +18,8 @@ package dist
 // of the left-to-right float64 sum of the path's weights. Float addition of
 // non-negative values is monotone, so relaxation order changes which
 // intermediate labels a vertex holds but never the final minimum. The final
-// row is therefore bit-identical to heap Dijkstra's at every worker count —
-// the equality the deltastep tests pin. (Intermediate work — relaxation
-// counts, bucket population — is scheduling-dependent at workers > 1; only
-// the distances are deterministic.)
+// row is therefore bit-identical to heap Dijkstra's — the equality the
+// deltastep tests pin.
 //
 // Bucket structure: tentative distances are binned into buckets of width Δ,
 // kept in a cyclic array of B = ⌊maxW/Δ⌋+3 slots. The window bound: every
@@ -33,13 +34,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
-	"mpcspanner/internal/par"
 )
 
 // Engine selects the single-source shortest-path algorithm behind full-row
@@ -47,11 +45,10 @@ import (
 type Engine uint8
 
 const (
-	// EngineAuto picks delta-stepping at scale (n ≥ deltaAutoMinN) and the
-	// pooled heap below it, where bucket bookkeeping costs more than the
-	// heap's log factor saves.
+	// EngineAuto resolves to delta-stepping on every graph.
 	EngineAuto Engine = iota
-	// EngineHeap forces the pooled 4-ary-heap Dijkstra.
+	// EngineHeap forces the pooled 4-ary-heap Dijkstra, the reference every
+	// exactness test compares against.
 	EngineHeap
 	// EngineDelta forces bucketed delta-stepping.
 	EngineDelta
@@ -85,27 +82,15 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("dist: unknown SSSP engine %q (want auto, heap, or delta-stepping)", s)
 }
 
-const (
-	// deltaAutoMinN is the vertex count at which EngineAuto switches from the
-	// heap to delta-stepping: below it a full row settles in microseconds and
-	// the split/bucket setup dominates.
-	deltaAutoMinN = 1 << 15
+// maxDeltaBuckets caps the cyclic bucket array. A Δ so small that ⌊maxW/Δ⌋+3
+// exceeds the cap is raised to the smallest Δ that fits — protecting against
+// pathological widths without unbounded memory.
+const maxDeltaBuckets = 1 << 20
 
-	// maxDeltaBuckets caps the cyclic bucket array. A Δ so small that
-	// ⌊maxW/Δ⌋+3 exceeds the cap is raised to the smallest Δ that fits —
-	// protecting against pathological widths without unbounded memory.
-	maxDeltaBuckets = 1 << 20
-
-	// parRelaxCutoff mirrors par's serial cutoff: frontiers below it relax on
-	// the calling goroutine without atomics, so the many tiny phases of a
-	// sparse run never pay CAS or dispatch overhead.
-	parRelaxCutoff = 256
-)
-
-// SolverOptions configures NewSolver. The zero value selects EngineAuto with
-// the auto-tuned Δ, GOMAXPROCS workers, and no instrumentation.
+// SolverOptions configures NewSolver. The zero value selects delta-stepping
+// with the auto-tuned Δ and no instrumentation.
 type SolverOptions struct {
-	// Engine selects the algorithm; EngineAuto resolves by graph size.
+	// Engine selects the algorithm; EngineAuto resolves to EngineDelta.
 	Engine Engine
 
 	// Delta is the bucket width for delta-stepping. Values ≤ 0 (and NaN/Inf)
@@ -114,11 +99,6 @@ type SolverOptions struct {
 	// on dense graphs bound re-relaxation within a bucket. The width is
 	// clamped up if the implied bucket array would exceed maxDeltaBuckets.
 	Delta float64
-
-	// Workers is the within-source parallelism: 0 selects GOMAXPROCS, 1 the
-	// serial (atomics-free) path. Negative values clamp to 1 (callers
-	// validate at their option boundary; see par.CheckWorkers).
-	Workers int
 
 	// Metrics, when non-nil, exposes the dist_* series: row counts and
 	// latencies (dist_sssp_rows_total, dist_sssp_row_seconds) plus the
@@ -130,18 +110,17 @@ type SolverOptions struct {
 }
 
 // Solver answers full single-source distance rows over one frozen graph,
-// with the engine, Δ, and worker count resolved once at construction. The
-// light/heavy edge split is precomputed per CSR adjacency at construction;
-// per-run state (buckets, marks, per-shard insert buffers) is drawn from a
-// per-Solver sync.Pool, so steady-state rows allocate nothing beyond the row
-// itself. A Solver is safe for concurrent use.
+// with the engine and Δ resolved once at construction. The light/heavy edge
+// split is precomputed per CSR adjacency at construction; per-run state
+// (buckets, marks) is drawn from a per-Solver sync.Pool, so steady-state rows
+// allocate nothing beyond the row itself. A Solver is safe for concurrent
+// use: each row runs serially on its caller's goroutine.
 type Solver struct {
 	g       *graph.Graph
 	engine  Engine  // resolved: EngineHeap or EngineDelta, never EngineAuto
 	delta   float64 // effective bucket width; 0 when the engine is the heap
 	invDel  float64 // 1/delta, so bucketOf multiplies instead of divides
 	buckets int     // cyclic bucket array length B
-	workers int     // resolved within-source worker count, ≥ 1
 
 	// Light/heavy CSR split: arc i of vertex v lives at lightOff[v] ≤ i <
 	// lightOff[v+1] (weight ≤ Δ) or the heavy mirror (> Δ). Targets and
@@ -162,14 +141,9 @@ type Solver struct {
 // NewSolver resolves the options against g and precomputes the edge split.
 // The graph must be frozen; the solver holds a reference, not a copy.
 func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
-	s := &Solver{g: g, workers: par.Workers(opt.Workers)}
-	s.engine = opt.Engine
+	s := &Solver{g: g, engine: opt.Engine}
 	if s.engine == EngineAuto {
-		if g.N() >= deltaAutoMinN && g.M() > 0 {
-			s.engine = EngineDelta
-		} else {
-			s.engine = EngineHeap
-		}
+		s.engine = EngineDelta
 	}
 	if opt.Metrics != nil {
 		s.rows = opt.Metrics.Counter("dist_sssp_rows_total")
@@ -209,8 +183,7 @@ func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
 
 	// Split every adjacency into light (w ≤ Δ) and heavy (w > Δ) runs:
 	// counting pass builds the offsets, fill pass scatters targets and
-	// weights. The fill is index-addressed per vertex, so sharding it is
-	// deterministic.
+	// weights.
 	n := g.N()
 	s.lightOff = make([]int32, n+1)
 	s.heavyOff = make([]int32, n+1)
@@ -230,23 +203,21 @@ func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
 	s.lightW = make([]float64, s.lightOff[n])
 	s.heavyTo = make([]int32, s.heavyOff[n])
 	s.heavyW = make([]float64, s.heavyOff[n])
-	par.ForShard(s.workers, n, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			li, hi2 := s.lightOff[v], s.heavyOff[v]
-			for _, a := range g.Adj(v) {
-				w := g.Edge(a.Edge).W
-				if w <= delta {
-					s.lightTo[li] = int32(a.To)
-					s.lightW[li] = w
-					li++
-				} else {
-					s.heavyTo[hi2] = int32(a.To)
-					s.heavyW[hi2] = w
-					hi2++
-				}
+	li, hi := int32(0), int32(0)
+	for v := 0; v < n; v++ {
+		for _, a := range g.Adj(v) {
+			w := g.Edge(a.Edge).W
+			if w <= delta {
+				s.lightTo[li] = int32(a.To)
+				s.lightW[li] = w
+				li++
+			} else {
+				s.heavyTo[hi] = int32(a.To)
+				s.heavyW[hi] = w
+				hi++
 			}
 		}
-	})
+	}
 
 	if opt.Metrics != nil {
 		s.relaxations = opt.Metrics.Counter("dist_delta_relaxations_total")
@@ -263,9 +234,6 @@ func (s *Solver) Engine() Engine { return s.engine }
 
 // Delta returns the effective bucket width, or 0 when the engine is the heap.
 func (s *Solver) Delta() float64 { return s.delta }
-
-// Workers returns the resolved within-source worker count.
-func (s *Solver) Workers() int { return s.workers }
 
 // Row returns the full distance row from src; unreachable vertices get Inf.
 // The returned slice is freshly allocated and caller-owned.
@@ -320,8 +288,7 @@ type deltaScratch struct {
 	rmark []uint32
 	rgen  uint32
 
-	ins     [][]int32 // per-shard insert buffers for the parallel relax path
-	pending int64     // live bucket entries; 0 ⇔ done
+	pending int64 // live bucket entries; 0 ⇔ done
 
 	// Local metric accumulators, flushed once per row (Add per edge would be
 	// an atomic per relaxation).
@@ -383,13 +350,6 @@ func (s *Solver) runDelta(src int, d []float64) {
 	sc.pending = 0
 	sc.enqueue(int32(src), 0, s.buckets)
 
-	// The parallel path CASes distances as uint64 bit patterns; for the
-	// non-negative values Dijkstra produces the float and bit orders agree.
-	var du []uint64
-	if s.workers > 1 && len(d) > 0 {
-		du = unsafe.Slice((*uint64)(unsafe.Pointer(&d[0])), len(d))
-	}
-
 	cur := int64(0)
 	for sc.pending > 0 {
 		for len(sc.buckets[cur%int64(s.buckets)]) == 0 {
@@ -416,7 +376,7 @@ func (s *Solver) runDelta(src int, d []float64) {
 			}
 			sc.buckets[i] = nil
 			sc.pending -= int64(len(take))
-			// Serial pre-filter: drop stale entries (the vertex has moved to
+			// Pre-filter: drop stale entries (the vertex has moved to
 			// an earlier bucket and was or will be settled there), release
 			// the live-entry stamp, and collect first-time vertices into R.
 			fr := sc.fr[:0]
@@ -435,7 +395,7 @@ func (s *Solver) runDelta(src int, d []float64) {
 			}
 			sc.fr = fr
 			sc.free = append(sc.free, take[:0])
-			s.relax(sc, d, du, fr, s.lightOff, s.lightTo, s.lightW)
+			s.relax(sc, d, fr, s.lightOff, s.lightTo, s.lightW)
 			sc.nLight++
 		}
 		if s.lightSeconds != nil {
@@ -447,7 +407,7 @@ func (s *Solver) runDelta(src int, d []float64) {
 		// buckets (w > Δ), except at most one bucket of float-rounding slack
 		// — if that lands back in cur, the outer loop re-enters the light
 		// loop for cur before advancing, so nothing is stranded.
-		s.relax(sc, d, du, sc.r, s.heavyOff, s.heavyTo, s.heavyW)
+		s.relax(sc, d, sc.r, s.heavyOff, s.heavyTo, s.heavyW)
 		if s.heavySeconds != nil {
 			s.heavySeconds.Observe(time.Since(phaseStart).Seconds())
 		}
@@ -464,68 +424,19 @@ func (s *Solver) runDelta(src int, d []float64) {
 }
 
 // relax applies one relaxation pass of the given CSR split (light or heavy)
-// over list. Small frontiers — and the whole run at workers == 1 — take the
-// serial path: plain loads and stores, no atomics. Large frontiers shard
-// across workers: distances improve via CAS-min, each shard records its
-// winning targets in its own insert buffer, and the buffers merge serially
-// in shard order (deterministic bucket contents are not required — only the
-// final distances are — but the serial merge keeps the queue bookkeeping
-// single-writer). Relaxation *counts* at workers > 1 depend on CAS races and
-// are therefore approximate; distances are not.
-func (s *Solver) relax(sc *deltaScratch, d []float64, du []uint64, list []int32, off, to []int32, w []float64) {
-	if s.workers == 1 || len(list) < parRelaxCutoff {
-		for _, v := range list {
-			dv := d[v]
-			end := off[v+1]
-			for i := off[v]; i < end; i++ {
-				u := to[i]
-				nd := dv + w[i]
-				if nd < d[u] {
-					d[u] = nd
-					sc.nRelax++
-					sc.enqueue(u, s.bucketOf(nd), s.buckets)
-				}
+// over list, enqueueing every target whose distance improves.
+func (s *Solver) relax(sc *deltaScratch, d []float64, list []int32, off, to []int32, w []float64) {
+	for _, v := range list {
+		dv := d[v]
+		end := off[v+1]
+		for i := off[v]; i < end; i++ {
+			u := to[i]
+			nd := dv + w[i]
+			if nd < d[u] {
+				d[u] = nd
+				sc.nRelax++
+				sc.enqueue(u, s.bucketOf(nd), s.buckets)
 			}
-		}
-		return
-	}
-	shards := par.ShardCount(s.workers, len(list))
-	for len(sc.ins) < shards {
-		sc.ins = append(sc.ins, nil)
-	}
-	par.ForShard(s.workers, len(list), func(shard, lo, hi int) {
-		buf := sc.ins[shard][:0]
-		for _, v := range list[lo:hi] {
-			dv := math.Float64frombits(atomic.LoadUint64(&du[v]))
-			end := off[v+1]
-			for i := off[v]; i < end; i++ {
-				u := to[i]
-				if casMin(&du[u], dv+w[i]) {
-					buf = append(buf, u)
-				}
-			}
-		}
-		sc.ins[shard] = buf
-	})
-	for _, buf := range sc.ins[:shards] {
-		for _, u := range buf {
-			sc.nRelax++
-			sc.enqueue(u, s.bucketOf(d[u]), s.buckets)
-		}
-	}
-}
-
-// casMin lowers the float64 at addr to nd if nd is smaller, spinning through
-// concurrent improvements. Returns whether this call won an improvement.
-func casMin(addr *uint64, nd float64) bool {
-	bits := math.Float64bits(nd)
-	for {
-		old := atomic.LoadUint64(addr)
-		if math.Float64frombits(old) <= nd {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, bits) {
-			return true
 		}
 	}
 }

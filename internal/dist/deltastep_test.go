@@ -9,10 +9,6 @@ import (
 	"mpcspanner/internal/obs"
 )
 
-// deltaWorkerCounts are the worker counts the exactness contract is pinned
-// at: serial, a small fixed pool, and GOMAXPROCS.
-var deltaWorkerCounts = []int{1, 3, 0}
-
 // requireRowEqual asserts bit-identity (not tolerance) between two rows.
 // Both engines converge to the same float64 fixpoint — the minimum over all
 // paths of the left-to-right float sum — so any difference is a bug.
@@ -30,26 +26,22 @@ func requireRowEqual(t *testing.T, want, got []float64, ctx string) {
 }
 
 // checkAllSources compares delta-stepping against heap Dijkstra from every
-// source (or a stride of sources for larger graphs) at every pinned worker
-// count.
+// source (or a stride of sources for larger graphs).
 func checkAllSources(t *testing.T, g *graph.Graph, name string, delta float64) {
 	t.Helper()
 	stride := 1
 	if g.N() > 64 {
 		stride = g.N() / 64
 	}
-	for _, workers := range deltaWorkerCounts {
-		s := NewSolver(g, SolverOptions{Engine: EngineDelta, Delta: delta, Workers: workers})
-		if s.Engine() != EngineDelta {
-			t.Fatalf("%s: explicit EngineDelta resolved to %v", name, s.Engine())
-		}
-		row := make([]float64, g.N())
-		for src := 0; src < g.N(); src += stride {
-			want := Dijkstra(g, src)
-			got := s.RowInto(src, row)
-			requireRowEqual(t, want, got,
-				fmt.Sprintf("%s workers=%d delta=%v src=%d", name, workers, delta, src))
-		}
+	s := NewSolver(g, SolverOptions{Engine: EngineDelta, Delta: delta})
+	if s.Engine() != EngineDelta {
+		t.Fatalf("%s: explicit EngineDelta resolved to %v", name, s.Engine())
+	}
+	row := make([]float64, g.N())
+	for src := 0; src < g.N(); src += stride {
+		want := Dijkstra(g, src)
+		got := s.RowInto(src, row)
+		requireRowEqual(t, want, got, fmt.Sprintf("%s delta=%v src=%d", name, delta, src))
 	}
 }
 
@@ -70,6 +62,7 @@ func TestDeltaMatchesHeapOnFamilies(t *testing.T) {
 		{"tree", graph.RandomTree(300, graph.PowerWeight(3, 6), 10)},
 		{"pref-attach", graph.PreferentialAttachment(300, 3, graph.UniformWeight(1, 100), 11)},
 		{"complete", graph.Complete(300, graph.UniformWeight(1, 1000), 12)},
+		{"complete-dense-frontier", graph.Complete(400, graph.UniformWeight(1, 10), 99)},
 		{"tiny-weights", graph.Connectify(graph.GNP(200, 8.0/200, graph.UniformWeight(1e-12, 1e-9), 13), 1e-9)},
 		{"wide-weights", graph.Connectify(graph.GNP(200, 8.0/200, graph.UniformWeight(1e-6, 1e6), 14), 1)},
 	}
@@ -82,24 +75,17 @@ func TestDeltaMatchesHeapOnFamilies(t *testing.T) {
 	}
 }
 
-// TestDeltaParallelFrontier forces the CAS/merge path: a complete graph's
-// first bucket frontier exceeds the serial relax cutoff, so workers=3 truly
-// shards the relaxation.
-func TestDeltaParallelFrontier(t *testing.T) {
-	g := graph.Complete(400, graph.UniformWeight(1, 10), 99)
-	checkAllSources(t, g, "complete-parallel", 0)
-	checkAllSources(t, g, "complete-parallel-wide", 1e9) // single-bucket regime
-}
-
 // TestDeltaExplicitWidths sweeps Δ across regimes: much smaller than the
 // minimum weight (every edge heavy — Dial-like), comparable to the mean, and
 // larger than the graph diameter (every edge light — one Bellman-Ford-style
-// bucket). All must agree bit-for-bit with the heap.
+// bucket), including a complete graph whose single bucket holds every vertex
+// at once. All must agree bit-for-bit with the heap.
 func TestDeltaExplicitWidths(t *testing.T) {
 	g := graph.Connectify(graph.GNP(300, 8.0/300, graph.UniformWeight(1, 100), 21), 50)
 	for _, delta := range []float64{1e-9, 0.5, 5, 100, 1e12, math.Inf(1)} {
 		checkAllSources(t, g, "width-sweep", delta)
 	}
+	checkAllSources(t, graph.Complete(400, graph.UniformWeight(1, 10), 99), "complete-single-bucket", 1e9)
 }
 
 func TestDeltaDisconnectedComponents(t *testing.T) {
@@ -188,11 +174,15 @@ func TestDeltaParallelEdges(t *testing.T) {
 
 func TestEngineAutoResolution(t *testing.T) {
 	small := graph.Path(64, graph.UnitWeight, 1)
-	if e := NewSolver(small, SolverOptions{}).Engine(); e != EngineHeap {
-		t.Fatalf("auto on n=64 resolved to %v; want heap", e)
-	}
-	if e := NewSolver(small, SolverOptions{Engine: EngineDelta}).Engine(); e != EngineDelta {
-		t.Fatalf("explicit delta resolved to %v", e)
+	// Auto Δ = avgW / avgDeg: the path has unit weights and average degree
+	// 2·63/64, so the width must land near 64/126.
+	wantDelta := 1.0 / (2 * 63.0 / 64)
+	for _, e := range []Engine{EngineAuto, EngineDelta} {
+		s := NewSolver(small, SolverOptions{Engine: e})
+		if s.Engine() != EngineDelta || math.Abs(s.Delta()-wantDelta) > 1e-12 {
+			t.Fatalf("%v on n=64 resolved to %v with Δ = %v; want delta-stepping with Δ = %v",
+				e, s.Engine(), s.Delta(), wantDelta)
+		}
 	}
 	if d := NewSolver(small, SolverOptions{Engine: EngineHeap}).Delta(); d != 0 {
 		t.Fatalf("heap solver reports delta %v; want 0", d)
@@ -200,13 +190,6 @@ func TestEngineAutoResolution(t *testing.T) {
 	s := NewSolver(small, SolverOptions{Engine: EngineDelta, Delta: 2.5})
 	if s.Delta() != 2.5 {
 		t.Fatalf("explicit Δ not honored: %v", s.Delta())
-	}
-	// Auto Δ = avgW / avgDeg: the path has unit weights and average degree
-	// 2·63/64, so the width must land near 64/126.
-	auto := NewSolver(small, SolverOptions{Engine: EngineDelta})
-	want := 1.0 / (2 * 63.0 / 64)
-	if math.Abs(auto.Delta()-want) > 1e-12 {
-		t.Fatalf("auto Δ = %v; want %v", auto.Delta(), want)
 	}
 }
 
@@ -232,7 +215,7 @@ func TestEngineStringAndParse(t *testing.T) {
 func TestSolverMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := graph.Connectify(graph.GNP(300, 8.0/300, graph.UniformWeight(1, 100), 41), 50)
-	s := NewSolver(g, SolverOptions{Engine: EngineDelta, Workers: 1, Metrics: reg})
+	s := NewSolver(g, SolverOptions{Engine: EngineDelta, Metrics: reg})
 	s.Row(0)
 	s.Row(1)
 	if v := reg.Counter("dist_sssp_rows_total").Value(); v != 2 {
@@ -257,7 +240,7 @@ func TestSolverRowIntoReuse(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	g := graph.Connectify(graph.GNP(500, 8.0/500, graph.UniformWeight(1, 100), 51), 50)
-	s := NewSolver(g, SolverOptions{Engine: EngineDelta, Workers: 1})
+	s := NewSolver(g, SolverOptions{Engine: EngineDelta})
 	row := make([]float64, g.N())
 	s.RowInto(0, row) // warm the pool
 	allocs := testing.AllocsPerRun(20, func() {
@@ -269,7 +252,7 @@ func TestSolverRowIntoReuse(t *testing.T) {
 }
 
 // FuzzDeltaVsHeap derives a random weighted graph from the fuzz input and
-// checks the exactness contract at every pinned worker count.
+// checks the exactness contract.
 func FuzzDeltaVsHeap(f *testing.F) {
 	f.Add(uint64(1), 16, 30, false)
 	f.Add(uint64(7), 40, 120, true)
@@ -284,11 +267,9 @@ func FuzzDeltaVsHeap(f *testing.F) {
 			w = graph.PowerWeight(4, 12)
 		}
 		g := graph.GNM(n, m, w, seed)
-		for _, workers := range deltaWorkerCounts {
-			s := NewSolver(g, SolverOptions{Engine: EngineDelta, Workers: workers})
-			src := int(seed % uint64(n))
-			requireRowEqual(t, Dijkstra(g, src), s.Row(src),
-				fmt.Sprintf("fuzz seed=%d n=%d m=%d workers=%d", seed, n, m, workers))
-		}
+		s := NewSolver(g, SolverOptions{Engine: EngineDelta})
+		src := int(seed % uint64(n))
+		requireRowEqual(t, Dijkstra(g, src), s.Row(src),
+			fmt.Sprintf("fuzz seed=%d n=%d m=%d", seed, n, m))
 	})
 }

@@ -107,7 +107,7 @@ func PairStretch(g, h *graph.Graph, sources int, seed uint64) (StretchReport, er
 // PairStretchOpts is PairStretch with an explicit SSSP engine selection for
 // the per-source full-row fills — the hook the facade's WithSSSP/WithDelta
 // reach the verification layer through. The report is identical for every
-// engine and worker count (the exactness contract); only the speed differs.
+// engine (the exactness contract); only the speed differs.
 func PairStretchOpts(g, h *graph.Graph, sources int, seed uint64, opt SolverOptions) (StretchReport, error) {
 	ratios, err := pairRatios(g, h, sources, seed, opt)
 	if err != nil {
@@ -145,10 +145,8 @@ func StretchCDFOpts(g, h *graph.Graph, sources int, quantiles []float64, seed ui
 }
 
 // pairRatios draws the source sample and computes all finite-in-g pairwise
-// ratios, one full g-row and one full h-row per source, sources in parallel.
-// Rows fill through per-graph Solvers, so a handful of sampled sources on a
-// large graph can also parallelize *within* each row (delta-stepping), not
-// just across the sample.
+// ratios, one full g-row and one full h-row per source. Sources run in
+// parallel; each row is one serial fill through a per-graph Solver.
 func pairRatios(g, h *graph.Graph, sources int, seed uint64, opt SolverOptions) ([]float64, error) {
 	if err := compatible(g, h); err != nil {
 		return nil, err

@@ -29,7 +29,6 @@ package oracle
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,16 +58,15 @@ type Options struct {
 	// Zero selects 1024 rows; negative values are clamped to 1.
 	MaxRows int
 
-	// Workers is the QueryMany fan-out pool size. Zero selects
-	// runtime.NumCPU(). Cold row fills parallelize *within* a source too
-	// (delta-stepping shards each row's relaxations over the same count), so
-	// a single cold query on a large graph is no longer pinned to one core.
+	// Workers is the QueryMany fan-out pool size. Zero selects GOMAXPROCS.
+	// Each cold row fill is serial, so this pool — filling distinct sources
+	// at once — is all the parallelism a batch gets.
 	Workers int
 
 	// SSSP selects the engine behind cold row fills: dist.EngineAuto (the
-	// zero value) picks delta-stepping at scale and the pooled heap below
-	// it; the explicit engines force one. Every engine produces bit-identical
-	// rows — the dist exactness contract — so this is purely a speed knob.
+	// zero value) resolves to delta-stepping; dist.EngineHeap forces the
+	// pooled heap. Every engine produces bit-identical rows — the dist
+	// exactness contract — so this is purely a speed knob.
 	SSSP dist.Engine
 
 	// Delta overrides the delta-stepping bucket width; ≤ 0 auto-tunes
@@ -172,15 +170,10 @@ func New(g *graph.Graph, opt Options) *Oracle {
 	if n := g.N(); nshards > n && n > 0 {
 		nshards = n
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	o := &Oracle{g: g, shards: make([]shard, nshards), workers: workers, frozen: opt.Frozen}
+	o := &Oracle{g: g, shards: make([]shard, nshards), workers: par.Workers(opt.Workers), frozen: opt.Frozen}
 	o.solver = dist.NewSolver(g, dist.SolverOptions{
 		Engine:  opt.SSSP,
 		Delta:   opt.Delta,
-		Workers: opt.Workers, // same resolution as the batch pool: 0 = all cores
 		Metrics: opt.Metrics,
 	})
 	reg := opt.Metrics

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -132,6 +133,17 @@ func TestTinyBudgetShardClamp(t *testing.T) {
 	}
 	if s.Evictions != int64(g.N()-1) {
 		t.Fatalf("Evictions = %d, want %d", s.Evictions, g.N()-1)
+	}
+}
+
+// TestDefaultWorkersFollowGOMAXPROCS pins the rule Options.Workers documents:
+// zero sizes the QueryMany pool by GOMAXPROCS, not by the machine's cores.
+// Not parallel: it changes the process-wide GOMAXPROCS.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	o := New(testGraph(t, 30, 13), Options{})
+	if o.workers != 1 {
+		t.Fatalf("pool size = %d under GOMAXPROCS(1), want 1", o.workers)
 	}
 }
 

@@ -46,14 +46,19 @@ func TestServeSSSPSelection(t *testing.T) {
 		}
 	}
 
-	// SSSPAuto on a small graph resolves to the heap; the resolved name —
-	// never "auto" — is what the session advertises.
+	// SSSPAuto resolves to delta-stepping with the auto-tuned width on every
+	// graph; the resolved name — never "auto" — is what the session
+	// advertises.
 	auto, err := Serve(ctx, g, WithExact())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := auto.SSSP(); info.Engine != "heap" {
-		t.Fatalf("auto on n=500 resolved to %+v, want heap", info)
+	tuned, err := Serve(ctx, g, WithExact(), WithSSSP(SSSPDeltaStepping))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, want := auto.SSSP(), tuned.SSSP(); info.Engine != "delta-stepping" || info != want || info.Delta <= 0 {
+		t.Fatalf("auto on n=500 resolved to %+v, want delta-stepping with the auto-tuned width %+v", info, want)
 	}
 }
 
