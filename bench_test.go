@@ -1,17 +1,16 @@
 // Benchmark harness: one testing.B target per reproduced experiment
-// (DESIGN.md §2 maps each to the paper's claim), plus micro-benchmarks of
-// the core construction at increasing scale. Regenerate the experiment
-// tables themselves with `go run ./cmd/experiments`.
+// (DESIGN.md §2 maps each to the paper's claim), plus two micro-benchmarks:
+// cluster-merge against Baswana–Sen, and sampled stretch verification. The
+// construction, MPC and Dijkstra benchmarks live in their packages.
+// Regenerate the experiment tables themselves with `go run ./cmd/experiments`.
 package mpcspanner
 
 import (
-	"fmt"
 	"testing"
 
 	"mpcspanner/internal/bench"
 	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
-	"mpcspanner/internal/mpc"
 	"mpcspanner/internal/spanner"
 )
 
@@ -48,26 +47,10 @@ func BenchmarkF3ApproxCDF(b *testing.B)            { runTable(b, bench.F3ApproxC
 func BenchmarkA1EqualRoundBudget(b *testing.B)     { runTable(b, bench.A1EqualRoundBudget) }
 func BenchmarkA2RepetitionPicker(b *testing.B)     { runTable(b, bench.A2RepetitionPicker) }
 
-// --- Core construction micro-benchmarks -------------------------------
+// --- Micro-benchmarks --------------------------------------------------
 
 func benchGraph(n int) *graph.Graph {
 	return graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 100), 7)
-}
-
-func BenchmarkGeneralSpanner(b *testing.B) {
-	for _, n := range []int{10_000, 50_000, 200_000} {
-		g := benchGraph(n)
-		b.Run(fmt.Sprintf("n=%d/k=16/t=4", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := spanner.General(g, 16, 4, spanner.Options{Seed: uint64(i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(r.Size()), "spanner-edges")
-			}
-		})
-	}
 }
 
 func BenchmarkClusterMergeVsBaswanaSen(b *testing.B) {
@@ -86,43 +69,6 @@ func BenchmarkClusterMergeVsBaswanaSen(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkMPCDriver(b *testing.B) {
-	g := benchGraph(20_000)
-	for _, gamma := range []float64{0.5, 0.33} {
-		b.Run(fmt.Sprintf("gamma=%.2f", gamma), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := mpc.BuildSpanner(g, 8, 2, gamma, uint64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(r.Rounds), "mpc-rounds")
-			}
-		})
-	}
-}
-
-func BenchmarkUnweightedSpanner(b *testing.B) {
-	g := graph.GNP(20_000, 12.0/20_000, graph.UnitWeight, 9)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := spanner.Unweighted(g, 3, spanner.UnweightedOptions{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDijkstra(b *testing.B) {
-	g := benchGraph(100_000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := dist.Dijkstra(g, i%g.N())
-		if len(d) != g.N() {
-			b.Fatal("bad result")
-		}
-	}
 }
 
 func BenchmarkStretchVerification(b *testing.B) {

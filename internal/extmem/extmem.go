@@ -1,12 +1,13 @@
-// Package extmem is a spillable fixed-record tuple store: the out-of-core
-// backend that makes the MPC model's per-machine memory S = n^γ a real byte
-// budget instead of an accounting fiction. A store holds an ordered
-// sequence of records. Under its budget everything is resident and every
-// operation runs the same in-memory algorithms as the resident simulator;
-// past it, contents live in CRC-32C-checksummed run files (run.go) and the
-// streaming forms of each operation take over — chunked stable sorts plus
-// k-way external merges for Sort, frame-at-a-time rewrites for
-// Update/Filter, carry-buffered batching for segment walks.
+// Package extmem is a spillable fixed-record tuple store: the one tuple
+// store of the MPC simulator, which makes the model's per-machine memory
+// S = n^γ a real byte budget instead of an accounting fiction. A store
+// holds an ordered sequence of records. With no budget, or under it,
+// everything is resident and every operation runs in memory on scratch the
+// store retains, so steady-state key sorts, filters and segment walks
+// allocate nothing; past it, contents live in CRC-32C-checksummed run files
+// (run.go) and the streaming forms of each operation take over — chunked
+// stable sorts plus k-way external merges for Sort, frame-at-a-time
+// rewrites for Update/Filter, carry-buffered batching for segment walks.
 //
 // The determinism contract every layer above relies on: a stable sort has
 // exactly one output permutation, so sorting chunks stably (with the same
@@ -114,9 +115,10 @@ type Store[T any] struct {
 	runs []*runFile // spilled contents otherwise; concatenation in order
 	n    int        // logical record count, both modes
 
-	dir  string // private run directory, created on first spill
-	seq  int
-	keep []bool // scratch mask for filters
+	dir    string // private run directory, created on first spill
+	seq    int
+	keep   []bool // scratch mask for filters
+	starts []int  // scratch segment boundaries
 
 	// Sort scratch, retained across sorts: the chunk sorts' keys, index and
 	// permutation buffer, reused as the merge frames' cached keys and
@@ -312,55 +314,11 @@ func (s *Store[T]) Scan(fn func(*T)) error {
 }
 
 // Update applies fn to every record in place, in parallel within frames.
-// fn must be safe to call concurrently and depend only on its record.
+// fn must be safe to call concurrently and depend only on its record. It is
+// a Filter that keeps every record, so a failed pass leaves the contents
+// as they were.
 func (s *Store[T]) Update(fn func(*T)) error {
-	if len(s.runs) == 0 {
-		mem := s.mem
-		par.For(s.workers, len(mem), func(i int) { fn(&mem[i]) })
-		return nil
-	}
-	frame := make([]T, s.frameRecs)
-	slab := make([]byte, 2*s.frameRecs*s.codec.Size)
-	rslab, wslab := slab[:len(slab)/2], slab[len(slab)/2:]
-	out := make([]*runFile, 0, len(s.runs))
-	for _, rf := range s.runs {
-		r, err := s.openRun(rf, rslab)
-		if err != nil {
-			return err
-		}
-		w, err := s.newRunWriter(wslab)
-		if err != nil {
-			r.close()
-			return err
-		}
-		for {
-			n, err := r.fill(frame)
-			if err != nil {
-				r.close()
-				w.abort()
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			batch := frame[:n]
-			par.For(s.workers, n, func(i int) { fn(&batch[i]) })
-			if err := w.add(batch); err != nil {
-				r.close()
-				w.abort()
-				return err
-			}
-		}
-		r.close()
-		nf, err := w.finish()
-		if err != nil {
-			return err
-		}
-		os.Remove(rf.path)
-		out = append(out, nf)
-	}
-	s.runs = out
-	return nil
+	return s.Filter(func(t *T) bool { fn(t); return true })
 }
 
 // Filter keeps exactly the records keep reports true for, preserving
@@ -369,10 +327,7 @@ func (s *Store[T]) Update(fn func(*T)) error {
 // only on its record and be safe to call concurrently.
 func (s *Store[T]) Filter(keep func(*T) bool) error {
 	if len(s.runs) == 0 {
-		mem := s.mem
-		mask := s.mask(len(mem))
-		par.For(s.workers, len(mem), func(i int) { mask[i] = keep(&mem[i]) })
-		s.mem = compact(mem, mask)
+		s.mem = s.filterBatch(s.mem, keep)
 		s.n = len(s.mem)
 		return nil
 	}
@@ -380,9 +335,7 @@ func (s *Store[T]) Filter(keep func(*T) bool) error {
 	out := s.newRollingWriter()
 	total := 0
 	err := s.streamRuns(frame, func(batch []T) error {
-		mask := s.mask(len(batch))
-		par.For(s.workers, len(batch), func(i int) { mask[i] = keep(&batch[i]) })
-		kept := compact(batch, mask)
+		kept := s.filterBatch(batch, keep)
 		total += len(kept)
 		return out.add(kept)
 	})
@@ -391,6 +344,21 @@ func (s *Store[T]) Filter(keep func(*T) bool) error {
 		return err
 	}
 	return s.adoptRuns(out, total)
+}
+
+// filterBatch compacts batch in place to the records keep accepts. A
+// single worker runs the loop inline: a closure handed to par.For escapes
+// to the heap on every call.
+func (s *Store[T]) filterBatch(batch []T, keep func(*T) bool) []T {
+	mask := s.mask(len(batch))
+	if s.workers <= 1 {
+		for i := range batch {
+			mask[i] = keep(&batch[i])
+		}
+	} else {
+		par.For(s.workers, len(batch), func(i int) { mask[i] = keep(&batch[i]) })
+	}
+	return compact(batch, mask)
 }
 
 // Segments walks maximal runs of adjacent records for which same holds,
@@ -439,14 +407,16 @@ func (s *Store[T]) FilterSegments(same func(a, b *T) bool, decide func(seg []T, 
 }
 
 // batchSegments fans the segments of one in-memory batch out across
-// workers.
+// workers, inline for a single worker (no escaping closure).
 func (s *Store[T]) batchSegments(batch []T, same func(a, b *T) bool, fn func(shard int, seg []T)) {
-	starts := boundaries(batch, same)
-	nseg := len(starts) - 1
-	if nseg <= 0 {
+	starts := s.boundaries(batch, same)
+	if s.workers <= 1 {
+		for si := 1; si < len(starts); si++ {
+			fn(0, batch[starts[si-1]:starts[si]])
+		}
 		return
 	}
-	par.ForShard(s.workers, nseg, func(shard, lo, hi int) {
+	par.ForShard(s.workers, len(starts)-1, func(shard, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			fn(shard, batch[starts[si]:starts[si+1]])
 		}
@@ -455,12 +425,14 @@ func (s *Store[T]) batchSegments(batch []T, same func(a, b *T) bool, fn func(sha
 
 // batchDecide runs decide over every segment of batch, filling mask.
 func (s *Store[T]) batchDecide(batch []T, mask []bool, same func(a, b *T) bool, decide func(seg []T, keep []bool)) {
-	starts := boundaries(batch, same)
-	nseg := len(starts) - 1
-	if nseg <= 0 {
+	starts := s.boundaries(batch, same)
+	if s.workers <= 1 {
+		for si := 1; si < len(starts); si++ {
+			decide(batch[starts[si-1]:starts[si]], mask[starts[si-1]:starts[si]])
+		}
 		return
 	}
-	par.ForShard(s.workers, nseg, func(_, lo, hi int) {
+	par.ForShard(s.workers, len(starts)-1, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			decide(batch[starts[si]:starts[si+1]], mask[starts[si]:starts[si+1]])
 		}
@@ -468,18 +440,20 @@ func (s *Store[T]) batchDecide(batch []T, mask []bool, same func(a, b *T) bool, 
 }
 
 // boundaries returns segment start offsets for batch under same, with a
-// trailing len(batch) sentinel.
-func boundaries[T any](batch []T, same func(a, b *T) bool) []int {
-	starts := []int{0}
+// trailing len(batch) sentinel (just [0] for an empty batch). The slice is
+// the store's scratch, valid until the next call.
+func (s *Store[T]) boundaries(batch []T, same func(a, b *T) bool) []int {
+	starts := append(s.starts[:0], 0)
 	for i := 1; i < len(batch); i++ {
 		if !same(&batch[i-1], &batch[i]) {
 			starts = append(starts, i)
 		}
 	}
-	if len(batch) == 0 {
-		return []int{0}
+	if len(batch) > 0 {
+		starts = append(starts, len(batch))
 	}
-	return append(starts, len(batch))
+	s.starts = starts
+	return starts
 }
 
 // carryBatches streams the spilled contents through process in batches

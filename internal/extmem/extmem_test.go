@@ -438,6 +438,53 @@ func TestRunCorruptionTaxonomy(t *testing.T) {
 	}
 }
 
+// TestCorruptRunFailsCleanly pins the failure path of every streaming
+// operation: when the last run of a spilled store has one flipped payload
+// byte, the operation returns a typed *core.ArtifactError and the run
+// directory still holds exactly the store's runs — no input run deleted
+// early, no output run left behind.
+func TestCorruptRunFailsCleanly(t *testing.T) {
+	same := func(a, b *rec) bool { return a.K == b.K }
+	ops := []struct {
+		name string
+		run  func(s *Store[rec]) error
+	}{
+		{"Scan", func(s *Store[rec]) error { return s.Scan(func(*rec) {}) }},
+		{"Update", func(s *Store[rec]) error { return s.Update(func(r *rec) { r.V++ }) }},
+		{"Filter", func(s *Store[rec]) error { return s.Filter(func(r *rec) bool { return r.K%2 == 0 }) }},
+		{"Segments", func(s *Store[rec]) error { return s.Segments(same, func(int, []rec) {}) }},
+		{"FilterSegments", func(s *Store[rec]) error {
+			return s.FilterSegments(same, func(_ []rec, keep []bool) { keep[0] = true })
+		}},
+		{"SortKey", func(s *Store[rec]) error { return s.SortKey(func(r *rec) uint64 { return r.K }) }},
+		{"SortLess", func(s *Store[rec]) error { return s.SortLess(func(a, b *rec) bool { return a.K < b.K }) }},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			s := tinyStore(t, 1)
+			loadStore(t, s, genRecs(5000, 9))
+			if len(s.runs) < 2 {
+				t.Fatalf("store holds %d runs, want several", len(s.runs))
+			}
+			path := s.runs[len(s.runs)-1].path
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)-1] ^= 0x40
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = op.run(s)
+			var ae *core.ArtifactError
+			if !errors.As(err, &ae) {
+				t.Fatalf("%s on a corrupted run returned %v, want *core.ArtifactError", op.name, err)
+			}
+			checkRunDir(t, s)
+		})
+	}
+}
+
 // TestCloseRemovesRunDir pins cleanup: Close deletes the private run
 // directory and everything in it.
 func TestCloseRemovesRunDir(t *testing.T) {

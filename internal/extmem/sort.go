@@ -1,8 +1,8 @@
 package extmem
 
-// External sorting. Resident contents sort with the exact primitives the
-// in-memory simulator uses (par.RadixSorter for key sorts, par.SortStableBuf
-// for comparator sorts). Spilled contents sort in two phases:
+// External sorting. Resident contents sort in memory (par.RadixSorter for
+// key sorts, par.SortStableBuf for comparator sorts). Spilled contents sort
+// in two phases:
 //
 //  1. chunking — stream the contents into budget-sized chunks, sort each
 //     chunk in memory with those same primitives, write each back as a
@@ -27,7 +27,9 @@ import (
 // resident radix sort's output order.
 func (s *Store[T]) SortKey(key func(*T) uint64) error {
 	if len(s.runs) == 0 {
-		s.sortMemKey(s.mem, key)
+		// The permuted copy becomes the contents and the old contents the
+		// next sort's buffer: a swap, not a copy back.
+		s.mem, s.sortBuf = s.sortMemKey(s.mem, key), s.mem
 		return nil
 	}
 	return s.externalSort(key, nil)
@@ -43,26 +45,36 @@ func (s *Store[T]) SortLess(less func(a, b *T) bool) error {
 	return s.externalSort(nil, less)
 }
 
-// sortMemKey is the resident key sort: extract radix keys, stable radix
-// sort of (key, index), apply the permutation.
-func (s *Store[T]) sortMemKey(data []T, key func(*T) uint64) {
+// sortMemKey is the in-memory key sort: extract radix keys, stable radix
+// sort of (key, index), apply the permutation into the retained sort
+// buffer, which it returns. data itself is left as it was. A single worker
+// runs the loops inline: closures handed to par.For escape to the heap.
+func (s *Store[T]) sortMemKey(data []T, key func(*T) uint64) []T {
 	n := len(data)
-	if n == 0 {
-		return
-	}
 	keys := s.growKeys(n)
 	if cap(s.sortIdx) < n {
 		s.sortIdx = make([]uint32, n)
 	}
 	idx := s.sortIdx[:n]
+	buf := s.growBuf(n)
+	if s.workers <= 1 {
+		for i := range data {
+			keys[i] = key(&data[i])
+			idx[i] = uint32(i)
+		}
+		s.sorter.Sort(1, keys, idx)
+		for i, j := range idx {
+			buf[i] = data[j]
+		}
+		return buf
+	}
 	par.For(s.workers, n, func(i int) {
 		keys[i] = key(&data[i])
 		idx[i] = uint32(i)
 	})
 	s.sorter.Sort(s.workers, keys, idx)
-	buf := s.growBuf(n)
 	par.For(s.workers, n, func(j int) { buf[j] = data[idx[j]] })
-	copy(data, buf)
+	return buf
 }
 
 // sortMemLess is the resident comparator sort.
@@ -143,7 +155,10 @@ func (s *Store[T]) sortChunks(key func(*T) uint64, less func(a, b *T) bool) erro
 			return nil
 		}
 		if key != nil {
-			s.sortMemKey(chunk, key)
+			// chunk is the resident buffer's array, so the sorted copy
+			// comes back by copy: a swap would leave the resident and sort
+			// buffers sharing one array.
+			copy(chunk, s.sortMemKey(chunk, key))
 		} else {
 			s.sortMemLess(chunk, less)
 		}

@@ -81,7 +81,8 @@ type Options struct {
 	// internal/extmem run files and global sorts run as external merge
 	// sorts. The constructed spanner and the simulated round bill are
 	// bit-identical to an unbudgeted build at every worker count. Zero or
-	// negative keeps everything resident (today's zero-overhead path).
+	// negative keeps everything resident: the store never spills and
+	// registers no extmem_* series.
 	MemoryBudget int64
 
 	// Progress, when non-nil, receives one core.ProgressEvent per simulated

@@ -73,6 +73,16 @@ func loadSim(t *testing.T, ts []Tuple, workers int) *Sim {
 	return s
 }
 
+// snapshot copies the stored tuples out in placement order.
+func snapshot(t *testing.T, s *Sim) []Tuple {
+	t.Helper()
+	out := make([]Tuple, 0, s.Len())
+	if err := s.Scan(func(tp *Tuple) { out = append(out, *tp) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestKeyEncodingsMatchComparators is the ISSUE's property test: for each of
 // the driver's three converted sorts, SortByKey with the encoding orders
 // exactly like Sort with the comparator it replaced — ties, +Inf weights and
@@ -100,15 +110,17 @@ func TestKeyEncodingsMatchComparators(t *testing.T) {
 			if err := tc.run(want, nil); err != nil { // comparator fallback
 				t.Fatal(err)
 			}
+			wantTs := snapshot(t, want)
 			for _, w := range []int{1, 2, 4} {
 				got := loadSim(t, base, w)
 				if err := tc.run(got, enc); err != nil {
 					t.Fatal(err)
 				}
-				for i := range want.Data() {
-					if got.Data()[i] != want.Data()[i] {
+				gotTs := snapshot(t, got)
+				for i := range wantTs {
+					if gotTs[i] != wantTs[i] {
 						t.Fatalf("workers=%d slot %d: keyed %+v != comparator %+v",
-							w, i, got.Data()[i], want.Data()[i])
+							w, i, gotTs[i], wantTs[i])
 					}
 				}
 				if got.Rounds() != want.Rounds() || got.Sorts() != want.Sorts() {
@@ -139,9 +151,10 @@ func TestSortByKeyFullRangeKeys(t *testing.T) {
 	if err := got.SortByKey(key); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Data() {
-		if got.Data()[i] != want.Data()[i] {
-			t.Fatalf("slot %d: keyed %+v != comparator %+v", i, got.Data()[i], want.Data()[i])
+	wantTs, gotTs := snapshot(t, want), snapshot(t, got)
+	for i := range wantTs {
+		if gotTs[i] != wantTs[i] {
+			t.Fatalf("slot %d: keyed %+v != comparator %+v", i, gotTs[i], wantTs[i])
 		}
 	}
 }
@@ -174,40 +187,44 @@ func TestKeyedAndFallbackBuildsAgree(t *testing.T) {
 }
 
 // TestSimSteadyStateAllocs pins the arena contract: once the first round has
-// sized the scratch, SortByKey, Filter, Keep and SegmentStarts allocate
-// nothing (serial path; the parallel path adds only its goroutine closures).
+// sized the store's scratch, SortByKey, Filter, ForEachSegment and
+// FilterSegments allocate nothing (serial path; the parallel path adds only
+// its goroutine closures).
 func TestSimSteadyStateAllocs(t *testing.T) {
 	rng := xrand.Split(29, 0x616c6c6f63)
 	ts := randomTuples(rng, 5000, 64, 128, false)
 	s := loadSim(t, ts, 1)
 	key := func(tp *Tuple) uint64 { return uint64(tp.Src)<<32 | uint64(uint32(tp.Orig)) }
+	same := func(a, b *Tuple) bool { return a.Src == b.Src }
+	segments := 0
+	visit := func(_ int, seg []Tuple) { segments++ }
+	keepAll := func(seg []Tuple, keep []bool) {
+		for i := range keep {
+			keep[i] = true
+		}
+	}
 	if err := s.SortByKey(key); err != nil { // size the arena
 		t.Fatal(err)
 	}
-	s.SegmentStarts(func(a, b *Tuple) bool { return a.Src == b.Src })
-
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := s.SortByKey(key); err != nil {
-			t.Fatal(err)
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"SortByKey", func() error { return s.SortByKey(key) }},
+		{"Filter", func() error { return s.Filter(func(*Tuple) bool { return true }) }},
+		{"ForEachSegment", func() error { return s.ForEachSegment(same, visit) }},
+		{"FilterSegments", func() error { return s.FilterSegments(same, keepAll) }},
+	}
+	for _, op := range ops {
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0 {
+			t.Errorf("steady-state %s allocated %.0f objects/op, want 0", op.name, allocs)
 		}
-	}); allocs > 0 {
-		t.Errorf("steady-state SortByKey allocated %.0f objects/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		s.SegmentStarts(func(a, b *Tuple) bool { return a.Src == b.Src })
-	}); allocs > 0 {
-		t.Errorf("steady-state SegmentStarts allocated %.0f objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		s.Filter(func(*Tuple) bool { return true })
-	}); allocs > 0 {
-		t.Errorf("steady-state Filter allocated %.0f objects/op, want 0", allocs)
-	}
-	mask := s.maskScratch(s.Len())
-	for i := range mask {
-		mask[i] = true
-	}
-	if allocs := testing.AllocsPerRun(10, func() { s.Keep(mask) }); allocs > 0 {
-		t.Errorf("steady-state Keep allocated %.0f objects/op, want 0", allocs)
+	if segments == 0 || s.Len() != len(ts) {
+		t.Fatalf("ForEachSegment visited %d segments and %d of %d tuples remain", segments, s.Len(), len(ts))
 	}
 }

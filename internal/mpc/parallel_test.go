@@ -112,8 +112,7 @@ func TestSimParallelPrimitives(t *testing.T) {
 		}
 		s.Update(func(t *Tuple) { t.Dst += t.Src })
 		s.Filter(func(t *Tuple) bool { return t.Orig%3 != 0 })
-		out := append([]Tuple(nil), s.Data()...)
-		return out, s.Rounds(), s.Len()
+		return snapshot(t, s), s.Rounds(), s.Len()
 	}
 	serialTuples, serialRounds, serialLen := run(mk(1))
 	parTuples, parRounds, parLen := run(mk(pinWorkers()))
@@ -126,7 +125,10 @@ func TestSimParallelPrimitives(t *testing.T) {
 	}
 }
 
-func TestSegmentStarts(t *testing.T) {
+// TestForEachSegmentBoundaries pins the segment decomposition: per-shard
+// segment lengths, concatenated in shard order, give the start of every
+// maximal equal-key run; an empty cluster has no segments.
+func TestForEachSegmentBoundaries(t *testing.T) {
 	s, err := NewSim(100, 50, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +142,24 @@ func TestSegmentStarts(t *testing.T) {
 	if err := s.Load(ts); err != nil {
 		t.Fatal(err)
 	}
-	got := s.SegmentStarts(func(a, b *Tuple) bool { return a.Src == b.Src })
+	starts := func(sameKey func(a, b *Tuple) bool) []int {
+		lens := make([][]int, s.Workers())
+		if err := s.ForEachSegment(sameKey, func(shard int, seg []Tuple) {
+			lens[shard] = append(lens[shard], len(seg))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		at := 0
+		for _, part := range lens {
+			for _, l := range part {
+				out = append(out, at)
+				at += l
+			}
+		}
+		return out
+	}
+	got := starts(func(a, b *Tuple) bool { return a.Src == b.Src })
 	want := []int{0, 3, 4, 6}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("segment starts %v, want %v", got, want)
@@ -149,42 +168,9 @@ func TestSegmentStarts(t *testing.T) {
 	if err := s.Load(nil); err != nil {
 		t.Fatal(err)
 	}
-	if starts := s.SegmentStarts(func(a, b *Tuple) bool { return true }); starts != nil {
-		t.Fatalf("empty data produced segments %v", starts)
+	if got := starts(func(a, b *Tuple) bool { return true }); got != nil {
+		t.Fatalf("empty data produced segments %v", got)
 	}
-}
-
-func TestKeepMaskCompacts(t *testing.T) {
-	s, err := NewSim(100, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := make([]Tuple, 10)
-	for i := range ts {
-		ts[i] = Tuple{Orig: int32(i)}
-	}
-	if err := s.Load(ts); err != nil {
-		t.Fatal(err)
-	}
-	mask := make([]bool, 10)
-	for i := range mask {
-		mask[i] = i%2 == 0
-	}
-	s.Keep(mask)
-	if s.Len() != 5 {
-		t.Fatalf("kept %d tuples, want 5", s.Len())
-	}
-	s.Scan(func(t0 *Tuple) {
-		if t0.Orig%2 != 0 {
-			t.Fatalf("tuple %d survived a false mask", t0.Orig)
-		}
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched mask accepted")
-		}
-	}()
-	s.Keep(make([]bool, 3))
 }
 
 // TestCancellationSemanticsMPC pins the driver's context contract: fail-fast

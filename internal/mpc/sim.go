@@ -21,12 +21,12 @@
 // Clique simulator (internal/cclique) additionally enforces per-round
 // message budgets at the node level.
 //
-// Out-of-core execution: the tuples live behind a pluggable store
-// (tupleStore). NewSim keeps everything resident; NewSimBudget caps the
-// process-level tuple memory at a byte budget and spills to
-// internal/extmem run files past it, with every primitive —
-// including the global sorts, which become external merge sorts — producing
-// bit-identical tuple orders to the resident store at every worker count.
+// Out-of-core execution: the tuples live in one internal/extmem store.
+// NewSim never spills it; NewSimBudget caps the process-level tuple memory
+// at a byte budget and spills to extmem run files past it, with every
+// primitive — including the global sorts, which become external merge
+// sorts — producing bit-identical tuple orders to an unbudgeted simulator
+// at every worker count.
 package mpc
 
 import (
@@ -50,11 +50,11 @@ type Tuple struct {
 	Orig       int32 // original edge identifier
 }
 
-// Sim is the machine cluster. Tuples live behind a tupleStore: the resident
-// store keeps them in a single backing slice where machine i owns the i-th
-// contiguous block of at most S tuples (the canonical balanced placement
-// that every [GSZ11] sort re-establishes); the spilling store keeps the same
-// logical sequence partly in extmem run files under a byte budget.
+// Sim is the machine cluster. Its tuples are one logical sequence in an
+// extmem.Store, where machine i owns the i-th contiguous block of at most S
+// tuples (the canonical balanced placement that every [GSZ11] sort
+// re-establishes). Unbudgeted, the sequence is one resident slice; under a
+// byte budget, part of it may live in extmem run files.
 type Sim struct {
 	s int // memory per machine, in tuples
 	p int // number of machines
@@ -65,15 +65,12 @@ type Sim struct {
 	// bit-identical at every worker count.
 	workers int
 
-	// budget, when positive, is the process-level byte cap on tuple storage;
-	// the spilling store materializes lazily at first load (after
-	// SetWorkers/SetMetrics, whose settings it inherits).
+	// budget, when positive, is the process-level byte cap on tuple storage.
+	// The store is created at the first load (after SetWorkers/SetMetrics,
+	// whose settings it inherits) and is nil until then.
 	budget int64
-	reg    *obs.Registry // registry for the spill store's extmem_* series
-
-	st    tupleStore
-	res   *residentStore // non-nil iff st is the resident store
-	spill *spillStore    // non-nil iff st is the spilling store
+	reg    *obs.Registry // registry for a budgeted store's extmem_* series
+	st     *extmem.Store[Tuple]
 
 	rounds     int
 	sorts      int
@@ -111,7 +108,7 @@ const tupleBytes = int64(unsafe.Sizeof(Tuple{}))
 // SetMetrics attaches the simulator's cost counters to r (get-or-create, so
 // multiple Sims sharing a registry aggregate, Prometheus-style). A nil
 // registry detaches: all handles revert to inert nil pointers. Call before
-// the first Load for the spilling store's extmem_* series to attach too.
+// the first Load for a budgeted store's extmem_* series to attach too.
 func (m *Sim) SetMetrics(r *obs.Registry) {
 	m.reg = r
 	if r == nil {
@@ -132,19 +129,18 @@ func (m *Sim) SetMetrics(r *obs.Registry) {
 
 // NewSim sizes a cluster for an n-vertex input of totalTuples tuples with
 // memory exponent gamma ∈ (0, 1]: S = ⌈n^γ⌉, P = ⌈totalTuples/S⌉. The
-// tuples are fully resident (no byte budget).
+// tuples stay resident (no byte budget).
 func NewSim(n, totalTuples int, gamma float64) (*Sim, error) {
 	return NewSimBudget(n, totalTuples, gamma, 0)
 }
 
 // NewSimBudget is NewSim with a process-level byte budget on tuple storage.
-// budget <= 0 means unbudgeted (fully resident, today's zero-overhead
-// path). A positive budget routes the tuples through an internal/extmem
-// spilling store: contents past the budget live in CRC-checked run files,
-// global sorts become external merge sorts, and every primitive's output
-// order is bit-identical to the resident store's. The simulated cost model
-// (rounds, S, P) is unchanged — the budget constrains the host process,
-// not the simulated machines.
+// budget <= 0 means unbudgeted: the store never spills and registers no
+// extmem_* series. Under a positive budget, contents past it live in
+// CRC-checked run files, global sorts become external merge sorts, and
+// every primitive's output order is bit-identical to an unbudgeted
+// simulator's. The simulated cost model (rounds, S, P) is unchanged — the
+// budget constrains the host process, not the simulated machines.
 func NewSimBudget(n, totalTuples int, gamma float64, budget int64) (*Sim, error) {
 	if gamma <= 0 || gamma > 1 {
 		return nil, fmt.Errorf("mpc: gamma must lie in (0,1], got %v", gamma)
@@ -160,20 +156,14 @@ func NewSimBudget(n, totalTuples int, gamma float64, budget int64) (*Sim, error)
 	if p < 1 {
 		p = 1
 	}
-	res := &residentStore{workers: 1}
-	return &Sim{s: s, p: p, workers: 1, budget: budget, st: res, res: res}, nil
+	return &Sim{s: s, p: p, workers: 1, budget: budget}, nil
 }
 
 // SetWorkers sizes the goroutine pool that executes the simulated machines'
 // local passes (0 selects GOMAXPROCS, 1 forces serial execution). The
-// simulated cost model is unaffected. Call before the first Load: a
-// spilling store pins its pool size when it materializes.
-func (m *Sim) SetWorkers(w int) {
-	m.workers = par.Workers(w)
-	if m.res != nil {
-		m.res.workers = m.workers
-	}
-}
+// simulated cost model is unaffected. Call before the first Load: the
+// store pins its pool size when the first Load creates it.
+func (m *Sim) SetWorkers(w int) { m.workers = par.Workers(w) }
 
 // Workers returns the resolved pool size.
 func (m *Sim) Workers() int { return m.workers }
@@ -205,24 +195,30 @@ func (m *Sim) PeakTotalTuples() int { return m.peakTotal }
 func (m *Sim) TuplesMoved() int64 { return m.totalMoved }
 
 // Len returns the number of stored tuples.
-func (m *Sim) Len() int { return m.st.len() }
-
-// Spilled reports whether any tuples currently live in run files.
-func (m *Sim) Spilled() bool { return m.spill != nil && m.spill.ext.Spilled() }
-
-// SpillStats returns the spilling store's cumulative counters (zero value
-// when the simulator is unbudgeted or nothing has loaded yet).
-func (m *Sim) SpillStats() extmem.Stats {
-	if m.spill == nil {
-		return extmem.Stats{}
+func (m *Sim) Len() int {
+	if m.st == nil {
+		return 0
 	}
-	return m.spill.ext.Stats()
+	return m.st.Len()
 }
 
-// Close releases the store. For a spilling store this deletes its run
-// directory; the resident store is a no-op. The simulator must not be used
-// afterwards.
-func (m *Sim) Close() error { return m.st.close() }
+// SpillStats returns the store's cumulative spill counters (zero spill
+// fields when the simulator is unbudgeted or nothing has loaded yet).
+func (m *Sim) SpillStats() extmem.Stats {
+	if m.st == nil {
+		return extmem.Stats{}
+	}
+	return m.st.Stats()
+}
+
+// Close releases the store, deleting its run directory if it ever spilled.
+// The simulator must not be used afterwards.
+func (m *Sim) Close() error {
+	if m.st == nil {
+		return nil
+	}
+	return m.st.Close()
+}
 
 // TreeRounds returns the depth of an aggregation tree with fan-in S over the
 // P machines — the cost of Find Minimum / Broadcast in Section 6.
@@ -243,22 +239,6 @@ func (m *Sim) SortRounds() int {
 	return 2*m.TreeRounds() + 1
 }
 
-// ensureStore materializes the spilling store on budgeted simulators, once,
-// at first load — after SetWorkers and SetMetrics, whose pool size and
-// registry it inherits.
-func (m *Sim) ensureStore() {
-	if m.budget <= 0 || m.spill != nil {
-		return
-	}
-	var met *extmem.Metrics
-	if m.reg != nil {
-		met = extmem.NewMetrics(m.reg)
-	}
-	m.spill = newSpillStore(m.budget, m.workers, met)
-	m.st = m.spill
-	m.res = nil
-}
-
 // Load places the input tuples on the cluster (the "arbitrarily distributed
 // input" of the model; charges no rounds) and validates capacity.
 func (m *Sim) Load(ts []Tuple) error {
@@ -273,10 +253,17 @@ func (m *Sim) Load(ts []Tuple) error {
 // tuples through emit (in placement order, on the calling goroutine) and the
 // store sinks them — spilling incrementally on budgeted simulators, so the
 // resident footprint never exceeds the budget even during load. total is a
-// capacity hint for the unbudgeted path.
+// capacity hint for the resident buffer. The first load creates the store
+// with the simulator's budget, pool size and, when budgeted, metrics.
 func (m *Sim) LoadFrom(total int, fill func(emit func(Tuple))) error {
-	m.ensureStore()
-	if err := m.st.loadFrom(total, fill); err != nil {
+	if m.st == nil {
+		var met *extmem.Metrics
+		if m.budget > 0 {
+			met = extmem.NewMetrics(m.reg)
+		}
+		m.st = extmem.NewStore(tupleCodec, extmem.Options{Budget: m.budget, Workers: m.workers, Metrics: met})
+	}
+	if err := m.st.LoadFrom(total, fill); err != nil {
 		return err
 	}
 	return m.validate("load")
@@ -284,7 +271,7 @@ func (m *Sim) LoadFrom(total int, fill func(emit func(Tuple))) error {
 
 // validate re-checks the placement invariants after a primitive.
 func (m *Sim) validate(op string) error {
-	n := m.st.len()
+	n := m.st.Len()
 	if n > m.peakTotal {
 		m.peakTotal = n
 	}
@@ -314,7 +301,7 @@ func (m *Sim) validate(op string) error {
 // across run files as an external merge sort. Stability makes the result
 // identical to a serial stable sort at every worker count and budget.
 func (m *Sim) Sort(less func(a, b *Tuple) bool) error {
-	if err := m.st.sortLess(less); err != nil {
+	if err := m.st.SortLess(less); err != nil {
 		return err
 	}
 	return m.chargeSort()
@@ -331,7 +318,7 @@ func (m *Sim) Sort(less func(a, b *Tuple) bool) error {
 // nothing. key must be a pure per-tuple function: it is invoked concurrently
 // from the worker pool.
 func (m *Sim) SortByKey(key func(t *Tuple) uint64) error {
-	if err := m.st.sortKey(key); err != nil {
+	if err := m.st.SortKey(key); err != nil {
 		return err
 	}
 	return m.chargeSort()
@@ -339,7 +326,7 @@ func (m *Sim) SortByKey(key func(t *Tuple) uint64) error {
 
 // chargeSort books one global sort's model cost and re-validates placement.
 func (m *Sim) chargeSort() error {
-	n := m.st.len()
+	n := m.st.Len()
 	m.rounds += m.SortRounds()
 	m.sorts++
 	m.totalMoved += int64(n)
@@ -355,15 +342,15 @@ func (m *Sim) chargeSort() error {
 // calling goroutine (callers carry cross-tuple state through it). Local: no
 // rounds. Cross-machine aggregation performed on top of a Scan must be
 // charged separately with ChargeTree; for the parallel segmented form see
-// ForEachSegment. The error is always nil on a resident store; a spilled
-// store surfaces run-file I/O errors.
-func (m *Sim) Scan(f func(t *Tuple)) error { return m.st.scan(f) }
+// ForEachSegment. The error is always nil while nothing is spilled; a
+// spilled store surfaces run-file I/O errors.
+func (m *Sim) Scan(f func(t *Tuple)) error { return m.st.Scan(f) }
 
 // Update mutates tuples in place (local relabeling; no rounds). Each
 // simulated machine's pass runs on the worker pool, so f must be a pure
 // per-tuple function: it may be invoked concurrently and must touch only
 // the tuple it is handed.
-func (m *Sim) Update(f func(t *Tuple)) error { return m.st.update(f) }
+func (m *Sim) Update(f func(t *Tuple)) error { return m.st.Update(f) }
 
 // Filter drops tuples not accepted by keep (local; no rounds — machines
 // simply release memory). keep may also rewrite the tuple it is handed, and
@@ -371,19 +358,20 @@ func (m *Sim) Update(f func(t *Tuple)) error { return m.st.update(f) }
 // relabeling. keep runs on the worker pool and must depend only on the
 // tuple it is handed; the surviving tuples retain their order, so the
 // result is identical at every worker count.
-func (m *Sim) Filter(keep func(t *Tuple) bool) error { return m.st.filter(keep) }
+func (m *Sim) Filter(keep func(t *Tuple) bool) error { return m.st.Filter(keep) }
 
 // ForEachSegment decomposes the stored tuples into maximal runs of
 // consecutive tuples for which sameKey holds between neighbors — the segment
 // decomposition that Section 6's "group by supernode, aggregate per group"
 // subroutines operate on — and fans fn out over them on the worker pool.
-// Segments shard contiguously and shard ids are always < Workers(), so
-// per-shard outputs concatenated in shard order equal segment order — the
-// same determinism rule as par.ForShard, and the mode-agnostic replacement
-// for the resident-only SegmentStarts/ForSegments pair. The seg slice is
-// only valid for the duration of fn.
+// Shard ids are always < Workers(), so fn may keep per-shard accumulators.
+// While nothing is spilled, segments shard contiguously and per-shard
+// outputs concatenated in shard order equal segment order, as with
+// par.ForShard; a spilled store walks its segments in batches, so the
+// merged accumulation must not depend on that order. The seg slice is only
+// valid for the duration of fn.
 func (m *Sim) ForEachSegment(sameKey func(a, b *Tuple) bool, fn func(shard int, seg []Tuple)) error {
-	return m.st.segments(sameKey, fn)
+	return m.st.Segments(sameKey, fn)
 }
 
 // FilterSegments is ForEachSegment fused with a segmented Filter: decide
@@ -392,59 +380,7 @@ func (m *Sim) ForEachSegment(sameKey func(a, b *Tuple) bool, fn func(shard int, 
 // rounds; segmented aggregates computed inside decide are charged separately
 // with ChargeTree.
 func (m *Sim) FilterSegments(sameKey func(a, b *Tuple) bool, decide func(seg []Tuple, keep []bool)) error {
-	return m.st.filterSegments(sameKey, decide)
-}
-
-// resident returns the resident store backing the legacy slice-level
-// surface (Data, SegmentStarts, ForSegments, Keep, maskScratch), which has
-// no spilled counterpart.
-func (m *Sim) resident() *residentStore {
-	if m.res == nil {
-		panic("mpc: resident-only primitive called on a budgeted simulator")
-	}
-	return m.res
-}
-
-// Keep retains exactly the tuples whose mask entry is true, preserving
-// order (local compaction; no rounds). Survivors shift left in place —
-// machines release the freed memory; nothing is reallocated. Resident-only.
-func (m *Sim) Keep(mask []bool) { m.resident().keep(mask) }
-
-// maskScratch returns the arena's compaction mask sized to n. The slice is
-// invalidated by the next Filter call (Filter writes the same scratch).
-func (m *Sim) maskScratch(n int) []bool { return m.resident().maskScratch(n) }
-
-// Data exposes the resident tuples in placement order. Callers must treat
-// the slice as read-only; it is invalidated by the next primitive.
-// Resident-only: a budgeted simulator has no single backing slice — use
-// Scan or ForEachSegment.
-func (m *Sim) Data() []Tuple { return m.resident().data }
-
-// SegmentStarts returns the start index of every maximal run of consecutive
-// resident tuples for which sameKey holds between neighbors. The slice is
-// backed by the arena and invalidated by the next SegmentStarts call;
-// steady-state calls allocate nothing. Resident-only; see ForEachSegment
-// for the mode-agnostic form.
-func (m *Sim) SegmentStarts(sameKey func(a, b *Tuple) bool) []int {
-	return m.resident().segmentStarts(sameKey)
-}
-
-// ForSegments fans fn out over the segments delimited by starts (as
-// returned by SegmentStarts): fn(shard, si, lo, hi) receives the si-th
-// segment as m.Data()[lo:hi]. Segments shard contiguously, so per-shard
-// outputs concatenated in shard order equal segment order — the same
-// determinism rule as par.ForShard. Resident-only.
-func (m *Sim) ForSegments(starts []int, fn func(shard, si, lo, hi int)) {
-	r := m.resident()
-	par.ForShard(m.workers, len(starts), func(shard, s0, s1 int) {
-		for si := s0; si < s1; si++ {
-			end := len(r.data)
-			if si+1 < len(starts) {
-				end = starts[si+1]
-			}
-			fn(shard, si, starts[si], end)
-		}
-	})
+	return m.st.FilterSegments(sameKey, decide)
 }
 
 // ChargeTree charges `times` aggregation-tree operations (segmented minima,

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"mpcspanner/internal/extmem"
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/obs"
 )
 
 // TestSpilledBuildBitIdentical is the out-of-core determinism contract at
@@ -159,5 +162,56 @@ func TestFilterKeepsRewrites(t *testing.T) {
 		if !spilled.Spilled() {
 			t.Fatalf("workers=%d: the spilled store holds %d records in memory", workers, spilled.Len())
 		}
+	}
+}
+
+// TestUnbudgetedBuildPublishesNoSpillSeries pins what an unbudgeted build
+// shows an operator: no extmem_* series on its registry and zero spill
+// fields in its result, while a budgeted build registers all five series.
+func TestUnbudgetedBuildPublishesNoSpillSeries(t *testing.T) {
+	t.Parallel()
+	g := graph.Grid(40, 40, graph.UniformWeight(1, 9), 3)
+	extmemSeries := func(reg *obs.Registry) []string {
+		snap := reg.Snapshot()
+		var names []string
+		for _, c := range snap.Counters {
+			names = append(names, c.Name)
+		}
+		for _, g := range snap.Gauges {
+			names = append(names, g.Name)
+		}
+		for _, h := range snap.Histograms {
+			names = append(names, h.Name)
+		}
+		var out []string
+		for _, name := range names {
+			if strings.HasPrefix(name, "extmem_") {
+				out = append(out, name)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	reg := obs.NewRegistry()
+	res, err := BuildSpannerOpts(g, 8, 3, 42, Options{Gamma: 0.5, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := extmemSeries(reg); len(got) != 0 {
+		t.Errorf("unbudgeted build registered %v", got)
+	}
+	if res.MemoryBudget != 0 || res.SpilledBytes != 0 || res.SpillRuns != 0 || res.MergePasses != 0 {
+		t.Errorf("unbudgeted build reports spilling: %+v", res)
+	}
+
+	reg = obs.NewRegistry()
+	if _, err := BuildSpannerOpts(g, 8, 3, 42, Options{Gamma: 0.5, MemoryBudget: 64 << 10, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"extmem_budget_bytes", "extmem_merge_passes_total", "extmem_resident_peak_bytes",
+		"extmem_runs_total", "extmem_spill_bytes_total"}
+	if got := extmemSeries(reg); !reflect.DeepEqual(got, want) {
+		t.Errorf("budgeted build registered %v, want %v", got, want)
 	}
 }
