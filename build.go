@@ -76,7 +76,7 @@ func WithK(k int) Option {
 // WithT sets the epoch length t ≥ 1 of the general/MPC/Congested-Clique
 // families (default: the paper's per-family sweet spot — ⌈log₂ k⌉ for
 // Build, ⌈log₂ log₂ n⌉ for Serve's §7 pipeline). Ignored by the other
-// algorithms, exactly as the flat API ignored SpannerOptions.T for them.
+// algorithms, whose round structure has no epoch length.
 func WithT(t int) Option {
 	return func(c *config) { c.t = t; c.mark("T") }
 }
@@ -336,8 +336,8 @@ func (r *BuildResult) Spanner() *Graph { return r.g.Subgraph(r.EdgeIDs) }
 
 // Verify checks that the result is a valid spanner of its input graph
 // within maxStretch and returns the measured stretch report. It works for
-// every algorithm family (it needs only the edge set, not the per-family
-// statistics), so callers never reassemble a SpannerResult by hand.
+// every algorithm family: it needs only the edge set, not the per-family
+// statistics.
 func (r *BuildResult) Verify(maxStretch float64) (dist.StretchReport, error) {
 	return spanner.Verify(r.g, &spanner.Result{EdgeIDs: r.EdgeIDs, Stats: r.Stats}, maxStretch)
 }

@@ -7,39 +7,50 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"mpcspanner/internal/apsp"
+	"mpcspanner/internal/cclique"
+	"mpcspanner/internal/mpc"
+	"mpcspanner/internal/spanner"
 )
 
 func testGraphSmall() *Graph {
 	return GNP(400, 0.03, UniformWeight(1, 50), 9)
 }
 
-// TestBuildMatchesFlatSurface pins the redesign's compatibility contract:
-// for every algorithm family and worker count, Build produces bit-identical
-// spanners and statistics to the deprecated flat entry points (which are
-// themselves unchanged relative to the pre-redesign outputs, as the
-// per-package parallel_test.go pins enforce).
-func TestBuildMatchesFlatSurface(t *testing.T) {
+// TestBuildMatchesEngines pins Build's dispatch: for every algorithm family
+// and worker count, Build produces bit-identical spanners and statistics to
+// the internal entry point it dispatches to (whose outputs the
+// per-package parallel_test.go pins hold fixed).
+func TestBuildMatchesEngines(t *testing.T) {
 	g := testGraphSmall()
 	unit := GNP(300, 0.04, UnitWeight, 10)
 	ctx := context.Background()
 	for _, workers := range []int{1, 3, 0} {
-		// Engine families.
+		opts := spanner.Options{Seed: 21, Workers: workers, MeasureRadius: true}
+		// Engine families; AlgoGeneral's default t is ⌈log₂ 6⌉ = 3.
+		engines := map[Algorithm]func() (*spanner.Result, error){
+			AlgoGeneral:      func() (*spanner.Result, error) { return spanner.GeneralCtx(ctx, g, 6, 3, opts) },
+			AlgoClusterMerge: func() (*spanner.Result, error) { return spanner.ClusterMergeCtx(ctx, g, 6, opts) },
+			AlgoSqrtK:        func() (*spanner.Result, error) { return spanner.SqrtKCtx(ctx, g, 6, opts) },
+			AlgoBaswanaSen:   func() (*spanner.Result, error) { return spanner.BaswanaSenCtx(ctx, g, 6, opts) },
+		}
 		for _, algo := range []Algorithm{AlgoGeneral, AlgoClusterMerge, AlgoSqrtK, AlgoBaswanaSen} {
-			old, err := BuildSpanner(g, SpannerOptions{Algorithm: algo, K: 6, Seed: 21, Workers: workers, MeasureRadius: true})
+			ref, err := engines[algo]()
 			if err != nil {
-				t.Fatalf("%s flat: %v", algo, err)
+				t.Fatalf("%s engine: %v", algo, err)
 			}
 			neu, err := Build(ctx, g, WithAlgorithm(algo), WithK(6), WithSeed(21),
 				WithWorkers(workers), WithMeasureRadius())
 			if err != nil {
 				t.Fatalf("%s Build: %v", algo, err)
 			}
-			if !reflect.DeepEqual(old.EdgeIDs, neu.EdgeIDs) || !reflect.DeepEqual(old.Stats, neu.Stats) {
-				t.Fatalf("%s: Build differs from flat surface at workers=%d", algo, workers)
+			if !reflect.DeepEqual(ref.EdgeIDs, neu.EdgeIDs) || !reflect.DeepEqual(ref.Stats, neu.Stats) {
+				t.Fatalf("%s: Build differs from the engine at workers=%d", algo, workers)
 			}
 		}
-		// Repetitions path.
-		oldR, err := BuildSpanner(g, SpannerOptions{K: 5, Seed: 33, Workers: workers, Repetitions: 3})
+		// Repetitions path (default t = ⌈log₂ 5⌉ = 3).
+		refR, err := spanner.GeneralCtx(ctx, g, 5, 3, spanner.Options{Seed: 33, Workers: workers, Repetitions: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +58,11 @@ func TestBuildMatchesFlatSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(oldR.EdgeIDs, neuR.EdgeIDs) || oldR.Stats.Repetition != neuR.Stats.Repetition {
-			t.Fatalf("repetitions: Build differs from flat surface at workers=%d", workers)
+		if !reflect.DeepEqual(refR.EdgeIDs, neuR.EdgeIDs) || refR.Stats.Repetition != neuR.Stats.Repetition {
+			t.Fatalf("repetitions: Build differs from the engine at workers=%d", workers)
 		}
 		// MPC plane.
-		oldM, err := BuildSpannerMPCOpts(g, 6, 2, 21, MPCOptions{Gamma: 0.5, Workers: workers})
+		refM, err := mpc.BuildSpannerCtx(ctx, g, 6, 2, 21, mpc.Options{Gamma: 0.5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +71,11 @@ func TestBuildMatchesFlatSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(oldM, neuM.MPC) {
-			t.Fatalf("mpc: Build differs from flat surface at workers=%d", workers)
+		if !reflect.DeepEqual(refM, neuM.MPC) {
+			t.Fatalf("mpc: Build differs from the MPC driver at workers=%d", workers)
 		}
 		// Congested Clique.
-		oldC, err := BuildSpannerCongestedCliqueWorkers(g, 6, 2, 21, workers)
+		refC, err := cclique.BuildSpannerCtx(ctx, g, 6, 2, 21, cclique.BuildOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +84,11 @@ func TestBuildMatchesFlatSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(oldC, neuC.CC) {
-			t.Fatalf("congested-clique: Build differs from flat surface at workers=%d", workers)
+		if !reflect.DeepEqual(refC, neuC.CC) {
+			t.Fatalf("congested-clique: Build differs from the clique driver at workers=%d", workers)
 		}
 		// Unweighted (Appendix B).
-		oldU, err := BuildUnweightedSpanner(unit, 3, UnweightedOptions{Seed: 21, Workers: workers})
+		refU, err := spanner.UnweightedCtx(ctx, unit, 3, spanner.UnweightedOptions{Seed: 21, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,8 +97,8 @@ func TestBuildMatchesFlatSurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(oldU.EdgeIDs, neuU.EdgeIDs) || !reflect.DeepEqual(oldU.Stats, *neuU.Unweighted) {
-			t.Fatalf("unweighted: Build differs from flat surface at workers=%d", workers)
+		if !reflect.DeepEqual(refU.EdgeIDs, neuU.EdgeIDs) || !reflect.DeepEqual(refU.Stats, *neuU.Unweighted) {
+			t.Fatalf("unweighted: Build differs from the engine at workers=%d", workers)
 		}
 	}
 }
@@ -136,27 +147,19 @@ func TestBuildOptionValidation(t *testing.T) {
 	}
 }
 
-// TestUnweightedFacadeWorkersValidation pins the closed validation gap: the
-// deprecated BuildUnweightedSpanner now performs the same facade-level
-// worker validation as every other entry point — a negative Workers is
-// rejected as ErrInvalidOption before the graph is inspected, even when the
-// graph would fail the unit-weight requirement.
+// TestUnweightedFacadeWorkersValidation pins the facade-level worker check
+// for the Appendix B family: a negative Workers is rejected as
+// ErrInvalidOption before the graph is inspected, even when the graph would
+// fail the unit-weight requirement.
 func TestUnweightedFacadeWorkersValidation(t *testing.T) {
 	weighted := testGraphSmall() // not unit-weight
-	_, err := BuildUnweightedSpanner(weighted, 3, UnweightedOptions{Workers: -1})
-	if err == nil {
-		t.Fatal("expected an error for Workers = -1")
-	}
+	_, err := Build(context.Background(), weighted, WithAlgorithm(AlgoUnweighted), WithK(3), WithWorkers(-1))
 	if !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("error %v does not classify as ErrInvalidOption", err)
+		t.Fatalf("Build(unweighted, Workers=-1) = %v, want ErrInvalidOption", err)
 	}
 	var oe *OptionError
 	if !errors.As(err, &oe) || oe.Field != "mpcspanner: Workers" {
 		t.Fatalf("workers rejection reports field %+v, want the facade-level Workers check", oe)
-	}
-	// The new surface closes the same gap.
-	if _, err := Build(context.Background(), weighted, WithAlgorithm(AlgoUnweighted), WithK(3), WithWorkers(-1)); !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("Build(unweighted, Workers=-1) = %v, want ErrInvalidOption", err)
 	}
 }
 
@@ -271,17 +274,17 @@ func TestServeSession(t *testing.T) {
 		t.Fatalf("canceled batch error %v, want ErrCanceled", err)
 	}
 
-	// Approx mode wraps the Corollary 1.4 pipeline and matches ApproxAPSP.
+	// Approx mode wraps the Corollary 1.4 pipeline and matches apsp.ApproxCtx.
 	sa, err := Serve(ctx, g, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ApproxAPSP(g, APSPOptions{Seed: 11})
+	ref, err := apsp.ApproxCtx(ctx, g, apsp.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sa.APSP() == nil || !reflect.DeepEqual(sa.APSP().SpannerEdgeIDs, ref.SpannerEdgeIDs) {
-		t.Fatal("approx session spanner differs from ApproxAPSP")
+		t.Fatal("approx session spanner differs from apsp.ApproxCtx")
 	}
 	if got, err := sa.Query(ctx, 0, 9); err != nil || got != ref.DistancesFrom(0)[9] {
 		t.Fatalf("approx session query = (%v, %v), want the pipeline's distance", got, err)

@@ -65,14 +65,14 @@ func main() {
 		return
 	}
 
-	res, err := mpcspanner.ApproxAPSPCtx(ctx, g, mpcspanner.APSPOptions{
-		Seed: *seed, T: *t,
-		Progress: func(ev mpcspanner.ProgressEvent) { last.Store(&ev) },
-		Metrics:  met.Registry(),
-	})
+	s, err := mpcspanner.Serve(ctx, g,
+		mpcspanner.WithSeed(*seed), mpcspanner.WithT(*t),
+		mpcspanner.WithProgress(func(ev mpcspanner.ProgressEvent) { last.Store(&ev) }),
+		mpcspanner.WithMetrics(met.Registry()))
 	if err != nil {
 		fatal(err, last.Load())
 	}
+	res := s.APSP()
 	fmt.Printf("mpc: k=%d t=%d buildRounds=%d collectRounds=%d total=%d\n",
 		res.K, res.T, res.BuildRounds, res.CollectRounds, res.Rounds)
 	fmt.Printf("spanner: %d edges, fits Õ(n)=%d words on one machine: %v, bound <= %.2f\n",

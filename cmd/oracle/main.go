@@ -10,7 +10,9 @@
 // Pairs files hold one "u v" pair per line ('#' comments allowed). Results
 // go to stdout, one distance per line in input order; cache statistics and
 // timings go to stderr. Ctrl-C cancels the build (and any in-flight batch)
-// at its next checkpoint; already-served batches are flushed.
+// at its next checkpoint; already-served batches are flushed. This is the
+// offline tool; `oracled serve` serves the same session over HTTP, with live
+// /metrics and /debug/pprof.
 package main
 
 import (
@@ -22,8 +24,6 @@ import (
 	"io"
 	"log"
 	"math"
-	"net/http"
-	_ "net/http/pprof" // -listen exposes /debug/pprof alongside /metrics
 	"os"
 	"os/signal"
 	"strconv"
@@ -53,7 +53,6 @@ func main() {
 	sscfg := cliutil.SSSPFlags(flag.CommandLine)
 	batch := flag.Int("batch", 1024, "serve queries in batches of this size (stats then show cross-batch cache hits); <= 0 = one batch")
 	quiet := flag.Bool("quiet", false, "suppress per-query output, print stats only")
-	listen := flag.String("listen", "", "serve live /metrics and /debug/pprof on this address while running (e.g. :9090)")
 	mem := cliutil.MemoryFlag(flag.CommandLine)
 	met := cliutil.MetricsFlag()
 	flag.Parse()
@@ -66,21 +65,8 @@ func main() {
 	}
 
 	// One registry feeds the build (mpc_* series), the serving oracle
-	// (oracle_* series), the -metrics dump and the -listen endpoint. -listen
-	// alone instruments too: a live /metrics is pointless uninstrumented.
+	// (oracle_* series) and the -metrics dump.
 	reg := met.Registry()
-	if *listen != "" {
-		if reg == nil {
-			reg = mpcspanner.NewMetrics()
-		}
-		http.Handle("/metrics", reg.Handler())
-		go func() {
-			if err := http.ListenAndServe(*listen, nil); err != nil {
-				log.Fatalf("-listen %s: %v", *listen, err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "listening on %s (/metrics, /debug/pprof)\n", *listen)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -138,7 +124,7 @@ func main() {
 		start := time.Now()
 		// Build on the simulated MPC plane — bit-identical to the local
 		// engine for equal seeds, and the plane the mpc_* round/load series
-		// on /metrics describe.
+		// of the -metrics dump describe.
 		buildOpts := []mpcspanner.Option{
 			mpcspanner.WithAlgorithm(mpcspanner.AlgoMPC),
 			mpcspanner.WithK(kk), mpcspanner.WithT(tt), mpcspanner.WithSeed(gc.Seed),
@@ -189,16 +175,6 @@ func main() {
 	}
 	sssp := s.SSSP()
 	fmt.Fprintf(os.Stderr, "sssp: engine=%s delta=%g\n", sssp.Engine, sssp.Delta)
-	if *listen != "" {
-		// Advertise the resolved engine on the -listen mux so fleet operators
-		// can confirm replicas agree, mirroring oracled's /v1/info block.
-		// Registered after the session resolves it, so the handler never
-		// races session creation; until then the path simply 404s.
-		http.HandleFunc("/sssp", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, "{\"engine\":%q,\"delta\":%g}\n", sssp.Engine, sssp.Delta)
-		})
-	}
 
 	bs := *batch
 	if bs <= 0 || bs > len(queries) {

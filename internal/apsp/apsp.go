@@ -60,8 +60,8 @@ type Options struct {
 
 	// SSSP selects the row-fill engine of the serving oracle and the
 	// full-row stretch measurers (Measure, MeasureCDF): dist.EngineAuto — the
-	// zero value — resolves by graph size. Purely a speed knob: every engine
-	// is bit-identical (dist exactness contract).
+	// zero value — resolves to delta-stepping on every graph. Purely a speed
+	// knob: every engine is bit-identical (dist exactness contract).
 	SSSP dist.Engine
 
 	// Delta overrides the delta-stepping bucket width; ≤ 0 auto-tunes.
@@ -124,16 +124,12 @@ func Params(n, forcedT int) (k, t int) {
 	return k, t
 }
 
-// Approx runs the Section 7 pipeline.
-func Approx(g *graph.Graph, opt Options) (*Result, error) {
-	return ApproxCtx(context.Background(), g, opt)
-}
-
-// ApproxCtx is Approx under a context: the underlying MPC build checkpoints
-// ctx once per simulated grow iteration and one more checkpoint precedes the
-// collection step; a canceled context yields core.Canceled(ctx.Err()),
-// matching errors.Is against both core.ErrCanceled and ctx.Err().
-// Uncanceled runs are bit-identical to Approx at every worker count.
+// ApproxCtx runs the Section 7 pipeline under a context: the underlying MPC
+// build checkpoints ctx once per simulated grow iteration and one more
+// checkpoint precedes the collection step; a canceled context yields
+// core.Canceled(ctx.Err()), matching errors.Is against both
+// core.ErrCanceled and ctx.Err(). Uncanceled runs are bit-identical at every
+// worker count.
 func ApproxCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if g.N() < 2 {
 		return nil, fmt.Errorf("apsp: need at least two vertices, got %d", g.N())

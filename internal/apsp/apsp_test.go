@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestParams(t *testing.T) {
 
 func TestApproxEndToEnd(t *testing.T) {
 	g := graph.Connectify(graph.GNP(500, 0.03, graph.UniformWeight(1, 20), 1), 10)
-	res, err := Approx(g, Options{Seed: 3})
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestApproxEndToEnd(t *testing.T) {
 func TestApproxNeverUnderestimates(t *testing.T) {
 	// Spanner distances are distances in a subgraph: they can only grow.
 	g := graph.Connectify(graph.GNP(200, 0.05, graph.UniformWeight(1, 9), 7), 4)
-	res, err := Approx(g, Options{Seed: 9})
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestApproxNeverUnderestimates(t *testing.T) {
 
 func TestApproxTOneFasterLooser(t *testing.T) {
 	g := graph.Connectify(graph.GNP(600, 0.02, graph.UniformWeight(1, 5), 11), 2)
-	fast, err := Approx(g, Options{Seed: 13, T: 1})
+	fast, err := ApproxCtx(context.Background(), g, Options{Seed: 13, T: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Approx(g, Options{Seed: 13, T: 8})
+	slow, err := ApproxCtx(context.Background(), g, Options{Seed: 13, T: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestApproxTOneFasterLooser(t *testing.T) {
 
 func TestApproxMatrixConsistent(t *testing.T) {
 	g := graph.Connectify(graph.GNP(80, 0.08, graph.UniformWeight(1, 6), 17), 3)
-	res, err := Approx(g, Options{Seed: 19})
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestApproxMatrixConsistent(t *testing.T) {
 
 func TestApproxCDFQuantiles(t *testing.T) {
 	g := graph.Connectify(graph.GNP(150, 0.06, graph.UnitWeight, 23), 1)
-	res, err := Approx(g, Options{Seed: 29})
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestApproxCDFQuantiles(t *testing.T) {
 
 func TestOracleServesSpannerDistances(t *testing.T) {
 	g := graph.Connectify(graph.GNP(150, 0.05, graph.UniformWeight(1, 8), 43), 2)
-	res, err := Approx(g, Options{Seed: 47})
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 47})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,22 +153,22 @@ func TestOracleServesSpannerDistances(t *testing.T) {
 }
 
 func TestApproxValidates(t *testing.T) {
-	if _, err := Approx(graph.MustNew(1, nil), Options{}); err == nil {
+	if _, err := ApproxCtx(context.Background(), graph.MustNew(1, nil), Options{}); err == nil {
 		t.Fatal("single-vertex graph accepted")
 	}
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := Approx(g, Options{Gamma: 2}); err == nil {
+	if _, err := ApproxCtx(context.Background(), g, Options{Gamma: 2}); err == nil {
 		t.Fatal("gamma=2 accepted")
 	}
 }
 
 func TestApproxDeterministic(t *testing.T) {
 	g := graph.Connectify(graph.GNP(200, 0.04, graph.UniformWeight(1, 3), 37), 1)
-	a, err := Approx(g, Options{Seed: 41})
+	a, err := ApproxCtx(context.Background(), g, Options{Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Approx(g, Options{Seed: 41})
+	b, err := ApproxCtx(context.Background(), g, Options{Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"context"
 	"testing"
 
 	"mpcspanner/internal/graph"
@@ -39,7 +40,7 @@ func BenchmarkOracleSparseQueries(b *testing.B) {
 func benchResult(b *testing.B) *Result {
 	b.Helper()
 	g := graph.Connectify(graph.GNP(1000, 0.01, graph.UniformWeight(1, 20), 1), 10)
-	res, err := Approx(g, Options{Seed: 3})
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

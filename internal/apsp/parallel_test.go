@@ -41,7 +41,7 @@ func TestCancellationSemanticsAPSP(t *testing.T) {
 
 	// A live context changes nothing.
 	for _, w := range []int{1, 4} {
-		plain, err := Approx(g, Options{Seed: 21, Workers: w})
+		plain, err := ApproxCtx(context.Background(), g, Options{Seed: 21, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -264,7 +265,7 @@ func T8MPCRounds(cfg Config) Table {
 	g := graph.GNP(n, 14/float64(n), graph.UniformWeight(1, 40), cfg.Seed+80)
 	for _, gamma := range []float64{0.75, 0.5, 0.33} {
 		for _, c := range []struct{ k, t int }{{8, 1}, {8, 2}, {16, 4}} {
-			res, err := mpc.BuildSpannerOpts(g, c.k, c.t, cfg.Seed+81,
+			res, err := mpc.BuildSpannerCtx(context.Background(), g, c.k, c.t, cfg.Seed+81,
 				mpc.Options{Gamma: gamma, Metrics: cfg.Metrics})
 			if err != nil {
 				panic(err)
@@ -301,7 +302,7 @@ func T9APSP(cfg Config) Table {
 	for _, n := range sizes {
 		g := graph.Connectify(graph.GNP(n, 10/float64(n), graph.UniformWeight(1, 100), cfg.Seed+90), 50)
 		for _, t := range []int{0, 1} { // 0 = Corollary default loglog n
-			res, err := apsp.Approx(g, apsp.Options{Seed: cfg.Seed + 91, T: t, Metrics: cfg.Metrics})
+			res, err := apsp.ApproxCtx(context.Background(), g, apsp.Options{Seed: cfg.Seed + 91, T: t, Metrics: cfg.Metrics})
 			if err != nil {
 				panic(err)
 			}
@@ -339,11 +340,11 @@ func T10CongestedClique(cfg Config) Table {
 	for _, n := range sizes {
 		g := graph.Connectify(graph.GNP(n, 10/float64(n), graph.UniformWeight(1, 20), cfg.Seed+100), 10)
 		k, t := cclique.APSPParams(n)
-		sp, err := cclique.BuildSpanner(g, k, t, cfg.Seed+101)
+		sp, err := cclique.BuildSpannerCtx(context.Background(), g, k, t, cfg.Seed+101, cclique.BuildOptions{})
 		if err != nil {
 			panic(err)
 		}
-		ap, err := cclique.ApproxAPSP(g, cfg.Seed+101)
+		ap, err := cclique.ApproxAPSPCtx(context.Background(), g, cfg.Seed+101, cclique.BuildOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -501,7 +502,7 @@ func F3ApproxCDF(cfg Config) Table {
 		{"pa", graph.PreferentialAttachment(n, 4, graph.ExpWeight(6), cfg.Seed+152)},
 	}
 	for _, w := range instances {
-		res, err := apsp.Approx(w.g, apsp.Options{Seed: cfg.Seed + 153})
+		res, err := apsp.ApproxCtx(context.Background(), w.g, apsp.Options{Seed: cfg.Seed + 153})
 		if err != nil {
 			panic(err)
 		}

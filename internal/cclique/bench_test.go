@@ -1,6 +1,7 @@
 package cclique
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -25,7 +26,7 @@ func BenchmarkCliqueSpanner(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("n=4k/k=8/t=2/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildSpannerOpts(g, 8, 2, 7, w); err != nil {
+				if _, err := BuildSpannerCtx(context.Background(), g, 8, 2, 7, BuildOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

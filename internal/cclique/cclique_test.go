@@ -1,6 +1,7 @@
 package cclique
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -113,7 +114,7 @@ func TestBroadcastVolume(t *testing.T) {
 
 func TestBuildSpannerValidAndWHP(t *testing.T) {
 	g := graph.GNP(300, 0.05, graph.UniformWeight(1, 20), 3)
-	res, err := BuildSpanner(g, 8, 2, 5)
+	res, err := BuildSpannerCtx(context.Background(), g, 8, 2, 5, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,11 @@ func TestBuildSpannerValidAndWHP(t *testing.T) {
 
 func TestBuildSpannerDeterministic(t *testing.T) {
 	g := graph.GNP(200, 0.06, graph.UnitWeight, 7)
-	a, err := BuildSpanner(g, 4, 1, 11)
+	a, err := BuildSpannerCtx(context.Background(), g, 4, 1, 11, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildSpanner(g, 4, 1, 11)
+	b, err := BuildSpannerCtx(context.Background(), g, 4, 1, 11, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestAPSPParams(t *testing.T) {
 
 func TestApproxAPSPEndToEnd(t *testing.T) {
 	g := graph.Connectify(graph.GNP(400, 0.03, graph.UniformWeight(1, 10), 13), 5)
-	res, err := ApproxAPSP(g, 17)
+	res, err := ApproxAPSPCtx(context.Background(), g, 17, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestApproxAPSPSublogarithmicRounds(t *testing.T) {
 	// check the spanner phase round count is far below k = log n iterations'
 	// worth of [BS07]-style rounds.
 	g := graph.Connectify(graph.GNP(800, 0.02, graph.UniformWeight(1, 5), 23), 3)
-	res, err := ApproxAPSP(g, 29)
+	res, err := ApproxAPSPCtx(context.Background(), g, 29, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +214,10 @@ func TestApproxAPSPSublogarithmicRounds(t *testing.T) {
 }
 
 func TestBuildSpannerEmptyGraph(t *testing.T) {
-	if _, err := BuildSpanner(graph.MustNew(0, nil), 2, 1, 1); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), graph.MustNew(0, nil), 2, 1, 1, BuildOptions{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	res, err := BuildSpanner(graph.MustNew(2, nil), 2, 1, 1)
+	res, err := BuildSpannerCtx(context.Background(), graph.MustNew(2, nil), 2, 1, 1, BuildOptions{})
 	if err != nil || len(res.EdgeIDs) != 0 {
 		t.Fatalf("edgeless graph: %v, %d edges", err, len(res.EdgeIDs))
 	}

@@ -24,11 +24,11 @@ func pinWorkers() int {
 // bit-identical between serial and multi-worker runs.
 func TestWorkerCountInvarianceClique(t *testing.T) {
 	g := graph.GNP(220, 0.06, graph.UniformWeight(1, 25), 3)
-	serial, err := BuildSpannerOpts(g, 6, 2, 17, 1)
+	serial, err := BuildSpannerCtx(context.Background(), g, 6, 2, 17, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := BuildSpannerOpts(g, 6, 2, 17, pinWorkers())
+	parallel, err := BuildSpannerCtx(context.Background(), g, 6, 2, 17, BuildOptions{Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestWorkerCountInvarianceClique(t *testing.T) {
 // the measured stretch report.
 func TestWorkerCountInvarianceAPSP(t *testing.T) {
 	g := graph.Connectify(graph.GNP(150, 0.05, graph.UnitWeight, 5), 1)
-	serial, err := ApproxAPSPOpts(g, 19, 1)
+	serial, err := ApproxAPSPCtx(context.Background(), g, 19, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ApproxAPSPOpts(g, 19, pinWorkers())
+	parallel, err := ApproxAPSPCtx(context.Background(), g, 19, BuildOptions{Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWorkerCountInvarianceAPSP(t *testing.T) {
 
 func TestNegativeWorkersRejectedClique(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := BuildSpannerOpts(g, 2, 1, 1, -1); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 2, 1, 1, BuildOptions{Workers: -1}); err == nil {
 		t.Fatal("negative workers accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestCancellationSemanticsCClique(t *testing.T) {
 
 	// Live contexts change nothing, at serial and parallel worker counts.
 	for _, w := range []int{1, pinWorkers()} {
-		plain, err := BuildSpannerOpts(g, 6, 2, 21, w)
+		plain, err := BuildSpannerCtx(context.Background(), g, 6, 2, 21, BuildOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,27 +45,15 @@ type SpannerResult struct {
 	WHP     *spanner.WHPStats
 }
 
-// BuildSpanner runs Theorem 8.1: the general algorithm in the semi-MPC view
-// of the clique, with ⌈log₂ n⌉+1 parallel sampling runs per iteration and
-// the two-event run selection, so the O(n^{1+1/k}(t+log k)) size bound holds
-// w.h.p. at only O(1) extra rounds per iteration. The per-node work runs on
-// a GOMAXPROCS worker pool; use BuildSpannerOpts to pin the pool size.
-func BuildSpanner(g *graph.Graph, k, t int, seed uint64) (*SpannerResult, error) {
-	return BuildSpannerOpts(g, k, t, seed, 0)
-}
-
-// BuildSpannerOpts is BuildSpanner with an explicit worker pool size
-// (par conventions: 0 = GOMAXPROCS, 1 = serial; negatives are rejected).
-// The spanner, round bill and WHP selection are bit-identical at every
-// worker count.
-func BuildSpannerOpts(g *graph.Graph, k, t int, seed uint64, workers int) (*SpannerResult, error) {
-	return BuildSpannerCtx(context.Background(), g, k, t, seed, BuildOptions{Workers: workers})
-}
-
-// BuildSpannerCtx is BuildSpanner with the full option surface under a
-// context: the WHP engine checkpoints ctx once per grow iteration and the
-// call returns core.Canceled(ctx.Err()) at the first checkpoint after
-// cancellation. Uncanceled runs are bit-identical to BuildSpannerOpts.
+// BuildSpannerCtx runs Theorem 8.1: the general algorithm in the semi-MPC
+// view of the clique, with ⌈log₂ n⌉+1 parallel sampling runs per iteration
+// and the two-event run selection, so the O(n^{1+1/k}(t+log k)) size bound
+// holds w.h.p. at only O(1) extra rounds per iteration. The per-node work
+// runs on a pool of opt.Workers (par conventions: 0 = GOMAXPROCS,
+// 1 = serial; negatives are rejected); the spanner, round bill and WHP
+// selection are bit-identical at every worker count. The WHP engine
+// checkpoints ctx once per grow iteration and the call returns
+// core.Canceled(ctx.Err()) at the first checkpoint after cancellation.
 func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64, opt BuildOptions) (*SpannerResult, error) {
 	if g.N() < 1 {
 		return nil, fmt.Errorf("cclique: empty graph")
@@ -119,22 +107,11 @@ type APSPResult struct {
 	spanner *graph.Graph
 }
 
-// ApproxAPSP runs Corollary 1.5 end to end: BuildSpanner with k = ⌈log₂ n⌉,
-// t = ⌈log₂ log₂ n⌉, then a Lenzen-routed broadcast of the (near-linear)
-// spanner so that every node can answer distance queries locally. Use
-// ApproxAPSPOpts to pin the worker pool.
-func ApproxAPSP(g *graph.Graph, seed uint64) (*APSPResult, error) {
-	return ApproxAPSPOpts(g, seed, 0)
-}
-
-// ApproxAPSPOpts is ApproxAPSP with an explicit worker pool size.
-func ApproxAPSPOpts(g *graph.Graph, seed uint64, workers int) (*APSPResult, error) {
-	return ApproxAPSPCtx(context.Background(), g, seed, BuildOptions{Workers: workers})
-}
-
-// ApproxAPSPCtx is ApproxAPSP with the full option surface under a context
-// (see BuildSpannerCtx for the cancellation contract; the collection step
-// follows one final checkpoint after the build).
+// ApproxAPSPCtx runs Corollary 1.5 end to end: BuildSpannerCtx with
+// k = ⌈log₂ n⌉, t = ⌈log₂ log₂ n⌉, then a Lenzen-routed broadcast of the
+// (near-linear) spanner so that every node can answer distance queries
+// locally. Cancellation follows BuildSpannerCtx; the collection step
+// follows one final checkpoint after the build.
 func ApproxAPSPCtx(ctx context.Context, g *graph.Graph, seed uint64, opt BuildOptions) (*APSPResult, error) {
 	k, t := APSPParams(g.N())
 	sp, err := BuildSpannerCtx(ctx, g, k, t, seed, opt)

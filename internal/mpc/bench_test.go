@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -61,7 +62,7 @@ func BenchmarkMPCBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("n=20k/k=16/t=4/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := BuildSpannerOpts(g, 16, 4, 7, Options{Gamma: 0.5, Workers: w})
+				res, err := BuildSpannerCtx(context.Background(), g, 16, 4, 7, Options{Gamma: 0.5, Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,7 +77,7 @@ func BenchmarkMPCBuild(b *testing.B) {
 	b.Run("n=20k/k=16/t=4/workers=1/metrics=on", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := BuildSpannerOpts(g, 16, 4, 7, Options{Gamma: 0.5, Workers: 1, Metrics: reg})
+			res, err := BuildSpannerCtx(context.Background(), g, 16, 4, 7, Options{Gamma: 0.5, Workers: 1, Metrics: reg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func BenchmarkMPCBuildSpill(b *testing.B) {
 		b.ResetTimer()
 		var spilled, runs, passes int64
 		for i := 0; i < b.N; i++ {
-			res, err := BuildSpannerOpts(g, 8, 3, 7, opt)
+			res, err := BuildSpannerCtx(context.Background(), g, 8, 3, 7, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

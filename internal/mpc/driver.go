@@ -126,35 +126,27 @@ type Result struct {
 	MergePasses  int64
 }
 
-// BuildSpanner executes the general algorithm (Section 5) on the simulated
-// MPC cluster with memory exponent gamma, following Section 6's
-// implementation: edges live as directed tuple pairs carrying cluster
+// BuildSpannerCtx executes the general algorithm (Section 5) on the
+// simulated MPC cluster with memory exponent opt.Gamma, following Section
+// 6's implementation: edges live as directed tuple pairs carrying cluster
 // labels; every iteration is one sort + segmented minima/decisions +
 // mirror-side label routing; every epoch ends with a contraction realized as
-// a relabel + dedup sort.
+// a relabel + dedup sort. Each simulated machine's local pass runs as a real
+// goroutine of a pool of opt.Workers, without touching the model-level
+// accounting.
 //
 // The run is driven by the same spanner.Schedule and the same
 // xrand.CoinAt(p, seed, spanner.CoinDomainPhase1, epoch, iter, center) coins
 // as the sequential reference engine, so for equal inputs and seeds the
 // returned spanner is bit-identical to spanner.General's — the test suite
 // asserts this cross-plane equality.
-func BuildSpanner(g *graph.Graph, k, t int, gamma float64, seed uint64) (*Result, error) {
-	return BuildSpannerCtx(context.Background(), g, k, t, seed, Options{Gamma: gamma})
-}
-
-// BuildSpannerOpts is BuildSpanner with the full option surface: each
-// simulated machine's local pass runs as a real goroutine of a pool of
-// opt.Workers, without touching the model-level accounting.
-func BuildSpannerOpts(g *graph.Graph, k, t int, seed uint64, opt Options) (*Result, error) {
-	return BuildSpannerCtx(context.Background(), g, k, t, seed, opt)
-}
-
-// BuildSpannerCtx is BuildSpannerOpts under a context: the driver
-// checkpoints ctx once per simulated grow iteration (the round-level chunk
-// of Section 6) and returns core.Canceled(ctx.Err()) — matching errors.Is
-// against both core.ErrCanceled and ctx.Err() — at the first checkpoint
-// after cancellation, with the worker pool joined. Uncanceled runs are
-// bit-identical to BuildSpannerOpts at every worker count.
+//
+// The driver checkpoints ctx once per simulated grow iteration (the
+// round-level chunk of Section 6) and returns core.Canceled(ctx.Err()) —
+// matching errors.Is against both core.ErrCanceled and ctx.Err() — at the
+// first checkpoint after cancellation, with the worker pool joined.
+// Checkpoints never change what is computed: uncanceled runs are
+// bit-identical at every worker count.
 func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64, opt Options) (*Result, error) {
 	if k < 1 || t < 1 {
 		return nil, &core.OptionError{Field: "mpc: (k, t)", Value: fmt.Sprintf("(%d, %d)", k, t),

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -122,7 +123,7 @@ func crossPlane(t *testing.T, g *graph.Graph, k, tt int, gamma float64, seed uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildSpanner(g, k, tt, gamma, seed)
+	got, err := BuildSpannerCtx(context.Background(), g, k, tt, seed, Options{Gamma: gamma})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestRoundsWithinBound(t *testing.T) {
 	g := graph.GNP(300, 0.06, graph.UniformWeight(1, 9), 5)
 	for _, gamma := range []float64{0.33, 0.5, 0.75} {
 		for _, c := range []struct{ k, t int }{{4, 1}, {8, 2}, {16, 3}} {
-			res, err := BuildSpanner(g, c.k, c.t, gamma, 7)
+			res, err := BuildSpannerCtx(context.Background(), g, c.k, c.t, 7, Options{Gamma: gamma})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,11 +183,11 @@ func TestRoundsScaleWithGammaInverse(t *testing.T) {
 	// Halving gamma (squaring machine count) must not reduce rounds: the
 	// 1/γ factor of Theorem 1.1.
 	g := graph.GNP(400, 0.05, graph.UnitWeight, 11)
-	hi, err := BuildSpanner(g, 8, 2, 0.75, 13)
+	hi, err := BuildSpannerCtx(context.Background(), g, 8, 2, 13, Options{Gamma: 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := BuildSpanner(g, 8, 2, 0.25, 13)
+	lo, err := BuildSpannerCtx(context.Background(), g, 8, 2, 13, Options{Gamma: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestRoundsScaleWithGammaInverse(t *testing.T) {
 
 func TestIterationsMatchSchedule(t *testing.T) {
 	g := graph.GNP(300, 0.06, graph.UnitWeight, 17)
-	res, err := BuildSpanner(g, 16, 3, 0.5, 19)
+	res, err := BuildSpannerCtx(context.Background(), g, 16, 3, 19, Options{Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,20 +216,20 @@ func TestIterationsMatchSchedule(t *testing.T) {
 
 func TestBuildSpannerValidates(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := BuildSpanner(g, 0, 1, 0.5, 1); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 0, 1, 1, Options{Gamma: 0.5}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := BuildSpanner(g, 2, 0, 0.5, 1); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 2, 0, 1, Options{Gamma: 0.5}); err == nil {
 		t.Fatal("t=0 accepted")
 	}
-	if _, err := BuildSpanner(g, 2, 1, 0, 1); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 2, 1, 1, Options{Gamma: 0}); err == nil {
 		t.Fatal("gamma=0 accepted")
 	}
 }
 
 func TestDriverSpannerIsValid(t *testing.T) {
 	g := graph.GNP(200, 0.08, graph.UniformWeight(1, 20), 23)
-	res, err := BuildSpanner(g, 4, 2, 0.5, 29)
+	res, err := BuildSpannerCtx(context.Background(), g, 4, 2, 29, Options{Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCrossPlaneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := BuildSpanner(g, k, tt, 0.4, seed)
+		got, err := BuildSpannerCtx(context.Background(), g, k, tt, seed, Options{Gamma: 0.4})
 		if err != nil {
 			return false
 		}
@@ -268,7 +269,7 @@ func TestCrossPlaneProperty(t *testing.T) {
 
 func TestEmptyGraphDriver(t *testing.T) {
 	g := graph.MustNew(3, nil)
-	res, err := BuildSpanner(g, 4, 2, 0.5, 1)
+	res, err := BuildSpannerCtx(context.Background(), g, 4, 2, 1, Options{Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

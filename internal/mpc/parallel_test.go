@@ -31,11 +31,11 @@ func TestWorkerCountInvarianceMPC(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, c := range []struct{ k, t int }{{4, 1}, {8, 2}} {
-			serial, err := BuildSpannerOpts(g, c.k, c.t, 99, Options{Gamma: 0.5, Workers: 1})
+			serial, err := BuildSpannerCtx(context.Background(), g, c.k, c.t, 99, Options{Gamma: 0.5, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s serial: %v", name, err)
 			}
-			parallel, err := BuildSpannerOpts(g, c.k, c.t, 99, Options{Gamma: 0.5, Workers: pinWorkers()})
+			parallel, err := BuildSpannerCtx(context.Background(), g, c.k, c.t, 99, Options{Gamma: 0.5, Workers: pinWorkers()})
 			if err != nil {
 				t.Fatalf("%s parallel: %v", name, err)
 			}
@@ -58,7 +58,7 @@ func TestParallelRunStillCrossPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildSpannerOpts(g, 8, 2, 31, Options{Gamma: 0.4, Workers: w})
+	got, err := BuildSpannerCtx(context.Background(), g, 8, 2, 31, Options{Gamma: 0.4, Workers: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestParallelRunStillCrossPlane(t *testing.T) {
 
 func TestNegativeWorkersRejectedMPC(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := BuildSpannerOpts(g, 2, 1, 1, Options{Gamma: 0.5, Workers: -1}); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 2, 1, 1, Options{Gamma: 0.5, Workers: -1}); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 }
@@ -206,7 +206,7 @@ func TestCancellationSemanticsMPC(t *testing.T) {
 			t.Fatalf("workers=%d: %d checkpoints fired after the cancel, want <= 1", workers, after)
 		}
 
-		plain, err := BuildSpannerOpts(g, 6, 2, 21, Options{Gamma: 0.5, Workers: workers})
+		plain, err := BuildSpannerCtx(context.Background(), g, 6, 2, 21, Options{Gamma: 0.5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

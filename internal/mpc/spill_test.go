@@ -194,7 +194,7 @@ func TestUnbudgetedBuildPublishesNoSpillSeries(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	res, err := BuildSpannerOpts(g, 8, 3, 42, Options{Gamma: 0.5, Metrics: reg})
+	res, err := BuildSpannerCtx(context.Background(), g, 8, 3, 42, Options{Gamma: 0.5, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestUnbudgetedBuildPublishesNoSpillSeries(t *testing.T) {
 	}
 
 	reg = obs.NewRegistry()
-	if _, err := BuildSpannerOpts(g, 8, 3, 42, Options{Gamma: 0.5, MemoryBudget: 64 << 10, Metrics: reg}); err != nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 8, 3, 42, Options{Gamma: 0.5, MemoryBudget: 64 << 10, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"extmem_budget_bytes", "extmem_merge_passes_total", "extmem_resident_peak_bytes",

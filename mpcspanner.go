@@ -18,24 +18,21 @@
 //	d, err := s.Query(ctx, 0, 99)
 //
 // Every error classifies through errors.Is against ErrInvalidOption or
-// ErrCanceled (the latter also matching ctx.Err()); see errors.go. The flat
-// functions below (BuildSpanner, BuildSpannerMPC, ApproxAPSP, NewOracle, …)
-// are the pre-v1 surface, kept as thin deprecated wrappers over the same
-// core so existing callers migrate incrementally — new code should call
-// Build and Serve. See DESIGN.md §8 for the cancellation model and the
-// old→new migration table.
+// ErrCanceled (the latter also matching ctx.Err()); see errors.go. Open loads
+// a saved build artifact, and ApproxAPSPCongestedCliqueCtx runs the
+// Corollary 1.5 pipeline. See DESIGN.md §8 for the cancellation model and the
+// option defaults.
 package mpcspanner
 
 import (
 	"context"
+	"math/bits"
 
 	"mpcspanner/internal/apsp"
 	"mpcspanner/internal/cclique"
-	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/mpc"
 	"mpcspanner/internal/oracle"
-	"mpcspanner/internal/par"
 	"mpcspanner/internal/spanner"
 )
 
@@ -127,118 +124,13 @@ type SpannerStats = spanner.Stats
 // quantities.
 type UnweightedStats = spanner.UnweightedStats
 
-// SpannerOptions configures BuildSpanner.
-//
-// Deprecated: new code should pass functional options to Build.
-type SpannerOptions struct {
-	// Algorithm defaults to AlgoGeneral.
-	Algorithm Algorithm
-	// K is the stretch parameter (required, ≥ 1).
-	K int
-	// T is the epoch length for AlgoGeneral (default ⌈log₂ k⌉, the paper's
-	// k^{1+o(1)}-stretch sweet spot); ignored by the other algorithms.
-	T int
-	// Seed drives all randomness; equal seeds give identical spanners.
-	Seed uint64
-	// Repetitions > 1 keeps the smallest of that many independent runs.
-	Repetitions int
-	// Workers sizes the construction's worker pool: 0 selects GOMAXPROCS
-	// ("as fast as the hardware allows"), 1 forces the serial path, larger
-	// values pin the pool. Equal seeds give bit-identical spanners at every
-	// worker count; negative values are rejected with an error.
-	Workers int
-	// MeasureRadius additionally reports final cluster-tree radii.
-	MeasureRadius bool
-}
-
-// SpannerResult is re-exported from the core package.
-type SpannerResult = spanner.Result
-
-// BuildSpanner constructs a spanner of g with the selected algorithm. It is
-// a thin wrapper over Build with a background context: same spanners, same
-// statistics, bit-identical under equal seeds.
-//
-// Deprecated: use Build, which adds cancellation, progress reporting, and
-// typed errors.
-func BuildSpanner(g *Graph, opt SpannerOptions) (*SpannerResult, error) {
-	opts := []Option{
-		WithAlgorithm(orDefault(opt.Algorithm)),
-		WithK(opt.K),
-		WithSeed(opt.Seed),
-		WithWorkers(opt.Workers),
-	}
-	if opt.T > 0 {
-		opts = append(opts, WithT(opt.T))
-	}
-	if opt.Repetitions > 0 {
-		opts = append(opts, WithRepetitions(opt.Repetitions))
-	}
-	if opt.MeasureRadius {
-		opts = append(opts, WithMeasureRadius())
-	}
-	res, err := Build(context.Background(), g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &SpannerResult{EdgeIDs: res.EdgeIDs, Stats: res.Stats}, nil
-}
-
-// orDefault maps the flat API's zero Algorithm onto AlgoGeneral.
-func orDefault(a Algorithm) Algorithm {
-	if a == "" {
-		return AlgoGeneral
-	}
-	return a
-}
-
-// defaultT is the paper's t = log k sweet spot (stretch k^{1+o(1)} in
-// O(log² k / log log k) iterations).
+// defaultT is Build's default epoch length, the paper's t = ⌈log₂ k⌉ sweet
+// spot (stretch k^{1+o(1)} in O(log² k / log log k) iterations), at least 1.
 func defaultT(k int) int {
-	t := 0
-	for v := k; v > 1; v >>= 1 {
-		t++
+	if k <= 2 {
+		return 1
 	}
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// UnweightedOptions and Unweighted expose the Appendix B construction for
-// unit-weight graphs: stretch O(k/γ) in O(log k) rounds.
-//
-// Deprecated: new code should pass functional options to Build with
-// WithAlgorithm(AlgoUnweighted).
-type UnweightedOptions = spanner.UnweightedOptions
-
-// UnweightedResult is the Appendix B result type.
-type UnweightedResult = spanner.UnweightedResult
-
-// BuildUnweightedSpanner runs the Appendix B algorithm. It is a thin
-// wrapper over Build(WithAlgorithm(AlgoUnweighted)) with a background
-// context, which also gives it the facade-level option validation every
-// other entry point performs (a negative Workers is rejected before any
-// graph inspection, matching the rest of the surface).
-//
-// Deprecated: use Build with WithAlgorithm(AlgoUnweighted).
-func BuildUnweightedSpanner(g *Graph, k int, opt UnweightedOptions) (*UnweightedResult, error) {
-	opts := []Option{
-		WithAlgorithm(AlgoUnweighted),
-		WithK(k),
-		WithSeed(opt.Seed),
-		WithWorkers(opt.Workers),
-	}
-	if opt.Gamma != 0 {
-		opts = append(opts, WithGamma(opt.Gamma))
-	}
-	if opt.Progress != nil {
-		opts = append(opts, WithProgress(opt.Progress))
-	}
-	res, err := Build(context.Background(), g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &UnweightedResult{EdgeIDs: res.EdgeIDs, Stats: *res.Unweighted}, nil
+	return bits.Len(uint(k - 1))
 }
 
 // StretchBound returns the certified stretch of General(k, t): 2k^s with
@@ -248,135 +140,43 @@ func StretchBound(k, t int) float64 { return spanner.StretchBound(k, t) }
 // IterationBound returns the iteration guarantee of General(k, t).
 func IterationBound(k, t int) int { return spanner.IterationBound(k, t) }
 
-// Verify checks that a result is a valid spanner of g within maxStretch and
-// returns the measured stretch.
-func Verify(g *Graph, r *SpannerResult, maxStretch float64) (dist.StretchReport, error) {
-	return spanner.Verify(g, r, maxStretch)
-}
-
-// MPCResult is the distributed-execution result (rounds, memory, spanner).
+// MPCResult is the simulated-cluster cost profile of an AlgoMPC build
+// (rounds, memory, sorts, spill traffic), carried on BuildResult.MPC.
 type MPCResult = mpc.Result
 
-// MPCOptions configures BuildSpannerMPCOpts: the machines' memory exponent
-// Gamma and the real Workers pool that executes their local passes.
-type MPCOptions = mpc.Options
-
-// BuildSpannerMPC executes the general algorithm on the simulated
-// sublinear-memory MPC cluster (Theorem 1.1 / Section 6) and reports rounds
-// and memory alongside the spanner, which is bit-identical to
-// BuildSpanner(AlgoGeneral) under the same seed. The simulated machines'
-// local passes run on a GOMAXPROCS pool; use BuildSpannerMPCOpts to pin it.
-//
-// Wall-clock: the simulator's global sorts run as radix-keyed shuffles over
-// order-preserving uint64 encodings of the paper's comparators, on a scratch
-// arena reused across rounds (DESIGN.md §7) — the simulated round/sort/tree
-// accounting is identical to the comparator realization, only faster.
-//
-// Deprecated: use Build with WithAlgorithm(AlgoMPC); BuildResult.MPC carries
-// this function's result.
-func BuildSpannerMPC(g *Graph, k, t int, gamma float64, seed uint64) (*MPCResult, error) {
-	return mpc.BuildSpannerCtx(context.Background(), g, k, t, seed, MPCOptions{Gamma: gamma})
-}
-
-// BuildSpannerMPCOpts is BuildSpannerMPC with the full option surface
-// (Workers follows the par conventions; rounds and the spanner are
-// bit-identical at every worker count).
-//
-// Deprecated: use Build with WithAlgorithm(AlgoMPC).
-func BuildSpannerMPCOpts(g *Graph, k, t int, seed uint64, opt MPCOptions) (*MPCResult, error) {
-	if err := par.CheckWorkers("mpcspanner: MPCOptions.Workers", opt.Workers); err != nil {
-		return nil, err
-	}
-	return mpc.BuildSpannerCtx(context.Background(), g, k, t, seed, opt)
-}
-
-// APSPOptions configures the §7 distance-approximation pipeline.
-type APSPOptions = apsp.Options
-
-// APSPResult is a completed §7 run.
+// APSPResult is a completed Corollary 1.4 run: an O(log^{1+o(1)} n)-approximate
+// APSP oracle built in poly(log log n) simulated MPC rounds. Session.APSP
+// returns the one behind a Serve session.
 type APSPResult = apsp.Result
-
-// ApproxAPSP runs Corollary 1.4: an O(log^{1+o(1)} n)-approximate APSP
-// oracle built in poly(log log n) simulated MPC rounds. APSPOptions.Workers
-// sizes the real pool behind both the build and the serving oracle.
-//
-// Deprecated: use Serve (which wraps the pipeline in a serving Session) or
-// ApproxAPSPCtx (same result type, cancelable).
-func ApproxAPSP(g *Graph, opt APSPOptions) (*APSPResult, error) {
-	return ApproxAPSPCtx(context.Background(), g, opt)
-}
 
 // The distance-oracle serving layer (internal/oracle): the §7 regime where
 // the spanner is built once and then serves many queries locally.
 type (
 	// Oracle is a concurrency-safe cached distance oracle over a frozen
 	// graph: sharded per-source row LRU, singleflight miss dedup, and a
-	// deterministic batched query API.
+	// deterministic batched query API. APSPResult.Oracle returns one.
 	Oracle = oracle.Oracle
-	// OracleOptions configures NewOracle (shards, row budget, workers).
-	OracleOptions = oracle.Options
 	// OracleStats is a snapshot of the oracle's cache counters.
 	OracleStats = oracle.Stats
-	// Pair is one (source, target) query of Oracle.QueryMany.
+	// Pair is one (source, target) query of Session.QueryMany.
 	Pair = oracle.Pair
 )
 
-// NewOracle wraps a frozen graph — typically the spanner of a Build or
-// ApproxAPSP run, via g.Subgraph(res.EdgeIDs) or res.Spanner() — in a
-// cached serving layer. Point queries hit Oracle.Query, batches
-// Oracle.QueryMany; Oracle.Stats reports hits/misses/evictions. The
-// context-aware QueryCtx/RowCtx/QueryManyCtx methods back the Session
-// surface and are available here too.
-//
-// Deprecated: use Serve, whose Session carries the same oracle behind
-// context-aware query methods.
-func NewOracle(g *Graph, opt OracleOptions) *Oracle { return oracle.New(g, opt) }
-
 // CCSpannerResult and CCAPSPResult expose the Congested Clique layer (§8).
 type (
-	// CCSpannerResult is a Theorem 8.1 construction.
+	// CCSpannerResult is a Theorem 8.1 construction, carried on
+	// BuildResult.CC.
 	CCSpannerResult = cclique.SpannerResult
 	// CCAPSPResult is a Corollary 1.5 run.
 	CCAPSPResult = cclique.APSPResult
 )
 
-// BuildSpannerCongestedClique runs Theorem 8.1 (w.h.p. size via per-iteration
-// parallel-run selection). The simulated nodes' local work runs on a
-// GOMAXPROCS pool; use BuildSpannerCongestedCliqueWorkers to pin it.
-//
-// Deprecated: use Build with WithAlgorithm(AlgoCongestedClique);
-// BuildResult.CC carries this function's result.
-func BuildSpannerCongestedClique(g *Graph, k, t int, seed uint64) (*CCSpannerResult, error) {
-	return cclique.BuildSpannerCtx(context.Background(), g, k, t, seed, cclique.BuildOptions{})
-}
-
-// BuildSpannerCongestedCliqueWorkers is BuildSpannerCongestedClique with an
-// explicit worker pool size (par conventions; bit-identical results at
-// every count).
-//
-// Deprecated: use Build with WithAlgorithm(AlgoCongestedClique) and
-// WithWorkers.
-func BuildSpannerCongestedCliqueWorkers(g *Graph, k, t int, seed uint64, workers int) (*CCSpannerResult, error) {
-	if err := par.CheckWorkers("mpcspanner: workers", workers); err != nil {
-		return nil, err
-	}
-	return cclique.BuildSpannerCtx(context.Background(), g, k, t, seed, cclique.BuildOptions{Workers: workers})
-}
-
-// ApproxAPSPCongestedClique runs Corollary 1.5: the first sublogarithmic
-// weighted-APSP approximation in the Congested Clique.
-//
-// Deprecated: use ApproxAPSPCongestedCliqueCtx, which is cancelable.
-func ApproxAPSPCongestedClique(g *Graph, seed uint64) (*CCAPSPResult, error) {
-	return ApproxAPSPCongestedCliqueCtx(context.Background(), g, WithSeed(seed))
-}
-
-// ApproxAPSPCongestedCliqueCtx is the context-aware Corollary 1.5 pipeline:
-// the WHP spanner build checkpoints ctx per grow iteration. It accepts the
-// shared functional options WithSeed, WithWorkers and WithProgress; the
-// algorithm parameters are fixed by the corollary (k = ⌈log₂ n⌉,
-// t = ⌈log₂ log₂ n⌉), so the structural options are rejected like every
-// other foreign option.
+// ApproxAPSPCongestedCliqueCtx runs Corollary 1.5, the first sublogarithmic
+// weighted-APSP approximation in the Congested Clique, under ctx: the WHP
+// spanner build checkpoints ctx per grow iteration. It accepts the shared
+// functional options WithSeed, WithWorkers and WithProgress; the algorithm
+// parameters are fixed by the corollary (k = ⌈log₂ n⌉, t = ⌈log₂ log₂ n⌉),
+// so the structural options are rejected like every other foreign option.
 func ApproxAPSPCongestedCliqueCtx(ctx context.Context, g *Graph, opts ...Option) (*CCAPSPResult, error) {
 	cfg, err := newConfig("ApproxAPSPCongestedCliqueCtx", cliqueAPSPForeign, opts)
 	if err != nil {

@@ -15,39 +15,29 @@ import (
 
 // TestPublicAPISurface is the golden API gate: the exported identifier set
 // of package mpcspanner must exactly match the checked-in api/v1.txt, so a
-// PR can neither break the v1 surface nor bloat it silently. The file has
-// two sections — the stable v1 surface and a "# deprecated" allowlist for
-// the grandfathered flat facade; names may move between sections only with
-// an explicit file edit, which makes every surface change reviewable.
+// PR can neither break the v1 surface nor bloat it silently. Every surface
+// change is an explicit, reviewable edit of that file.
 //
 // To regenerate after an intentional change:
 //
 //	UPDATE_API=1 go test -run TestPublicAPISurface .
 func TestPublicAPISurface(t *testing.T) {
 	got := exportedSurface(t)
-	want, deprecated := readSurfaceFile(t, "api/v1.txt")
+	want := readSurfaceFile(t, "api/v1.txt")
 
 	if os.Getenv("UPDATE_API") != "" {
-		writeSurfaceFile(t, got, deprecated)
+		writeSurfaceFile(t, got)
 		return
 	}
 
-	union := make(map[string]bool, len(want)+len(deprecated))
-	for name := range want {
-		union[name] = true
-	}
-	for name := range deprecated {
-		union[name] = true
-	}
-
 	var missing, extra []string
-	for name := range union {
+	for name := range want {
 		if !got[name] {
 			missing = append(missing, name)
 		}
 	}
 	for name := range got {
-		if !union[name] {
+		if !want[name] {
 			extra = append(extra, name)
 		}
 	}
@@ -59,7 +49,7 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 	if len(extra) > 0 {
 		t.Errorf("exported surface gained identifiers not declared in api/v1.txt:\n  %s\n"+
-			"add them to api/v1.txt (stable section) deliberately, or unexport them",
+			"add them to api/v1.txt deliberately, or unexport them",
 			strings.Join(extra, "\n  "))
 	}
 }
@@ -116,60 +106,41 @@ func exportedSurface(t *testing.T) map[string]bool {
 	return out
 }
 
-// readSurfaceFile parses api/v1.txt into the stable set and the deprecated
-// allowlist. Lines are identifiers; '#' starts a comment; the literal
-// section marker "# deprecated" switches to the allowlist.
-func readSurfaceFile(t *testing.T, path string) (stable, deprecated map[string]bool) {
+// readSurfaceFile parses api/v1.txt into a set. Lines are identifiers; '#'
+// starts a comment line.
+func readSurfaceFile(t *testing.T, path string) map[string]bool {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden API file: %v (regenerate with UPDATE_API=1)", err)
 	}
-	stable = make(map[string]bool)
-	deprecated = make(map[string]bool)
-	cur := stable
+	names := make(map[string]bool)
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "#") {
-			if strings.HasPrefix(strings.ToLower(line), "# deprecated") {
-				cur = deprecated
-			}
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if line == "" {
-			continue
-		}
-		cur[line] = true
+		names[line] = true
 	}
-	return stable, deprecated
+	return names
 }
 
-// writeSurfaceFile regenerates api/v1.txt, keeping the previously recorded
-// deprecated section and placing everything else in the stable section.
-func writeSurfaceFile(t *testing.T, got, deprecated map[string]bool) {
+// writeSurfaceFile regenerates api/v1.txt as one sorted list.
+func writeSurfaceFile(t *testing.T, got map[string]bool) {
 	t.Helper()
-	var stable, dep []string
+	names := make([]string, 0, len(got))
 	for name := range got {
-		if deprecated[name] {
-			dep = append(dep, name)
-		} else {
-			stable = append(stable, name)
-		}
+		names = append(names, name)
 	}
-	sort.Strings(stable)
-	sort.Strings(dep)
+	sort.Strings(names)
 	var b strings.Builder
 	b.WriteString("# Golden exported surface of package mpcspanner (v1).\n")
 	b.WriteString("# Checked by TestPublicAPISurface; edit deliberately, one identifier per line.\n")
-	for _, name := range stable {
-		fmt.Fprintln(&b, name)
-	}
-	b.WriteString("\n# deprecated (grandfathered flat facade; do not extend)\n")
-	for _, name := range dep {
+	for _, name := range names {
 		fmt.Fprintln(&b, name)
 	}
 	if err := os.WriteFile("api/v1.txt", []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("api/v1.txt regenerated: %d stable + %d deprecated identifiers", len(stable), len(dep))
+	t.Logf("api/v1.txt regenerated: %d identifiers", len(names))
 }

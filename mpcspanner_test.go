@@ -1,6 +1,8 @@
 package mpcspanner
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -9,9 +11,10 @@ import (
 )
 
 func TestFacadeAlgorithms(t *testing.T) {
+	ctx := context.Background()
 	g := GNP(300, 0.05, UniformWeight(1, 10), 1)
 	for _, algo := range []Algorithm{AlgoGeneral, AlgoClusterMerge, AlgoSqrtK, AlgoBaswanaSen} {
-		r, err := BuildSpanner(g, SpannerOptions{Algorithm: algo, K: 4, Seed: 2})
+		r, err := Build(ctx, g, WithAlgorithm(algo), WithK(4), WithSeed(2))
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -22,51 +25,59 @@ func TestFacadeAlgorithms(t *testing.T) {
 		if algo == AlgoClusterMerge || algo == AlgoGeneral {
 			bound = StretchBound(4, 1)
 		}
-		if _, err := Verify(g, r, bound); err != nil {
+		if _, err := r.Verify(bound); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 	}
-	if _, err := BuildSpanner(g, SpannerOptions{Algorithm: "nope", K: 4}); err == nil {
+	if _, err := Build(ctx, g, WithAlgorithm("nope"), WithK(4)); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestFacadeDefaultT(t *testing.T) {
-	// Default T is ⌈log₂ k⌉.
-	if defaultT(16) != 4 || defaultT(2) != 1 || defaultT(1) != 1 {
-		t.Fatalf("defaultT wrong: %d %d %d", defaultT(16), defaultT(2), defaultT(1))
+	// Default T is ⌈log₂ k⌉, at least 1.
+	for _, c := range []struct{ k, want int }{
+		{1, 1}, {2, 1}, {3, 2}, {5, 3}, {10, 4}, {16, 4},
+	} {
+		if got := defaultT(c.k); got != c.want {
+			t.Fatalf("defaultT(%d) = %d, want %d", c.k, got, c.want)
+		}
 	}
 	g := GNP(200, 0.06, UnitWeight, 3)
-	r, err := BuildSpanner(g, SpannerOptions{K: 16, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.T != 4 {
-		t.Fatalf("default T = %d, want 4", r.Stats.T)
+	for _, c := range []struct{ k, want int }{{16, 4}, {10, 4}} {
+		r, err := Build(context.Background(), g, WithK(c.k), WithSeed(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.T != c.want {
+			t.Fatalf("k=%d: default T = %d, want %d", c.k, r.Stats.T, c.want)
+		}
 	}
 }
 
 func TestFacadeMPCAndReferenceAgree(t *testing.T) {
+	ctx := context.Background()
 	g := Grid(14, 14, UniformWeight(1, 5), 5)
-	ref, err := BuildSpanner(g, SpannerOptions{K: 6, T: 2, Seed: 7})
+	ref, err := Build(ctx, g, WithK(6), WithT(2), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpcRes, err := BuildSpannerMPC(g, 6, 2, 0.5, 7)
+	mpcRes, err := Build(ctx, g, WithAlgorithm(AlgoMPC), WithK(6), WithT(2), WithGamma(0.5), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.EdgeIDs) != len(mpcRes.EdgeIDs) {
+	if !reflect.DeepEqual(ref.EdgeIDs, mpcRes.EdgeIDs) {
 		t.Fatalf("facade planes disagree: %d vs %d edges", len(ref.EdgeIDs), len(mpcRes.EdgeIDs))
 	}
 }
 
 func TestFacadeAPSP(t *testing.T) {
 	g := Connectify(GNP(300, 0.04, UniformWeight(1, 8), 9), 2)
-	res, err := ApproxAPSP(g, APSPOptions{Seed: 11})
+	s, err := Serve(context.Background(), g, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := s.APSP()
 	rep, err := res.Measure(10, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -77,17 +88,25 @@ func TestFacadeAPSP(t *testing.T) {
 }
 
 func TestFacadeOracle(t *testing.T) {
+	ctx := context.Background()
 	g := Connectify(GNP(200, 0.05, UniformWeight(1, 8), 25), 2)
-	res, err := ApproxAPSP(g, APSPOptions{Seed: 27})
+	approx, err := Serve(ctx, g, WithSeed(27))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NewOracle over the collected spanner must agree with an independent
-	// cache-free Dijkstra on the spanner, and with the result's shared
-	// oracle (which also backs DistancesFrom).
-	o := NewOracle(res.Spanner(), OracleOptions{Shards: 4, MaxRows: 16})
+	res := approx.APSP()
+	// An exact session over the collected spanner must agree with an
+	// independent cache-free Dijkstra on the spanner, and with the result's
+	// shared oracle (which also backs DistancesFrom).
+	o, err := Serve(ctx, res.Spanner(), WithExact(), WithCacheShards(4), WithCacheRows(16))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pairs := []Pair{{U: 0, V: 10}, {U: 0, V: 20}, {U: 5, V: 0}, {U: 199, V: 3}}
-	got := o.QueryMany(pairs)
+	got, err := o.QueryMany(ctx, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range pairs {
 		if want := dist.Dijkstra(res.Spanner(), p.U)[p.V]; got[i] != want {
 			t.Fatalf("pair %v: oracle %v != Dijkstra %v", p, got[i], want)
@@ -103,15 +122,17 @@ func TestFacadeOracle(t *testing.T) {
 }
 
 func TestFacadeCongestedClique(t *testing.T) {
+	ctx := context.Background()
 	g := Connectify(GNP(250, 0.05, UniformWeight(1, 5), 15), 1)
-	sp, err := BuildSpannerCongestedClique(g, 6, 2, 17)
+	b, err := Build(ctx, g, WithAlgorithm(AlgoCongestedClique), WithK(6), WithT(2), WithSeed(17))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := b.CC
 	if sp.Rounds <= 0 {
 		t.Fatal("CC spanner must cost rounds")
 	}
-	ap, err := ApproxAPSPCongestedClique(g, 19)
+	ap, err := ApproxAPSPCongestedCliqueCtx(ctx, g, WithSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestFacadeCongestedClique(t *testing.T) {
 
 func TestFacadeUnweighted(t *testing.T) {
 	g := Cycle(200, UnitWeight, 21)
-	r, err := BuildUnweightedSpanner(g, 2, UnweightedOptions{Seed: 23})
+	r, err := Build(context.Background(), g, WithAlgorithm(AlgoUnweighted), WithK(2), WithSeed(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +153,15 @@ func TestFacadeUnweighted(t *testing.T) {
 }
 
 func TestFacadeWorkersValidation(t *testing.T) {
+	ctx := context.Background()
 	g := Path(6, UnitWeight, 1)
-	if _, err := BuildSpanner(g, SpannerOptions{K: 4, Workers: -1}); err == nil {
-		t.Fatal("BuildSpanner accepted Workers < 0")
+	for _, algo := range []Algorithm{AlgoGeneral, AlgoMPC, AlgoCongestedClique} {
+		if _, err := Build(ctx, g, WithAlgorithm(algo), WithK(4), WithT(2), WithWorkers(-1)); !errors.Is(err, ErrInvalidOption) {
+			t.Fatalf("Build(%s) accepted Workers < 0: %v", algo, err)
+		}
 	}
-	if _, err := ApproxAPSP(g, APSPOptions{Workers: -3}); err == nil {
-		t.Fatal("ApproxAPSP accepted Workers < 0")
-	}
-	if _, err := BuildSpannerMPCOpts(g, 4, 2, 1, MPCOptions{Gamma: 0.5, Workers: -1}); err == nil {
-		t.Fatal("BuildSpannerMPCOpts accepted Workers < 0")
-	}
-	if _, err := BuildSpannerCongestedCliqueWorkers(g, 4, 2, 1, -1); err == nil {
-		t.Fatal("BuildSpannerCongestedCliqueWorkers accepted Workers < 0")
+	if _, err := Serve(ctx, g, WithWorkers(-3)); !errors.Is(err, ErrInvalidOption) {
+		t.Fatalf("Serve accepted Workers < 0: %v", err)
 	}
 }
 
@@ -151,30 +169,32 @@ func TestFacadeWorkersValidation(t *testing.T) {
 // contract end to end: a serial and a parallel run of every entry point
 // produce identical artifacts.
 func TestFacadeWorkerCountInvariance(t *testing.T) {
+	ctx := context.Background()
 	g := GNP(300, 0.05, UniformWeight(1, 20), 3)
 	w := runtime.NumCPU()
 	if w < 4 {
 		w = 4
 	}
-	serial, err := BuildSpanner(g, SpannerOptions{K: 8, T: 2, Seed: 5, Workers: 1})
+	serial, err := Build(ctx, g, WithK(8), WithT(2), WithSeed(5), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := BuildSpanner(g, SpannerOptions{K: 8, T: 2, Seed: 5, Workers: w})
+	parallel, err := Build(ctx, g, WithK(8), WithT(2), WithSeed(5), WithWorkers(w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
+	if !reflect.DeepEqual(serial.EdgeIDs, parallel.EdgeIDs) || !reflect.DeepEqual(serial.Stats, parallel.Stats) {
 		t.Fatal("facade spanners differ between worker counts")
 	}
-	apsS, err := ApproxAPSP(g, APSPOptions{Seed: 9, Workers: 1})
+	sessS, err := Serve(ctx, g, WithSeed(9), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	apsP, err := ApproxAPSP(g, APSPOptions{Seed: 9, Workers: w})
+	sessP, err := Serve(ctx, g, WithSeed(9), WithWorkers(w))
 	if err != nil {
 		t.Fatal(err)
 	}
+	apsS, apsP := sessS.APSP(), sessP.APSP()
 	if !reflect.DeepEqual(apsS.SpannerEdgeIDs, apsP.SpannerEdgeIDs) || apsS.Rounds != apsP.Rounds {
 		t.Fatal("facade APSP runs differ between worker counts")
 	}

@@ -7,7 +7,6 @@ import (
 	"mpcspanner/internal/artifact"
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/oracle"
-	"mpcspanner/internal/par"
 )
 
 // Session is the serving half of the v1 surface: a concurrency-safe cached
@@ -195,14 +194,3 @@ func (s *Session) Input() *Graph { return s.input }
 // certified bound, spanner size), or nil when the session was created with
 // WithExact.
 func (s *Session) APSP() *APSPResult { return s.apsp }
-
-// ApproxAPSPCtx is the context-aware §7 pipeline (Corollary 1.4): identical
-// to the deprecated ApproxAPSP but cancelable at every simulated grow
-// iteration and able to report progress through APSPOptions.Progress. Use
-// Serve when you want the result wrapped in a serving Session.
-func ApproxAPSPCtx(ctx context.Context, g *Graph, opt APSPOptions) (*APSPResult, error) {
-	if err := par.CheckWorkers("mpcspanner: APSPOptions.Workers", opt.Workers); err != nil {
-		return nil, err
-	}
-	return apsp.ApproxCtx(ctx, g, opt)
-}
