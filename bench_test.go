@@ -6,6 +6,7 @@
 package mpcspanner
 
 import (
+	"context"
 	"testing"
 
 	"mpcspanner/internal/bench"
@@ -57,14 +58,14 @@ func BenchmarkClusterMergeVsBaswanaSen(b *testing.B) {
 	g := benchGraph(50_000)
 	b.Run("cluster-merge/k=16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := spanner.ClusterMerge(g, 16, spanner.Options{Seed: uint64(i)}); err != nil {
+			if _, err := spanner.ClusterMergeCtx(context.Background(), g, 16, spanner.Options{Seed: uint64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("baswana-sen/k=16", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := spanner.BaswanaSen(g, 16, spanner.Options{Seed: uint64(i)}); err != nil {
+			if _, err := spanner.BaswanaSenCtx(context.Background(), g, 16, spanner.Options{Seed: uint64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -73,7 +74,7 @@ func BenchmarkClusterMergeVsBaswanaSen(b *testing.B) {
 
 func BenchmarkStretchVerification(b *testing.B) {
 	g := benchGraph(20_000)
-	r, err := spanner.General(g, 8, 3, spanner.Options{Seed: 1})
+	r, err := spanner.GeneralCtx(context.Background(), g, 8, 3, spanner.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

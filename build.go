@@ -2,7 +2,6 @@ package mpcspanner
 
 import (
 	"context"
-	"math"
 
 	"mpcspanner/internal/artifact"
 	"mpcspanner/internal/cclique"
@@ -37,11 +36,6 @@ type config struct {
 	shards  int
 	maxRows int
 	art     *Artifact
-
-	// Row-fill engine selection (effective wherever full distance rows are
-	// computed: Serve's oracle and the pipeline's stretch measurers).
-	sssp  SSSPEngine
-	delta float64
 
 	// Persistence knob (Build only).
 	saveTo string
@@ -176,48 +170,11 @@ func WithMemoryBudget(bytes int64) Option {
 // any) ahead of the cache. The session's provenance (Session.Fingerprint)
 // is the artifact's. The artifact must stay open for the session's
 // lifetime — for mmapped artifacts the session reads the mapping directly.
-// Only the cache, row-fill and observability options (WithCacheShards,
-// WithCacheRows, WithWorkers, WithMetrics, WithSSSP, WithDelta) combine
-// with it. Accepted by Serve only.
+// Only the cache and observability options (WithCacheShards,
+// WithCacheRows, WithWorkers, WithMetrics) combine with it. Accepted by
+// Serve only.
 func WithArtifact(a *Artifact) Option {
 	return func(c *config) { c.art = a; c.mark("Artifact") }
-}
-
-// SSSPEngine selects the single-source shortest-path engine behind full-row
-// distance fills (see WithSSSP). Every engine returns bit-identical
-// distances on every graph — the dist package's exactness contract — so the
-// choice is purely a speed knob.
-type SSSPEngine = dist.Engine
-
-const (
-	// SSSPAuto (the default) resolves to delta-stepping on every graph.
-	SSSPAuto = dist.EngineAuto
-	// SSSPHeap forces the binary-heap Dijkstra.
-	SSSPHeap = dist.EngineHeap
-	// SSSPDeltaStepping forces the bucketed delta-stepping engine. Each row
-	// is one serial fill; parallelism comes from filling many sources at
-	// once over the WithWorkers pool.
-	SSSPDeltaStepping = dist.EngineDelta
-)
-
-// WithSSSP selects the engine behind every full distance row the call's
-// results compute: Serve's oracle row fills (cold cache misses) and the §7
-// pipeline's stretch measurers (APSPResult.Measure / MeasureCDF). Build
-// accepts it for option-slice symmetry but runs no full-row fills —
-// construction and BuildResult.Verify keep their early-exit heap queries by
-// design — so there it is validated and otherwise inert, the way WithT is
-// carried but unused by the non-epoch families.
-func WithSSSP(e SSSPEngine) Option {
-	return func(c *config) { c.sssp = e; c.mark("SSSP") }
-}
-
-// WithDelta overrides delta-stepping's bucket width Δ (default: auto-tuned
-// to average edge weight / average degree). The width must be positive and
-// finite, and combining it with WithSSSP(SSSPHeap) is rejected — the heap
-// has no buckets. Under SSSPAuto, which resolves to delta-stepping, the
-// width always applies.
-func WithDelta(d float64) Option {
-	return func(c *config) { c.delta = d; c.mark("Delta") }
 }
 
 // buildOnly / serveOnly / cliqueAPSPForeign name the options each entry
@@ -229,7 +186,7 @@ var (
 	// WithSeed / WithWorkers / WithProgress apply.
 	cliqueAPSPForeign = []string{"Algorithm", "K", "T", "Gamma", "Repetitions",
 		"MeasureRadius", "Exact", "CacheShards", "CacheRows", "Metrics", "Tracer",
-		"SaveTo", "Artifact", "SSSP", "Delta", "MemoryBudget"}
+		"SaveTo", "Artifact", "MemoryBudget"}
 )
 
 // newConfig folds opts and rejects the ones foreign to the calling entry
@@ -263,24 +220,6 @@ func newConfig(entry string, reject []string, opts []Option) (*config, error) {
 	if c.maxRows < 0 {
 		return nil, &OptionError{Field: "mpcspanner: CacheRows", Value: c.maxRows,
 			Reason: "must be >= 0 (0 selects the default)"}
-	}
-	if c.set["SSSP"] {
-		switch c.sssp {
-		case SSSPAuto, SSSPHeap, SSSPDeltaStepping:
-		default:
-			return nil, &OptionError{Field: "mpcspanner: SSSP", Value: int(c.sssp),
-				Reason: "unknown engine (use SSSPAuto, SSSPHeap, or SSSPDeltaStepping)"}
-		}
-	}
-	if c.set["Delta"] {
-		if !(c.delta > 0) || math.IsInf(c.delta, 1) {
-			return nil, &OptionError{Field: "mpcspanner: Delta", Value: c.delta,
-				Reason: "bucket width must be positive and finite"}
-		}
-		if c.set["SSSP"] && c.sssp == SSSPHeap {
-			return nil, &OptionError{Field: "mpcspanner: Delta", Value: c.delta,
-				Reason: "the heap engine has no bucket width (drop WithDelta or select SSSPDeltaStepping)"}
-		}
 	}
 	if c.set["MemoryBudget"] && c.memBudget <= 0 {
 		return nil, &OptionError{Field: "mpcspanner: MemoryBudget", Value: c.memBudget,

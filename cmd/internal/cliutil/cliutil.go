@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"mpcspanner/internal/core"
-	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
 )
@@ -152,39 +151,6 @@ func (c *ArtifactConfig) Validate() error {
 		}
 	})
 	return conflict
-}
-
-// SSSPConfig holds the shared row-fill engine flags (-sssp, -delta) after
-// parsing. Register them with SSSPFlags; resolve them with Engine after the
-// FlagSet has parsed. One registration point keeps the engine vocabulary
-// identical across cmd/oracle and cmd/oracled serve.
-type SSSPConfig struct {
-	Name  string
-	Delta float64
-}
-
-// SSSPFlags registers -sssp and -delta on fs and returns the config the
-// parsed values land in.
-func SSSPFlags(fs *flag.FlagSet) *SSSPConfig {
-	c := &SSSPConfig{}
-	fs.StringVar(&c.Name, "sssp", "auto",
-		"row-fill SSSP engine: auto|heap|delta-stepping (every engine is bit-identical; this is a speed knob)")
-	fs.Float64Var(&c.Delta, "delta", 0,
-		"delta-stepping bucket width Δ (0 = auto-tune to avg weight / avg degree)")
-	return c
-}
-
-// Engine resolves -sssp to the dist engine. Call after fs.Parse; bad names
-// come back as the same typed *core.OptionError the libraries use. The Δ
-// override travels separately (SSSPConfig.Delta) because the facade, not the
-// flag layer, owns the heap-has-no-Δ combination rule.
-func (c *SSSPConfig) Engine() (dist.Engine, error) {
-	e, err := dist.ParseEngine(c.Name)
-	if err != nil {
-		return 0, &core.OptionError{Field: "-sssp", Value: c.Name,
-			Reason: "unknown engine (want auto, heap, or delta-stepping)"}
-	}
-	return e, nil
 }
 
 // MemoryConfig holds the shared -memory flag after parsing: the byte budget

@@ -50,7 +50,6 @@ func main() {
 	shards := flag.Int("shards", 0, "cache shards (0 = default)")
 	rows := flag.Int("rows", 0, "cache budget in resident rows (0 = default)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	sscfg := cliutil.SSSPFlags(flag.CommandLine)
 	batch := flag.Int("batch", 1024, "serve queries in batches of this size (stats then show cross-batch cache hits); <= 0 = one batch")
 	quiet := flag.Bool("quiet", false, "suppress per-query output, print stats only")
 	mem := cliutil.MemoryFlag(flag.CommandLine)
@@ -150,17 +149,9 @@ func main() {
 		}
 	}
 
-	engine, err := sscfg.Engine()
-	if err != nil {
-		log.Fatal(err)
-	}
 	cacheOpts := []mpcspanner.Option{
 		mpcspanner.WithCacheShards(*shards), mpcspanner.WithCacheRows(*rows),
 		mpcspanner.WithWorkers(*workers), mpcspanner.WithMetrics(reg),
-		mpcspanner.WithSSSP(engine),
-	}
-	if sscfg.Delta != 0 {
-		cacheOpts = append(cacheOpts, mpcspanner.WithDelta(sscfg.Delta))
 	}
 	var s *mpcspanner.Session
 	if art != nil {

@@ -114,7 +114,6 @@ func runServe(args []string) {
 	shards := fs.Int("shards", 0, "cache shards (0 = default)")
 	rows := fs.Int("rows", 0, "cache budget in resident rows (0 = default 1024)")
 	workers := fs.Int("workers", 0, "per-batch worker pool size (0 = GOMAXPROCS)")
-	sc := cliutil.SSSPFlags(fs)
 	inflight := fs.Int("inflight", 0, "max concurrent batches inside the oracle (0 = cache row budget / 4)")
 	queueWait := fs.Duration("queue-wait", 100*time.Millisecond, "longest a request may queue for an in-flight slot before 429")
 	maxPairs := fs.Int("max-pairs", 0, "max pairs per request batch (0 = 65536)")
@@ -142,17 +141,9 @@ func runServe(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	engine, err := sc.Engine()
-	if err != nil {
-		log.Fatal(err)
-	}
 	cacheOpts := []mpcspanner.Option{
 		mpcspanner.WithCacheShards(*shards), mpcspanner.WithCacheRows(*rows),
 		mpcspanner.WithWorkers(*workers), mpcspanner.WithMetrics(reg),
-		mpcspanner.WithSSSP(engine),
-	}
-	if sc.Delta != 0 {
-		cacheOpts = append(cacheOpts, mpcspanner.WithDelta(sc.Delta))
 	}
 	var session *mpcspanner.Session
 	var serveGraph *mpcspanner.Graph

@@ -54,18 +54,10 @@ type Options struct {
 
 	// Metrics, when non-nil, instruments the whole pipeline on one registry:
 	// the simulated build (mpc_* series), the serving oracle created by
-	// Result.Oracle() (oracle_* series), and its row-fill engine (dist_*
-	// series). nil runs uninstrumented.
+	// Result.Oracle() (oracle_* series), and the delta-stepping row fills of
+	// that oracle and of Measure/MeasureCDF (dist_* series). nil runs
+	// uninstrumented.
 	Metrics *obs.Registry
-
-	// SSSP selects the row-fill engine of the serving oracle and the
-	// full-row stretch measurers (Measure, MeasureCDF): dist.EngineAuto — the
-	// zero value — resolves to delta-stepping on every graph. Purely a speed
-	// knob: every engine is bit-identical (dist exactness contract).
-	SSSP dist.Engine
-
-	// Delta overrides the delta-stepping bucket width; ≤ 0 auto-tunes.
-	Delta float64
 
 	// MemoryBudget, when positive, caps the host-process bytes the build's
 	// tuple store keeps resident (see mpc.Options.MemoryBudget): contents
@@ -99,9 +91,7 @@ type Result struct {
 	g       *graph.Graph
 	spanner *graph.Graph
 	workers int           // serving-side pool size (par conventions)
-	metrics *obs.Registry // carried into the shared oracle (may be nil)
-	sssp    dist.Engine   // row-fill engine for the oracle and measurers
-	delta   float64       // delta-stepping width override (≤ 0 auto)
+	metrics *obs.Registry // carried into the shared oracle and measurers (may be nil)
 
 	oracleOnce sync.Once
 	oracle     *oracle.Oracle
@@ -185,8 +175,6 @@ func ApproxCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error
 		spanner:          g.Subgraph(build.EdgeIDs),
 		workers:          opt.Workers,
 		metrics:          opt.Metrics,
-		sssp:             opt.SSSP,
-		delta:            opt.Delta,
 	}
 	if opt.Progress != nil {
 		opt.Progress(core.ProgressEvent{Stage: "collect", Algorithm: "apsp",
@@ -224,7 +212,7 @@ func (r *Result) Oracle() *oracle.Oracle {
 			rows = 1024
 		}
 		r.oracle = oracle.New(r.spanner, oracle.Options{MaxRows: rows, Workers: r.workers,
-			Metrics: r.metrics, SSSP: r.sssp, Delta: r.delta})
+			Metrics: r.metrics})
 	})
 	return r.oracle
 }
@@ -245,7 +233,7 @@ func (r *Result) DistancesFrom(v int) []float64 {
 func (r *Result) Matrix() [][]float64 { return dist.APSP(r.spanner) }
 
 // Measure samples the pairwise approximation ratio dist_H/dist_G over
-// `sources` full-row fills, run on the configured SSSP engine.
+// `sources` full-row fills.
 func (r *Result) Measure(sources int, seed uint64) (dist.StretchReport, error) {
 	return dist.PairStretchOpts(r.g, r.spanner, sources, seed, r.solverOptions())
 }
@@ -257,5 +245,5 @@ func (r *Result) MeasureCDF(sources int, quantiles []float64, seed uint64) ([]fl
 }
 
 func (r *Result) solverOptions() dist.SolverOptions {
-	return dist.SolverOptions{Engine: r.sssp, Delta: r.delta, Metrics: r.metrics}
+	return dist.SolverOptions{Metrics: r.metrics}
 }

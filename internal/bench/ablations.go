@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"mpcspanner/internal/graph"
@@ -26,12 +27,12 @@ func A1EqualRoundBudget(cfg Config) Table {
 	g := graph.GNP(n, 16/float64(n), graph.UniformWeight(1, 40), cfg.Seed+160)
 	for _, k := range []int{16, 32, 64} {
 		t := int(math.Max(1, math.Ceil(math.Log2(float64(k)))))
-		gen, err := spanner.General(g, k, t, spanner.Options{Seed: cfg.Seed + 161})
+		gen, err := spanner.GeneralCtx(context.Background(), g, k, t, spanner.Options{Seed: cfg.Seed + 161})
 		if err != nil {
 			panic(err)
 		}
 		kPrime := gen.Stats.Iterations + 1
-		bs, err := spanner.BaswanaSen(g, kPrime, spanner.Options{Seed: cfg.Seed + 161})
+		bs, err := spanner.BaswanaSenCtx(context.Background(), g, kPrime, spanner.Options{Seed: cfg.Seed + 161})
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +62,7 @@ func A2RepetitionPicker(cfg Config) Table {
 	g := graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 20), cfg.Seed+170)
 	base := 0
 	for _, reps := range []int{1, 2, 4, 8, 16} {
-		r, err := spanner.General(g, 8, 2, spanner.Options{Seed: cfg.Seed + 171, Repetitions: reps})
+		r, err := spanner.GeneralCtx(context.Background(), g, 8, 2, spanner.Options{Seed: cfg.Seed + 171, Repetitions: reps})
 		if err != nil {
 			panic(err)
 		}

@@ -60,7 +60,7 @@ func T1GeneralTradeoff(cfg Config) Table {
 	for _, w := range standardWorkloads(cfg) {
 		for _, k := range []int{4, 8, 16} {
 			for _, t := range []int{1, 2, 3} {
-				r, err := spanner.General(w.g, k, t, spanner.Options{Seed: cfg.Seed + 10})
+				r, err := spanner.GeneralCtx(context.Background(), w.g, k, t, spanner.Options{Seed: cfg.Seed + 10})
 				if err != nil {
 					panic(err)
 				}
@@ -88,7 +88,7 @@ func T2ClusterMerge(cfg Config) Table {
 	samples := cfg.scale(1500, 300)
 	for _, w := range standardWorkloads(cfg)[:2] {
 		for _, k := range []int{4, 8, 16, 32} {
-			r, err := spanner.ClusterMerge(w.g, k, spanner.Options{Seed: cfg.Seed + 20})
+			r, err := spanner.ClusterMergeCtx(context.Background(), w.g, k, spanner.Options{Seed: cfg.Seed + 20})
 			if err != nil {
 				panic(err)
 			}
@@ -115,7 +115,7 @@ func T3StretchEps(cfg Config) Table {
 	k := 16
 	for _, w := range standardWorkloads(cfg)[:2] {
 		for _, t := range []int{2, 4, int(math.Log2(float64(k)))} {
-			r, err := spanner.General(w.g, k, t, spanner.Options{Seed: cfg.Seed + 30})
+			r, err := spanner.GeneralCtx(context.Background(), w.g, k, t, spanner.Options{Seed: cfg.Seed + 30})
 			if err != nil {
 				panic(err)
 			}
@@ -146,7 +146,7 @@ func T4NearLinear(cfg Config) Table {
 		g := graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 50), cfg.Seed+40)
 		k := int(math.Ceil(math.Log2(float64(n))))
 		t := int(math.Ceil(math.Log2(float64(k))))
-		r, err := spanner.General(g, k, t, spanner.Options{Seed: cfg.Seed + 41})
+		r, err := spanner.GeneralCtx(context.Background(), g, k, t, spanner.Options{Seed: cfg.Seed + 41})
 		if err != nil {
 			panic(err)
 		}
@@ -171,7 +171,7 @@ func T5SqrtK(cfg Config) Table {
 	samples := cfg.scale(1500, 300)
 	for _, w := range standardWorkloads(cfg)[:2] {
 		for _, k := range []int{4, 9, 16, 25} {
-			r, err := spanner.SqrtK(w.g, k, spanner.Options{Seed: cfg.Seed + 50})
+			r, err := spanner.SqrtKCtx(context.Background(), w.g, k, spanner.Options{Seed: cfg.Seed + 50})
 			if err != nil {
 				panic(err)
 			}
@@ -208,7 +208,7 @@ func T6ClusterMergeWeighted(cfg Config) Table {
 	for _, wt := range weightings {
 		g := graph.GNP(n, 12/float64(n), wt.w, cfg.Seed+60)
 		k := 8
-		r, err := spanner.ClusterMerge(g, k, spanner.Options{Seed: cfg.Seed + 61})
+		r, err := spanner.ClusterMergeCtx(context.Background(), g, k, spanner.Options{Seed: cfg.Seed + 61})
 		if err != nil {
 			panic(err)
 		}
@@ -236,7 +236,7 @@ func T7Unweighted(cfg Config) Table {
 	}
 	for _, w := range instances {
 		for _, k := range []int{2, 3} {
-			r, err := spanner.Unweighted(w.g, k, spanner.UnweightedOptions{Seed: cfg.Seed + 73})
+			r, err := spanner.UnweightedCtx(context.Background(), w.g, k, spanner.UnweightedOptions{Seed: cfg.Seed + 73})
 			if err != nil {
 				panic(err)
 			}
@@ -270,7 +270,7 @@ func T8MPCRounds(cfg Config) Table {
 			if err != nil {
 				panic(err)
 			}
-			ref, err := spanner.General(g, c.k, c.t, spanner.Options{Seed: cfg.Seed + 81})
+			ref, err := spanner.GeneralCtx(context.Background(), g, c.k, c.t, spanner.Options{Seed: cfg.Seed + 81})
 			if err != nil {
 				panic(err)
 			}
@@ -372,7 +372,7 @@ func T11PRAMDepth(cfg Config) Table {
 	g := graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 9), cfg.Seed+110)
 	ls := pram.LogStar(float64(n))
 	for _, c := range []struct{ k, t int }{{16, 1}, {64, 1}, {64, 3}, {256, 1}} {
-		res, costs, err := pram.SpannerCosts(g, c.k, c.t, cfg.Seed+111)
+		res, costs, err := pram.SpannerCostsWorkers(g, c.k, c.t, cfg.Seed+111, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -401,28 +401,28 @@ func T12Baseline(cfg Config) Table {
 		run  func() (*spanner.Result, float64)
 	}{
 		{"baswana-sen", func() (*spanner.Result, float64) {
-			r, err := spanner.BaswanaSen(g, k, spanner.Options{Seed: cfg.Seed + 121})
+			r, err := spanner.BaswanaSenCtx(context.Background(), g, k, spanner.Options{Seed: cfg.Seed + 121})
 			if err != nil {
 				panic(err)
 			}
 			return r, float64(2*k - 1)
 		}},
 		{"sqrt-k (t=4)", func() (*spanner.Result, float64) {
-			r, err := spanner.SqrtK(g, k, spanner.Options{Seed: cfg.Seed + 121})
+			r, err := spanner.SqrtKCtx(context.Background(), g, k, spanner.Options{Seed: cfg.Seed + 121})
 			if err != nil {
 				panic(err)
 			}
 			return r, spanner.StretchBound(k, 4)
 		}},
 		{"general (t=log k)", func() (*spanner.Result, float64) {
-			r, err := spanner.General(g, k, 4, spanner.Options{Seed: cfg.Seed + 121})
+			r, err := spanner.GeneralCtx(context.Background(), g, k, 4, spanner.Options{Seed: cfg.Seed + 121})
 			if err != nil {
 				panic(err)
 			}
 			return r, spanner.StretchBound(k, 4)
 		}},
 		{"cluster-merge (t=1)", func() (*spanner.Result, float64) {
-			r, err := spanner.ClusterMerge(g, k, spanner.Options{Seed: cfg.Seed + 121})
+			r, err := spanner.ClusterMergeCtx(context.Background(), g, k, spanner.Options{Seed: cfg.Seed + 121})
 			if err != nil {
 				panic(err)
 			}
@@ -451,7 +451,7 @@ func F1TradeoffCurve(cfg Config) Table {
 	g := graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 30), cfg.Seed+130)
 	k := 16
 	for _, t := range []int{1, 2, 3, 4, 6, 8, 15} {
-		r, err := spanner.General(g, k, t, spanner.Options{Seed: cfg.Seed + 131})
+		r, err := spanner.GeneralCtx(context.Background(), g, k, t, spanner.Options{Seed: cfg.Seed + 131})
 		if err != nil {
 			panic(err)
 		}
@@ -475,7 +475,7 @@ func F2SizeCurve(cfg Config) Table {
 	g := graph.GNP(n, 16/float64(n), graph.UniformWeight(1, 10), cfg.Seed+140)
 	for _, k := range []int{4, 8, 16, 32, 64} {
 		t := int(math.Max(1, math.Ceil(math.Log2(float64(k)))))
-		r, err := spanner.General(g, k, t, spanner.Options{Seed: cfg.Seed + 141})
+		r, err := spanner.GeneralCtx(context.Background(), g, k, t, spanner.Options{Seed: cfg.Seed + 141})
 		if err != nil {
 			panic(err)
 		}

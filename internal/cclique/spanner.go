@@ -149,5 +149,5 @@ func (r *APSPResult) Spanner() *graph.Graph { return r.spanner }
 // MeasureApproximation samples the pairwise approximation quality
 // dist_spanner / dist_G against the certified bound.
 func (r *APSPResult) MeasureApproximation(sources int, seed uint64) (dist.StretchReport, error) {
-	return dist.PairStretch(r.g, r.spanner, sources, seed)
+	return dist.PairStretchOpts(r.g, r.spanner, sources, seed, dist.SolverOptions{})
 }

@@ -18,8 +18,8 @@ import (
 const None = -1
 
 // Partition maps original vertices to supernodes of the current quotient
-// graph. Initially the identity; each Contract replaces supernodes by the
-// clusters that absorbed them.
+// graph. Initially the identity; each ContractWorkers call replaces
+// supernodes by the clusters that absorbed them.
 type Partition struct {
 	super []int32
 	count int
@@ -44,18 +44,13 @@ func (p *Partition) Count() int { return p.count }
 // N returns the number of original vertices.
 func (p *Partition) N() int { return len(p.super) }
 
-// Contract applies a supernode relabeling: old supernode s becomes
+// ContractWorkers applies a supernode relabeling: old supernode s becomes
 // newID[s], where newID[s] == None finishes every vertex of s. newCount is
 // the number of distinct new supernode ids, which must be exactly the set
-// {0, …, newCount-1} across the non-None entries.
-func (p *Partition) Contract(newID []int32, newCount int) error {
-	return p.ContractWorkers(newID, newCount, 1)
-}
-
-// ContractWorkers is Contract with the per-vertex relabeling pass fanned out
-// over a worker pool (each vertex writes only its own slot, so the result is
-// identical at every worker count). workers follows the par conventions:
-// 0 selects GOMAXPROCS, 1 runs serially.
+// {0, …, newCount-1} across the non-None entries. The per-vertex relabeling
+// pass fans out over a worker pool (each vertex writes only its own slot, so
+// the result is identical at every worker count). workers follows the par
+// conventions: 0 selects GOMAXPROCS, 1 runs serially.
 func (p *Partition) ContractWorkers(newID []int32, newCount, workers int) error {
 	for s, id := range newID {
 		if id != None && (id < 0 || int(id) >= newCount) {
@@ -99,19 +94,15 @@ func FromGraph(g *graph.Graph) []QEdge {
 	return out
 }
 
-// MinDedup keeps, for every unordered supernode pair, only the minimum-weight
-// edge (ties broken by original edge id, for determinism). This is Step C's
-// "keep the minimum weight edge between u and v" rule; the discarded
-// parallels are spanned through the kept representative. Input order is not
-// preserved; the result is sorted by (min endpoint, max endpoint).
-func MinDedup(edges []QEdge) []QEdge {
-	return MinDedupWorkers(edges, 1)
-}
-
-// MinDedupWorkers is MinDedup with the endpoint normalization and the sort
-// run on a worker pool (par.SortStable). The comparison key
-// (A, B, W, Orig) is a total order on any edge list with distinct Orig ids,
-// so the output is bit-identical at every worker count.
+// MinDedupWorkers keeps, for every unordered supernode pair, only the
+// minimum-weight edge (ties broken by original edge id, for determinism).
+// This is Step C's "keep the minimum weight edge between u and v" rule; the
+// discarded parallels are spanned through the kept representative. Input
+// order is not preserved; the result is sorted by (min endpoint, max
+// endpoint). The endpoint normalization and the sort run on a worker pool
+// (par.SortStable); the comparison key (A, B, W, Orig) is a total order on
+// any edge list with distinct Orig ids, so the output is bit-identical at
+// every worker count.
 func MinDedupWorkers(edges []QEdge, workers int) []QEdge {
 	return minDedup(edges, workers, nil, nil)
 }

@@ -23,7 +23,7 @@ func TestPartitionIdentity(t *testing.T) {
 func TestPartitionContract(t *testing.T) {
 	p := NewPartition(6)
 	// Merge {0,1}->0, {2,3}->1, finish {4,5}.
-	if err := p.Contract([]int32{0, 0, 1, 1, None, None}, 2); err != nil {
+	if err := p.ContractWorkers([]int32{0, 0, 1, 1, None, None}, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if p.Count() != 2 {
@@ -36,7 +36,7 @@ func TestPartitionContract(t *testing.T) {
 		}
 	}
 	// Second contraction composes.
-	if err := p.Contract([]int32{0, 0}, 1); err != nil {
+	if err := p.ContractWorkers([]int32{0, 0}, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 4; v++ {
@@ -51,14 +51,14 @@ func TestPartitionContract(t *testing.T) {
 
 func TestPartitionContractValidates(t *testing.T) {
 	p := NewPartition(2)
-	if err := p.Contract([]int32{0, 5}, 2); err == nil {
+	if err := p.ContractWorkers([]int32{0, 5}, 2, 1); err == nil {
 		t.Fatal("out-of-range new id accepted")
 	}
 }
 
 func TestPartitionMembers(t *testing.T) {
 	p := NewPartition(5)
-	if err := p.Contract([]int32{0, 1, 0, None, 1}, 2); err != nil {
+	if err := p.ContractWorkers([]int32{0, 1, 0, None, 1}, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	m := p.Members()
@@ -91,7 +91,7 @@ func TestMinDedup(t *testing.T) {
 		{A: 0, B: 1, W: 3, Orig: 2}, // tie: keep smaller orig id
 		{A: 2, B: 1, W: 1, Orig: 3},
 	}
-	out := MinDedup(in)
+	out := MinDedupWorkers(in, 1)
 	if len(out) != 2 {
 		t.Fatalf("dedup kept %d edges", len(out))
 	}
@@ -104,7 +104,7 @@ func TestMinDedup(t *testing.T) {
 }
 
 func TestMinDedupEmpty(t *testing.T) {
-	if out := MinDedup(nil); len(out) != 0 {
+	if out := MinDedupWorkers(nil, 1); len(out) != 0 {
 		t.Fatal("empty input should stay empty")
 	}
 }
@@ -120,7 +120,7 @@ func TestMinDedupProperty(t *testing.T) {
 			}
 			in = append(in, QEdge{A: a, B: b, W: float64(1 + r.Intn(5)), Orig: i})
 		}
-		out := MinDedup(in)
+		out := MinDedupWorkers(in, 1)
 		// 1) one edge per unordered pair; 2) it has the minimum weight.
 		min := map[[2]int]float64{}
 		for _, e := range in {
@@ -198,7 +198,7 @@ func TestMinDedupWorkersMatchesSerial(t *testing.T) {
 				Orig: i,
 			}
 		}
-		serial := MinDedup(append([]QEdge(nil), edges...))
+		serial := MinDedupWorkers(append([]QEdge(nil), edges...), 1)
 		for _, w := range []int{2, 4, 8} {
 			par := MinDedupWorkers(append([]QEdge(nil), edges...), w)
 			if len(par) != len(serial) {

@@ -235,10 +235,10 @@ func TestEdgeStretchVertexMismatch(t *testing.T) {
 	if _, err := SampledEdgeStretch(g, h, 10, 1); err == nil {
 		t.Fatal("sampled: vertex count mismatch accepted")
 	}
-	if _, err := PairStretch(g, h, 2, 1); err == nil {
+	if _, err := PairStretchOpts(g, h, 2, 1, SolverOptions{}); err == nil {
 		t.Fatal("pair: vertex count mismatch accepted")
 	}
-	if _, err := StretchCDF(g, h, 2, []float64{0.5}, 1); err == nil {
+	if _, err := StretchCDFOpts(g, h, 2, []float64{0.5}, 1, SolverOptions{}); err == nil {
 		t.Fatal("cdf: vertex count mismatch accepted")
 	}
 }
@@ -316,7 +316,7 @@ func spannerLikeSubset(g *graph.Graph) []int {
 func TestPairStretchSubgraphAtLeastOne(t *testing.T) {
 	g := graph.Connectify(graph.GNP(250, 0.03, graph.UniformWeight(1, 15), 17), 8)
 	h := g.Subgraph(spannerLikeSubset(g))
-	rep, err := PairStretch(g, h, 20, 21)
+	rep, err := PairStretchOpts(g, h, 20, 21, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +326,14 @@ func TestPairStretchSubgraphAtLeastOne(t *testing.T) {
 	if rep.Checked == 0 || math.IsInf(rep.Max, 1) {
 		t.Fatalf("connected instance produced report %+v", rep)
 	}
-	again, err := PairStretch(g, h, 20, 21)
+	again, err := PairStretchOpts(g, h, 20, 21, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep != again {
 		t.Fatal("PairStretch not deterministic under equal seeds")
 	}
-	if _, err := PairStretch(g, h, 0, 1); err == nil {
+	if _, err := PairStretchOpts(g, h, 0, 1, SolverOptions{}); err == nil {
 		t.Fatal("zero sources accepted")
 	}
 }
@@ -342,14 +342,14 @@ func TestPairStretchEmptySample(t *testing.T) {
 	// Edgeless graph: no source reaches anything. PairStretch reports the
 	// empty sample; StretchCDF, which cannot quantile nothing, errors.
 	g := graph.MustNew(8, nil)
-	rep, err := PairStretch(g, g, 3, 1)
+	rep, err := PairStretchOpts(g, g, 3, 1, SolverOptions{})
 	if err != nil {
 		t.Fatalf("empty sample should not error: %v", err)
 	}
 	if rep != (StretchReport{}) {
 		t.Fatalf("empty sample should be the zero report, got %+v", rep)
 	}
-	if _, err := StretchCDF(g, g, 3, []float64{0.5}, 1); err == nil {
+	if _, err := StretchCDFOpts(g, g, 3, []float64{0.5}, 1, SolverOptions{}); err == nil {
 		t.Fatal("CDF over an empty sample accepted")
 	}
 }
@@ -357,11 +357,11 @@ func TestPairStretchEmptySample(t *testing.T) {
 func TestStretchCDFMatchesPairStretch(t *testing.T) {
 	g := graph.Connectify(graph.GNP(200, 0.035, graph.UnitWeight, 23), 1)
 	h := g.Subgraph(spannerLikeSubset(g))
-	rep, err := PairStretch(g, h, 12, 31)
+	rep, err := PairStretchOpts(g, h, 12, 31, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := StretchCDF(g, h, 12, []float64{0, 0.5, 0.9, 0.99, 1}, 31)
+	qs, err := StretchCDFOpts(g, h, 12, []float64{0, 0.5, 0.9, 0.99, 1}, 31, SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

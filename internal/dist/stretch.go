@@ -25,8 +25,8 @@ const (
 // each source only needs its incident edges' endpoints settled, and the heap
 // stops as soon as the last target pops, typically exploring a small ball —
 // while delta-stepping has no cheap early exit (it settles whole buckets).
-// The full-row estimators (PairStretch, StretchCDF) are the ones routed
-// through the engine selection; see PairStretchOpts.
+// The full-row estimators (PairStretchOpts, StretchCDFOpts) are the ones
+// that fill rows by delta-stepping.
 func EdgeStretch(g, h *graph.Graph) (StretchReport, error) {
 	if err := compatible(g, h); err != nil {
 		return StretchReport{}, err
@@ -94,20 +94,14 @@ func edgeRatios(g, h *graph.Graph, ids []int) []float64 {
 	return ratios
 }
 
-// PairStretch samples `sources` distinct Dijkstra sources from the stream
-// (seed, "pair") and measures d_h(s,v)/d_g(s,v) over every pair (s, v) with
-// v reachable from s in g — the approximation ratio of the §7/§8 APSP
+// PairStretchOpts samples `sources` distinct Dijkstra sources from the
+// stream (seed, "pair") and measures d_h(s,v)/d_g(s,v) over every pair (s, v)
+// with v reachable from s in g — the approximation ratio of the §7/§8 APSP
 // oracles. Pairs g connects but h does not contribute Inf. If no sampled
 // source can reach any vertex, the zero-value report (Checked = 0) is
-// returned.
-func PairStretch(g, h *graph.Graph, sources int, seed uint64) (StretchReport, error) {
-	return PairStretchOpts(g, h, sources, seed, SolverOptions{})
-}
-
-// PairStretchOpts is PairStretch with an explicit SSSP engine selection for
-// the per-source full-row fills — the hook the facade's WithSSSP/WithDelta
-// reach the verification layer through. The report is identical for every
-// engine (the exactness contract); only the speed differs.
+// returned. opt configures the per-source full-row fills; the APSP pipeline
+// passes its Metrics so the measurers report under the dist_* series. The
+// report never depends on opt (the exactness contract).
 func PairStretchOpts(g, h *graph.Graph, sources int, seed uint64, opt SolverOptions) (StretchReport, error) {
 	ratios, err := pairRatios(g, h, sources, seed, opt)
 	if err != nil {
@@ -116,18 +110,12 @@ func PairStretchOpts(g, h *graph.Graph, sources int, seed uint64, opt SolverOpti
 	return makeReport(ratios), nil
 }
 
-// StretchCDF returns the empirical quantiles of the PairStretch ratio
-// distribution, one value per requested quantile q ∈ [0, 1] (0 = minimum,
-// 1 = maximum). The sampling stream is the same as PairStretch's, so the
-// quantiles describe exactly the distribution behind that report. Unlike
-// PairStretch, an empty sample is an error: quantiles of nothing would be
-// silent NaNs.
-func StretchCDF(g, h *graph.Graph, sources int, quantiles []float64, seed uint64) ([]float64, error) {
-	return StretchCDFOpts(g, h, sources, quantiles, seed, SolverOptions{})
-}
-
-// StretchCDFOpts is StretchCDF with an explicit SSSP engine selection; see
-// PairStretchOpts.
+// StretchCDFOpts returns the empirical quantiles of the PairStretchOpts
+// ratio distribution, one value per requested quantile q ∈ [0, 1]
+// (0 = minimum, 1 = maximum). The sampling stream is the same as
+// PairStretchOpts's, so the quantiles describe exactly the distribution
+// behind that report; opt is as there. Unlike PairStretchOpts, an empty
+// sample is an error: quantiles of nothing would be silent NaNs.
 func StretchCDFOpts(g, h *graph.Graph, sources int, quantiles []float64, seed uint64, opt SolverOptions) ([]float64, error) {
 	ratios, err := pairRatios(g, h, sources, seed, opt)
 	if err != nil {

@@ -138,7 +138,7 @@ type Result struct {
 // The run is driven by the same spanner.Schedule and the same
 // xrand.CoinAt(p, seed, spanner.CoinDomainPhase1, epoch, iter, center) coins
 // as the sequential reference engine, so for equal inputs and seeds the
-// returned spanner is bit-identical to spanner.General's — the test suite
+// returned spanner is bit-identical to spanner.GeneralCtx's — the test suite
 // asserts this cross-plane equality.
 //
 // The driver checkpoints ctx once per simulated grow iteration (the

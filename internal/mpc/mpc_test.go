@@ -119,7 +119,7 @@ func TestSimFilterAndUpdateAreLocal(t *testing.T) {
 // reference exactly.
 func crossPlane(t *testing.T, g *graph.Graph, k, tt int, gamma float64, seed uint64) *Result {
 	t.Helper()
-	ref, err := spanner.General(g, k, tt, spanner.Options{Seed: seed})
+	ref, err := spanner.GeneralCtx(context.Background(), g, k, tt, spanner.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestCrossPlaneProperty(t *testing.T) {
 		g := graph.GNM(80, 300, graph.UniformWeight(1, 8), seed)
 		k := 2 + int(seed%4)
 		tt := 1 + int((seed>>4)%3)
-		ref, err := spanner.General(g, k, tt, spanner.Options{Seed: seed})
+		ref, err := spanner.GeneralCtx(context.Background(), g, k, tt, spanner.Options{Seed: seed})
 		if err != nil {
 			return false
 		}

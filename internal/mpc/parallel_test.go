@@ -54,7 +54,7 @@ func TestWorkerCountInvarianceMPC(t *testing.T) {
 func TestParallelRunStillCrossPlane(t *testing.T) {
 	g := graph.GNP(220, 0.06, graph.UniformWeight(1, 30), 5)
 	w := pinWorkers()
-	ref, err := spanner.General(g, 8, 2, spanner.Options{Seed: 31, Workers: w})
+	ref, err := spanner.GeneralCtx(context.Background(), g, 8, 2, spanner.Options{Seed: 31, Workers: w})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -15,46 +14,38 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return graph.Connectify(graph.GNP(4000, 8/4000.0, graph.UniformWeight(1, 100), 1), 50)
 }
 
-// largeGraphs memoizes the construction-scale bench graph across engine
-// sub-benchmarks: generating the 6M-edge instance costs far more than
-// filling a row, and both engines must see the identical graph.
-var largeGraphs sync.Map
-
-func largeOracleGraph(n int) *graph.Graph {
-	if g, ok := largeGraphs.Load(n); ok {
-		return g.(*graph.Graph)
-	}
-	g := graph.Connectify(graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 100), 7), 50)
-	largeGraphs.Store(n, g)
-	return g
-}
+// largeOracleGraph is built once per process: generating the 6M-edge
+// instance costs far more than filling a row.
+var largeOracleGraph = sync.OnceValue(func() *graph.Graph {
+	n := 1_000_000
+	return graph.Connectify(graph.GNP(n, 12/float64(n), graph.UniformWeight(1, 100), 7), 50)
+})
 
 // BenchmarkOracleRowFill is the serving-layer companion to the dist
 // package's BenchmarkSSSP, gated by BENCH_large.json (bench-large CI job,
 // not the PR gate): every iteration queries a source the cache has never
 // seen, so each op is one cold full-row fill through the oracle's
 // single-flight + cache machinery on a 1M-vertex sparse graph. Reports
-// relaxable arcs per second and peak RSS as custom metrics.
+// relaxable arcs per second and peak RSS as custom metrics. The sub-benchmark
+// keeps its engine=delta-stepping name so the committed row keeps gating.
 func BenchmarkOracleRowFill(b *testing.B) {
-	for _, engine := range []dist.Engine{dist.EngineHeap, dist.EngineDelta} {
-		b.Run(fmt.Sprintf("n=1M/engine=%s", engine), func(b *testing.B) {
-			g := largeOracleGraph(1_000_000)
-			o := New(g, Options{SSSP: engine, MaxRows: 8})
-			o.Row(0) // warm the solver scratch pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if r := o.Row((1 + i*7919) % g.N()); len(r) != g.N() {
-					b.Fatal("bad row")
-				}
+	b.Run("n=1M/engine=delta-stepping", func(b *testing.B) {
+		g := largeOracleGraph()
+		o := New(g, Options{MaxRows: 8})
+		o.Row(0) // warm the solver scratch pool
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r := o.Row((1 + i*7919) % g.N()); len(r) != g.N() {
+				b.Fatal("bad row")
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(2*g.M())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-			if rss := obs.PeakRSSBytes(); rss > 0 {
-				b.ReportMetric(float64(rss), "peak_rss_bytes")
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(2*g.M())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+		if rss := obs.PeakRSSBytes(); rss > 0 {
+			b.ReportMetric(float64(rss), "peak_rss_bytes")
+		}
+	})
 }
 
 // BenchmarkOracleColdVsWarm times the same Zipf batch against a fresh cache

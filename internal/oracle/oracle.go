@@ -63,16 +63,6 @@ type Options struct {
 	// at once — is all the parallelism a batch gets.
 	Workers int
 
-	// SSSP selects the engine behind cold row fills: dist.EngineAuto (the
-	// zero value) resolves to delta-stepping; dist.EngineHeap forces the
-	// pooled heap. Every engine produces bit-identical rows — the dist
-	// exactness contract — so this is purely a speed knob.
-	SSSP dist.Engine
-
-	// Delta overrides the delta-stepping bucket width; ≤ 0 auto-tunes
-	// (average edge weight / average degree). Ignored by the heap engine.
-	Delta float64
-
 	// Frozen, when non-nil, serves precomputed rows ahead of the cache:
 	// a source the RowSource knows is answered from it directly — no lock,
 	// no LRU traffic, no Dijkstra — and counts as a hit in Stats. Sources
@@ -109,7 +99,7 @@ type Oracle struct {
 	g       *graph.Graph
 	shards  []shard
 	workers int
-	solver  *dist.Solver // fills cold rows; engine resolved at New
+	solver  *dist.Solver // fills cold rows; Δ auto-tuned at New
 	frozen  RowSource    // nil unless Options.Frozen was set
 
 	// Cache counters are obs counters (atomic, lock-free) so Stats() and an
@@ -171,11 +161,7 @@ func New(g *graph.Graph, opt Options) *Oracle {
 		nshards = n
 	}
 	o := &Oracle{g: g, shards: make([]shard, nshards), workers: par.Workers(opt.Workers), frozen: opt.Frozen}
-	o.solver = dist.NewSolver(g, dist.SolverOptions{
-		Engine:  opt.SSSP,
-		Delta:   opt.Delta,
-		Metrics: opt.Metrics,
-	})
+	o.solver = dist.NewSolver(g, dist.SolverOptions{Metrics: opt.Metrics})
 	reg := opt.Metrics
 	if reg == nil {
 		// Private registry: Stats() always reads obs counters, instrumented
@@ -207,11 +193,11 @@ func New(g *graph.Graph, opt Options) *Oracle {
 // Graph returns the graph the oracle serves distances on.
 func (o *Oracle) Graph() *graph.Graph { return o.g }
 
-// SSSP reports the resolved row-fill engine and its effective bucket width
-// (0 for the heap) — what /v1/info advertises so fleet operators can confirm
+// SSSP reports the row-fill engine ("delta-stepping") and its auto-tuned
+// bucket width — what /v1/info advertises so fleet operators can confirm
 // replicas agree.
-func (o *Oracle) SSSP() (engine dist.Engine, delta float64) {
-	return o.solver.Engine(), o.solver.Delta()
+func (o *Oracle) SSSP() (engine string, delta float64) {
+	return o.solver.Engine().String(), o.solver.Delta()
 }
 
 // MaxRows returns the effective cache budget in resident rows — the
@@ -377,9 +363,8 @@ func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
 
 	// Cold fill: the row itself must be freshly allocated (it outlives this
 	// call in the cache and in callers' hands), but the run's state — the
-	// frontier heap or the delta-stepping buckets, per the resolved engine —
-	// comes from the solver's scratch pool, so a fill costs one row
-	// allocation.
+	// delta-stepping buckets and marks — comes from the solver's scratch
+	// pool, so a fill costs one row allocation.
 	o.misses.Add(1)
 	if o.rowFillSeconds != nil {
 		fillStart := time.Now()

@@ -11,6 +11,7 @@
 package pram
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -91,21 +92,15 @@ func (s *Sim) Merge(items int) {
 	s.c.Work += int64(items)
 }
 
-// SpannerCosts runs General(k, t) on g and returns the spanner together with
-// the PRAM bill of executing the same schedule with the [BS07] primitives:
-// every grow iteration is one hashing pass, one semisort, one generalized
-// find-min and one merge over the live edges; every contraction is one
-// semisort plus a relabeling ParallelFor. The step loop executes on a
-// GOMAXPROCS worker pool; use SpannerCostsWorkers to pin the pool size.
-func SpannerCosts(g *graph.Graph, k, t int, seed uint64) (*spanner.Result, Costs, error) {
-	return SpannerCostsWorkers(g, k, t, seed, 0)
-}
-
-// SpannerCostsWorkers is SpannerCosts with an explicit worker pool size for
-// the underlying step loop (par conventions: 0 = GOMAXPROCS, 1 = serial;
-// negatives rejected). The work/depth bill models the CRCW PRAM regardless
-// of the real pool, and both the spanner and the bill are bit-identical at
-// every worker count.
+// SpannerCostsWorkers runs spanner.GeneralCtx(k, t) on g and returns the
+// spanner together with the PRAM bill of executing the same schedule with
+// the [BS07] primitives: every grow iteration is one hashing pass, one
+// semisort, one generalized find-min and one merge over the live edges;
+// every contraction is one semisort plus a relabeling ParallelFor. The step
+// loop runs on a pool of `workers` (par conventions: 0 = GOMAXPROCS,
+// 1 = serial; negatives rejected). The work/depth bill models the CRCW PRAM
+// regardless of the real pool, and both the spanner and the bill are
+// bit-identical at every worker count.
 func SpannerCostsWorkers(g *graph.Graph, k, t int, seed uint64, workers int) (*spanner.Result, Costs, error) {
 	if k < 1 || t < 1 {
 		return nil, Costs{}, fmt.Errorf("pram: k and t must be >= 1 (got k=%d t=%d)", k, t)
@@ -113,7 +108,7 @@ func SpannerCostsWorkers(g *graph.Graph, k, t int, seed uint64, workers int) (*s
 	if err := par.CheckWorkers("pram: workers", workers); err != nil {
 		return nil, Costs{}, err
 	}
-	res, err := spanner.General(g, k, t, spanner.Options{Seed: seed, Workers: workers})
+	res, err := spanner.GeneralCtx(context.Background(), g, k, t, spanner.Options{Seed: seed, Workers: workers})
 	if err != nil {
 		return nil, Costs{}, err
 	}

@@ -35,7 +35,7 @@ func TestPrimitiveAccounting(t *testing.T) {
 func TestSpannerCostsWithinDepthBound(t *testing.T) {
 	g := graph.GNP(500, 0.04, graph.UniformWeight(1, 9), 3)
 	for _, c := range []struct{ k, t int }{{4, 1}, {8, 2}, {16, 3}, {16, 15}} {
-		res, costs, err := SpannerCosts(g, c.k, c.t, 7)
+		res, costs, err := SpannerCostsWorkers(g, c.k, c.t, 7, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,10 +72,10 @@ func TestDepthSublinearInK(t *testing.T) {
 
 func TestSpannerCostsValidates(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, _, err := SpannerCosts(g, 0, 1, 1); err == nil {
+	if _, _, err := SpannerCostsWorkers(g, 0, 1, 1, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := SpannerCosts(g, 2, 0, 1); err == nil {
+	if _, _, err := SpannerCostsWorkers(g, 2, 0, 1, 0); err == nil {
 		t.Fatal("t=0 accepted")
 	}
 }

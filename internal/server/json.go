@@ -39,9 +39,10 @@ type Info struct {
 	// it was started with -load; nil for replicas that built in-process.
 	Artifact *ArtifactInfo `json:"artifact,omitempty"`
 
-	// SSSP advertises the replica's resolved row-fill engine, so a fleet
-	// operator can confirm every replica answers cold queries the same way;
-	// nil when the backend does not expose one (bare test backends).
+	// SSSP advertises the replica's row-fill engine and its auto-tuned Δ,
+	// so a fleet operator can confirm every replica answers cold queries the
+	// same way; nil when the backend does not expose one (bare test
+	// backends).
 	SSSP *SSSPInfo `json:"sssp,omitempty"`
 
 	// Memory reports the out-of-core profile of an in-process budgeted
@@ -63,9 +64,9 @@ type MemoryInfo struct {
 	MergePasses  int64 `json:"merge_passes"`
 }
 
-// SSSPInfo is the row-fill engine block of /v1/info: the engine name after
-// auto-resolution ("heap" or "delta-stepping", never "auto") and, for
-// delta-stepping, the effective bucket width Δ.
+// SSSPInfo is the row-fill engine block of /v1/info: the engine name
+// ("delta-stepping") and its auto-tuned bucket width Δ, which depends only
+// on the served graph — replicas of one build report equal blocks.
 type SSSPInfo struct {
 	Engine string  `json:"engine"`
 	Delta  float64 `json:"delta,omitempty"`

@@ -88,7 +88,7 @@ type Config struct {
 	Artifact *ArtifactInfo
 
 	// SSSP, when non-nil, is reported by /v1/info: the backend session's
-	// resolved row-fill engine (cmd/oracled passes Session.SSSP). Optional.
+	// row-fill engine and Δ (cmd/oracled passes Session.SSSP). Optional.
 	SSSP *SSSPInfo
 
 	// Memory, when non-nil, is reported by /v1/info: the out-of-core

@@ -13,14 +13,11 @@ import (
 
 // TestInfoAdvertisesSSSP is the fleet-agreement contract of the row-fill
 // engine: a daemon wired like cmd/oracled — Config.SSSP fed from
-// Session.SSSP() — advertises the resolved engine and Δ on /v1/info, so an
-// operator can assert every replica answers cold queries the same way.
+// Session.SSSP() — advertises the engine and its auto-tuned Δ on /v1/info,
+// so an operator can assert every replica answers cold queries the same way.
 func TestInfoAdvertisesSSSP(t *testing.T) {
 	g := testGraph(t, 12, 4)
-	s, err := mpcspanner.Serve(context.Background(), g,
-		mpcspanner.WithExact(),
-		mpcspanner.WithSSSP(mpcspanner.SSSPDeltaStepping),
-		mpcspanner.WithDelta(1.5))
+	s, err := mpcspanner.Serve(context.Background(), g, mpcspanner.WithExact())
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -35,7 +32,7 @@ func TestInfoAdvertisesSSSP(t *testing.T) {
 	if info.SSSP == nil {
 		t.Fatal("/v1/info omitted the sssp block")
 	}
-	if info.SSSP.Engine != "delta-stepping" || info.SSSP.Delta != 1.5 {
+	if info.SSSP.Engine != "delta-stepping" || info.SSSP.Delta != sssp.Delta || !(info.SSSP.Delta > 0) {
 		t.Fatalf("sssp block drifted on the wire: %+v", info.SSSP)
 	}
 

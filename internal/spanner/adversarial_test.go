@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestExtremeWeightScales(t *testing.T) {
 	}
 	g := graph.MustNew(n, edges)
 	for _, c := range []struct{ k, t int }{{4, 1}, {8, 2}} {
-		r, err := General(g, c.k, c.t, Options{Seed: 1})
+		r, err := GeneralCtx(context.Background(), g, c.k, c.t, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestAllEqualWeightsTieStorm(t *testing.T) {
 	// tie-breaks. Complete graph maximizes simultaneous ties.
 	g := graph.Complete(40, graph.UnitWeight, 1)
 	for _, tt := range []int{1, 2} {
-		r, err := General(g, 5, tt, Options{Seed: 2})
+		r, err := GeneralCtx(context.Background(), g, 5, tt, Options{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestStarAndDoubleStar(t *testing.T) {
 	// Stars: one grow iteration should swallow everything around a sampled
 	// center; spanner must be the star itself (it is a tree).
 	g := graph.Star(200, graph.UniformWeight(1, 5), 3)
-	r, err := General(g, 4, 2, Options{Seed: 4})
+	r, err := GeneralCtx(context.Background(), g, 4, 2, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestStarAndDoubleStar(t *testing.T) {
 	}
 	edges = append(edges, graph.Edge{U: 0, V: 1, W: 10}, graph.Edge{U: 0, V: 1, W: 2})
 	ds := graph.MustNew(102, edges)
-	r, err = General(ds, 3, 1, Options{Seed: 5})
+	r, err = GeneralCtx(context.Background(), ds, 3, 1, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestLongPathDeepClusters(t *testing.T) {
 	// Paths force maximal cluster radii relative to size — the worst shape
 	// for the radius-growth analysis (Corollary 5.9).
 	g := graph.Path(2000, graph.UniformWeight(1, 3), 6)
-	r, err := General(g, 16, 3, Options{Seed: 7, MeasureRadius: true})
+	r, err := GeneralCtx(context.Background(), g, 16, 3, Options{Seed: 7, MeasureRadius: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestLongPathDeepClusters(t *testing.T) {
 func TestManyIsolatedVertices(t *testing.T) {
 	// 10k vertices, 3 edges: the engine must not charge work to ghosts.
 	g := graph.MustNew(10000, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 5000, V: 9999, W: 3}})
-	r, err := General(g, 8, 2, Options{Seed: 8})
+	r, err := GeneralCtx(context.Background(), g, 8, 2, Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +129,14 @@ func TestHeavyParallelMultigraph(t *testing.T) {
 			graph.Edge{U: 0, V: 1, W: w}, graph.Edge{U: 1, V: 2, W: w}, graph.Edge{U: 0, V: 2, W: w})
 	}
 	g := graph.MustNew(3, edges)
-	r, err := General(g, 1, 1, Options{Seed: 9})
+	r, err := GeneralCtx(context.Background(), g, 1, 1, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Size() != 3 {
 		t.Fatalf("k=1 on multigraph kept %d, want 3 minima", r.Size())
 	}
-	r, err = General(g, 4, 1, Options{Seed: 9})
+	r, err = GeneralCtx(context.Background(), g, 4, 1, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ func BenchmarkGeneralConstruct(b *testing.B) {
 		b.Run(fmt.Sprintf("n=20k/k=16/t=4/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := General(g, 16, 4, Options{Seed: 7, Workers: w})
+				r, err := GeneralCtx(context.Background(), g, 16, 4, Options{Seed: 7, Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -45,7 +46,7 @@ func BenchmarkBaswanaSenConstruct(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("n=20k/k=8/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BaswanaSen(g, 8, Options{Seed: 11, Workers: w}); err != nil {
+				if _, err := BaswanaSenCtx(context.Background(), g, 8, Options{Seed: 11, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,7 +61,7 @@ func BenchmarkRepetitions(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("reps=8/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := General(g, 8, 2, Options{Seed: 13, Repetitions: 8, Workers: w}); err != nil {
+				if _, err := GeneralCtx(context.Background(), g, 8, 2, Options{Seed: 13, Repetitions: 8, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -75,7 +76,7 @@ func BenchmarkUnweightedConstruct(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("n=10k/k=3/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Unweighted(g, 3, UnweightedOptions{Seed: 17, Workers: w}); err != nil {
+				if _, err := UnweightedCtx(context.Background(), g, 3, UnweightedOptions{Seed: 17, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -66,10 +66,10 @@ type engine struct {
 	sampledFlag []bool
 	scratch     []growScratch
 
-	// dedupKey, when non-nil, encodes cluster.MinDedup's (A, B, W, Orig)
-	// comparator as an order-preserving uint64 over the normalized edge —
-	// supernode ids (< n) in the high bits, the edge's dense weight rank
-	// (cluster.WeightRanks, < m) in the low bits, laid out per
+	// dedupKey, when non-nil, encodes the (A, B, W, Orig) comparator of
+	// cluster.MinDedupWorkers as an order-preserving uint64 over the
+	// normalized edge — supernode ids (< n) in the high bits, the edge's
+	// dense weight rank (cluster.WeightRanks, < m) in the low bits, laid out per
 	// cluster.KeyWidths — so the Step C and Phase 2 dedup sorts run as
 	// radix shuffles through the retained dedupSorter. nil (the composite
 	// exceeds 64 bits) falls back to the comparator sort; both orders are

@@ -31,13 +31,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 	for name, g := range testGraphs() {
 		builds := map[string]func(workers int) (*Result, error){
 			"general": func(workers int) (*Result, error) {
-				return General(g, 8, 2, Options{Seed: 99, Workers: workers, MeasureRadius: true})
+				return GeneralCtx(context.Background(), g, 8, 2, Options{Seed: 99, Workers: workers, MeasureRadius: true})
 			},
 			"sqrt-k": func(workers int) (*Result, error) {
-				return SqrtK(g, 9, Options{Seed: 101, Workers: workers})
+				return SqrtKCtx(context.Background(), g, 9, Options{Seed: 101, Workers: workers})
 			},
 			"baswana-sen": func(workers int) (*Result, error) {
-				return BaswanaSen(g, 4, Options{Seed: 103, Workers: workers})
+				return BaswanaSenCtx(context.Background(), g, 4, Options{Seed: 103, Workers: workers})
 			},
 		}
 		for alg, build := range builds {
@@ -74,11 +74,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 func TestWorkerCountInvarianceWHP(t *testing.T) {
 	g := graph.GNP(260, 0.05, graph.UniformWeight(1, 40), 7)
-	serial, whpS, err := GeneralWHP(g, 8, 2, 6, Options{Seed: 11, Workers: 1})
+	serial, whpS, err := GeneralWHPCtx(context.Background(), g, 8, 2, 6, Options{Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, whpP, err := GeneralWHP(g, 8, 2, 6, Options{Seed: 11, Workers: pinWorkers()})
+	parallel, whpP, err := GeneralWHPCtx(context.Background(), g, 8, 2, 6, Options{Seed: 11, Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestWorkerCountInvarianceWHP(t *testing.T) {
 
 func TestWorkerCountInvarianceUnweighted(t *testing.T) {
 	g := graph.GNP(300, 0.06, graph.UnitWeight, 13)
-	serial, err := Unweighted(g, 3, UnweightedOptions{Seed: 17, Workers: 1})
+	serial, err := UnweightedCtx(context.Background(), g, 3, UnweightedOptions{Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Unweighted(g, 3, UnweightedOptions{Seed: 17, Workers: pinWorkers()})
+	parallel, err := UnweightedCtx(context.Background(), g, 3, UnweightedOptions{Seed: 17, Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestWorkerCountInvarianceUnweighted(t *testing.T) {
 // runner: concurrent repetitions must select the same winner as serial ones.
 func TestParallelRepetitionsDeterminism(t *testing.T) {
 	g := graph.GNP(300, 0.05, graph.UniformWeight(1, 9), 23)
-	serial, err := General(g, 6, 2, Options{Seed: 29, Repetitions: 8, Workers: 1})
+	serial, err := GeneralCtx(context.Background(), g, 6, 2, Options{Seed: 29, Repetitions: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := General(g, 6, 2, Options{Seed: 29, Repetitions: 8, Workers: pinWorkers()})
+	parallel, err := GeneralCtx(context.Background(), g, 6, 2, Options{Seed: 29, Repetitions: 8, Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +128,17 @@ func TestParallelRepetitionsDeterminism(t *testing.T) {
 
 func TestNegativeWorkersRejected(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := General(g, 4, 2, Options{Workers: -1}); err == nil {
+	if _, err := GeneralCtx(context.Background(), g, 4, 2, Options{Workers: -1}); err == nil {
 		t.Fatal("General accepted Workers < 0")
 	}
-	if _, err := BaswanaSen(g, 4, Options{Workers: -2}); err == nil {
+	if _, err := BaswanaSenCtx(context.Background(), g, 4, Options{Workers: -2}); err == nil {
 		t.Fatal("BaswanaSen accepted Workers < 0")
 	}
-	if _, _, err := GeneralWHP(g, 4, 2, 0, Options{Workers: -1}); err == nil {
+	if _, _, err := GeneralWHPCtx(context.Background(), g, 4, 2, 0, Options{Workers: -1}); err == nil {
 		t.Fatal("GeneralWHP accepted Workers < 0")
 	}
 	unit := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := Unweighted(unit, 2, UnweightedOptions{Workers: -1}); err == nil {
+	if _, err := UnweightedCtx(context.Background(), unit, 2, UnweightedOptions{Workers: -1}); err == nil {
 		t.Fatal("Unweighted accepted Workers < 0")
 	}
 }
@@ -195,7 +195,7 @@ func TestCancellationSemantics(t *testing.T) {
 	// A live context changes nothing: bit-identical to the context-free path
 	// at every worker count.
 	for _, workers := range []int{1, pinWorkers()} {
-		plain, err := General(g, 8, 2, Options{Seed: 41, Workers: workers, MeasureRadius: true})
+		plain, err := GeneralCtx(context.Background(), g, 8, 2, Options{Seed: 41, Workers: workers, MeasureRadius: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,19 +1,20 @@
 // Package spanner implements the paper's spanner constructions:
 //
-//   - General: the §5 trade-off algorithm. Epoch i runs t grow iterations of
-//     Baswana–Sen-style clustering on the current quotient graph with
+//   - GeneralCtx: the §5 trade-off algorithm. Epoch i runs t grow iterations
+//     of Baswana–Sen-style clustering on the current quotient graph with
 //     sampling probability n^{−(t+1)^{i−1}/k}, then contracts (Step C).
 //     It yields stretch O(k^s), s = log(2t+1)/log(t+1), size
 //     O(n^{1+1/k}(t+log k)), in O(t·log k/log(t+1)) iterations (Thm 5.15).
-//   - ClusterMerge: the §4 algorithm = General with t = 1 (stretch O(k^{log 3}),
-//     log k epochs, Thm 4.14).
-//   - SqrtK: the §3 algorithm = General with t = ⌈√k⌉ (stretch O(k), O(√k)
-//     iterations, Thms 3.1/3.4).
-//   - BaswanaSen: the classic [BS07] baseline (stretch 2k−1, k−1 iterations,
-//     per-vertex Phase 2, no contraction), used as the paper's comparison
-//     point and as a subroutine of the unweighted algorithm.
-//   - Unweighted: the Appendix B adaptation of Parter–Yogev (stretch O(k/γ),
-//     O(log k) rounds, extra O(n^{1+γ}) memory), for unweighted graphs.
+//   - ClusterMergeCtx: the §4 algorithm = GeneralCtx with t = 1 (stretch
+//     O(k^{log 3}), log k epochs, Thm 4.14).
+//   - SqrtKCtx: the §3 algorithm = GeneralCtx with t = ⌈√k⌉ (stretch O(k),
+//     O(√k) iterations, Thms 3.1/3.4).
+//   - BaswanaSenCtx: the classic [BS07] baseline (stretch 2k−1, k−1
+//     iterations, per-vertex Phase 2, no contraction), used as the paper's
+//     comparison point and as a subroutine of the unweighted algorithm.
+//   - UnweightedCtx: the Appendix B adaptation of Parter–Yogev (stretch
+//     O(k/γ), O(log k) rounds, extra O(n^{1+γ}) memory), for unweighted
+//     graphs.
 //
 // All algorithms are deterministic given Options.Seed: every sampling coin is
 // the pure function xrand.CoinAt(p, seed, epoch, iteration, centerVertex), so
@@ -132,19 +133,16 @@ func (r *Result) Size() int { return len(r.EdgeIDs) }
 // Spanner materializes the spanner as a graph on the same vertex set.
 func (r *Result) Spanner(g *graph.Graph) *graph.Graph { return g.Subgraph(r.EdgeIDs) }
 
-// General runs the §5 trade-off algorithm with parameters k ≥ 1 (stretch
+// GeneralCtx runs the §5 trade-off algorithm with parameters k ≥ 1 (stretch
 // exponent base) and t ≥ 1 (grow iterations per epoch). Larger t lowers the
 // stretch toward 2k−1 at the cost of more iterations; see StretchBound and
 // IterationBound for the theoretical envelope.
-func General(g *graph.Graph, k, t int, opt Options) (*Result, error) {
-	return GeneralCtx(context.Background(), g, k, t, opt)
-}
-
-// GeneralCtx is General under a context: the engine checkpoints ctx at every
-// grow iteration and contraction and returns core.Canceled(ctx.Err()) —
-// matching errors.Is against both core.ErrCanceled and ctx.Err() — at the
-// first checkpoint after cancellation, with all pool goroutines joined.
-// Uncanceled runs are bit-identical to General at every worker count.
+//
+// The engine checkpoints ctx at every grow iteration and contraction and
+// returns core.Canceled(ctx.Err()) — matching errors.Is against both
+// core.ErrCanceled and ctx.Err() — at the first checkpoint after
+// cancellation, with all pool goroutines joined. Checkpoints never change
+// what is computed: uncanceled runs are bit-identical at every worker count.
 func GeneralCtx(ctx context.Context, g *graph.Graph, k, t int, opt Options) (*Result, error) {
 	if err := validateKT(k, t); err != nil {
 		return nil, err
@@ -163,13 +161,9 @@ func GeneralCtx(ctx context.Context, g *graph.Graph, k, t int, opt Options) (*Re
 	})
 }
 
-// ClusterMerge runs the §4 cluster-cluster merging algorithm (t = 1):
-// log k epochs, stretch O(k^{log 3}), size O(n^{1+1/k}·log k).
-func ClusterMerge(g *graph.Graph, k int, opt Options) (*Result, error) {
-	return ClusterMergeCtx(context.Background(), g, k, opt)
-}
-
-// ClusterMergeCtx is ClusterMerge under a context (see GeneralCtx).
+// ClusterMergeCtx runs the §4 cluster-cluster merging algorithm (t = 1):
+// log k epochs, stretch O(k^{log 3}), size O(n^{1+1/k}·log k). Cancellation
+// follows GeneralCtx.
 func ClusterMergeCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Result, error) {
 	r, err := GeneralCtx(ctx, g, k, 1, opt)
 	if err != nil {
@@ -179,13 +173,8 @@ func ClusterMergeCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*
 	return r, nil
 }
 
-// SqrtK runs the §3 two-phase algorithm (t = ⌈√k⌉): O(√k) iterations,
-// stretch O(k), size O(√k·n^{1+1/k}).
-func SqrtK(g *graph.Graph, k int, opt Options) (*Result, error) {
-	return SqrtKCtx(context.Background(), g, k, opt)
-}
-
-// SqrtKCtx is SqrtK under a context (see GeneralCtx).
+// SqrtKCtx runs the §3 two-phase algorithm (t = ⌈√k⌉): O(√k) iterations,
+// stretch O(k), size O(√k·n^{1+1/k}). Cancellation follows GeneralCtx.
 func SqrtKCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Result, error) {
 	t := int(math.Ceil(math.Sqrt(float64(k))))
 	if t < 1 {
@@ -199,14 +188,10 @@ func SqrtKCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Result,
 	return r, nil
 }
 
-// BaswanaSen runs the classic [BS07] construction: k−1 grow iterations with
-// probability n^{−1/k}, no contraction, and a per-vertex Phase 2. Its stretch
-// is 2k−1 and its expected size O(k·n^{1+1/k}); it is the paper's baseline.
-func BaswanaSen(g *graph.Graph, k int, opt Options) (*Result, error) {
-	return BaswanaSenCtx(context.Background(), g, k, opt)
-}
-
-// BaswanaSenCtx is BaswanaSen under a context (see GeneralCtx).
+// BaswanaSenCtx runs the classic [BS07] construction: k−1 grow iterations
+// with probability n^{−1/k}, no contraction, and a per-vertex Phase 2. Its
+// stretch is 2k−1 and its expected size O(k·n^{1+1/k}); it is the paper's
+// baseline. Cancellation follows GeneralCtx.
 func BaswanaSenCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Result, error) {
 	if err := validateKT(k, 1); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,7 @@ func testGraphs() map[string]*graph.Graph {
 func TestBaswanaSenStretchBound(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, k := range []int{2, 3, 5} {
-			r, err := BaswanaSen(g, k, Options{Seed: 11})
+			r, err := BaswanaSenCtx(context.Background(), g, k, Options{Seed: 11})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
@@ -45,7 +46,7 @@ func TestGeneralStretchBound(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, k := range []int{2, 4, 8} {
 			for _, tt := range []int{1, 2, 3} {
-				r, err := General(g, k, tt, Options{Seed: 13})
+				r, err := GeneralCtx(context.Background(), g, k, tt, Options{Seed: 13})
 				if err != nil {
 					t.Fatalf("%s k=%d t=%d: %v", name, k, tt, err)
 				}
@@ -60,7 +61,7 @@ func TestGeneralStretchBound(t *testing.T) {
 func TestSqrtKStretchBound(t *testing.T) {
 	g := graph.GNP(400, 0.04, graph.UniformWeight(1, 50), 17)
 	for _, k := range []int{4, 9, 16} {
-		r, err := SqrtK(g, k, Options{Seed: 19})
+		r, err := SqrtKCtx(context.Background(), g, k, Options{Seed: 19})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestSqrtKStretchBound(t *testing.T) {
 
 func TestClusterMergeLabelAndBound(t *testing.T) {
 	g := graph.GNP(300, 0.05, graph.UniformWeight(1, 10), 23)
-	r, err := ClusterMerge(g, 8, Options{Seed: 29})
+	r, err := ClusterMergeCtx(context.Background(), g, 8, Options{Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestIterationSchedule(t *testing.T) {
 	g := graph.GNP(400, 0.05, graph.UnitWeight, 31)
 	cases := []struct{ k, t int }{{4, 1}, {8, 1}, {16, 1}, {16, 3}, {9, 3}, {16, 15}, {5, 4}}
 	for _, c := range cases {
-		r, err := General(g, c.k, c.t, Options{Seed: 37})
+		r, err := GeneralCtx(context.Background(), g, c.k, c.t, Options{Seed: 37})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestIterationSchedule(t *testing.T) {
 		}
 	}
 	// Baswana-Sen runs exactly k-1 iterations on a graph with enough edges.
-	r, err := BaswanaSen(g, 4, Options{Seed: 37})
+	r, err := BaswanaSenCtx(context.Background(), g, 4, Options{Seed: 37})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestSizeBound(t *testing.T) {
 	g := graph.GNP(1000, 0.02, graph.UniformWeight(1, 10), 41)
 	n := float64(g.N())
 	for _, c := range []struct{ k, t int }{{3, 1}, {5, 2}, {8, 3}} {
-		r, err := General(g, c.k, c.t, Options{Seed: 43})
+		r, err := GeneralCtx(context.Background(), g, c.k, c.t, Options{Seed: 43})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +138,8 @@ func TestSizeBound(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := graph.GNP(300, 0.04, graph.UniformWeight(1, 7), 47)
-	a, _ := General(g, 6, 2, Options{Seed: 53})
-	b, _ := General(g, 6, 2, Options{Seed: 53})
+	a, _ := GeneralCtx(context.Background(), g, 6, 2, Options{Seed: 53})
+	b, _ := GeneralCtx(context.Background(), g, 6, 2, Options{Seed: 53})
 	if len(a.EdgeIDs) != len(b.EdgeIDs) {
 		t.Fatalf("sizes differ: %d vs %d", len(a.EdgeIDs), len(b.EdgeIDs))
 	}
@@ -147,7 +148,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("edge %d differs", i)
 		}
 	}
-	c, _ := General(g, 6, 2, Options{Seed: 54})
+	c, _ := GeneralCtx(context.Background(), g, 6, 2, Options{Seed: 54})
 	if len(a.EdgeIDs) == len(c.EdgeIDs) {
 		same := true
 		for i := range a.EdgeIDs {
@@ -164,8 +165,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestRepetitionsPickSmallest(t *testing.T) {
 	g := graph.GNP(400, 0.05, graph.UnitWeight, 59)
-	single, _ := General(g, 5, 2, Options{Seed: 61})
-	multi, _ := General(g, 5, 2, Options{Seed: 61, Repetitions: 8})
+	single, _ := GeneralCtx(context.Background(), g, 5, 2, Options{Seed: 61})
+	multi, _ := GeneralCtx(context.Background(), g, 5, 2, Options{Seed: 61, Repetitions: 8})
 	if multi.Size() > single.Size() {
 		// The winning repetition is the min over 8 runs including different
 		// seeds; it can't be worse than the best of them, but the single run
@@ -190,7 +191,7 @@ func TestKOne(t *testing.T) {
 	g := graph.MustNew(3, []graph.Edge{
 		{U: 0, V: 1, W: 5}, {U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 1},
 	})
-	r, err := General(g, 1, 1, Options{Seed: 1})
+	r, err := GeneralCtx(context.Background(), g, 1, 1, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,29 +205,29 @@ func TestKOne(t *testing.T) {
 
 func TestInvalidParameters(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := General(g, 0, 1, Options{}); err == nil {
+	if _, err := GeneralCtx(context.Background(), g, 0, 1, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := General(g, 2, 0, Options{}); err == nil {
+	if _, err := GeneralCtx(context.Background(), g, 2, 0, Options{}); err == nil {
 		t.Fatal("t=0 accepted")
 	}
-	if _, err := BaswanaSen(g, -1, Options{}); err == nil {
+	if _, err := BaswanaSenCtx(context.Background(), g, -1, Options{}); err == nil {
 		t.Fatal("negative k accepted")
 	}
 }
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.MustNew(0, nil)
-	r, err := General(empty, 4, 2, Options{})
+	r, err := GeneralCtx(context.Background(), empty, 4, 2, Options{})
 	if err != nil || r.Size() != 0 {
 		t.Fatalf("empty graph: %v size=%d", err, r.Size())
 	}
 	single := graph.MustNew(1, nil)
-	if r, err = General(single, 4, 2, Options{}); err != nil || r.Size() != 0 {
+	if r, err = GeneralCtx(context.Background(), single, 4, 2, Options{}); err != nil || r.Size() != 0 {
 		t.Fatalf("single vertex: %v size=%d", err, r.Size())
 	}
 	pair := graph.MustNew(2, []graph.Edge{{U: 0, V: 1, W: 3}})
-	r, err = General(pair, 4, 2, Options{})
+	r, err = GeneralCtx(context.Background(), pair, 4, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestDisconnectedPreserved(t *testing.T) {
 		{U: 3, V: 4, W: 2}, {U: 4, V: 5, W: 2}, {U: 5, V: 3, W: 2},
 	})
 	for _, k := range []int{2, 4} {
-		r, err := General(g, k, 2, Options{Seed: 67})
+		r, err := GeneralCtx(context.Background(), g, k, 2, Options{Seed: 67})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestParallelEdges(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 9}, {U: 1, V: 2, W: 1},
 		{U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 4}, {U: 2, V: 3, W: 3},
 	})
-	r, err := General(g, 3, 1, Options{Seed: 71})
+	r, err := GeneralCtx(context.Background(), g, 3, 1, Options{Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestParallelEdges(t *testing.T) {
 
 func TestSupernodeHistoryDecreases(t *testing.T) {
 	g := graph.GNP(600, 0.03, graph.UnitWeight, 73)
-	r, err := General(g, 8, 2, Options{Seed: 79})
+	r, err := GeneralCtx(context.Background(), g, 8, 2, Options{Seed: 79})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestSupernodeHistoryDecreases(t *testing.T) {
 func TestRadiusMeasurement(t *testing.T) {
 	g := graph.GNP(500, 0.04, graph.UnitWeight, 83)
 	for _, c := range []struct{ k, t int }{{8, 1}, {8, 2}, {9, 3}} {
-		r, err := General(g, c.k, c.t, Options{Seed: 89, MeasureRadius: true})
+		r, err := GeneralCtx(context.Background(), g, c.k, c.t, Options{Seed: 89, MeasureRadius: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestPropertyValidSpanner(t *testing.T) {
 		g := graph.GNP(120, 0.07, graph.UniformWeight(1, 20), seed)
 		k := 2 + int(seed%5)
 		tt := 1 + int((seed>>8)%3)
-		r, err := General(g, k, tt, Options{Seed: seed ^ 0xabc})
+		r, err := GeneralCtx(context.Background(), g, k, tt, Options{Seed: seed ^ 0xabc})
 		if err != nil {
 			return false
 		}
@@ -366,7 +367,7 @@ func TestPropertyBaswanaSen(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNM(100, 400, graph.UniformWeight(1, 9), seed)
 		k := 2 + int(seed%4)
-		r, err := BaswanaSen(g, k, Options{Seed: seed})
+		r, err := BaswanaSenCtx(context.Background(), g, k, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -383,8 +384,8 @@ func TestGeneralBeatsBSOnIterations(t *testing.T) {
 	// modest stretch cost. Check the iteration counts actually separate.
 	g := graph.GNP(800, 0.03, graph.UnitWeight, 97)
 	k := 16
-	bs, _ := BaswanaSen(g, k, Options{Seed: 101})
-	cm, _ := ClusterMerge(g, k, Options{Seed: 101})
+	bs, _ := BaswanaSenCtx(context.Background(), g, k, Options{Seed: 101})
+	cm, _ := ClusterMergeCtx(context.Background(), g, k, Options{Seed: 101})
 	if cm.Stats.Iterations >= bs.Stats.Iterations {
 		t.Fatalf("cluster-merge used %d iterations, BS07 %d — no speedup",
 			cm.Stats.Iterations, bs.Stats.Iterations)

@@ -58,7 +58,7 @@ func (r *UnweightedResult) Size() int { return len(r.EdgeIDs) }
 // Spanner materializes the spanner subgraph.
 func (r *UnweightedResult) Spanner(g *graph.Graph) *graph.Graph { return g.Subgraph(r.EdgeIDs) }
 
-// Unweighted builds an O(k/γ)-stretch spanner of an unweighted graph with
+// UnweightedCtx builds an O(k/γ)-stretch spanner of an unweighted graph with
 // O(k·n^{1+1/k}) + O(k·n) edges in O((1/γ)(log k + 1/γ)) simulated MPC
 // rounds, following Appendix B (the Parter–Yogev adaptation):
 //
@@ -80,15 +80,11 @@ func (r *UnweightedResult) Spanner(g *graph.Graph) *graph.Graph { return g.Subgr
 // times, while this implementation resolves all dense-dense edges with a
 // single hitting-set level. The stretch and size guarantees are unchanged
 // (DESIGN.md, substitutions table).
-func Unweighted(g *graph.Graph, k int, opt UnweightedOptions) (*UnweightedResult, error) {
-	return UnweightedCtx(context.Background(), g, k, opt)
-}
-
-// UnweightedCtx is Unweighted under a context: ctx is checkpointed between
-// the construction's stages (ball growing, the sparse-side [BS07] run, each
-// dense-side subphase) and inside the embedded engine runs, returning
-// core.Canceled(ctx.Err()) at the first checkpoint after cancellation.
-// Uncanceled runs are bit-identical to Unweighted.
+//
+// ctx is checkpointed between the construction's stages (ball growing, the
+// sparse-side [BS07] run, each dense-side subphase) and inside the embedded
+// engine runs, returning core.Canceled(ctx.Err()) at the first checkpoint
+// after cancellation. Checkpoints never change what is computed.
 func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOptions) (*UnweightedResult, error) {
 	if k < 1 {
 		return nil, &core.OptionError{Field: "spanner: k", Value: k,
@@ -260,7 +256,7 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 			}
 			aux = append(aux, cluster.QEdge{A: zIndex[za], B: zIndex[zb], W: 1, Orig: id})
 		}
-		aux = cluster.MinDedup(aux)
+		aux = cluster.MinDedupWorkers(aux, 1)
 		st.AuxNodes, st.AuxEdges = len(zs), len(aux)
 
 		if len(aux) > 0 {

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +39,7 @@ func TestUnweightedValid(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, k := range []int{2, 3} {
-			r, err := Unweighted(g, k, UnweightedOptions{Seed: 7})
+			r, err := UnweightedCtx(context.Background(), g, k, UnweightedOptions{Seed: 7})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
@@ -56,7 +57,7 @@ func TestUnweightedSparseOnlyMatchesBS(t *testing.T) {
 	// whole of BS07's output then lies in the sparse region, so the stretch
 	// must meet the [BS07] bound 2k-1.
 	g := graph.Cycle(1000, graph.UnitWeight, 11)
-	r, err := Unweighted(g, 2, UnweightedOptions{Seed: 13, Gamma: 0.95})
+	r, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Seed: 13, Gamma: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestUnweightedSparseOnlyMatchesBS(t *testing.T) {
 func TestUnweightedDenseCore(t *testing.T) {
 	// A clique forces dense vertices (balls truncate immediately).
 	g := graph.Complete(120, graph.UnitWeight, 17)
-	r, err := Unweighted(g, 2, UnweightedOptions{Seed: 19, Gamma: 0.5})
+	r, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Seed: 19, Gamma: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,31 +96,31 @@ func TestUnweightedDenseCore(t *testing.T) {
 
 func TestUnweightedRejectsWeighted(t *testing.T) {
 	g := graph.GNP(50, 0.1, graph.UniformWeight(1, 5), 23)
-	if _, err := Unweighted(g, 2, UnweightedOptions{}); err == nil {
+	if _, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{}); err == nil {
 		t.Fatal("weighted graph accepted")
 	}
 }
 
 func TestUnweightedValidatesParams(t *testing.T) {
 	g := graph.Cycle(10, graph.UnitWeight, 1)
-	if _, err := Unweighted(g, 0, UnweightedOptions{}); err == nil {
+	if _, err := UnweightedCtx(context.Background(), g, 0, UnweightedOptions{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Unweighted(g, 2, UnweightedOptions{Gamma: 1.5}); err == nil {
+	if _, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Gamma: 1.5}); err == nil {
 		t.Fatal("gamma=1.5 accepted")
 	}
-	if _, err := Unweighted(g, 2, UnweightedOptions{Gamma: -0.1}); err == nil {
+	if _, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Gamma: -0.1}); err == nil {
 		t.Fatal("negative gamma accepted")
 	}
 }
 
 func TestUnweightedDeterministic(t *testing.T) {
 	g := graph.GNP(200, 0.06, graph.UnitWeight, 29)
-	a, err := Unweighted(g, 3, UnweightedOptions{Seed: 31})
+	a, err := UnweightedCtx(context.Background(), g, 3, UnweightedOptions{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Unweighted(g, 3, UnweightedOptions{Seed: 31})
+	b, err := UnweightedCtx(context.Background(), g, 3, UnweightedOptions{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,11 @@ func TestUnweightedGammaTradeoff(t *testing.T) {
 	// Smaller gamma -> smaller ball cap -> more sparse... no: smaller cap
 	// means balls truncate earlier, so MORE dense vertices. Check direction.
 	g := graph.GNP(400, 0.05, graph.UnitWeight, 37)
-	lo, err := Unweighted(g, 2, UnweightedOptions{Seed: 41, Gamma: 0.2})
+	lo, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Seed: 41, Gamma: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Unweighted(g, 2, UnweightedOptions{Seed: 41, Gamma: 0.9})
+	hi, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Seed: 41, Gamma: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRoundsUnweightedFormula(t *testing.T) {
 func TestUnweightedProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNM(120, 500, graph.UnitWeight, seed)
-		r, err := Unweighted(g, 2, UnweightedOptions{Seed: seed})
+		r, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -191,7 +192,7 @@ func TestUnweightedProperty(t *testing.T) {
 
 func TestUnweightedEmptyGraph(t *testing.T) {
 	g := graph.MustNew(0, nil)
-	r, err := Unweighted(g, 2, UnweightedOptions{Seed: 1})
+	r, err := UnweightedCtx(context.Background(), g, 2, UnweightedOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

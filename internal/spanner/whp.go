@@ -45,21 +45,18 @@ type whpConfig struct {
 	c1, c2 float64
 }
 
-// GeneralWHP runs the general algorithm with the Congested Clique
+// GeneralWHPCtx runs the general algorithm with the Congested Clique
 // high-probability mechanism of Theorem 8.1: every grow iteration simulates
 // `runs` independent sampling processes (runs ≤ the word size O(log n), so
 // their outcomes travel in a single broadcast word), commits the first run
 // satisfying the two-event criterion, and thereby guarantees the
 // O(n^{1+1/k}(t+log k)) size bound with high probability rather than in
 // expectation. runs ≤ 0 selects ⌈log₂ n⌉ + 1.
-func GeneralWHP(g *graph.Graph, k, t, runs int, opt Options) (*Result, *WHPStats, error) {
-	return GeneralWHPCtx(context.Background(), g, k, t, runs, opt)
-}
-
-// GeneralWHPCtx is GeneralWHP under a context: ctx is checkpointed once per
-// grow iteration (before the parallel sampling runs are planned) and the
-// function returns core.Canceled(ctx.Err()) at the first checkpoint after
-// cancellation. Uncanceled runs are bit-identical to GeneralWHP.
+//
+// ctx is checkpointed once per grow iteration (before the parallel sampling
+// runs are planned) and the function returns core.Canceled(ctx.Err()) at the
+// first checkpoint after cancellation. Checkpoints never change what is
+// computed.
 func GeneralWHPCtx(ctx context.Context, g *graph.Graph, k, t, runs int, opt Options) (*Result, *WHPStats, error) {
 	if err := validateKT(k, t); err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"context"
 	"testing"
 
 	"mpcspanner/internal/graph"
@@ -8,7 +9,7 @@ import (
 
 func TestGeneralWHPValidSpanner(t *testing.T) {
 	g := graph.GNP(400, 0.05, graph.UniformWeight(1, 30), 1)
-	res, whp, err := GeneralWHP(g, 8, 2, 0, Options{Seed: 3})
+	res, whp, err := GeneralWHPCtx(context.Background(), g, 8, 2, 0, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestGeneralWHPMostIterationsGood(t *testing.T) {
 	// On benign random inputs the two-event criterion should settle almost
 	// every iteration without the fallback.
 	g := graph.GNP(600, 0.04, graph.UnitWeight, 5)
-	_, whp, err := GeneralWHP(g, 16, 2, 0, Options{Seed: 7})
+	_, whp, err := GeneralWHPCtx(context.Background(), g, 16, 2, 0, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestGeneralWHPMostIterationsGood(t *testing.T) {
 
 func TestGeneralWHPDeterministic(t *testing.T) {
 	g := graph.GNP(300, 0.05, graph.UniformWeight(1, 5), 9)
-	a, _, err := GeneralWHP(g, 8, 2, 6, Options{Seed: 11})
+	a, _, err := GeneralWHPCtx(context.Background(), g, 8, 2, 6, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := GeneralWHP(g, 8, 2, 6, Options{Seed: 11})
+	b, _, err := GeneralWHPCtx(context.Background(), g, 8, 2, 6, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestGeneralWHPSingleRunFallback(t *testing.T) {
 	// runs=1 degenerates to "commit whatever the single run did" — still a
 	// valid spanner, possibly flagged not-good.
 	g := graph.GNP(200, 0.06, graph.UnitWeight, 13)
-	res, whp, err := GeneralWHP(g, 4, 1, 1, Options{Seed: 15})
+	res, whp, err := GeneralWHPCtx(context.Background(), g, 4, 1, 1, Options{Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +86,17 @@ func TestGeneralWHPSingleRunFallback(t *testing.T) {
 
 func TestGeneralWHPValidates(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, _, err := GeneralWHP(g, 0, 1, 4, Options{}); err == nil {
+	if _, _, err := GeneralWHPCtx(context.Background(), g, 0, 1, 4, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := GeneralWHP(g, 2, 0, 4, Options{}); err == nil {
+	if _, _, err := GeneralWHPCtx(context.Background(), g, 2, 0, 4, Options{}); err == nil {
 		t.Fatal("t=0 accepted")
 	}
 }
 
 func TestGeneralWHPEmptyGraph(t *testing.T) {
 	g := graph.MustNew(5, nil)
-	res, whp, err := GeneralWHP(g, 4, 2, 0, Options{Seed: 1})
+	res, whp, err := GeneralWHPCtx(context.Background(), g, 4, 2, 0, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 		s := &Session{input: ag, served: ag, fp: cfg.art.Fingerprint(), art: cfg.art}
 		oopts := oracle.Options{
 			Shards: cfg.shards, MaxRows: cfg.maxRows, Workers: cfg.workers,
-			Metrics: cfg.metrics, SSSP: cfg.sssp, Delta: cfg.delta,
+			Metrics: cfg.metrics,
 		}
 		if rows := artifact.RowsOf(cfg.art); rows != nil {
 			s.frozen = rows
@@ -107,8 +107,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 		res, err := apsp.ApproxCtx(ctx, g, apsp.Options{
 			Seed: cfg.seed, T: cfg.t, Gamma: cfg.gamma,
 			Workers: cfg.workers, Progress: traceProgress(cfg.tracer, cfg.progress),
-			Metrics: cfg.metrics, SSSP: cfg.sssp, Delta: cfg.delta,
-			MemoryBudget: cfg.memBudget,
+			Metrics: cfg.metrics, MemoryBudget: cfg.memBudget,
 		})
 		if err != nil {
 			return nil, err
@@ -127,7 +126,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 	}
 	s.oracle = oracle.New(s.served, oracle.Options{
 		Shards: cfg.shards, MaxRows: cfg.maxRows, Workers: cfg.workers,
-		Metrics: cfg.metrics, SSSP: cfg.sssp, Delta: cfg.delta,
+		Metrics: cfg.metrics,
 	})
 	return s, nil
 }
@@ -165,22 +164,21 @@ func (s *Session) Stats() OracleStats { return s.oracle.Stats() }
 // load it admits can never thrash the cache it depends on — see cmd/oracled.
 func (s *Session) CacheRows() int { return s.oracle.MaxRows() }
 
-// SSSPInfo reports a session's resolved row-fill engine — what actually
-// answers cold queries after SSSPAuto resolution, so fleet operators can
-// confirm replicas agree (oracled advertises it on /v1/info).
+// SSSPInfo reports the row-fill engine behind a session's cold queries, so
+// fleet operators can confirm replicas agree (oracled advertises it on
+// /v1/info).
 type SSSPInfo struct {
-	// Engine is the resolved engine name: "heap" or "delta-stepping"
-	// (never "auto" — resolution happens at session creation).
+	// Engine is the engine name: always "delta-stepping".
 	Engine string
-	// Delta is the effective bucket width; 0 when Engine is "heap".
+	// Delta is the auto-tuned bucket width (average edge weight / average
+	// degree of the served graph).
 	Delta float64
 }
 
-// SSSP reports the engine behind the session's row fills after WithSSSP /
-// WithDelta defaulting and auto-resolution.
+// SSSP reports the engine and bucket width behind the session's row fills.
 func (s *Session) SSSP() SSSPInfo {
 	e, d := s.oracle.SSSP()
-	return SSSPInfo{Engine: e.String(), Delta: d}
+	return SSSPInfo{Engine: e, Delta: d}
 }
 
 // Served returns the graph queries are answered on: the collected spanner,
