@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/par"
@@ -94,110 +93,44 @@ func FromGraph(g *graph.Graph) []QEdge {
 	return out
 }
 
-// MinDedupWorkers keeps, for every unordered supernode pair, only the
-// minimum-weight edge (ties broken by original edge id, for determinism).
-// This is Step C's "keep the minimum weight edge between u and v" rule; the
-// discarded parallels are spanned through the kept representative. Input
-// order is not preserved; the result is sorted by (min endpoint, max
-// endpoint). The endpoint normalization and the sort run on a worker pool
-// (par.SortStable); the comparison key (A, B, W, Orig) is a total order on
-// any edge list with distinct Orig ids, so the output is bit-identical at
-// every worker count.
-func MinDedupWorkers(edges []QEdge, workers int) []QEdge {
-	return minDedup(edges, workers, nil, nil)
-}
-
-// KeyWidths returns the bit widths a (vertex, vertex, weight-rank) composite
-// key needs for an n-vertex, m-edge instance — vBits per vertex field, rBits
-// for the WeightRanks rank — and whether the composite fits one uint64. Both
-// the MPC driver's tuple encodings and the engine's dedup key derive their
-// layouts here, so the two planes can never drift apart.
-func KeyWidths(n, m int) (vBits, rBits uint, ok bool) {
-	if n < 2 || m < 1 {
-		return 0, 0, false
-	}
-	vBits = uint(bits.Len(uint(n - 1)))
-	rBits = uint(bits.Len(uint(m - 1)))
-	if rBits == 0 { // m == 1: rank is always 0, give it one real bit
-		rBits = 1
-	}
-	return vBits, rBits, 2*vBits+rBits <= 64
-}
-
-// MinDedupKeys is MinDedupWorkers with the (A, B, W, Orig) comparator
-// replaced by a caller-supplied order-preserving uint64 key over the
-// endpoint-normalized edge (A ≤ B when key is evaluated): the sort becomes
-// one par radix shuffle instead of a comparison merge sort. key must encode
-// the same total order the comparator defines — (A, B, weight-rank)
-// composites built on WeightRanks and laid out per KeyWidths do (see the
-// spanner engine) — or the dedup picks different representatives. key is
-// invoked concurrently and must be pure. rs, when non-nil, is the retained
+// MinDedup keeps, for every unordered supernode pair, only the edge least
+// by (weight, original edge id). This is Step C's "keep the minimum weight
+// edge between u and v" rule; the discarded parallels are spanned through
+// the kept representative. Input order is not preserved: the result holds
+// one endpoint-normalized edge (A ≤ B) per pair, sorted by (A, B).
+//
+// The sort keys each edge by its normalized endpoint pair alone, one stable
+// radix shuffle on a worker pool (the sorter skips the key bytes no edge
+// sets), and the (weight, id) minimum of each pair is taken in the scan
+// that reads the pair's run. Pairs and minima are unique, so the output is
+// bit-identical at every worker count. rs, when non-nil, is the retained
 // radix scratch to sort with (callers deduping once per epoch keep one);
 // nil uses a throwaway.
-func MinDedupKeys(edges []QEdge, workers int, key func(*QEdge) uint64, rs *par.RadixSorter) []QEdge {
-	if rs == nil {
-		rs = new(par.RadixSorter)
-	}
-	return minDedup(edges, workers, key, rs)
-}
-
-func minDedup(edges []QEdge, workers int, key func(*QEdge) uint64, rs *par.RadixSorter) []QEdge {
+func MinDedup(edges []QEdge, workers int, rs *par.RadixSorter) []QEdge {
 	if len(edges) == 0 {
 		return edges
 	}
-	w := par.Workers(workers)
-	norm := make([]QEdge, len(edges))
-	par.For(w, len(edges), func(i int) {
-		e := edges[i]
-		if e.A > e.B {
-			e.A, e.B = e.B, e.A
-		}
-		norm[i] = e
-	})
-	if key == nil {
-		par.SortStable(w, norm, func(a, b *QEdge) bool {
-			if a.A != b.A {
-				return a.A < b.A
-			}
-			if a.B != b.B {
-				return a.B < b.B
-			}
-			if a.W != b.W {
-				return a.W < b.W
-			}
-			return a.Orig < b.Orig
-		})
-	} else {
-		idx := rs.SortIndexByKey(w, len(norm), func(i int) uint64 { return key(&norm[i]) })
-		sorted := make([]QEdge, len(norm))
-		par.For(w, len(norm), func(i int) { sorted[i] = norm[idx[i]] })
-		norm = sorted
+	if rs == nil {
+		rs = new(par.RadixSorter)
 	}
-	out := norm[:0]
-	for i, e := range norm {
-		if i > 0 && e.A == norm[i-1].A && e.B == norm[i-1].B {
+	w := par.Workers(workers)
+	idx := rs.SortIndexByKey(w, len(edges), func(i int) uint64 {
+		a, b := edges[i].A, edges[i].B
+		return uint64(min(a, b))<<32 | uint64(max(a, b))
+	})
+	out := make([]QEdge, 0, len(edges))
+	for _, i := range idx {
+		e := edges[i]
+		e.A, e.B = min(e.A, e.B), max(e.A, e.B)
+		if last := len(out) - 1; last >= 0 && out[last].A == e.A && out[last].B == e.B {
+			if e.W < out[last].W || e.W == out[last].W && e.Orig < out[last].Orig {
+				out[last] = e
+			}
 			continue
 		}
 		out = append(out, e)
 	}
 	return out
-}
-
-// WeightRanks returns, for every edge id of g, its rank under the
-// (weight, id) lexicographic order — the order-preserving surrogate that
-// lets a single uint64 carry a (vertex, vertex, weight, id) comparator:
-// rank[i] < rank[j] ⇔ (W_i, i) < (W_j, j). Ranks are dense in [0, M), so
-// they fit ⌈log₂ M⌉ key bits where the raw (weight, id) pair needed 96.
-// Computed with one radix shuffle over the Float64Key-mapped weights
-// (stable, so equal weights rank by id); deterministic at every worker
-// count.
-func WeightRanks(g *graph.Graph, workers int) []uint32 {
-	m := g.M()
-	w := par.Workers(workers)
-	idx := par.SortIndexByKey(w, m, func(i int) uint64 { return par.Float64Key(g.Edge(i).W) })
-	rank := make([]uint32, m)
-	par.For(w, m, func(r int) { rank[idx[r]] = uint32(r) })
-	return rank
 }
 
 // TreeStats measures the rooted cluster trees formed by the merge edges. The

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/par"
 	"mpcspanner/internal/xrand"
 )
 
@@ -91,7 +94,7 @@ func TestMinDedup(t *testing.T) {
 		{A: 0, B: 1, W: 3, Orig: 2}, // tie: keep smaller orig id
 		{A: 2, B: 1, W: 1, Orig: 3},
 	}
-	out := MinDedupWorkers(in, 1)
+	out := MinDedup(in, 1, nil)
 	if len(out) != 2 {
 		t.Fatalf("dedup kept %d edges", len(out))
 	}
@@ -104,7 +107,7 @@ func TestMinDedup(t *testing.T) {
 }
 
 func TestMinDedupEmpty(t *testing.T) {
-	if out := MinDedupWorkers(nil, 1); len(out) != 0 {
+	if out := MinDedup(nil, 1, nil); len(out) != 0 {
 		t.Fatal("empty input should stay empty")
 	}
 }
@@ -120,7 +123,7 @@ func TestMinDedupProperty(t *testing.T) {
 			}
 			in = append(in, QEdge{A: a, B: b, W: float64(1 + r.Intn(5)), Orig: i})
 		}
-		out := MinDedupWorkers(in, 1)
+		out := MinDedup(in, 1, nil)
 		// 1) one edge per unordered pair; 2) it has the minimum weight.
 		min := map[[2]int]float64{}
 		for _, e := range in {
@@ -185,7 +188,13 @@ func TestMeasureTreesMultipleRoots(t *testing.T) {
 	}
 }
 
+// TestMinDedupWorkersMatchesSerial pins MinDedup against the comparator
+// definition of Step C — sort the normalized edges by (A, B, W, Orig), keep
+// each pair's first — at every worker count, with a retained sorter reused
+// across calls. Edge ids run against input order and weights tie heavily,
+// so the (W, Orig) minimum is rarely a pair's first edge in input order.
 func TestMinDedupWorkersMatchesSerial(t *testing.T) {
+	var rs par.RadixSorter
 	f := func(seed uint64) bool {
 		src := xrand.New(seed)
 		n := src.Intn(4000) + 10
@@ -195,19 +204,36 @@ func TestMinDedupWorkersMatchesSerial(t *testing.T) {
 				A:    src.Intn(40),
 				B:    src.Intn(40),
 				W:    float64(src.Intn(5)),
-				Orig: i,
+				Orig: n - 1 - i,
 			}
 		}
-		serial := MinDedupWorkers(append([]QEdge(nil), edges...), 1)
-		for _, w := range []int{2, 4, 8} {
-			par := MinDedupWorkers(append([]QEdge(nil), edges...), w)
-			if len(par) != len(serial) {
-				return false
+		norm := make([]QEdge, n)
+		for i, e := range edges {
+			norm[i] = QEdge{A: min(e.A, e.B), B: max(e.A, e.B), W: e.W, Orig: e.Orig}
+		}
+		sort.SliceStable(norm, func(i, j int) bool {
+			a, b := norm[i], norm[j]
+			if a.A != b.A {
+				return a.A < b.A
 			}
-			for i := range par {
-				if par[i] != serial[i] {
-					return false
-				}
+			if a.B != b.B {
+				return a.B < b.B
+			}
+			if a.W != b.W {
+				return a.W < b.W
+			}
+			return a.Orig < b.Orig
+		})
+		var want []QEdge
+		for i, e := range norm {
+			if i == 0 || e.A != norm[i-1].A || e.B != norm[i-1].B {
+				want = append(want, e)
+			}
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			got := MinDedup(append([]QEdge(nil), edges...), w, &rs)
+			if !reflect.DeepEqual(got, want) {
+				return false
 			}
 		}
 		return true

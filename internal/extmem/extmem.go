@@ -6,12 +6,12 @@
 // store retains, so steady-state key sorts, filters and segment walks
 // allocate nothing; past it, contents live in CRC-32C-checksummed run files
 // (run.go) and the streaming forms of each operation take over — chunked
-// stable sorts plus k-way external merges for Sort, frame-at-a-time
+// stable key sorts plus k-way external merges for SortKey, frame-at-a-time
 // rewrites for Update/Filter, carry-buffered batching for segment walks.
 //
 // The determinism contract every layer above relies on: a stable sort has
 // exactly one output permutation, so sorting chunks stably (with the same
-// par primitives the resident path uses) and merging them with a stable,
+// radix sort the resident path uses) and merging them with a stable,
 // lower-run-first merge reproduces the resident order bit for bit, at every
 // worker count and every budget.
 package extmem

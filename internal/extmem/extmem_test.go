@@ -157,9 +157,8 @@ func TestSortMatchesResident(t *testing.T) {
 	// The 16-byte test record gives chunkRecs = budget/48 (at least 1024).
 	// wide: 64 KiB cuts 9000 records into 7 chunk runs, and all 7 fit one
 	// pass's fan-in. narrow: 32 KiB cuts them into 9 runs of 1024, but
-	// even at minFrameRecs the frames of only 6 (keyed) or 7 (comparator)
-	// inputs fit, so the merge takes two passes. tiny: a 1-byte budget
-	// merges pairwise.
+	// even at minFrameRecs the frames of only 6 inputs fit, so the merge
+	// takes two passes. tiny: a 1-byte budget merges pairwise.
 	stores := []struct {
 		name   string
 		budget int64
@@ -182,33 +181,25 @@ func TestSortMatchesResident(t *testing.T) {
 		want := append([]rec(nil), in.data...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].K < want[j].K })
 		for _, workers := range []int{1, 3, 0} {
-			for _, byKey := range []bool{true, false} {
-				for _, st := range stores {
-					name := fmt.Sprintf("%s/workers=%d/byKey=%v/%s", in.name, workers, byKey, st.name)
-					s := budgetStore(t, st.budget, workers) // 0: unlimited, never spills
-					loadStore(t, s, in.data)
-					before := s.Stats().MergePasses
-					var err error
-					if byKey {
-						err = s.SortKey(func(r *rec) uint64 { return r.K })
-					} else {
-						err = s.SortLess(func(a, b *rec) bool { return a.K < b.K })
+			for _, st := range stores {
+				name := fmt.Sprintf("%s/workers=%d/%s", in.name, workers, st.name)
+				s := budgetStore(t, st.budget, workers) // 0: unlimited, never spills
+				loadStore(t, s, in.data)
+				before := s.Stats().MergePasses
+				if err := s.SortKey(func(r *rec) uint64 { return r.K }); err != nil {
+					t.Fatalf("%s: sort: %v", name, err)
+				}
+				got := dump(t, s)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], want[i])
 					}
-					if err != nil {
-						t.Fatalf("%s: sort: %v", name, err)
-					}
-					got := dump(t, s)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], want[i])
-						}
-					}
-					if p := s.Stats().MergePasses - before; !st.passes(p) {
-						t.Fatalf("%s: sort ran %d merge passes, want %s", name, p, st.want)
-					}
-					if st.budget > 0 {
-						checkRunDir(t, s)
-					}
+				}
+				if p := s.Stats().MergePasses - before; !st.passes(p) {
+					t.Fatalf("%s: sort ran %d merge passes, want %s", name, p, st.want)
+				}
+				if st.budget > 0 {
+					checkRunDir(t, s)
 				}
 			}
 		}
@@ -224,40 +215,32 @@ func TestMergeStaysInBudget(t *testing.T) {
 	data := genRecs(60_000, 13)
 	want := append([]rec(nil), data...)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].K < want[j].K })
-	for _, byKey := range []bool{true, false} {
-		s := budgetStore(t, budget, 0)
-		loadStore(t, s, data)
-		var err error
-		if byKey {
-			err = s.SortKey(func(r *rec) uint64 { return r.K })
-		} else {
-			err = s.SortLess(func(a, b *rec) bool { return a.K < b.K })
-		}
-		if err != nil {
-			t.Fatalf("byKey=%v: sort: %v", byKey, err)
-		}
-		got := dump(t, s)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("byKey=%v: record %d = %+v, want %+v", byKey, i, got[i], want[i])
-			}
-		}
-		st := s.Stats()
-		if st.MergePasses != 1 {
-			t.Errorf("byKey=%v: %d merge passes over 11 chunk runs, want 1", byKey, st.MergePasses)
-		}
-		if st.ResidentPeakBytes > budget {
-			t.Errorf("byKey=%v: resident peak %d B exceeds the %d B budget", byKey, st.ResidentPeakBytes, budget)
-		}
-		// A chunk and its sort scratch fill under 70% of the budget; the
-		// merge's frames fill nearly all of it, so a peak above the chunk's
-		// shows they were counted.
-		if chunk := 2 * s.recBytes(s.chunkRecs); st.ResidentPeakBytes <= chunk {
-			t.Errorf("byKey=%v: resident peak %d B is no more than a chunk's %d B: merge frames uncounted",
-				byKey, st.ResidentPeakBytes, chunk)
-		}
-		checkRunDir(t, s)
+	s := budgetStore(t, budget, 0)
+	loadStore(t, s, data)
+	if err := s.SortKey(func(r *rec) uint64 { return r.K }); err != nil {
+		t.Fatalf("sort: %v", err)
 	}
+	got := dump(t, s)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	st := s.Stats()
+	if st.MergePasses != 1 {
+		t.Errorf("%d merge passes over 11 chunk runs, want 1", st.MergePasses)
+	}
+	if st.ResidentPeakBytes > budget {
+		t.Errorf("resident peak %d B exceeds the %d B budget", st.ResidentPeakBytes, budget)
+	}
+	// A chunk and its sort scratch fill under 70% of the budget; the merge's
+	// frames fill nearly all of it, so a peak above the chunk's shows they
+	// were counted.
+	if chunk := 2 * s.recBytes(s.chunkRecs); st.ResidentPeakBytes <= chunk {
+		t.Errorf("resident peak %d B is no more than a chunk's %d B: merge frames uncounted",
+			st.ResidentPeakBytes, chunk)
+	}
+	checkRunDir(t, s)
 }
 
 func TestUpdateFilterMatchResident(t *testing.T) {
@@ -457,7 +440,6 @@ func TestCorruptRunFailsCleanly(t *testing.T) {
 			return s.FilterSegments(same, func(_ []rec, keep []bool) { keep[0] = true })
 		}},
 		{"SortKey", func(s *Store[rec]) error { return s.SortKey(func(r *rec) uint64 { return r.K }) }},
-		{"SortLess", func(s *Store[rec]) error { return s.SortLess(func(a, b *rec) bool { return a.K < b.K }) }},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {

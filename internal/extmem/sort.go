@@ -1,11 +1,10 @@
 package extmem
 
-// External sorting. Resident contents sort in memory (par.RadixSorter for
-// key sorts, par.SortStableBuf for comparator sorts). Spilled contents sort
-// in two phases:
+// External sorting by a uint64 key. Resident contents sort in memory with
+// par.RadixSorter. Spilled contents sort in two phases:
 //
 //  1. chunking — stream the contents into budget-sized chunks, sort each
-//     chunk in memory with those same primitives, write each back as a
+//     chunk in memory with that same radix sort, write each back as a
 //     sorted run;
 //  2. merging — k-way merge adjacent runs, as many at once as the budget
 //     has frames for, until one run remains. At practical budgets that is
@@ -32,17 +31,7 @@ func (s *Store[T]) SortKey(key func(*T) uint64) error {
 		s.mem, s.sortBuf = s.sortMemKey(s.mem, key), s.mem
 		return nil
 	}
-	return s.externalSort(key, nil)
-}
-
-// SortLess stably sorts the contents by less, exactly matching the
-// resident parallel merge sort's output order.
-func (s *Store[T]) SortLess(less func(a, b *T) bool) error {
-	if len(s.runs) == 0 {
-		s.sortMemLess(s.mem, less)
-		return nil
-	}
-	return s.externalSort(nil, less)
+	return s.externalSort(key)
 }
 
 // sortMemKey is the in-memory key sort: extract radix keys, stable radix
@@ -77,11 +66,6 @@ func (s *Store[T]) sortMemKey(data []T, key func(*T) uint64) []T {
 	return buf
 }
 
-// sortMemLess is the resident comparator sort.
-func (s *Store[T]) sortMemLess(data []T, less func(a, b *T) bool) {
-	par.SortStableBuf(s.workers, data, s.growBuf(len(data)), less)
-}
-
 func (s *Store[T]) growBuf(n int) []T {
 	if cap(s.sortBuf) < n {
 		s.sortBuf = make([]T, n)
@@ -104,15 +88,14 @@ func (s *Store[T]) growSlab(n int) []byte {
 }
 
 // externalSort rewrites the spilled contents as sorted chunk runs, then
-// merges them until one run holds everything. Exactly one of key and less
-// is non-nil.
-func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) error {
-	if err := s.sortChunks(key, less); err != nil {
+// merges them until one run holds everything.
+func (s *Store[T]) externalSort(key func(*T) uint64) error {
+	if err := s.sortChunks(key); err != nil {
 		return err
 	}
 	for len(s.runs) > 1 {
 		s.noteMergePass()
-		fanIn, frame := s.mergeShape(len(s.runs), key != nil)
+		fanIn, frame := s.mergeShape(len(s.runs))
 		next := make([]*runFile, 0, (len(s.runs)+fanIn-1)/fanIn)
 		for i := 0; i < len(s.runs); i += fanIn {
 			group := s.runs[i:min(i+fanIn, len(s.runs))]
@@ -120,7 +103,7 @@ func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) er
 				next = append(next, group[0])
 				continue
 			}
-			m, err := s.mergeRuns(group, frame, key, less)
+			m, err := s.mergeRuns(group, frame, key)
 			if err != nil {
 				// The failed group's inputs are intact, so the store still
 				// holds every record.
@@ -141,7 +124,7 @@ func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) er
 // (the resident buffer, empty while spilled), sorts every full chunk in
 // memory and writes it back as one sorted run. The old runs are removed
 // once every sorted run has committed.
-func (s *Store[T]) sortChunks(key func(*T) uint64, less func(a, b *T) bool) error {
+func (s *Store[T]) sortChunks(key func(*T) uint64) error {
 	chunk := s.mem[:0]
 	if cap(chunk) < s.chunkRecs {
 		chunk = make([]T, 0, s.chunkRecs)
@@ -154,14 +137,10 @@ func (s *Store[T]) sortChunks(key func(*T) uint64, less func(a, b *T) bool) erro
 		if len(chunk) == 0 {
 			return nil
 		}
-		if key != nil {
-			// chunk is the resident buffer's array, so the sorted copy
-			// comes back by copy: a swap would leave the resident and sort
-			// buffers sharing one array.
-			copy(chunk, s.sortMemKey(chunk, key))
-		} else {
-			s.sortMemLess(chunk, less)
-		}
+		// chunk is the resident buffer's array, so the sorted copy comes
+		// back by copy: a swap would leave the resident and sort buffers
+		// sharing one array.
+		copy(chunk, s.sortMemKey(chunk, key))
 		s.noteResident(2 * s.recBytes(len(chunk))) // chunk + sort scratch
 		w, err := s.newRunWriter(wslab)
 		if err != nil {
@@ -210,14 +189,11 @@ func (s *Store[T]) sortChunks(key func(*T) uint64, less func(a, b *T) bool) erro
 
 // mergeShape sizes one merge pass over runs sorted runs: the widest fan-in
 // whose input frames plus the output frame fit the budget, never below 2.
-// An input frame holds decoded records, their raw bytes and, for key sorts,
-// cached keys; the output frame is raw bytes only. Frames shrink toward
+// An input frame holds decoded records, their raw bytes and their cached
+// keys; the output frame is raw bytes only. Frames shrink toward
 // minFrameRecs before the fan-in is cut, and never grow past frameRecs.
-func (s *Store[T]) mergeShape(runs int, keyed bool) (fanIn, frame int) {
-	in, out := int64(2*s.codec.Size), int64(s.codec.Size)
-	if keyed {
-		in += 8
-	}
+func (s *Store[T]) mergeShape(runs int) (fanIn, frame int) {
+	in, out := int64(2*s.codec.Size+8), int64(s.codec.Size)
 	if f := s.budget / (int64(runs)*in + out); f >= minFrameRecs {
 		return runs, int(min(f, int64(s.frameRecs)))
 	}
@@ -225,7 +201,7 @@ func (s *Store[T]) mergeShape(runs int, keyed bool) (fanIn, frame int) {
 }
 
 // mergeIn is one input run of a k-way merge: its reader and its frame of
-// decoded records (plus cached keys for key sorts), consumed from pos.
+// decoded records and their cached keys, consumed from pos.
 type mergeIn[T any] struct {
 	r      *runReader[T]
 	recs   []T
@@ -236,23 +212,16 @@ type mergeIn[T any] struct {
 // mergeRuns merges the adjacent sorted runs ins into one new run, each
 // input streaming through a frame of the given record count. The frames
 // live in the store's retained sort buffers. A loser tree picks the next
-// record by (key, run index) — (less, run index) for comparator sorts — so
-// equal records leave in run order and the merge is stable. Key sorts call
-// key once per record, as its frame fills. The inputs are left in place for
-// the caller to remove once the merged run has committed.
-func (s *Store[T]) mergeRuns(ins []*runFile, frame int, key func(*T) uint64, less func(a, b *T) bool) (*runFile, error) {
+// record by (key, run index), so equal keys leave in run order and the
+// merge is stable. key runs once per record, as its frame fills. The inputs
+// are left in place for the caller to remove once the merged run has
+// committed.
+func (s *Store[T]) mergeRuns(ins []*runFile, frame int, key func(*T) uint64) (*runFile, error) {
 	k, size := len(ins), frame*s.codec.Size
 	recs := s.growBuf(k * frame)
-	var keys []uint64
-	if key != nil {
-		keys = s.growKeys(k * frame)
-	}
+	keys := s.growKeys(k * frame)
 	slab := s.growSlab((k + 1) * size)
-	bytes := s.recBytes(2*k*frame) + int64(size)
-	if key != nil {
-		bytes += int64(8 * k * frame)
-	}
-	s.noteResident(bytes)
+	s.noteResident(s.recBytes(2*k*frame) + int64(size) + int64(8*k*frame))
 
 	in := make([]mergeIn[T], k)
 	defer func() {
@@ -269,10 +238,8 @@ func (s *Store[T]) mergeRuns(ins []*runFile, frame int, key func(*T) uint64, les
 			return err
 		}
 		x.pos, x.n = 0, n
-		if key != nil {
-			for j := range n {
-				x.keys[j] = key(&x.recs[j])
-			}
+		for j := range n {
+			x.keys[j] = key(&x.recs[j])
 		}
 		return nil
 	}
@@ -281,10 +248,7 @@ func (s *Store[T]) mergeRuns(ins []*runFile, frame int, key func(*T) uint64, les
 		if err != nil {
 			return nil, err
 		}
-		in[i] = mergeIn[T]{r: r, recs: recs[i*frame : (i+1)*frame]}
-		if key != nil {
-			in[i].keys = keys[i*frame : (i+1)*frame]
-		}
+		in[i] = mergeIn[T]{r: r, recs: recs[i*frame : (i+1)*frame], keys: keys[i*frame : (i+1)*frame]}
 		if err := refill(i); err != nil {
 			return nil, err
 		}
@@ -300,16 +264,10 @@ func (s *Store[T]) mergeRuns(ins []*runFile, frame int, key func(*T) uint64, les
 		if x.pos == x.n {
 			return false
 		}
-		if key != nil {
-			if a < b {
-				return x.keys[x.pos] <= y.keys[y.pos]
-			}
-			return x.keys[x.pos] < y.keys[y.pos]
-		}
 		if a < b {
-			return !less(&y.recs[y.pos], &x.recs[x.pos])
+			return x.keys[x.pos] <= y.keys[y.pos]
 		}
-		return less(&x.recs[x.pos], &y.recs[y.pos])
+		return x.keys[x.pos] < y.keys[y.pos]
 	}
 	// tree[1:k] holds the loser of each internal match (leaf i sits at
 	// position k+i) and tree[0] the overall winner.

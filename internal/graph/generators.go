@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mpcspanner/internal/xrand"
 )
@@ -230,13 +231,17 @@ func PreferentialAttachment(n, d int, w WeightFn, seed uint64) *Graph {
 			targets = append(targets, u, v)
 		}
 	}
+	// Each vertex's d distinct targets attach in the order they were first
+	// drawn, so edge order and weight draws are a pure function of seed.
+	chosen := make([]int, 0, d)
 	for v := d + 1; v < n; v++ {
-		chosen := make(map[int]struct{}, d)
+		chosen = chosen[:0]
 		for len(chosen) < d {
-			t := targets[r.Intn(len(targets))]
-			chosen[t] = struct{}{}
+			if t := targets[r.Intn(len(targets))]; !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
+			}
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			b.AddEdge(t, v, w(r))
 			targets = append(targets, t, v)
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,13 @@ func TestPreferentialAttachment(t *testing.T) {
 	// Small n degenerates to a clique.
 	if g := PreferentialAttachment(3, 3, UnitWeight, 5); g.M() != 3 {
 		t.Fatalf("small PA should be K3, got %d edges", g.M())
+	}
+	// Deterministic under seed: edge order, endpoints and the weight drawn
+	// for each edge all repeat.
+	a := PreferentialAttachment(500, 4, ExpWeight(3), 11)
+	b := PreferentialAttachment(500, 4, ExpWeight(3), 11)
+	if !reflect.DeepEqual(a.Edges(), b.Edges()) {
+		t.Fatal("PA edges differ between two builds with one seed")
 	}
 }
 

@@ -32,7 +32,7 @@ func BenchmarkSimSortByKey(b *testing.B) {
 	if err := sim.Load(tuples); err != nil {
 		b.Fatal(err)
 	}
-	enc := newKeyEncoding(g, 1)
+	enc := newKeyEncoding(g.N())
 	if err := sim.SortByKey(enc.group); err != nil { // size the arena
 		b.Fatal(err)
 	}

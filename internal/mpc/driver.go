@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
-	"mpcspanner/internal/cluster"
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
@@ -19,49 +19,40 @@ import (
 // none marks a dead label.
 const none = int32(-1)
 
-// keyEncoding turns the driver's three tuple comparators into single
-// order-preserving uint64 keys, so every global sort runs as one radix
-// shuffle (Sim.SortByKey) instead of a comparison merge sort. Labels are
-// original-vertex ids (< n) and the (W, Orig) suffix every comparator ends
-// with collapses to the edge's dense weight rank (< m, see
-// cluster.WeightRanks), so a key needs 2·⌈log₂ n⌉ + ⌈log₂ m⌉ bits. When
-// that exceeds 64 — beyond ~10⁹ vertices at typical densities — the driver
-// falls back to the Sort(less) comparators, which remain the semantic
-// definition of the order.
+// keyEncoding packs the label pair each global sort orders by into one
+// uint64 key, so every sort runs as one radix shuffle (Sim.SortByKey).
+// Labels are original-vertex ids below n ≤ 2³¹, so a pair takes
+// 2·⌈log₂ n⌉ ≤ 62 bits. No key carries a weight: the passes that read a
+// group take its (W, Orig)-least tuple by scanning it, and nothing else
+// depends on the order inside a group.
 type keyEncoding struct {
-	vBits uint     // bits per vertex label
-	rank  []uint32 // edge id -> rank under (W, Orig)
-
-	// Prebuilt key closures (built once so hot loops don't re-bind them).
-	group  func(*Tuple) uint64 // (Src, CDst, W, Orig) — the B2 grouping sort
+	group  func(*Tuple) uint64 // (Src, CDst) — the B2 grouping sort
 	mirror func(*Tuple) uint64 // (Dst, CSrc) — the mirror-side label routing
-	pair   func(*Tuple) uint64 // (min, max, W, Orig) — the dedup sort
+	pair   func(*Tuple) uint64 // (min, max) — the dedup sort
 }
 
-// newKeyEncoding builds the encoding for g, or nil when the composite
-// doesn't fit 64 bits (per cluster.KeyWidths, the layout shared with the
-// engine's dedup key) and the comparator fallback must run.
-func newKeyEncoding(g *graph.Graph, workers int) *keyEncoding {
-	vb, rb, ok := cluster.KeyWidths(g.N(), g.M())
-	if !ok {
-		return nil
+// newKeyEncoding builds the encoding for labels in [0, n). The closures are
+// built once so hot loops don't re-bind them.
+func newKeyEncoding(n int) *keyEncoding {
+	vb := uint(bits.Len(uint(max(n, 1) - 1)))
+	return &keyEncoding{
+		group:  func(t *Tuple) uint64 { return uint64(t.Src)<<vb | uint64(t.CDst) },
+		mirror: func(t *Tuple) uint64 { return uint64(t.Dst)<<vb | uint64(t.CSrc) },
+		pair: func(t *Tuple) uint64 {
+			return uint64(min(t.Src, t.Dst))<<vb | uint64(max(t.Src, t.Dst))
+		},
 	}
-	e := &keyEncoding{vBits: vb, rank: cluster.WeightRanks(g, workers)}
-	rank := e.rank
-	e.group = func(t *Tuple) uint64 {
-		return uint64(t.Src)<<(vb+rb) | uint64(t.CDst)<<rb | uint64(rank[t.Orig])
+}
+
+// checkTupleRange rejects a graph whose vertex or edge ids do not fit the
+// int32 fields of a Tuple. Within it, a label pair fits 62 key bits and the
+// 2m tuples fit the radix sorter's uint32 index.
+func checkTupleRange(n, m int) error {
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		return &core.OptionError{Field: "mpc: graph", Value: fmt.Sprintf("n=%d, m=%d", n, m),
+			Reason: "vertex and edge ids must fit int32 tuple labels"}
 	}
-	e.mirror = func(t *Tuple) uint64 {
-		return uint64(t.Dst)<<vb | uint64(t.CSrc)
-	}
-	e.pair = func(t *Tuple) uint64 {
-		lo, hi := t.Src, t.Dst
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return uint64(lo)<<(vb+rb) | uint64(hi)<<rb | uint64(rank[t.Orig])
-	}
-	return e
+	return nil
 }
 
 // Options configures a distributed spanner build beyond its algorithm
@@ -155,14 +146,9 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 	if err := par.CheckWorkers("mpc: Options.Workers", opt.Workers); err != nil {
 		return nil, err
 	}
-	return buildSpanner(ctx, g, k, t, seed, opt, newKeyEncoding(g, opt.Workers))
-}
-
-// buildSpanner is BuildSpannerCtx after option validation, with the sort
-// strategy pinned: enc != nil runs every global sort as a radix-keyed
-// shuffle, enc == nil runs the comparator fallback. Both produce the same
-// spanner and the same round bill (the equivalence tests exercise the pair).
-func buildSpanner(ctx context.Context, g *graph.Graph, k, t int, seed uint64, opt Options, enc *keyEncoding) (*Result, error) {
+	if err := checkTupleRange(g.N(), g.M()); err != nil {
+		return nil, err
+	}
 	sim, err := NewSimBudget(g.N(), 2*g.M(), opt.Gamma, opt.MemoryBudget)
 	if err != nil {
 		return nil, err
@@ -188,6 +174,7 @@ func buildSpanner(ctx context.Context, g *graph.Graph, k, t int, seed uint64, op
 
 	res := &Result{Machines: sim.Machines(), MemoryPerMachine: sim.MemoryPerMachine(), Workers: sim.Workers()}
 	ds := newDriverScratch(g.M(), sim.Workers())
+	enc := newKeyEncoding(g.N())
 	n := float64(g.N())
 
 	// Iteration reports the driver's global grow-iteration count so the
@@ -348,10 +335,9 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		return xrand.CoinAt(p, seed, spanner.CoinDomainPhase1, epoch, iter, uint64(label))
 	}
 
-	// B2 — group edges of processed supernodes: sort by (Src, CDst, W, Orig)
-	// so each (v, c) group is contiguous with its minimum first. Keyed: one
-	// radix shuffle on the (Src, CDst, weight-rank) composite.
-	if err := sortGroup(sim, enc); err != nil {
+	// B2 — group edges of processed supernodes: sort by (Src, CDst) so each
+	// (v, c) group is contiguous. One radix shuffle on the label pair.
+	if err := sim.SortByKey(enc.group); err != nil {
 		return err
 	}
 
@@ -391,14 +377,18 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		if sampled(seg[0].CSrc) {
 			return // supernodes inside sampled clusters do nothing
 		}
-		// Group minima: the first tuple of each (Src, CDst) run is the
-		// group minimum under the B2 sort order.
+		// Group minima: the (W, Orig)-least tuple of each (Src, CDst) run,
+		// found by the pass that reads the run.
 		groups := groupsByShard[shard][:0]
 		for gi := range seg {
 			t := &seg[gi]
-			if len(groups) == 0 || groups[len(groups)-1].c != t.CDst {
-				groups = append(groups, groupMin{c: t.CDst, w: t.W, orig: t.Orig})
+			if n := len(groups); n > 0 && groups[n-1].c == t.CDst {
+				if gm := &groups[n-1]; t.W < gm.w || t.W == gm.w && t.Orig < gm.orig {
+					gm.w, gm.orig = t.W, t.Orig
+				}
+				continue
 			}
+			groups = append(groups, groupMin{c: t.CDst, w: t.W, orig: t.Orig})
 		}
 		groupsByShard[shard] = groups
 		if len(groups) == 0 {
@@ -464,7 +454,7 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	// order (one broadcast tree); the mirror side needs a resort by
 	// (Dst, CSrc) plus its own broadcast tree.
 	sim.ChargeTree(1)
-	if err := sortMirror(sim, enc); err != nil {
+	if err := sim.SortByKey(enc.mirror); err != nil {
 		return err
 	}
 	sim.ChargeTree(1)
@@ -510,68 +500,6 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	return nil
 }
 
-// sortGroup runs the B2 grouping sort: by (Src, CDst, W, Orig), keyed when
-// the encoding fits.
-func sortGroup(sim *Sim, enc *keyEncoding) error {
-	if enc != nil {
-		return sim.SortByKey(enc.group)
-	}
-	return sim.Sort(func(a, b *Tuple) bool {
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.CDst != b.CDst {
-			return a.CDst < b.CDst
-		}
-		if a.W != b.W {
-			return a.W < b.W
-		}
-		return a.Orig < b.Orig
-	})
-}
-
-// sortMirror runs the mirror-side routing sort: by (Dst, CSrc), keyed when
-// the encoding fits.
-func sortMirror(sim *Sim, enc *keyEncoding) error {
-	if enc != nil {
-		return sim.SortByKey(enc.mirror)
-	}
-	return sim.Sort(func(a, b *Tuple) bool {
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.CSrc < b.CSrc
-	})
-}
-
-// sortPairs runs the dedup sort: by (min endpoint, max endpoint, W, Orig),
-// keyed when the encoding fits.
-func sortPairs(sim *Sim, enc *keyEncoding) error {
-	if enc != nil {
-		return sim.SortByKey(enc.pair)
-	}
-	lo := func(t *Tuple) (int32, int32) {
-		if t.Src < t.Dst {
-			return t.Src, t.Dst
-		}
-		return t.Dst, t.Src
-	}
-	return sim.Sort(func(a, b *Tuple) bool {
-		la, ha := lo(a)
-		lb, hb := lo(b)
-		if la != lb {
-			return la < lb
-		}
-		if ha != hb {
-			return ha < hb
-		}
-		if a.W != b.W {
-			return a.W < b.W
-		}
-		return a.Orig < b.Orig
-	})
-}
-
 // contractDistributed is Step C: supernode labels become the cluster labels
 // (local relabel), then one dedup sort keeps the minimum-weight
 // representative per supernode pair.
@@ -587,12 +515,12 @@ func contractDistributed(sim *Sim, enc *keyEncoding) error {
 
 // dedupPairs sorts by unordered pair and keeps only the two directed copies
 // of the minimum-weight edge per pair (one Sort + one boundary tree). The
-// keep decision is a segmented aggregate: within each pair segment the
-// minimum is the first tuple, and a tuple survives iff it carries the
-// minimum's original edge id — evaluated per segment on the worker pool
-// into the store's compaction mask.
+// keep decision is a segmented aggregate: a scan of each pair segment finds
+// its (W, Orig)-least tuple, and a tuple survives iff it carries that
+// tuple's original edge id — evaluated per segment on the worker pool into
+// the store's compaction mask. The survivors keep their relative order.
 func dedupPairs(sim *Sim, enc *keyEncoding) error {
-	if err := sortPairs(sim, enc); err != nil {
+	if err := sim.SortByKey(enc.pair); err != nil {
 		return err
 	}
 	sim.ChargeTree(1)
@@ -600,9 +528,14 @@ func dedupPairs(sim *Sim, enc *keyEncoding) error {
 		return a.Src == b.Src && a.Dst == b.Dst ||
 			a.Src == b.Dst && a.Dst == b.Src
 	}, func(seg []Tuple, keep []bool) {
-		minOrig := seg[0].Orig
+		m := &seg[0]
 		for i := range seg {
-			keep[i] = seg[i].Orig == minOrig
+			if t := &seg[i]; t.W < m.W || t.W == m.W && t.Orig < m.Orig {
+				m = t
+			}
+		}
+		for i := range seg {
+			keep[i] = seg[i].Orig == m.Orig
 		}
 	})
 }

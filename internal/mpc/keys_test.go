@@ -1,18 +1,18 @@
 package mpc
 
 import (
-	"context"
+	"errors"
 	"math"
+	"sort"
 	"testing"
 
-	"mpcspanner/internal/graph"
+	"mpcspanner/internal/core"
 	"mpcspanner/internal/xrand"
 )
 
 // randomTuples draws a tuple set with deliberately heavy label/weight ties
 // and a sprinkling of +Inf weights, over a label space of n and an edge-id
-// space of m — the tie patterns the keyed sorts must order exactly like the
-// comparators they replaced.
+// space of m.
 func randomTuples(rng *xrand.Source, count, n, m int, infWeights bool) []Tuple {
 	ts := make([]Tuple, count)
 	for i := range ts {
@@ -30,33 +30,6 @@ func randomTuples(rng *xrand.Source, count, n, m int, infWeights bool) []Tuple {
 		}
 	}
 	return ts
-}
-
-// tupleGraph builds a graph whose edge ids 0..m-1 carry the weights the
-// tuple set references, so newKeyEncoding's weight ranks describe them. Each
-// tuple's W is then forced to its edge's weight — the invariant (Orig
-// determines W) the driver maintains and the rank encoding relies on.
-func tupleGraph(t *testing.T, rng *xrand.Source, ts []Tuple, n, m int, infWeights bool) *graph.Graph {
-	t.Helper()
-	edges := make([]graph.Edge, m)
-	for i := range edges {
-		w := float64(rng.Intn(6)) + 1
-		if infWeights && rng.Intn(9) == 0 {
-			w = math.Inf(1)
-		}
-		edges[i] = graph.Edge{U: i % n, V: (i + 1 + i%(n-1)) % n, W: w}
-		if edges[i].U == edges[i].V {
-			edges[i].V = (edges[i].V + 1) % n
-		}
-	}
-	g, err := graph.New(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ts {
-		ts[i].W = g.Edge(int(ts[i].Orig)).W
-	}
-	return g
 }
 
 // loadSim wraps tuples in a Sim big enough to never overflow placement.
@@ -83,58 +56,82 @@ func snapshot(t *testing.T, s *Sim) []Tuple {
 	return out
 }
 
-// TestKeyEncodingsMatchComparators is the ISSUE's property test: for each of
-// the driver's three converted sorts, SortByKey with the encoding orders
-// exactly like Sort with the comparator it replaced — ties, +Inf weights and
-// all — at several worker counts.
-func TestKeyEncodingsMatchComparators(t *testing.T) {
-	const n, m, count = 37, 211, 4000
-	cases := []struct {
+// checkKeyEncodings asserts that SortByKey with each of newKeyEncoding(n)'s
+// keys leaves base in exactly the order sort.SliceStable gives under the
+// label-pair comparator the key encodes — ties and all — and charges one
+// sort, at several worker counts.
+func checkKeyEncodings(t *testing.T, n int, base []Tuple) {
+	t.Helper()
+	enc := newKeyEncoding(n)
+	orders := []struct {
 		name string
-		run  func(s *Sim, enc *keyEncoding) error
+		key  func(*Tuple) uint64
+		pair func(*Tuple) (int32, int32)
 	}{
-		{"group", sortGroup},
-		{"mirror", sortMirror},
-		{"pairs", sortPairs},
+		{"group", enc.group, func(t *Tuple) (int32, int32) { return t.Src, t.CDst }},
+		{"mirror", enc.mirror, func(t *Tuple) (int32, int32) { return t.Dst, t.CSrc }},
+		{"pairs", enc.pair, func(t *Tuple) (int32, int32) { return min(t.Src, t.Dst), max(t.Src, t.Dst) }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := xrand.Split(17, 0x6b657973, uint64(len(tc.name)))
-			base := randomTuples(rng, count, n, m, true)
-			g := tupleGraph(t, rng, base, n, m, true)
-			enc := newKeyEncoding(g, 1)
-			if enc == nil {
-				t.Fatal("encoding must fit for this graph size")
-			}
-			want := loadSim(t, base, 1)
-			if err := tc.run(want, nil); err != nil { // comparator fallback
-				t.Fatal(err)
-			}
-			wantTs := snapshot(t, want)
+	for _, o := range orders {
+		t.Run(o.name, func(t *testing.T) {
+			want := append([]Tuple(nil), base...)
+			sort.SliceStable(want, func(i, j int) bool {
+				ai, aj := o.pair(&want[i])
+				bi, bj := o.pair(&want[j])
+				return ai < bi || ai == bi && aj < bj
+			})
 			for _, w := range []int{1, 2, 4} {
 				got := loadSim(t, base, w)
-				if err := tc.run(got, enc); err != nil {
+				if err := got.SortByKey(o.key); err != nil {
 					t.Fatal(err)
 				}
 				gotTs := snapshot(t, got)
-				for i := range wantTs {
-					if gotTs[i] != wantTs[i] {
-						t.Fatalf("workers=%d slot %d: keyed %+v != comparator %+v",
-							w, i, gotTs[i], wantTs[i])
+				for i := range want {
+					if gotTs[i] != want[i] {
+						t.Fatalf("workers=%d slot %d: keyed %+v != comparator %+v", w, i, gotTs[i], want[i])
 					}
 				}
-				if got.Rounds() != want.Rounds() || got.Sorts() != want.Sorts() {
-					t.Fatalf("keyed sort charged (rounds=%d sorts=%d), comparator (rounds=%d sorts=%d)",
-						got.Rounds(), got.Sorts(), want.Rounds(), want.Sorts())
+				if got.Sorts() != 1 || got.Rounds() != got.SortRounds() {
+					t.Fatalf("keyed sort charged rounds=%d sorts=%d, want %d and 1",
+						got.Rounds(), got.Sorts(), got.SortRounds())
 				}
 			}
 		})
 	}
 }
 
+// TestKeyEncodingsMatchComparators is the property test of the driver's
+// three sort keys on a small label space with heavy ties: each orders
+// exactly like its label-pair comparator.
+func TestKeyEncodingsMatchComparators(t *testing.T) {
+	const n, m, count = 37, 211, 4000
+	checkKeyEncodings(t, n, randomTuples(xrand.Split(17, 0x6b657973), count, n, m, true))
+}
+
+// TestKeyEncodingFullLabelRange pins the 62-bit bound: at the largest label
+// space a Tuple can carry, half the tuples take labels among the top four
+// values, so both halves of every key use all of their bits and collide
+// often, and each key still orders exactly like its label-pair comparator.
+func TestKeyEncodingFullLabelRange(t *testing.T) {
+	const n = math.MaxInt32
+	rng := xrand.Split(19, 0x66756c6c)
+	label := func(i int) int32 {
+		if i%2 == 0 {
+			return int32(n - 1 - rng.Intn(4))
+		}
+		return int32(rng.Intn(n))
+	}
+	ts := make([]Tuple, 3000)
+	for i := range ts {
+		ts[i] = Tuple{Src: label(i), Dst: label(i), CSrc: label(i), CDst: label(i),
+			W: float64(rng.Intn(3)), Orig: int32(i)}
+	}
+	checkKeyEncodings(t, n, ts)
+}
+
 // TestSortByKeyFullRangeKeys drives SortByKey with keys spanning the whole
-// uint64 range (all eight radix digits live) against Sort with the
-// corresponding comparator.
+// uint64 range (all eight radix digits live) against sort.SliceStable on
+// the same keys.
 func TestSortByKeyFullRangeKeys(t *testing.T) {
 	rng := xrand.Split(23, 0x66756c6c)
 	ts := randomTuples(rng, 3000, 50, 97, false)
@@ -143,46 +140,33 @@ func TestSortByKeyFullRangeKeys(t *testing.T) {
 		// order-defining, which is all SortByKey requires.
 		return xrand.Split(5, uint64(tp.Src), uint64(tp.Dst), uint64(tp.Orig)).Uint64()
 	}
-	want := loadSim(t, ts, 1)
-	if err := want.Sort(func(a, b *Tuple) bool { return key(a) < key(b) }); err != nil {
-		t.Fatal(err)
-	}
+	want := append([]Tuple(nil), ts...)
+	sort.SliceStable(want, func(i, j int) bool { return key(&want[i]) < key(&want[j]) })
 	got := loadSim(t, ts, 2)
 	if err := got.SortByKey(key); err != nil {
 		t.Fatal(err)
 	}
-	wantTs, gotTs := snapshot(t, want), snapshot(t, got)
-	for i := range wantTs {
-		if gotTs[i] != wantTs[i] {
-			t.Fatalf("slot %d: keyed %+v != comparator %+v", i, gotTs[i], wantTs[i])
+	gotTs := snapshot(t, got)
+	for i := range want {
+		if gotTs[i] != want[i] {
+			t.Fatalf("slot %d: keyed %+v != comparator %+v", i, gotTs[i], want[i])
 		}
 	}
 }
 
-// TestKeyedAndFallbackBuildsAgree runs the full driver both ways: the keyed
-// radix plane and the comparator fallback must produce identical spanners
-// and identical round bills.
-func TestKeyedAndFallbackBuildsAgree(t *testing.T) {
-	g := graph.Connectify(graph.GNP(400, 0.03, graph.UniformWeight(1, 8), 3), 11)
-	opt := Options{Gamma: 0.5, Workers: 1}
-	keyed, err := buildSpanner(context.Background(), g, 6, 2, 42, opt, newKeyEncoding(g, 1))
-	if err != nil {
-		t.Fatal(err)
+// TestCheckTupleRange pins the int32 guard on fabricated sizes: ids up to
+// MaxInt32 fit a Tuple, and one past it in either dimension is a typed
+// option error rather than a silent wrap.
+func TestCheckTupleRange(t *testing.T) {
+	if err := checkTupleRange(math.MaxInt32, math.MaxInt32); err != nil {
+		t.Fatalf("MaxInt32 vertices and edges rejected: %v", err)
 	}
-	fallback, err := buildSpanner(context.Background(), g, 6, 2, 42, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keyed.EdgeIDs) != len(fallback.EdgeIDs) {
-		t.Fatalf("keyed spanner has %d edges, fallback %d", len(keyed.EdgeIDs), len(fallback.EdgeIDs))
-	}
-	for i := range keyed.EdgeIDs {
-		if keyed.EdgeIDs[i] != fallback.EdgeIDs[i] {
-			t.Fatalf("edge %d differs: keyed %d, fallback %d", i, keyed.EdgeIDs[i], fallback.EdgeIDs[i])
+	for _, c := range []struct{ n, m int }{{1 << 31, 0}, {2, 1 << 31}} {
+		err := checkTupleRange(c.n, c.m)
+		var oe *core.OptionError
+		if !errors.As(err, &oe) || !errors.Is(err, core.ErrInvalidOption) {
+			t.Fatalf("n=%d m=%d: got %v, want a *core.OptionError", c.n, c.m, err)
 		}
-	}
-	if keyed.Rounds != fallback.Rounds || keyed.Sorts != fallback.Sorts || keyed.TreeOps != fallback.TreeOps {
-		t.Fatalf("cost profiles differ: keyed %+v, fallback %+v", keyed, fallback)
 	}
 }
 

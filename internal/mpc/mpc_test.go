@@ -75,7 +75,7 @@ func TestSimSortAndAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	r0 := s.Rounds()
-	if err := s.Sort(func(a, b *Tuple) bool { return a.Src < b.Src }); err != nil {
+	if err := s.SortByKey(func(t *Tuple) uint64 { return uint64(t.Src) }); err != nil {
 		t.Fatal(err)
 	}
 	if s.Rounds() != r0+s.SortRounds() {
@@ -144,6 +144,8 @@ func TestCrossPlaneEquality(t *testing.T) {
 		"grid":  graph.Grid(15, 15, graph.UniformWeight(1, 5), 2),
 		"pa":    graph.PreferentialAttachment(200, 4, graph.UnitWeight, 3),
 		"torus": graph.Torus(12, 12, graph.ExpWeight(4), 4),
+		// Tie-heavy: group minima are decided by the Orig tie-break.
+		"gnm-ties": graph.GNM(150, 2000, graph.PowerWeight(2, 2), 5),
 	}
 	for name, g := range graphs {
 		for _, c := range []struct{ k, t int }{{2, 1}, {4, 1}, {4, 2}, {8, 3}, {1, 1}} {

@@ -75,7 +75,7 @@ func TestNegativeWorkersRejectedMPC(t *testing.T) {
 }
 
 // TestSimParallelPrimitives pins the Sim primitives themselves: a parallel
-// Sort/Filter/Update sequence leaves the same tuples and the same round
+// SortByKey/Filter/Update sequence leaves the same tuples and the same round
 // bill as a serial one.
 func TestSimParallelPrimitives(t *testing.T) {
 	mk := func(workers int) *Sim {
@@ -99,14 +99,9 @@ func TestSimParallelPrimitives(t *testing.T) {
 		return s
 	}
 	run := func(s *Sim) ([]Tuple, int, int) {
-		if err := s.Sort(func(a, b *Tuple) bool {
-			if a.Src != b.Src {
-				return a.Src < b.Src
-			}
-			if a.W != b.W {
-				return a.W < b.W
-			}
-			return a.Orig < b.Orig
+		// (Src, W, Orig): W is a small integer and Orig < 2000.
+		if err := s.SortByKey(func(t *Tuple) uint64 {
+			return uint64(t.Src)<<40 | uint64(t.W)<<32 | uint64(t.Orig)
 		}); err != nil {
 			t.Fatal(err)
 		}

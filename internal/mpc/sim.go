@@ -291,41 +291,23 @@ func (m *Sim) validate(op string) error {
 	return nil
 }
 
-// Sort globally sorts the stored tuples, charging SortRounds. The canonical
+// SortByKey globally sorts the stored tuples by ascending key(t), equal
+// keys keeping their placement order, and charges SortRounds. The canonical
 // balanced placement is re-established, so per-machine load is ⌈total/P⌉
 // afterwards.
 //
-// The in-process realization mirrors the [GSZ11] sample sort it simulates:
-// every machine block is sorted by its own goroutine and the sorted runs
-// merge in parallel (par.SortStable); on a spilled store the merge continues
-// across run files as an external merge sort. Stability makes the result
-// identical to a serial stable sort at every worker count and budget.
-func (m *Sim) Sort(less func(a, b *Tuple) bool) error {
-	if err := m.st.SortLess(less); err != nil {
-		return err
-	}
-	return m.chargeSort()
-}
-
-// SortByKey is Sort with the comparator replaced by an order-preserving
-// uint64 key: tuples are stably reordered by ascending key(t), equal keys
-// keeping their placement order — bit-identical to Sort with the comparator
-// the key encodes, at every worker count. The model cost is the same
-// SortRounds charge (the [GSZ11] sample sort the simulator prices is
-// oblivious to how the in-process realization compares records); the
-// wall-clock realization is the par.RadixSorter LSD radix sort over the
-// store's retained key/index/tuple buffers, so steady-state calls allocate
-// nothing. key must be a pure per-tuple function: it is invoked concurrently
+// The model cost is the SortRounds charge of the [GSZ11] sample sort, which
+// is oblivious to how the in-process realization compares records. That
+// realization is the par.RadixSorter LSD radix sort over the store's
+// retained key/index/tuple buffers, so steady-state calls allocate nothing;
+// on a spilled store it continues across run files as an external merge
+// sort. Stability makes the result identical at every worker count and
+// budget. key must be a pure per-tuple function: it is invoked concurrently
 // from the worker pool.
 func (m *Sim) SortByKey(key func(t *Tuple) uint64) error {
 	if err := m.st.SortKey(key); err != nil {
 		return err
 	}
-	return m.chargeSort()
-}
-
-// chargeSort books one global sort's model cost and re-validates placement.
-func (m *Sim) chargeSort() error {
 	n := m.st.Len()
 	m.rounds += m.SortRounds()
 	m.sorts++

@@ -17,8 +17,7 @@ import (
 // the driver level: a build under a tight memory budget — every global sort
 // external, every pass streamed through run files — must reproduce the
 // unbudgeted build bit for bit (spanner edges and the full simulated cost
-// profile) at every worker count, for both sort families (radix-keyed and
-// the comparator fallback).
+// profile) at every worker count.
 func TestSpilledBuildBitIdentical(t *testing.T) {
 	t.Parallel()
 	graphs := map[string]*graph.Graph{
@@ -32,46 +31,38 @@ func TestSpilledBuildBitIdentical(t *testing.T) {
 		budget = 64 << 10 // far below the ~670KB tuple footprint: forces spilling
 	)
 	for name, g := range graphs {
-		for _, keyed := range []bool{true, false} {
-			enc := newKeyEncoding(g, 0)
-			encName := "keyed"
-			if !keyed {
-				enc = nil // comparator fallback
-				encName = "less"
-			}
-			ref, err := buildSpanner(context.Background(), g, k, tk, seed, Options{Gamma: gamma}, enc)
+		ref, err := BuildSpannerCtx(context.Background(), g, k, tk, seed, Options{Gamma: gamma})
+		if err != nil {
+			t.Fatalf("%s resident build: %v", name, err)
+		}
+		if ref.SpilledBytes != 0 || ref.MemoryBudget != 0 {
+			t.Fatalf("%s resident build reports spilling: %+v", name, ref)
+		}
+		for _, workers := range []int{1, 3, 0} {
+			got, err := BuildSpannerCtx(context.Background(), g, k, tk, seed,
+				Options{Gamma: gamma, Workers: workers, MemoryBudget: budget})
 			if err != nil {
-				t.Fatalf("%s/%s resident build: %v", name, encName, err)
+				t.Fatalf("%s spilled build (workers=%d): %v", name, workers, err)
 			}
-			if ref.SpilledBytes != 0 || ref.MemoryBudget != 0 {
-				t.Fatalf("%s/%s resident build reports spilling: %+v", name, encName, ref)
+			if got.SpilledBytes == 0 || got.SpillRuns == 0 {
+				t.Errorf("%s workers=%d: budget %d did not spill (%+v)",
+					name, workers, budget, got)
 			}
-			for _, workers := range []int{1, 3, 0} {
-				got, err := buildSpanner(context.Background(), g, k, tk, seed,
-					Options{Gamma: gamma, Workers: workers, MemoryBudget: budget}, enc)
-				if err != nil {
-					t.Fatalf("%s/%s spilled build (workers=%d): %v", name, encName, workers, err)
-				}
-				if got.SpilledBytes == 0 || got.SpillRuns == 0 {
-					t.Errorf("%s/%s workers=%d: budget %d did not spill (%+v)",
-						name, encName, workers, budget, got)
-				}
-				if got.MemoryBudget != budget {
-					t.Errorf("%s/%s workers=%d: MemoryBudget = %d, want %d",
-						name, encName, workers, got.MemoryBudget, budget)
-				}
-				if !reflect.DeepEqual(got.EdgeIDs, ref.EdgeIDs) {
-					t.Errorf("%s/%s workers=%d: spilled spanner differs from resident (%d vs %d edges)",
-						name, encName, workers, len(got.EdgeIDs), len(ref.EdgeIDs))
-				}
-				if got.Rounds != ref.Rounds || got.Iterations != ref.Iterations ||
-					got.Epochs != ref.Epochs || got.Sorts != ref.Sorts ||
-					got.TreeOps != ref.TreeOps || got.TuplesMoved != ref.TuplesMoved ||
-					got.PeakMachineLoad != ref.PeakMachineLoad ||
-					got.PeakTotalTuples != ref.PeakTotalTuples {
-					t.Errorf("%s/%s workers=%d: cost profile diverged:\nspilled:  %+v\nresident: %+v",
-						name, encName, workers, got, ref)
-				}
+			if got.MemoryBudget != budget {
+				t.Errorf("%s workers=%d: MemoryBudget = %d, want %d",
+					name, workers, got.MemoryBudget, budget)
+			}
+			if !reflect.DeepEqual(got.EdgeIDs, ref.EdgeIDs) {
+				t.Errorf("%s workers=%d: spilled spanner differs from resident (%d vs %d edges)",
+					name, workers, len(got.EdgeIDs), len(ref.EdgeIDs))
+			}
+			if got.Rounds != ref.Rounds || got.Iterations != ref.Iterations ||
+				got.Epochs != ref.Epochs || got.Sorts != ref.Sorts ||
+				got.TreeOps != ref.TreeOps || got.TuplesMoved != ref.TuplesMoved ||
+				got.PeakMachineLoad != ref.PeakMachineLoad ||
+				got.PeakTotalTuples != ref.PeakTotalTuples {
+				t.Errorf("%s workers=%d: cost profile diverged:\nspilled:  %+v\nresident: %+v",
+					name, workers, got, ref)
 			}
 		}
 	}
@@ -79,26 +70,19 @@ func TestSpilledBuildBitIdentical(t *testing.T) {
 
 // TestQuarterBudgetMergesOncePerSort pins the merge's fan-in at the budget
 // shape of the pipeline benchmark's spilled workload: with a quarter of the
-// tuple footprint, every chunk run of a spilled sort fits one merge pass,
-// for both sort families.
+// tuple footprint, every chunk run of a spilled sort fits one merge pass.
 func TestQuarterBudgetMergesOncePerSort(t *testing.T) {
 	t.Parallel()
 	g := graph.Connectify(graph.GNP(4000, 16/4000.0, graph.UniformWeight(1, 100), 5), 50)
 	budget := int64(2*g.M()*tupleCodec.Size) / 4
-	for _, keyed := range []bool{true, false} {
-		enc := newKeyEncoding(g, 0)
-		if !keyed {
-			enc = nil
-		}
-		res, err := buildSpanner(context.Background(), g, 12, 4, 7,
-			Options{Gamma: 0.5, MemoryBudget: budget}, enc)
-		if err != nil {
-			t.Fatalf("keyed=%v: %v", keyed, err)
-		}
-		if res.MergePasses == 0 || res.MergePasses > int64(res.Sorts) {
-			t.Errorf("keyed=%v: %d merge passes over %d sorts, want between 1 and one per sort",
-				keyed, res.MergePasses, res.Sorts)
-		}
+	res, err := BuildSpannerCtx(context.Background(), g, 12, 4, 7,
+		Options{Gamma: 0.5, MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MergePasses == 0 || res.MergePasses > int64(res.Sorts) {
+		t.Errorf("%d merge passes over %d sorts, want between 1 and one per sort",
+			res.MergePasses, res.Sorts)
 	}
 }
 

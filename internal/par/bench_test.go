@@ -41,31 +41,14 @@ func BenchmarkFor(b *testing.B) {
 	}
 }
 
-func BenchmarkSortStable(b *testing.B) {
-	const n = 300_000
-	base := randomKVs(1, n, 1000)
-	scratch := make([]kv, n)
-	less := func(a, b *kv) bool { return a.k < b.k }
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(scratch, base)
-				SortStable(w, scratch, less)
-			}
-		})
-	}
-}
-
-// BenchmarkRadixSortKeys measures the keyed shuffle engine against
-// BenchmarkSortStable's comparison sort on the same element count; the
-// retained RadixSorter makes steady-state iterations allocation-free.
+// BenchmarkRadixSortKeys measures the keyed shuffle engine; the retained
+// RadixSorter makes steady-state iterations allocation-free.
 func BenchmarkRadixSortKeys(b *testing.B) {
 	const n = 300_000
 	rng := xrand.New(9)
 	base := make([]uint64, n)
 	for i := range base {
-		base[i] = rng.Uint64() >> 24 // ~40 live bits, like a (v, c, rank) composite
+		base[i] = rng.Uint64() >> 24 // ~40 live bits, like a label pair at n ≈ 10⁶
 	}
 	keys := make([]uint64, n)
 	idx := make([]uint32, n)
@@ -79,29 +62,6 @@ func BenchmarkRadixSortKeys(b *testing.B) {
 					idx[j] = uint32(j)
 				}
 				rs.Sort(w, keys, idx)
-			}
-		})
-	}
-}
-
-func BenchmarkMergeSorted(b *testing.B) {
-	const n = 200_000
-	src := xrand.New(3)
-	a := make([]kv, n)
-	c := make([]kv, n)
-	prevA, prevC := 0, 0
-	for i := 0; i < n; i++ {
-		prevA += src.Intn(3)
-		prevC += src.Intn(3)
-		a[i] = kv{k: prevA, pos: i}
-		c[i] = kv{k: prevC, pos: n + i}
-	}
-	dst := make([]kv, 2*n)
-	less := func(x, y *kv) bool { return x.k < y.k }
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MergeSorted(w, dst, a, c, less)
 			}
 		})
 	}

@@ -14,12 +14,12 @@
 //     iteration writes its own slot) or merged by concatenating per-shard
 //     accumulators in shard order — which equals index order, so the merged
 //     sequence is independent of goroutine scheduling.
-//   - SortStable is a stable parallel merge sort: stability makes the output
-//     sequence a pure function of the input, so it equals the serial
-//     sort.SliceStable result at every worker count.
-//   - MergeSorted splits one merge of two sorted runs across workers along
-//     the merge path (binary-searched cut points), keeping the stable
-//     tie-break (runs of equal elements take the left run first).
+//   - RadixSorter (radix.go) is a stable LSD radix sort over uint64 keys:
+//     scatter offsets are precomputed per (pass, shard, bucket), so the
+//     output equals the serial sort.SliceStable result at every worker
+//     count. It is the package's one sort; callers key records by the
+//     fields that define their groups and find a group's minimum by
+//     scanning it.
 //   - Streams derives per-shard xrand streams keyed by shard index, so
 //     random decisions made inside shard s are a pure function of
 //     (seed, s, position) and can be merged order-independently.
@@ -34,7 +34,6 @@ package par
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"mpcspanner/internal/core"
@@ -233,161 +232,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(workers, n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// minSortRun is the smallest per-worker run worth sorting on its own
-// goroutine; inputs below workers·minSortRun fall back to fewer workers.
-const minSortRun = 1024
-
-// SortStable sorts data stably by less using a parallel merge sort: the
-// slice is cut into contiguous runs (one per worker), each run is sorted
-// with sort.SliceStable concurrently, and adjacent runs are merged pairwise
-// — each merge itself parallelized along its merge path — until one run
-// remains. Stability makes the output a pure function of the input, so the
-// result is bit-identical to a serial sort.SliceStable at any worker count.
-func SortStable[T any](workers int, data []T, less func(a, b *T) bool) {
-	SortStableBuf(workers, data, nil, less)
-}
-
-// SortStableBuf is SortStable with a caller-provided merge scratch buffer
-// (must not alias data; grown internally when cap(buf) < len(data)).
-// Callers that sort repeatedly — the MPC simulator sorts once per simulated
-// round — pass a retained buffer to avoid re-allocating len(data) scratch
-// per sort.
-func SortStableBuf[T any](workers int, data, buf []T, less func(a, b *T) bool) {
-	n := len(data)
-	if workers > n/minSortRun {
-		workers = n / minSortRun
-	}
-	if workers <= 1 {
-		sort.SliceStable(data, func(i, j int) bool { return less(&data[i], &data[j]) })
-		return
-	}
-	// Run boundaries: runs[i] is the start of run i; runs[last] == n.
-	runs := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		runs[w] = w * n / workers
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			sub := data[lo:hi]
-			sort.SliceStable(sub, func(i, j int) bool { return less(&sub[i], &sub[j]) })
-		}(runs[w], runs[w+1])
-	}
-	wg.Wait()
-
-	// Pairwise merge rounds, ping-ponging between data and a scratch buffer.
-	if cap(buf) < n {
-		buf = make([]T, n)
-	}
-	buf = buf[:n]
-	src, dst := data, buf
-	for len(runs) > 2 {
-		next := make([]int, 0, len(runs)/2+2)
-		pairs := (len(runs) - 1) / 2
-		var mw sync.WaitGroup
-		for p := 0; p < pairs; p++ {
-			lo, mid, hi := runs[2*p], runs[2*p+1], runs[2*p+2]
-			next = append(next, lo)
-			mw.Add(1)
-			go func(lo, mid, hi int) {
-				defer mw.Done()
-				// Workers for the inner merge: spread the pool over the
-				// concurrent pair merges of this round.
-				inner := workers / pairs
-				if inner < 1 {
-					inner = 1
-				}
-				MergeSorted(inner, dst[lo:hi], src[lo:mid], src[mid:hi], less)
-			}(lo, mid, hi)
-		}
-		if (len(runs)-1)%2 == 1 { // odd run rides along unmerged
-			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
-			next = append(next, lo)
-			copy(dst[lo:hi], src[lo:hi])
-		}
-		mw.Wait()
-		next = append(next, n)
-		runs = next
-		src, dst = dst, src
-	}
-	if &src[0] != &data[0] {
-		copy(data, src)
-	}
-}
-
-// MergeSorted merges the sorted runs a and b into dst, which must have
-// length len(a)+len(b) and not alias either input. The merge is stable: on
-// ties the element of a is emitted first. With workers > 1 the output is cut
-// into `workers` balanced blocks whose (i, j) cut points are found by binary
-// search along the merge path, and the blocks are merged concurrently; the
-// result is identical to the serial merge at every worker count.
-func MergeSorted[T any](workers int, dst, a, b []T, less func(x, y *T) bool) {
-	if len(dst) != len(a)+len(b) {
-		panic("par: MergeSorted dst length mismatch")
-	}
-	if workers > len(dst)/minSortRun {
-		workers = len(dst) / minSortRun
-	}
-	if workers <= 1 {
-		mergeSerial(dst, a, b, less)
-		return
-	}
-	n := len(dst)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	prevI, prevJ := 0, 0
-	for w := 1; w <= workers; w++ {
-		p := w * n / workers
-		i := mergeCut(p, a, b, less)
-		j := p - i
-		go func(dst []T, a, b []T) {
-			defer wg.Done()
-			mergeSerial(dst, a, b, less)
-		}(dst[prevI+prevJ:p], a[prevI:i], b[prevJ:j])
-		prevI, prevJ = i, j
-	}
-	wg.Wait()
-}
-
-// mergeCut returns the unique i such that taking a[:i] and b[:p-i] yields the
-// first p outputs of the stable merge of a and b.
-func mergeCut[T any](p int, a, b []T, less func(x, y *T) bool) int {
-	lo := p - len(b)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := p
-	if hi > len(a) {
-		hi = len(a)
-	}
-	// First i where b[p-i-1] < a[i] (or the b side is exhausted): beyond it
-	// the merge would have emitted b[p-i-1] after a[i], violating the order.
-	return lo + sort.Search(hi-lo, func(d int) bool {
-		i := lo + d
-		j := p - i
-		return j == 0 || less(&b[j-1], &a[i])
-	})
-}
-
-// mergeSerial is the scalar stable merge: ties take from a.
-func mergeSerial[T any](dst, a, b []T, less func(x, y *T) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if !less(&b[j], &a[i]) { // a[i] <= b[j]
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
 }
 
 // streamTag namespaces Streams-derived keys inside the xrand key space so

@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"mpcspanner/internal/core"
-	"mpcspanner/internal/xrand"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -102,76 +99,6 @@ func TestMapIndexAddressed(t *testing.T) {
 	if len(Map(4, 0, func(i int) int { return i })) != 0 {
 		t.Fatal("empty map")
 	}
-}
-
-// kv is a key/payload pair: sorting by key only leaves ties for the
-// stability check to catch.
-type kv struct {
-	k   int
-	pos int
-}
-
-func randomKVs(seed uint64, n, keySpace int) []kv {
-	src := xrand.New(seed)
-	out := make([]kv, n)
-	for i := range out {
-		out[i] = kv{k: src.Intn(keySpace), pos: i}
-	}
-	return out
-}
-
-func TestSortStableMatchesSerialWithHeavyTies(t *testing.T) {
-	less := func(a, b *kv) bool { return a.k < b.k }
-	for _, n := range []int{0, 1, 1023, 4096, 50_000} {
-		for _, keySpace := range []int{1, 2, 7, 1000} {
-			want := randomKVs(uint64(n+keySpace), n, keySpace)
-			sort.SliceStable(want, func(i, j int) bool { return want[i].k < want[j].k })
-			for _, w := range []int{1, 2, 3, 4, 8} {
-				got := randomKVs(uint64(n+keySpace), n, keySpace)
-				SortStable(w, got, less)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("n=%d keys=%d w=%d: parallel stable sort diverged from serial", n, keySpace, w)
-				}
-			}
-		}
-	}
-}
-
-func TestMergeSortedStable(t *testing.T) {
-	less := func(a, b *kv) bool { return a.k < b.k }
-	f := func(seed uint64) bool {
-		src := xrand.New(seed)
-		na, nb := src.Intn(3000)+1, src.Intn(3000)+1
-		a := randomKVs(seed, na, 5)
-		b := randomKVs(seed+1, nb, 5)
-		for i := range b {
-			b[i].pos += na // distinguishable payloads
-		}
-		sort.SliceStable(a, func(i, j int) bool { return a[i].k < a[j].k })
-		sort.SliceStable(b, func(i, j int) bool { return b[i].k < b[j].k })
-		want := make([]kv, na+nb)
-		mergeSerial(want, a, b, less)
-		for _, w := range []int{1, 2, 4, 7} {
-			got := make([]kv, na+nb)
-			MergeSorted(w, got, a, b, less)
-			if !reflect.DeepEqual(got, want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeSortedRejectsBadDst(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch accepted")
-		}
-	}()
-	MergeSorted(1, make([]kv, 3), make([]kv, 1), make([]kv, 1), func(a, b *kv) bool { return a.k < b.k })
 }
 
 func TestStreamsIndependentAndReproducible(t *testing.T) {

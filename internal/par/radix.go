@@ -1,16 +1,17 @@
 package par
 
-import "math"
-
-// This file is the radix-keyed shuffle engine behind the MPC simulator's
-// keyed sorts (mpc.Sim.SortByKey) and the other construction-side key-
-// addressed reorderings (cluster.MinDedupKeys, cclique's Lenzen grouping).
-// The comparison sorts it replaces spent their wall-clock in the less
-// callback; an LSD radix sort over precomputed uint64 keys touches each
-// element a constant number of times with no per-comparison indirection,
-// and — because scatter offsets are precomputed per (pass, shard, bucket) —
-// it is stable and bit-identical at every worker count, the same contract
-// every other primitive of this package carries.
+// This file is the one sort of the construction pipeline: the radix-keyed
+// shuffle behind the MPC simulator's global sorts (mpc.Sim.SortByKey, and
+// through it extmem's chunk sorts), the spanner engine's pair dedup
+// (cluster.MinDedup) and cclique's Lenzen grouping. Every caller keys its
+// records by the labels that define its groups — a vertex or label pair
+// packs into at most 62 bits — and reads each group's minimum in the pass
+// that scans the group, so no sort needs a comparator. An LSD radix sort
+// over precomputed uint64 keys touches each element a constant number of
+// times with no per-comparison indirection, and — because scatter offsets
+// are precomputed per (pass, shard, bucket) — it is stable and
+// bit-identical at every worker count, the same contract every other
+// primitive of this package carries.
 
 const (
 	radixBits    = 8
@@ -200,8 +201,8 @@ func (rs *RadixSorter) Sort(workers int, keys []uint64, idx []uint32) {
 // SortIndexByKey returns the stable ascending-by-key permutation of [0, n):
 // out[r] is the index of the record with the r-th smallest key(i), equal
 // keys in index order. It is the shared shape behind every radix-keyed
-// record reordering outside the MPC arena (weight ranks, keyed dedup,
-// Lenzen destination grouping): extract keys in parallel, seed the identity
+// record reordering outside the MPC arena (pair dedup, Lenzen destination
+// grouping): extract keys in parallel, seed the identity
 // permutation, one stable radix sort. key must be pure (it is invoked
 // concurrently). The returned slice aliases the sorter's retained scratch —
 // it is invalidated by the sorter's next call, so callers consume it before
@@ -225,21 +226,4 @@ func (rs *RadixSorter) SortIndexByKey(workers, n int, key func(i int) uint64) []
 func SortIndexByKey(workers, n int, key func(i int) uint64) []uint32 {
 	var rs RadixSorter
 	return rs.SortIndexByKey(workers, n, key)
-}
-
-// Float64Key maps a float64 to a uint64 whose unsigned order equals the
-// float order: f < g ⇔ Float64Key(f) < Float64Key(g) and f == g ⇔ equal
-// keys, over all non-NaN values including ±Inf (negative zero folds onto
-// positive zero so the map respects float equality). NaNs get keys above
-// +Inf (ordered by payload) — callers that sort weights must not feed NaN,
-// exactly as the comparators this replaces could not order NaN.
-func Float64Key(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b == 1<<63 { // -0.0: equal to +0.0, must share its key
-		b = 0
-	}
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b ^ 1<<63
 }

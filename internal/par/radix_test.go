@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math"
 	"sort"
 	"testing"
 
@@ -105,67 +104,6 @@ func TestRadixSorterReuse(t *testing.T) {
 		if keys[i-1] > keys[i] {
 			t.Fatalf("keys out of order at %d after reuse", i)
 		}
-	}
-}
-
-func TestFloat64KeyPreservesOrder(t *testing.T) {
-	vals := []float64{
-		math.Inf(-1), -math.MaxFloat64, -1e300, -2.5, -1, -math.SmallestNonzeroFloat64,
-		0, math.SmallestNonzeroFloat64, 1, 2.5, 1e300, math.MaxFloat64, math.Inf(1),
-	}
-	for i, a := range vals {
-		for j, b := range vals {
-			ka, kb := Float64Key(a), Float64Key(b)
-			switch {
-			case a < b && !(ka < kb):
-				t.Errorf("Float64Key(%v) >= Float64Key(%v) but %v < %v", a, b, a, b)
-			case a == b && ka != kb:
-				t.Errorf("Float64Key(%v) != Float64Key(%v) for equal values (i=%d j=%d)", a, b, i, j)
-			case a > b && !(ka > kb):
-				t.Errorf("Float64Key(%v) <= Float64Key(%v) but %v > %v", a, b, a, b)
-			}
-		}
-	}
-	if Float64Key(math.Copysign(0, -1)) != Float64Key(0) {
-		t.Error("Float64Key(-0) must equal Float64Key(+0): -0 == +0 as floats")
-	}
-	if Float64Key(math.NaN()) <= Float64Key(math.Inf(1)) {
-		t.Error("NaN key must land above +Inf")
-	}
-}
-
-// TestFloat64KeySortsWeights drives the mapping through the sorter on a
-// weight-like distribution with ties and +Inf sentinels.
-func TestFloat64KeySortsWeights(t *testing.T) {
-	rng := xrand.Split(3, 0x77657967)
-	const n = 2000
-	ws := make([]float64, n)
-	for i := range ws {
-		switch rng.Intn(10) {
-		case 0:
-			ws[i] = math.Inf(1)
-		case 1:
-			ws[i] = float64(rng.Intn(5)) // heavy ties
-		default:
-			ws[i] = rng.Float64() * 100
-		}
-	}
-	keys := make([]uint64, n)
-	for i, w := range ws {
-		keys[i] = Float64Key(w)
-	}
-	idx := iota32(n)
-	RadixSortKeys(2, keys, idx)
-	prev := math.Inf(-1)
-	for i, id := range idx {
-		w := ws[id]
-		if w < prev {
-			t.Fatalf("slot %d: weight %v below predecessor %v", i, w, prev)
-		}
-		if w == prev && i > 0 && idx[i-1] > id {
-			t.Fatalf("slot %d: tie on %v broke stability (%d before %d)", i, w, idx[i-1], id)
-		}
-		prev = w
 	}
 }
 

@@ -66,15 +66,8 @@ type engine struct {
 	sampledFlag []bool
 	scratch     []growScratch
 
-	// dedupKey, when non-nil, encodes the (A, B, W, Orig) comparator of
-	// cluster.MinDedupWorkers as an order-preserving uint64 over the
-	// normalized edge — supernode ids (< n) in the high bits, the edge's
-	// dense weight rank (cluster.WeightRanks, < m) in the low bits, laid out per
-	// cluster.KeyWidths — so the Step C and Phase 2 dedup sorts run as
-	// radix shuffles through the retained dedupSorter. nil (the composite
-	// exceeds 64 bits) falls back to the comparator sort; both orders are
-	// identical.
-	dedupKey    func(*cluster.QEdge) uint64
+	// dedupSorter is the radix scratch the Step C and Phase 2 dedups
+	// (cluster.MinDedup) reuse across epochs.
 	dedupSorter par.RadixSorter
 
 	// met/tracer carry the run's exposition handles. The zero met struct
@@ -117,28 +110,6 @@ func (e *engine) initObs() {
 	}
 	e.met.supernodes.Set(int64(e.nSuper))
 	e.met.aliveEdges.Set(int64(e.nAlive))
-}
-
-// initDedupKey builds the keyed-dedup encoding for the engine's graph, if
-// the (vertex, vertex, weight-rank) composite fits 64 bits.
-func (e *engine) initDedupKey() {
-	vb, rb, ok := cluster.KeyWidths(e.g.N(), e.g.M())
-	if !ok {
-		return
-	}
-	rank := cluster.WeightRanks(e.g, e.workers)
-	e.dedupKey = func(q *cluster.QEdge) uint64 {
-		return uint64(q.A)<<(vb+rb) | uint64(q.B)<<rb | uint64(rank[q.Orig])
-	}
-}
-
-// minDedup dispatches Step C / Phase 2 deduplication to the keyed radix
-// path when the encoding fits, or the comparator sort otherwise.
-func (e *engine) minDedup(edges []cluster.QEdge) []cluster.QEdge {
-	if e.dedupKey != nil {
-		return cluster.MinDedupKeys(edges, e.workers, e.dedupKey, &e.dedupSorter)
-	}
-	return cluster.MinDedupWorkers(edges, e.workers)
 }
 
 // growScratch is one worker's per-cluster minima buffer (Definition 4.1's
@@ -690,8 +661,8 @@ func (e *engine) contract() {
 	}
 
 	// Relabel the surviving edges into the new supernode space: sharded with
-	// per-shard buffers concatenated in shard order, then a parallel-sort
-	// dedup (Step C's min-weight representative per pair).
+	// per-shard buffers concatenated in shard order, then the pair dedup
+	// (Step C's min-weight representative per pair).
 	parts := make([][]cluster.QEdge, e.workers)
 	par.ForShard(e.workers, len(e.edges), func(shard, lo, hi int) {
 		var kept []cluster.QEdge
@@ -712,7 +683,7 @@ func (e *engine) contract() {
 	for _, p := range parts {
 		kept = append(kept, p...)
 	}
-	e.edges = e.minDedup(kept)
+	e.edges = cluster.MinDedup(kept, e.workers, &e.dedupSorter)
 	e.alive = make([]bool, len(e.edges))
 	for i := range e.alive {
 		e.alive[i] = true
@@ -752,7 +723,7 @@ func (e *engine) phase2() {
 		for _, p := range parts {
 			live = append(live, p...)
 		}
-		for _, ed := range e.minDedup(live) {
+		for _, ed := range cluster.MinDedup(live, e.workers, &e.dedupSorter) {
 			e.addSpanner(ed.Orig)
 		}
 		return

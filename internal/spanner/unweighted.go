@@ -256,7 +256,7 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 			}
 			aux = append(aux, cluster.QEdge{A: zIndex[za], B: zIndex[zb], W: 1, Orig: id})
 		}
-		aux = cluster.MinDedupWorkers(aux, 1)
+		aux = cluster.MinDedup(aux, 1, nil)
 		st.AuxNodes, st.AuxEdges = len(zs), len(aux)
 
 		if len(aux) > 0 {

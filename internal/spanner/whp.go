@@ -179,11 +179,6 @@ func newEngine(g *graph.Graph, k, t int, seed uint64, cfg engineConfig) *engine 
 		e.alive[i] = true
 	}
 	e.nAlive = len(e.edges)
-	if !cfg.classicBS {
-		// The classic [BS07] variant never contracts, so it would pay the
-		// weight-rank precompute without ever running a keyed dedup.
-		e.initDedupKey()
-	}
 	e.resetEpochScratch()
 	e.rebuildIncidence()
 	e.resetActive()
