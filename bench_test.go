@@ -1,7 +1,7 @@
 // Benchmark harness: one testing.B target per reproduced experiment
-// (DESIGN.md §2 maps each to the paper's claim), plus two micro-benchmarks:
-// cluster-merge against Baswana–Sen, and sampled stretch verification. The
-// construction, MPC and Dijkstra benchmarks live in their packages.
+// (DESIGN.md §2 maps each to the paper's claim), plus one micro-benchmark:
+// cluster-merge against Baswana–Sen. The construction, MPC, Dijkstra and
+// stretch-verification benchmarks live in their packages.
 // Regenerate the experiment tables themselves with `go run ./cmd/experiments`.
 package mpcspanner
 
@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mpcspanner/internal/bench"
-	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/spanner"
 )
@@ -70,19 +69,4 @@ func BenchmarkClusterMergeVsBaswanaSen(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkStretchVerification(b *testing.B) {
-	g := benchGraph(20_000)
-	r, err := spanner.GeneralCtx(context.Background(), g, 8, 3, spanner.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := r.Spanner(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dist.SampledEdgeStretch(g, h, 200, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -133,7 +133,8 @@ func WithCacheShards(n int) Option {
 }
 
 // WithCacheRows sets the serving cache's row budget across all shards (one
-// row = n float64s; 0 = default 1024). Accepted by Serve only.
+// row = n float64s; 0 = default min(1024, max(1, 64 MiB / (8·n))), so at
+// most 64 MiB of rows once n > 8 192). Accepted by Serve only.
 func WithCacheRows(n int) Option {
 	return func(c *config) { c.maxRows = n; c.mark("CacheRows") }
 }
@@ -367,7 +368,7 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 	case AlgoGeneral:
 		t := cfg.t
 		if t <= 0 {
-			t = defaultT(cfg.k)
+			t = spanner.DefaultT(cfg.k)
 		}
 		fpT = t
 		engineResult, err = spanner.GeneralCtx(ctx, g, cfg.k, t, engineOpts)
@@ -390,7 +391,7 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 	case AlgoMPC:
 		t := cfg.t
 		if t <= 0 {
-			t = defaultT(cfg.k)
+			t = spanner.DefaultT(cfg.k)
 		}
 		fpT, fpGamma = t, gamma
 		r, err := mpc.BuildSpannerCtx(ctx, g, cfg.k, t, cfg.seed, mpc.Options{
@@ -406,7 +407,7 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 	case AlgoCongestedClique:
 		t := cfg.t
 		if t <= 0 {
-			t = defaultT(cfg.k)
+			t = spanner.DefaultT(cfg.k)
 		}
 		fpT = t
 		r, err := cclique.BuildSpannerCtx(ctx, g, cfg.k, t, cfg.seed, cclique.BuildOptions{

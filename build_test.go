@@ -10,6 +10,7 @@ import (
 
 	"mpcspanner/internal/apsp"
 	"mpcspanner/internal/cclique"
+	"mpcspanner/internal/dist"
 	"mpcspanner/internal/mpc"
 	"mpcspanner/internal/spanner"
 )
@@ -286,7 +287,7 @@ func TestServeSession(t *testing.T) {
 	if sa.APSP() == nil || !reflect.DeepEqual(sa.APSP().SpannerEdgeIDs, ref.SpannerEdgeIDs) {
 		t.Fatal("approx session spanner differs from apsp.ApproxCtx")
 	}
-	if got, err := sa.Query(ctx, 0, 9); err != nil || got != ref.DistancesFrom(0)[9] {
+	if got, err := sa.Query(ctx, 0, 9); err != nil || got != dist.Dijkstra(ref.Spanner(), 0)[9] {
 		t.Fatalf("approx session query = (%v, %v), want the pipeline's distance", got, err)
 	}
 	// Serve rejects build-only options and malformed cache sizing.
@@ -307,19 +308,18 @@ func TestServeSession(t *testing.T) {
 	if _, err := Serve(ctx, g, WithExact(), WithSeed(3)); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("Serve(WithExact, WithSeed) = %v, want ErrInvalidOption", err)
 	}
-	// Default-sized approx sessions share the pipeline's oracle: a row
-	// served through the session is a cache hit for the APSP result.
-	shared, err := Serve(ctx, g, WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shared.Row(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-	misses := shared.Stats().Misses
-	shared.APSP().DistancesFrom(3) // same source, same cache
-	if got := shared.Stats().Misses; got != misses {
-		t.Fatalf("APSP query after session query recomputed the row: misses %d -> %d", misses, got)
+	// Every mode sizes its default cache by one rule: above n = 8 192 an
+	// approx and an exact session over one graph both hold 64 MiB of rows.
+	big := Cycle(10_000, UnitWeight, 13)
+	want := (64 << 20) / (8 * big.N())
+	for _, opts := range [][]Option{{WithSeed(13)}, {WithExact()}} {
+		bs, err := Serve(ctx, big, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bs.CacheRows(); got != want {
+			t.Fatalf("default CacheRows (approx=%v) = %d, want %d", bs.APSP() != nil, got, want)
+		}
 	}
 }
 

@@ -80,7 +80,10 @@ func main() {
 
 	for q := 0; q < *queries; q++ {
 		src := int(uint64(q)*2654435761+*seed) % g.N()
-		approx := res.DistancesFrom(src)
+		approx, err := s.Row(ctx, src)
+		if err != nil {
+			log.Fatal(err)
+		}
 		exact := dist.Dijkstra(g, src)
 		worst, at := 0.0, -1
 		for v := range exact {

@@ -33,9 +33,9 @@ import (
 
 	"mpcspanner"
 	"mpcspanner/cmd/internal/cliutil"
-	"mpcspanner/internal/apsp"
 	"mpcspanner/internal/artifact"
 	"mpcspanner/internal/oracle"
+	"mpcspanner/internal/spanner"
 )
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 	synth := flag.Int("synth", 0, "generate this many Zipf-source queries instead of reading pairs")
 	zipf := flag.Float64("zipf", 1.2, "Zipf exponent of the -synth source distribution")
 	shards := flag.Int("shards", 0, "cache shards (0 = default)")
-	rows := flag.Int("rows", 0, "cache budget in resident rows (0 = default)")
+	rows := flag.Int("rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 1024, "serve queries in batches of this size (stats then show cross-batch cache hits); <= 0 = one batch")
 	quiet := flag.Bool("quiet", false, "suppress per-query output, print stats only")
@@ -114,11 +114,11 @@ func main() {
 	if !*exact && art == nil {
 		kk := *k
 		if kk <= 0 {
-			kk, _ = apsp.Params(g.N(), 0) // Corollary 1.4's k = ⌈log₂ n⌉
+			kk, _ = spanner.APSPParams(g.N()) // Corollary 1.4's k = ⌈log₂ n⌉
 		}
 		tt := *t
 		if tt <= 0 {
-			tt = int(math.Max(1, math.Ceil(math.Log2(float64(kk)))))
+			tt = spanner.DefaultT(kk)
 		}
 		start := time.Now()
 		// Build on the simulated MPC plane — bit-identical to the local

@@ -39,10 +39,10 @@ import (
 
 	"mpcspanner"
 	"mpcspanner/cmd/internal/cliutil"
-	"mpcspanner/internal/apsp"
 	"mpcspanner/internal/artifact"
 	"mpcspanner/internal/oracle"
 	"mpcspanner/internal/server"
+	"mpcspanner/internal/spanner"
 )
 
 func main() {
@@ -112,7 +112,7 @@ func runServe(args []string) {
 	k := fs.Int("k", 0, "spanner stretch parameter (0 = Corollary 1.4's ⌈log₂ n⌉)")
 	t := fs.Int("t", 0, "epoch length (0 = default)")
 	shards := fs.Int("shards", 0, "cache shards (0 = default)")
-	rows := fs.Int("rows", 0, "cache budget in resident rows (0 = default 1024)")
+	rows := fs.Int("rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
 	workers := fs.Int("workers", 0, "per-batch worker pool size (0 = GOMAXPROCS)")
 	inflight := fs.Int("inflight", 0, "max concurrent batches inside the oracle (0 = cache row budget / 4)")
 	queueWait := fs.Duration("queue-wait", 100*time.Millisecond, "longest a request may queue for an in-flight slot before 429")
@@ -191,11 +191,11 @@ func runServe(args []string) {
 		if !*exact {
 			kk := *k
 			if kk <= 0 {
-				kk, _ = apsp.Params(g.N(), 0) // Corollary 1.4's k = ⌈log₂ n⌉
+				kk, _ = spanner.APSPParams(g.N()) // Corollary 1.4's k = ⌈log₂ n⌉
 			}
 			tt := *t
 			if tt <= 0 {
-				tt = int(math.Max(1, math.Ceil(math.Log2(float64(kk)))))
+				tt = spanner.DefaultT(kk)
 			}
 			buildOpts := []mpcspanner.Option{
 				mpcspanner.WithAlgorithm(mpcspanner.AlgoMPC),

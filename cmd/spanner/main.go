@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -26,6 +25,7 @@ import (
 	"mpcspanner/cmd/internal/cliutil"
 	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/spanner"
 )
 
 func main() {
@@ -87,7 +87,7 @@ func main() {
 
 	mpcT := *t
 	if mpcT <= 0 {
-		mpcT = defaultT(*k) // the historical ⌈log₂ k⌉ default of -mpc mode
+		mpcT = spanner.DefaultT(*k) // the historical ⌈log₂ k⌉ default of -mpc mode
 	}
 	switch {
 	case *useMPC:
@@ -187,14 +187,6 @@ func reportCanceled(ev *mpcspanner.ProgressEvent) {
 	}
 	fmt.Fprintf(os.Stderr, "canceled at %s %s %d/%d: %d spanner edges selected so far\n",
 		ev.Algorithm, ev.Stage, ev.Iteration, ev.TotalIterations, ev.SpannerEdges)
-}
-
-func defaultT(k int) int {
-	t := int(math.Ceil(math.Log2(float64(k))))
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 func report(g *graph.Graph, ids []int, bound float64, verify int, seed uint64, out string) {

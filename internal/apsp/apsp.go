@@ -14,14 +14,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/mpc"
 	"mpcspanner/internal/obs"
-	"mpcspanner/internal/oracle"
 	"mpcspanner/internal/par"
 	"mpcspanner/internal/spanner"
 )
@@ -41,10 +39,10 @@ type Options struct {
 	// spanner (they stay in the strongly sublinear regime). Zero means 1/2.
 	Gamma float64
 
-	// Workers sizes the real goroutine pool behind the simulated build and
-	// the serving-side oracle (par conventions: 0 = GOMAXPROCS, 1 = serial).
-	// Results are bit-identical at every worker count; negative values are
-	// rejected with a descriptive error.
+	// Workers sizes the real goroutine pool behind the simulated build (par
+	// conventions: 0 = GOMAXPROCS, 1 = serial). Results are bit-identical at
+	// every worker count; negative values are rejected with a descriptive
+	// error.
 	Workers int
 
 	// Progress, when non-nil, receives the build's checkpoint events (the
@@ -52,11 +50,9 @@ type Options struct {
 	// contract as mpc.Options.Progress.
 	Progress func(core.ProgressEvent)
 
-	// Metrics, when non-nil, instruments the whole pipeline on one registry:
-	// the simulated build (mpc_* series), the serving oracle created by
-	// Result.Oracle() (oracle_* series), and the delta-stepping row fills of
-	// that oracle and of Measure/MeasureCDF (dist_* series). nil runs
-	// uninstrumented.
+	// Metrics, when non-nil, instruments the pipeline on one registry: the
+	// simulated build (mpc_* series) and the delta-stepping row fills of
+	// Measure/MeasureCDF (dist_* series). nil runs uninstrumented.
 	Metrics *obs.Registry
 
 	// MemoryBudget, when positive, caps the host-process bytes the build's
@@ -90,28 +86,7 @@ type Result struct {
 
 	g       *graph.Graph
 	spanner *graph.Graph
-	workers int           // serving-side pool size (par conventions)
-	metrics *obs.Registry // carried into the shared oracle and measurers (may be nil)
-
-	oracleOnce sync.Once
-	oracle     *oracle.Oracle
-}
-
-// Params returns Corollary 1.4's parameter choice for an n-vertex graph:
-// k = ⌈log₂ n⌉ and (if t is not forced) t = max(1, ⌈log₂ log₂ n⌉).
-func Params(n, forcedT int) (k, t int) {
-	if n < 4 {
-		n = 4
-	}
-	k = int(math.Ceil(math.Log2(float64(n))))
-	if forcedT > 0 {
-		return k, forcedT
-	}
-	t = int(math.Ceil(math.Log2(math.Log2(float64(n)))))
-	if t < 1 {
-		t = 1
-	}
-	return k, t
+	metrics *obs.Registry // carried into the measurers (may be nil)
 }
 
 // ApproxCtx runs the Section 7 pipeline under a context: the underlying MPC
@@ -131,7 +106,10 @@ func ApproxCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error
 	if gamma == 0 {
 		gamma = 0.5
 	}
-	k, t := Params(g.N(), opt.T)
+	k, t := spanner.APSPParams(g.N())
+	if opt.T > 0 {
+		t = opt.T
+	}
 
 	build, err := mpc.BuildSpannerCtx(ctx, g, k, t, opt.Seed,
 		mpc.Options{Gamma: gamma, Workers: opt.Workers, Progress: opt.Progress,
@@ -173,7 +151,6 @@ func ApproxCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error
 		MergePasses:      build.MergePasses,
 		g:                g,
 		spanner:          g.Subgraph(build.EdgeIDs),
-		workers:          opt.Workers,
 		metrics:          opt.Metrics,
 	}
 	if opt.Progress != nil {
@@ -189,48 +166,6 @@ func ApproxCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error
 
 // Spanner returns the collected spanner.
 func (r *Result) Spanner() *graph.Graph { return r.spanner }
-
-// oracleBudgetBytes bounds the memory the Result's shared oracle may retain
-// in cached rows (64 MiB) — the Result must not silently grow toward the
-// Θ(n²) footprint Matrix warns about just because many sources were queried.
-const oracleBudgetBytes = 64 << 20
-
-// Oracle returns the serving layer over the collected spanner: a
-// concurrency-safe, cached distance oracle. It is created on first use and
-// shared by every subsequent call (including DistancesFrom), so repeated
-// queries on hot sources cost one Dijkstra per distinct source rather than
-// one per call. Its row budget is scaled so cached rows stay under 64 MiB
-// regardless of n; for a different cache topology build one directly:
-// oracle.New(r.Spanner(), opts).
-func (r *Result) Oracle() *oracle.Oracle {
-	r.oracleOnce.Do(func() {
-		rows := oracleBudgetBytes / (8 * r.spanner.N())
-		if rows < 1 {
-			rows = 1
-		}
-		if rows > 1024 {
-			rows = 1024
-		}
-		r.oracle = oracle.New(r.spanner, oracle.Options{MaxRows: rows, Workers: r.workers,
-			Metrics: r.metrics})
-	})
-	return r.oracle
-}
-
-// DistancesFrom answers a single-source query on the collected spanner —
-// the local computation of the machine holding it. Rows are served from the
-// shared Oracle cache; the returned slice is a private copy the caller may
-// keep or mutate.
-func (r *Result) DistancesFrom(v int) []float64 {
-	return append([]float64(nil), r.Oracle().Row(v)...)
-}
-
-// Matrix materializes the full approximate APSP matrix. It allocates Θ(n²)
-// float64s — 800 MB at n = 10⁵ — and recomputes every row, so it is meant
-// for verification-scale graphs only (BenchmarkMatrix tracks the cost).
-// Callers with sparse or skewed query patterns should use Oracle instead,
-// which caches only the rows actually touched under an LRU budget.
-func (r *Result) Matrix() [][]float64 { return dist.APSP(r.spanner) }
 
 // Measure samples the pairwise approximation ratio dist_H/dist_G over
 // `sources` full-row fills.

@@ -2,26 +2,46 @@ package apsp
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/spanner"
 )
 
+// TestParams checks that ApproxCtx builds with the Corollary 1.4 parameters
+// spanner.APSPParams(n) by default, honours a forced Options.T, and handles
+// the degenerate two-vertex graph.
 func TestParams(t *testing.T) {
-	k, tt := Params(1024, 0)
+	k, tt := spanner.APSPParams(1024)
 	if k != 10 {
 		t.Fatalf("k = %d for n=1024", k)
 	}
 	if tt < 1 || tt > 4 {
 		t.Fatalf("t = %d for n=1024", tt)
 	}
-	if _, forced := Params(1024, 7); forced != 7 {
-		t.Fatal("forced t ignored")
+	g := graph.Connectify(graph.GNP(64, 0.1, graph.UniformWeight(1, 10), 2), 5)
+	wantK, wantT := spanner.APSPParams(g.N())
+	res, err := ApproxCtx(context.Background(), g, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if k, tt := Params(2, 0); k < 2 || tt < 1 {
-		t.Fatalf("degenerate params %d %d", k, tt)
+	if res.K != wantK || res.T != wantT {
+		t.Fatalf("default params (%d, %d), want (%d, %d)", res.K, res.T, wantK, wantT)
+	}
+	res, err = ApproxCtx(context.Background(), g, Options{Seed: 1, T: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K != wantK || res.T != 1 {
+		t.Fatalf("forced t ignored: params (%d, %d), want (%d, 1)", res.K, res.T, wantK)
+	}
+	res, err = ApproxCtx(context.Background(), graph.Path(2, graph.UnitWeight, 1), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K < 2 || res.T < 1 {
+		t.Fatalf("degenerate params %d %d", res.K, res.T)
 	}
 }
 
@@ -57,7 +77,7 @@ func TestApproxNeverUnderestimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	exactFrom0 := dist.Dijkstra(g, 0)
-	approxFrom0 := res.DistancesFrom(0)
+	approxFrom0 := dist.Dijkstra(res.Spanner(), 0)
 	for v := range exactFrom0 {
 		if approxFrom0[v] < exactFrom0[v]-1e-9 {
 			t.Fatalf("vertex %d: approx %v below exact %v", v, approxFrom0[v], exactFrom0[v])
@@ -84,23 +104,6 @@ func TestApproxTOneFasterLooser(t *testing.T) {
 	}
 }
 
-func TestApproxMatrixConsistent(t *testing.T) {
-	g := graph.Connectify(graph.GNP(80, 0.08, graph.UniformWeight(1, 6), 17), 3)
-	res, err := ApproxCtx(context.Background(), g, Options{Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Matrix()
-	for v := 0; v < g.N(); v += 13 {
-		row := res.DistancesFrom(v)
-		for u := range row {
-			if math.Abs(row[u]-m[v][u]) > 1e-9 && !(math.IsInf(row[u], 1) && math.IsInf(m[v][u], 1)) {
-				t.Fatalf("matrix row %d disagrees with single-source at %d", v, u)
-			}
-		}
-	}
-}
-
 func TestApproxCDFQuantiles(t *testing.T) {
 	g := graph.Connectify(graph.GNP(150, 0.06, graph.UnitWeight, 23), 1)
 	res, err := ApproxCtx(context.Background(), g, Options{Seed: 29})
@@ -121,34 +124,6 @@ func TestApproxCDFQuantiles(t *testing.T) {
 		if qs[i] < qs[i-1] {
 			t.Fatalf("quantiles not monotone: %v", qs)
 		}
-	}
-}
-
-func TestOracleServesSpannerDistances(t *testing.T) {
-	g := graph.Connectify(graph.GNP(150, 0.05, graph.UniformWeight(1, 8), 43), 2)
-	res, err := ApproxCtx(context.Background(), g, Options{Seed: 47})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := res.Oracle()
-	if o != res.Oracle() {
-		t.Fatal("Oracle() must return the shared instance")
-	}
-	truth := dist.APSP(res.Spanner())
-	for v := 0; v < g.N(); v += 7 {
-		row := o.Row(v)
-		for u := range row {
-			if row[u] != truth[v][u] {
-				t.Fatalf("oracle row %d disagrees with spanner APSP at %d", v, u)
-			}
-		}
-		// DistancesFrom must serve the same values through the cache.
-		if dv := res.DistancesFrom(v); dv[0] != truth[v][0] {
-			t.Fatalf("DistancesFrom(%d) diverged", v)
-		}
-	}
-	if s := o.Stats(); s.Misses == 0 || s.Hits == 0 {
-		t.Fatalf("cache did not register the repeated rows: %+v", s)
 	}
 }
 

@@ -310,7 +310,10 @@ func T9APSP(cfg Config) Table {
 				// Run a small query sample through the serving oracle so an
 				// instrumented dump carries the oracle_* latency and cache
 				// series alongside the build-side mpc_* series.
-				res.Oracle().QueryMany(oracle.ZipfWorkload(n, 64, 1.2, cfg.Seed+93))
+				o := oracle.New(res.Spanner(), oracle.Options{Metrics: cfg.Metrics})
+				if _, err := o.QueryMany(context.Background(), oracle.ZipfWorkload(n, 64, 1.2, cfg.Seed+93)); err != nil {
+					panic(err)
+				}
 			}
 			rep, err := res.Measure(cfg.scale(20, 8), cfg.Seed+92)
 			if err != nil {
@@ -339,7 +342,7 @@ func T10CongestedClique(cfg Config) Table {
 	}
 	for _, n := range sizes {
 		g := graph.Connectify(graph.GNP(n, 10/float64(n), graph.UniformWeight(1, 20), cfg.Seed+100), 10)
-		k, t := cclique.APSPParams(n)
+		k, t := spanner.APSPParams(n)
 		sp, err := cclique.BuildSpannerCtx(context.Background(), g, k, t, cfg.Seed+101, cclique.BuildOptions{})
 		if err != nil {
 			panic(err)

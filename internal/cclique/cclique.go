@@ -14,7 +14,6 @@ package cclique
 
 import (
 	"fmt"
-	"math"
 
 	"mpcspanner/internal/par"
 )
@@ -181,19 +180,4 @@ func (c *Clique) BroadcastVolume(words int) int {
 	c.rounds += r
 	c.wordsSent += int64(words) * int64(c.n)
 	return r
-}
-
-// APSPParams returns the Corollary 1.5 parameter choice for an n-vertex
-// graph: k = ⌈log₂ n⌉ and t = max(1, ⌈log₂ log₂ n⌉), which yield stretch
-// O(log^{1+o(1)} n) in O(log² log n) rounds.
-func APSPParams(n int) (k, t int) {
-	if n < 4 {
-		return 2, 1
-	}
-	k = int(math.Ceil(math.Log2(float64(n))))
-	t = int(math.Ceil(math.Log2(math.Log2(float64(n)))))
-	if t < 1 {
-		t = 1
-	}
-	return k, t
 }

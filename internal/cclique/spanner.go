@@ -113,7 +113,7 @@ type APSPResult struct {
 // locally. Cancellation follows BuildSpannerCtx; the collection step
 // follows one final checkpoint after the build.
 func ApproxAPSPCtx(ctx context.Context, g *graph.Graph, seed uint64, opt BuildOptions) (*APSPResult, error) {
-	k, t := APSPParams(g.N())
+	k, t := spanner.APSPParams(g.N())
 	sp, err := BuildSpannerCtx(ctx, g, k, t, seed, opt)
 	if err != nil {
 		return nil, err
@@ -138,10 +138,6 @@ func ApproxAPSPCtx(ctx context.Context, g *graph.Graph, seed uint64, opt BuildOp
 		spanner:          g.Subgraph(sp.EdgeIDs),
 	}, nil
 }
-
-// DistancesFrom answers the local computation every node performs after the
-// broadcast: single-source distances on the collected spanner.
-func (r *APSPResult) DistancesFrom(v int) []float64 { return dist.Dijkstra(r.spanner, v) }
 
 // Spanner returns the collected spanner subgraph.
 func (r *APSPResult) Spanner() *graph.Graph { return r.spanner }

@@ -111,15 +111,12 @@ func Canceled(cause error) error {
 }
 
 // Check is the cooperative checkpoint every construction loop calls between
-// chunks of work: it returns nil while ctx is live (or nil, for legacy
-// callers without a context) and Canceled(ctx.Err()) once ctx is done.
-// Checkpoints never change what is computed — equal seeds give bit-identical
-// results whether or not a context is supplied, and a canceled context is
-// noticed at the next checkpoint rather than mid-chunk.
+// chunks of work: it returns nil while ctx is live and Canceled(ctx.Err())
+// once ctx is done. Checkpoints never change what is computed — equal seeds
+// give bit-identical results whether or not a context is ever canceled, and
+// a canceled context is noticed at the next checkpoint rather than
+// mid-chunk.
 func Check(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
 	select {
 	case <-ctx.Done():
 		return Canceled(ctx.Err())

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,12 +33,13 @@ func BenchmarkOracleRowFill(b *testing.B) {
 	b.Run("n=1M/engine=delta-stepping", func(b *testing.B) {
 		g := largeOracleGraph()
 		o := New(g, Options{MaxRows: 8})
-		o.Row(0) // warm the solver scratch pool
+		mustRow(b, o, 0) // warm the solver scratch pool
+		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if r := o.Row((1 + i*7919) % g.N()); len(r) != g.N() {
-				b.Fatal("bad row")
+			if r, err := o.Row(ctx, (1+i*7919)%g.N()); err != nil || len(r) != g.N() {
+				b.Fatal("bad row", err)
 			}
 		}
 		b.StopTimer()
@@ -49,25 +51,31 @@ func BenchmarkOracleRowFill(b *testing.B) {
 }
 
 // BenchmarkOracleColdVsWarm times the same Zipf batch against a fresh cache
-// (every distinct source pays a Dijkstra) and a pre-warmed one (every pair is
+// (every distinct source pays a row fill) and a pre-warmed one (every pair is
 // a row lookup). The gap is the serving-layer speedup the §7 oracle regime
 // is about.
 func BenchmarkOracleColdVsWarm(b *testing.B) {
 	g := benchGraph(b)
 	pairs := ZipfWorkload(g.N(), 2000, 1.2, 7)
 
+	ctx := context.Background()
+
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := New(g, Options{MaxRows: 4096})
-			o.QueryMany(pairs)
+			if _, err := o.QueryMany(ctx, pairs); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		o := New(g, Options{MaxRows: 4096})
-		o.QueryMany(pairs)
+		mustQueryMany(b, o, pairs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.QueryMany(pairs)
+			if _, err := o.QueryMany(ctx, pairs); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -89,10 +97,13 @@ func BenchmarkQueryMany(b *testing.B) {
 	})
 	b.Run("oracle-warm", func(b *testing.B) {
 		o := New(g, Options{MaxRows: 4096})
-		o.QueryMany(pairs)
+		mustQueryMany(b, o, pairs)
+		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.QueryMany(pairs)
+			if _, err := o.QueryMany(ctx, pairs); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -104,7 +115,7 @@ func TestQueryManyMatchesNaive(t *testing.T) {
 	g := graph.Connectify(graph.GNP(300, 8/300.0, graph.UniformWeight(1, 100), 1), 50)
 	pairs := ZipfWorkload(g.N(), 400, 1.2, 11)
 	o := New(g, Options{})
-	got := o.QueryMany(pairs)
+	got := mustQueryMany(t, o, pairs)
 	for i, p := range pairs {
 		want := dist.Dijkstra(g, p.U)[p.V]
 		if got[i] != want {

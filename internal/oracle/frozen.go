@@ -16,9 +16,7 @@ type RowSource interface {
 // source — src[i]'s distance row is rows[i]. The row slices are shared with
 // the cache (and with any callers holding them): treat them as read-only.
 // Sessions use this to persist a warm cache into an artifact, so a restarted
-// replica starts with its hot set frozen instead of cold. A package-level
-// function rather than a method so the facade's Oracle alias doesn't grow
-// public surface.
+// replica starts with its hot set frozen instead of cold.
 func SnapshotRows(o *Oracle) (srcs []int, rows [][]float64) {
 	for i := range o.shards {
 		sh := &o.shards[i]

@@ -22,7 +22,7 @@ func frozenTestGraph(seed uint64) *graph.Graph {
 }
 
 // TestFrozenServesAheadOfCache pins the frozen-row contract: a frozen source
-// is answered without a Dijkstra (no miss), counts as a hit, and never
+// is answered without a row fill (no miss), counts as a hit, and never
 // becomes resident cache state; unfrozen sources fall through untouched.
 func TestFrozenServesAheadOfCache(t *testing.T) {
 	g := frozenTestGraph(1)
@@ -33,7 +33,7 @@ func TestFrozenServesAheadOfCache(t *testing.T) {
 	o := New(g, Options{Frozen: frozen})
 
 	for _, src := range []int{3, 7, 3} {
-		got := o.Row(src)
+		got := mustRow(t, o, src)
 		want := frozen[src]
 		for v := range want {
 			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
@@ -48,7 +48,7 @@ func TestFrozenServesAheadOfCache(t *testing.T) {
 
 	// An unfrozen source falls through to the normal miss path.
 	want := dist.Dijkstra(g, 11)
-	got := o.Row(11)
+	got := mustRow(t, o, 11)
 	for v := range want {
 		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 			t.Fatalf("fallthrough row entry %d: got %v, want %v", v, got[v], want[v])
@@ -61,7 +61,7 @@ func TestFrozenServesAheadOfCache(t *testing.T) {
 }
 
 // TestFrozenBatch pins that QueryMany's resident fast pass (peek) also sees
-// frozen rows, so a batch over frozen sources runs no Dijkstra at all.
+// frozen rows, so a batch over frozen sources runs no row fill at all.
 func TestFrozenBatch(t *testing.T) {
 	g := frozenTestGraph(2)
 	frozen := mapRows{
@@ -70,28 +70,28 @@ func TestFrozenBatch(t *testing.T) {
 	}
 	o := New(g, Options{Frozen: frozen, Workers: 3})
 	pairs := []Pair{{0, 10}, {5, 20}, {0, 30}, {5, 40}}
-	got := o.QueryMany(pairs)
+	got := mustQueryMany(t, o, pairs)
 	for i, p := range pairs {
 		if want := frozen[p.U][p.V]; math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("pair %d (%d,%d): got %v, want %v", i, p.U, p.V, got[i], want)
 		}
 	}
 	if st := o.Stats(); st.Misses != 0 {
-		t.Fatalf("batch over frozen sources ran %d Dijkstras", st.Misses)
+		t.Fatalf("batch over frozen sources ran %d row fills", st.Misses)
 	}
 }
 
-// TestFrozenCtx pins that the context-aware path serves frozen rows too.
+// TestFrozenCtx pins that a point Query serves frozen rows too.
 func TestFrozenCtx(t *testing.T) {
 	g := frozenTestGraph(3)
 	frozen := mapRows{4: dist.Dijkstra(g, 4)}
 	o := New(g, Options{Frozen: frozen})
-	d, err := o.QueryCtx(context.Background(), 4, 9)
+	d, err := o.Query(context.Background(), 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := frozen[4][9]; d != want {
-		t.Fatalf("QueryCtx: got %v, want %v", d, want)
+		t.Fatalf("Query: got %v, want %v", d, want)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestSnapshotRows(t *testing.T) {
 	g := frozenTestGraph(4)
 	o := New(g, Options{})
 	for _, src := range []int{9, 2, 17, 5} {
-		o.Row(src)
+		mustRow(t, o, src)
 	}
 	srcs, rows := SnapshotRows(o)
 	want := []int{2, 5, 9, 17}

@@ -1,9 +1,11 @@
 package oracle
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
 	"mpcspanner/internal/xrand"
 )
@@ -23,11 +25,16 @@ func TestStatsCoherentWithMetrics(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ctx := context.Background()
 			rng := xrand.Split(uint64(w), 0x636f6865)
 			for i := 0; i < 40; i++ {
-				o.Query(rng.Intn(g.N()), rng.Intn(g.N()))
+				if _, err := o.Query(ctx, rng.Intn(g.N()), rng.Intn(g.N())); err != nil {
+					t.Error(err)
+				}
 			}
-			o.QueryMany(ZipfWorkload(g.N(), 64, 1.1, uint64(w)+5))
+			if _, err := o.QueryMany(ctx, ZipfWorkload(g.N(), 64, 1.1, uint64(w)+5)); err != nil {
+				t.Error(err)
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -77,7 +84,10 @@ func TestQueueWaitAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			o.Query(5, 17) // same cold source: one computes, the rest wait
+			// Same cold source: one computes, the rest wait.
+			if _, err := o.Query(context.Background(), 5, 17); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	start.Done()
@@ -99,7 +109,7 @@ func TestQueueWaitAccounting(t *testing.T) {
 	}
 
 	plain := New(g, Options{MaxRows: 8})
-	plain.Query(5, 17)
+	mustQuery(t, plain, 5, 17)
 	if plain.queueWaitSeconds != nil {
 		t.Fatal("uninstrumented oracle must keep the queue-wait path clock-free")
 	}
@@ -107,20 +117,33 @@ func TestQueueWaitAccounting(t *testing.T) {
 
 // TestMaxRows pins the budget a serving daemon derives its admission ceiling
 // from: MaxRows reports the effective post-default, post-clamp budget, and
-// the shard capacities sum to exactly it.
+// the shard capacities sum to exactly it. The default is 1024 rows up to
+// n = 8 192 and a 64 MiB ceiling above.
 func TestMaxRows(t *testing.T) {
 	g := testGraph(t, 50, 31)
+	long := graph.Path(10_000, graph.UnitWeight, 1)
 	for _, tc := range []struct {
+		g    *graph.Graph
 		opt  Options
 		want int
 	}{
-		{Options{MaxRows: 37, Shards: 4}, 37},
-		{Options{MaxRows: -9}, 1}, // clamped
-		{Options{}, 1024},         // default
-		{Options{MaxRows: 3, Shards: 16}, 3},
+		{g, Options{MaxRows: 37, Shards: 4}, 37},
+		{g, Options{MaxRows: -9}, 1}, // clamped
+		{g, Options{}, 1024},         // default
+		{g, Options{MaxRows: 3, Shards: 16}, 3},
+		{long, Options{}, 838}, // default: 64 MiB / (8·10 000) rows
+		{long, Options{MaxRows: 4096}, 4096},
 	} {
-		if got := New(g, tc.opt).MaxRows(); got != tc.want {
-			t.Errorf("MaxRows with %+v = %d, want %d", tc.opt, got, tc.want)
+		if got := New(tc.g, tc.opt).MaxRows(); got != tc.want {
+			t.Errorf("n=%d: MaxRows with %+v = %d, want %d", tc.g.N(), tc.opt, got, tc.want)
+		}
+	}
+	// The default rule itself, at sizes too large to build here.
+	for _, tc := range []struct{ n, want int }{
+		{0, 1024}, {8_192, 1024}, {8_193, 1023}, {40_000, 209}, {1_000_000, 8},
+	} {
+		if got := defaultMaxRows(tc.n); got != tc.want {
+			t.Errorf("defaultMaxRows(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}
 }
@@ -137,15 +160,16 @@ func TestInstrumentedWarmPathAllocs(t *testing.T) {
 	plain := New(g, Options{Workers: 1})
 	instr := New(g, Options{Workers: 1, Metrics: obs.NewRegistry()})
 	for _, o := range []*Oracle{plain, instr} {
-		o.QueryMany(pairs) // warm every source
+		mustQueryMany(t, o, pairs) // warm every source
 	}
 
-	if allocs := testing.AllocsPerRun(20, func() { instr.Query(3, 42) }); allocs > 0 {
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(20, func() { instr.Query(ctx, 3, 42) }); allocs > 0 {
 		t.Errorf("instrumented warm Query allocated %.1f objects/op, want 0", allocs)
 	}
 
-	base := testing.AllocsPerRun(20, func() { plain.QueryMany(pairs) })
-	got := testing.AllocsPerRun(20, func() { instr.QueryMany(pairs) })
+	base := testing.AllocsPerRun(20, func() { plain.QueryMany(ctx, pairs) })
+	got := testing.AllocsPerRun(20, func() { instr.QueryMany(ctx, pairs) })
 	if got > base {
 		t.Errorf("instrumented warm QueryMany allocates %.1f objects/op, uninstrumented %.1f — instrumentation must add zero", got, base)
 	}

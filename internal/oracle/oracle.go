@@ -1,11 +1,11 @@
 // Package oracle is the serving layer for the paper's §7 / Corollary 1.4
 // payoff: once a near-linear spanner is built and collected onto one machine,
-// every distance query is answered locally on it. internal/apsp answers such
-// queries by running one Dijkstra per call; this package wraps any frozen
-// graph.Graph (typically a spanner) in a concurrency-safe oracle that
+// every distance query is answered locally on it. This package wraps any
+// frozen graph.Graph (typically a spanner) in a concurrency-safe oracle that
 // memoizes per-source distance rows, so repeated and skewed query workloads —
 // the regime an APSP oracle exists to serve — cost one shortest-path
-// computation per distinct source instead of one per query.
+// computation per distinct source instead of one per query. The facade's
+// Session is its one public front.
 //
 // Topology: the cache is split into shards keyed by source % shards, each
 // with its own mutex, so concurrent queries on distinct sources do not
@@ -20,17 +20,16 @@
 //
 // Batch queries go through QueryMany, which groups pairs by source, answers
 // sources already resident immediately, and fans the remaining distinct
-// sources over a worker pool. Results are written into position-addressed
-// slots, so the output is a pure function of the input pairs regardless of
-// scheduling — design rule 1 of DESIGN.md §3, inherited here as the
-// determinism rule for batch fan-out (DESIGN.md §5).
+// sources out over par.ForCoarseCtx. Results are written into
+// position-addressed slots, so the output is a pure function of the input
+// pairs regardless of scheduling — design rule 1 of DESIGN.md §3, inherited
+// here as the determinism rule for batch fan-out (DESIGN.md §5).
 package oracle
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpcspanner/internal/core"
@@ -55,19 +54,20 @@ type Options struct {
 
 	// MaxRows is the cache budget in resident rows across all shards; each
 	// row holds n float64s, so the memory ceiling is MaxRows·n·8 bytes.
-	// Zero selects 1024 rows; negative values are clamped to 1.
+	// Zero selects min(1024, max(1, 64 MiB / (8·n))) rows: 1024 up to
+	// n = 8 192, a 64 MiB ceiling above. Negative values are clamped to 1.
 	MaxRows int
 
-	// Workers is the QueryMany fan-out pool size. Zero selects GOMAXPROCS.
-	// Each cold row fill is serial, so this pool — filling distinct sources
-	// at once — is all the parallelism a batch gets.
+	// Workers bounds QueryMany's fan-out over distinct cold sources. Zero
+	// selects GOMAXPROCS. Each cold row fill is serial, so filling distinct
+	// sources at once is all the parallelism a batch gets.
 	Workers int
 
 	// Frozen, when non-nil, serves precomputed rows ahead of the cache:
 	// a source the RowSource knows is answered from it directly — no lock,
-	// no LRU traffic, no Dijkstra — and counts as a hit in Stats. Sources
-	// it does not know fall through to the normal cache-then-Dijkstra
-	// path. Typically the row section of a loaded artifact.
+	// no LRU traffic, no row fill — and counts as a hit in Stats. Sources
+	// it does not know fall through to the normal cache-then-fill path.
+	// Typically the row section of a loaded artifact.
 	Frozen RowSource
 
 	// Metrics, when non-nil, exposes the cache counters
@@ -83,11 +83,11 @@ type Options struct {
 // Stats is a point-in-time snapshot of the cache counters. Hits and Misses
 // count row acquisitions (one per distinct source of a batch, not one per
 // pair): an acquisition is a hit when the row was already resident or being
-// computed by another goroutine, and a miss when it triggered a Dijkstra run
-// — so Misses equals the number of shortest-path computations performed.
+// computed by another goroutine, and a miss when it triggered a row fill —
+// so Misses equals the number of shortest-path computations performed.
 type Stats struct {
 	Hits      int64 // row acquisitions served without a new computation
-	Misses    int64 // row acquisitions that ran Dijkstra
+	Misses    int64 // row acquisitions that filled a fresh row
 	Evictions int64 // rows dropped by the LRU policy
 	Resident  int64 // rows currently cached
 }
@@ -111,7 +111,7 @@ type Oracle struct {
 	// Latency histograms are nil unless Options.Metrics was set: the
 	// uninstrumented path performs no clock reads.
 	rowSeconds       *obs.Histogram // per row acquisition through row()
-	rowFillSeconds   *obs.Histogram // per cold Dijkstra fill
+	rowFillSeconds   *obs.Histogram // per cold row fill
 	batchSeconds     *obs.Histogram // per QueryMany batch
 	queueWaitSeconds *obs.Histogram // per wait on another goroutine's in-flight fill
 }
@@ -140,12 +140,22 @@ type shard struct {
 	tail     *entry // least recently used, next eviction victim
 }
 
+// defaultBudgetBytes is the row memory a default-sized cache may hold.
+const defaultBudgetBytes = 64 << 20
+
+// defaultMaxRows is the row budget MaxRows = 0 selects on an n-vertex graph:
+// 1024 rows, or as many as fit in defaultBudgetBytes once 1024 rows of n
+// float64s would not, and never fewer than one.
+func defaultMaxRows(n int) int {
+	return min(1024, max(1, defaultBudgetBytes/(8*max(n, 1))))
+}
+
 // New returns an oracle over g. The graph must be frozen (it is read, never
 // written); the oracle holds a reference, not a copy.
 func New(g *graph.Graph, opt Options) *Oracle {
 	maxRows := opt.MaxRows
 	if maxRows == 0 {
-		maxRows = 1024
+		maxRows = defaultMaxRows(g.N())
 	}
 	if maxRows < 1 {
 		maxRows = 1
@@ -190,9 +200,6 @@ func New(g *graph.Graph, opt Options) *Oracle {
 	return o
 }
 
-// Graph returns the graph the oracle serves distances on.
-func (o *Oracle) Graph() *graph.Graph { return o.g }
-
 // SSSP reports the row-fill engine ("delta-stepping") and its auto-tuned
 // bucket width — what /v1/info advertises so fleet operators can confirm
 // replicas agree.
@@ -212,18 +219,9 @@ func (o *Oracle) MaxRows() int {
 	return total
 }
 
-// checkVertex panics — in the caller's goroutine, before any cache state is
-// touched — when v is not a vertex of the served graph. Validating at the
-// entry points keeps a bad query recoverable: it can never strand a
-// singleflight entry or kill a library-spawned worker.
-func (o *Oracle) checkVertex(v int) {
-	if v < 0 || v >= o.g.N() {
-		panic(fmt.Sprintf("oracle: vertex %d out of range [0,%d)", v, o.g.N()))
-	}
-}
-
-// vertexErr is checkVertex for the context-aware entry points, which report
-// bad queries as typed errors instead of panicking.
+// vertexErr returns a typed *core.OptionError when v is not a vertex of the
+// served graph. The entry points validate before touching any cache state,
+// so a bad query can never strand a singleflight entry or fail a worker.
 func (o *Oracle) vertexErr(field string, v int) error {
 	if v < 0 || v >= o.g.N() {
 		return &core.OptionError{Field: field, Value: v,
@@ -232,20 +230,14 @@ func (o *Oracle) vertexErr(field string, v int) error {
 	return nil
 }
 
-// Query returns the distance from u to v (dist.Inf when unreachable). The
-// row is cached under source u. It panics if u or v is not a vertex.
-func (o *Oracle) Query(u, v int) float64 {
-	o.checkVertex(v)
-	return o.Row(u)[v]
-}
-
-// QueryCtx is Query under a context: a bad vertex or a done context returns
-// a typed error (*core.OptionError / core.Canceled) instead of panicking.
-// Cancellation is checkpointed at entry (so a done context fails regardless
-// of cache residency), before a fresh computation starts, and while waiting
-// on another goroutine's in-flight computation; a Dijkstra already running
+// Query returns the distance from u to v (dist.Inf when unreachable),
+// caching the row under source u. A bad vertex or a done context returns a
+// typed error (*core.OptionError / core.Canceled). Cancellation is
+// checkpointed at entry (so a done context fails regardless of cache
+// residency), before a fresh computation starts, and while waiting on
+// another goroutine's in-flight computation; a fill already running
 // completes (and is cached) regardless.
-func (o *Oracle) QueryCtx(ctx context.Context, u, v int) (float64, error) {
+func (o *Oracle) Query(ctx context.Context, u, v int) (float64, error) {
 	if err := o.vertexErr("oracle: Query.U", u); err != nil {
 		return 0, err
 	}
@@ -263,19 +255,10 @@ func (o *Oracle) QueryCtx(ctx context.Context, u, v int) (float64, error) {
 }
 
 // Row returns the full distance row from src, computing and caching it on a
-// miss. The returned slice is shared with the cache: callers must not mutate
-// it. It stays valid after eviction (eviction drops the cache's reference,
-// not the slice). It panics if src is not a vertex.
-func (o *Oracle) Row(src int) []float64 {
-	o.checkVertex(src)
-	row, _ := o.row(nil, src) // nil context: row never fails
-	return row
-}
-
-// RowCtx is Row under a context (see QueryCtx for the checkpoint
-// granularity). The returned slice is shared with the cache and must not be
-// mutated.
-func (o *Oracle) RowCtx(ctx context.Context, src int) ([]float64, error) {
+// miss (see Query for the errors and checkpoints). The returned slice is
+// shared with the cache: callers must not mutate it. It stays valid after
+// eviction (eviction drops the cache's reference, not the slice).
+func (o *Oracle) Row(ctx context.Context, src int) ([]float64, error) {
 	if err := o.vertexErr("oracle: Row.Src", src); err != nil {
 		return nil, err
 	}
@@ -301,11 +284,11 @@ func (o *Oracle) row(ctx context.Context, src int) ([]float64, error) {
 	return row, err
 }
 
-// acquireRow is the acquisition path behind row. With a nil ctx it
-// never fails; with a live ctx it checkpoints before starting a fresh
-// computation and while waiting on an in-flight one. Once this goroutine has
-// registered itself as the computing goroutine it always finishes and
-// publishes the row — waiters can never be stranded by a canceled computer.
+// acquireRow is the acquisition path behind row. It checkpoints ctx before
+// starting a fresh computation and while waiting on an in-flight one. Once
+// this goroutine has registered itself as the computing goroutine it always
+// finishes and publishes the row — waiters can never be stranded by a
+// canceled computer.
 func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
 	// Frozen rows sit in front of the cache: no lock, no LRU traffic, and
 	// no residency accounting (they are not evictable cache state), so the
@@ -335,17 +318,13 @@ func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
 		if o.queueWaitSeconds != nil {
 			waitStart = time.Now()
 		}
-		if ctx != nil {
-			select {
-			case <-c.done: // another goroutine computed this row; share it
-			case <-ctx.Done():
-				if o.queueWaitSeconds != nil {
-					o.queueWaitSeconds.Observe(time.Since(waitStart).Seconds())
-				}
-				return nil, core.Canceled(ctx.Err())
+		select {
+		case <-c.done: // another goroutine computed this row; share it
+		case <-ctx.Done():
+			if o.queueWaitSeconds != nil {
+				o.queueWaitSeconds.Observe(time.Since(waitStart).Seconds())
 			}
-		} else {
-			<-c.done
+			return nil, core.Canceled(ctx.Err())
 		}
 		if o.queueWaitSeconds != nil {
 			o.queueWaitSeconds.Observe(time.Since(waitStart).Seconds())
@@ -413,28 +392,15 @@ func (o *Oracle) peek(src int) ([]float64, bool) {
 
 // QueryMany answers a batch of pairs: out[i] is the distance for pairs[i].
 // Pairs are grouped by source; sources already resident are answered
-// immediately, and the remaining distinct sources fan out over the worker
-// pool, each worker writing only the slots of its own source. The result is
+// immediately, and the remaining distinct sources fan out over Workers
+// goroutines, each writing only the slots of its own source. The result is
 // therefore deterministic — a pure function of (graph, pairs) — regardless
-// of scheduling, cache state, or concurrent callers. It panics — before any
-// work is fanned out, so the panic is recoverable by the caller — if any
-// pair names a vertex outside the graph.
-func (o *Oracle) QueryMany(pairs []Pair) []float64 {
-	for _, p := range pairs {
-		o.checkVertex(p.U)
-		o.checkVertex(p.V)
-	}
-	out, _ := o.queryMany(nil, pairs) // nil context: queryMany never fails
-	return out
-}
-
-// QueryManyCtx is QueryMany under a context: bad pairs return a typed
-// *core.OptionError before any work is fanned out, and cancellation is
-// checkpointed between sources — each pool worker re-checks ctx before
-// claiming its next uncached source, so a canceled batch returns
+// of scheduling, cache state, or concurrent callers. Bad pairs return a
+// typed *core.OptionError before any work is fanned out. Cancellation is
+// checkpointed before each uncached source, so a canceled batch returns
 // core.Canceled(ctx.Err()) within one row computation, with every worker
 // joined and no goroutine leaked.
-func (o *Oracle) QueryManyCtx(ctx context.Context, pairs []Pair) ([]float64, error) {
+func (o *Oracle) QueryMany(ctx context.Context, pairs []Pair) ([]float64, error) {
 	for _, p := range pairs {
 		if err := o.vertexErr("oracle: Pair.U", p.U); err != nil {
 			return nil, err
@@ -451,9 +417,9 @@ func (o *Oracle) QueryManyCtx(ctx context.Context, pairs []Pair) ([]float64, err
 	return o.queryMany(ctx, pairs)
 }
 
-// queryMany answers a validated batch, timing it when instrumented; ctx may
-// be nil (never fails then). The timing split mirrors row: no clock reads
-// uninstrumented, no deferred closure instrumented.
+// queryMany answers a validated batch, timing it when instrumented. The
+// timing split mirrors row: no clock reads uninstrumented, no deferred
+// closure instrumented.
 func (o *Oracle) queryMany(ctx context.Context, pairs []Pair) ([]float64, error) {
 	if o.batchSeconds == nil {
 		return o.runBatch(ctx, pairs)
@@ -477,8 +443,7 @@ func (o *Oracle) runBatch(ctx context.Context, pairs []Pair) ([]float64, error) 
 		}
 		bySrc[p.U] = append(bySrc[p.U], i)
 	}
-	// Fast pass: sources already resident are answered without touching the
-	// pool.
+	// Fast pass: sources already resident are answered without any fan-out.
 	missing := order[:0]
 	for _, src := range order {
 		if row, ok := o.peek(src); ok {
@@ -492,61 +457,22 @@ func (o *Oracle) runBatch(ctx context.Context, pairs []Pair) ([]float64, error) 
 	if len(missing) == 0 {
 		return out, nil
 	}
-	// Fan the uncached sources over the pool. Each worker holds the row it
-	// acquired while filling its slots, so a concurrent eviction cannot
-	// invalidate the batch. Workers re-check ctx before claiming each
-	// source (the batch's cancellation checkpoint) and always drain through
-	// wg.Wait, so cancellation leaks nothing.
-	workers := o.workers
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	if workers <= 1 {
-		for _, src := range missing {
-			row, err := o.row(ctx, src)
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range bySrc[src] {
-				out[i] = row[pairs[i].V]
-			}
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errAt := make([]error, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if core.Check(ctx) != nil {
-					return // the post-join Check reports the cancellation
-				}
-				j := int(next.Add(1)) - 1
-				if j >= len(missing) {
-					return
-				}
-				src := missing[j]
-				row, err := o.row(ctx, src)
-				if err != nil {
-					errAt[w] = err
-					return
-				}
-				for _, i := range bySrc[src] {
-					out[i] = row[pairs[i].V]
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errAt {
+	// Fan the uncached sources out. Each worker holds the row it acquired
+	// while filling its slots, so a concurrent eviction cannot invalidate the
+	// batch; ForCoarseCtx checkpoints ctx before each source and joins every
+	// worker, so cancellation leaks nothing.
+	err := par.ForCoarseCtx(ctx, o.workers, len(missing), func(j int) error {
+		src := missing[j]
+		row, err := o.row(ctx, src)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	if err := core.Check(ctx); err != nil {
+		for _, i := range bySrc[src] {
+			out[i] = row[pairs[i].V]
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -1,10 +1,13 @@
 package oracle
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
 
+	"mpcspanner/internal/core"
 	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/xrand"
@@ -21,6 +24,36 @@ func testGraph(t testing.TB, n int, seed uint64) *graph.Graph {
 	return g
 }
 
+// mustQuery, mustRow and mustQueryMany call the oracle under a live context
+// and fail the test on any error. Goroutines call the oracle directly, since
+// only the test goroutine may stop the test.
+func mustQuery(t testing.TB, o *Oracle, u, v int) float64 {
+	t.Helper()
+	d, err := o.Query(context.Background(), u, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func mustRow(t testing.TB, o *Oracle, src int) []float64 {
+	t.Helper()
+	r, err := o.Row(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func mustQueryMany(t testing.TB, o *Oracle, pairs []Pair) []float64 {
+	t.Helper()
+	out, err := o.QueryMany(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestQueryMatchesAPSP checks Query, Row, and QueryMany against the
 // dist.APSP ground-truth matrix.
 func TestQueryMatchesAPSP(t *testing.T) {
@@ -34,18 +67,18 @@ func TestQueryMatchesAPSP(t *testing.T) {
 		pairs = append(pairs, Pair{U: rng.Intn(g.N()), V: rng.Intn(g.N())})
 	}
 	for _, p := range pairs {
-		if got := o.Query(p.U, p.V); got != truth[p.U][p.V] {
+		if got := mustQuery(t, o, p.U, p.V); got != truth[p.U][p.V] {
 			t.Fatalf("Query(%d,%d) = %v, want %v", p.U, p.V, got, truth[p.U][p.V])
 		}
 	}
-	got := o.QueryMany(pairs)
+	got := mustQueryMany(t, o, pairs)
 	for i, p := range pairs {
 		if got[i] != truth[p.U][p.V] {
 			t.Fatalf("QueryMany[%d] (%d,%d) = %v, want %v", i, p.U, p.V, got[i], truth[p.U][p.V])
 		}
 	}
 	for _, src := range []int{0, 5, g.N() - 1} {
-		row := o.Row(src)
+		row := mustRow(t, o, src)
 		for v, d := range row {
 			if d != truth[src][v] {
 				t.Fatalf("Row(%d)[%d] = %v, want %v", src, v, d, truth[src][v])
@@ -55,14 +88,14 @@ func TestQueryMatchesAPSP(t *testing.T) {
 }
 
 // TestStatsAccounting pins the counting rule: Hits+Misses counts row
-// acquisitions, Misses counts Dijkstra runs.
+// acquisitions, Misses counts row fills.
 func TestStatsAccounting(t *testing.T) {
 	g := testGraph(t, 60, 3)
 	o := New(g, Options{})
 
-	o.Query(4, 10) // miss: first touch of source 4
-	o.Query(4, 20) // hit: row resident
-	o.Query(4, 4)  // hit
+	mustQuery(t, o, 4, 10) // miss: first touch of source 4
+	mustQuery(t, o, 4, 20) // hit: row resident
+	mustQuery(t, o, 4, 4)  // hit
 	s := o.Stats()
 	if s.Misses != 1 || s.Hits != 2 || s.Resident != 1 || s.Evictions != 0 {
 		t.Fatalf("after 3 point queries: %+v, want {Hits:2 Misses:1 Evictions:0 Resident:1}", s)
@@ -71,7 +104,7 @@ func TestStatsAccounting(t *testing.T) {
 	// A batch with 3 distinct sources, one of them (4) resident: one hit for
 	// the resident source, two misses for the fresh ones — per source, not
 	// per pair.
-	o.QueryMany([]Pair{{4, 1}, {4, 2}, {7, 1}, {7, 2}, {9, 0}})
+	mustQueryMany(t, o, []Pair{{4, 1}, {4, 2}, {7, 1}, {7, 2}, {9, 0}})
 	s = o.Stats()
 	if s.Misses != 3 || s.Hits != 3 || s.Resident != 3 {
 		t.Fatalf("after batch: %+v, want {Hits:3 Misses:3 Resident:3}", s)
@@ -85,10 +118,10 @@ func TestLRUEviction(t *testing.T) {
 	// One shard so the LRU order is global and the test is exact.
 	o := New(g, Options{Shards: 1, MaxRows: 2})
 
-	o.Query(0, 1) // resident: {0}
-	o.Query(1, 1) // resident: {1, 0}
-	o.Query(0, 2) // hit; refreshes 0 → resident: {0, 1}
-	o.Query(2, 1) // evicts 1 (LRU), not 0 → resident: {2, 0}
+	mustQuery(t, o, 0, 1) // resident: {0}
+	mustQuery(t, o, 1, 1) // resident: {1, 0}
+	mustQuery(t, o, 0, 2) // hit; refreshes 0 → resident: {0, 1}
+	mustQuery(t, o, 2, 1) // evicts 1 (LRU), not 0 → resident: {2, 0}
 
 	s := o.Stats()
 	if s.Resident != 2 {
@@ -103,11 +136,11 @@ func TestLRUEviction(t *testing.T) {
 
 	// Source 0 must still be resident (hit), source 1 must have been evicted
 	// (miss + a second eviction to make room).
-	o.Query(0, 3)
+	mustQuery(t, o, 0, 3)
 	if got := o.Stats(); got.Hits != s.Hits+1 {
 		t.Fatalf("source 0 was evicted; stats %+v", got)
 	}
-	o.Query(1, 3)
+	mustQuery(t, o, 1, 3)
 	if got := o.Stats(); got.Misses != s.Misses+1 || got.Evictions != 2 {
 		t.Fatalf("source 1 should re-miss and evict: %+v", got)
 	}
@@ -123,7 +156,7 @@ func TestTinyBudgetShardClamp(t *testing.T) {
 	}
 	truth := dist.APSP(g)
 	for v := 0; v < g.N(); v++ {
-		if got := o.Query(v, 0); got != truth[v][0] {
+		if got := mustQuery(t, o, v, 0); got != truth[v][0] {
 			t.Fatalf("Query(%d,0) = %v, want %v", v, got, truth[v][0])
 		}
 	}
@@ -174,8 +207,13 @@ func TestQueryManyDeterministicConcurrent(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			// Interleave point queries to churn the LRU during batches.
-			o.Query(c, (c+1)%g.N())
-			results[c] = o.QueryMany(pairs)
+			if _, err := o.Query(context.Background(), c, (c+1)%g.N()); err != nil {
+				t.Error(err)
+			}
+			var err error
+			if results[c], err = o.QueryMany(context.Background(), pairs); err != nil {
+				t.Error(err)
+			}
 		}(c)
 	}
 	wg.Wait()
@@ -207,7 +245,10 @@ func TestSingleflightSharesComputation(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			rows[c] = o.Row(42)
+			var err error
+			if rows[c], err = o.Row(context.Background(), 42); err != nil {
+				t.Error(err)
+			}
 		}(c)
 	}
 	close(start)
@@ -228,33 +269,36 @@ func TestSingleflightSharesComputation(t *testing.T) {
 	}
 }
 
-// TestBadVertexPanicsRecoverably checks that out-of-range queries panic in
-// the caller's goroutine before touching cache state: the panic is
-// recoverable, never crashes a worker, and never strands a singleflight
-// entry that would deadlock later queries on the same source.
-func TestBadVertexPanicsRecoverably(t *testing.T) {
+// TestBadVertexRejectedCleanly checks that out-of-range queries are
+// rejected with a typed *core.OptionError before touching cache state: they
+// never fail a worker and never strand a singleflight entry that would
+// deadlock later queries on the same source.
+func TestBadVertexRejectedCleanly(t *testing.T) {
 	g := testGraph(t, 20, 23)
 	o := New(g, Options{})
-	mustPanic := func(name string, f func()) {
+	ctx := context.Background()
+	mustReject := func(name string, err error) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
+		var oe *core.OptionError
+		if !errors.As(err, &oe) {
+			t.Fatalf("%s = %v, want *core.OptionError", name, err)
+		}
 	}
-	mustPanic("Query bad source", func() { o.Query(g.N(), 0) })
-	mustPanic("Query bad target", func() { o.Query(0, -1) })
-	mustPanic("Row bad source", func() { o.Row(-5) })
-	mustPanic("QueryMany bad pair", func() { o.QueryMany([]Pair{{U: 0, V: g.N() + 3}}) })
+	_, err := o.Query(ctx, g.N(), 0)
+	mustReject("Query bad source", err)
+	_, err = o.Query(ctx, 0, -1)
+	mustReject("Query bad target", err)
+	_, err = o.Row(ctx, -5)
+	mustReject("Row bad source", err)
+	_, err = o.QueryMany(ctx, []Pair{{U: 0, V: g.N() + 3}})
+	mustReject("QueryMany bad pair", err)
 
 	// No state was corrupted: the same sources answer normally, promptly.
-	if d := o.Query(0, 0); d != 0 {
-		t.Fatalf("Query(0,0) = %v after recovered panic", d)
+	if d := mustQuery(t, o, 0, 0); d != 0 {
+		t.Fatalf("Query(0,0) = %v after rejected queries", d)
 	}
-	if got := o.QueryMany([]Pair{{U: 0, V: 1}}); got[0] != dist.Dijkstra(g, 0)[1] {
-		t.Fatalf("QueryMany wrong after recovered panic: %v", got)
+	if got := mustQueryMany(t, o, []Pair{{U: 0, V: 1}}); got[0] != dist.Dijkstra(g, 0)[1] {
+		t.Fatalf("QueryMany wrong after rejected queries: %v", got)
 	}
 	if s := o.Stats(); s.Misses != 1 {
 		t.Fatalf("rejected queries must not touch counters: %+v", s)
@@ -265,9 +309,9 @@ func TestBadVertexPanicsRecoverably(t *testing.T) {
 func TestRowSurvivesEviction(t *testing.T) {
 	g := testGraph(t, 30, 19)
 	o := New(g, Options{Shards: 1, MaxRows: 1})
-	row0 := o.Row(0)
+	row0 := mustRow(t, o, 0)
 	want := append([]float64(nil), row0...)
-	o.Row(1) // evicts source 0
+	mustRow(t, o, 1) // evicts source 0
 	for v := range row0 {
 		if row0[v] != want[v] {
 			t.Fatalf("held row mutated at %d after eviction", v)

@@ -3,7 +3,6 @@ package oracle
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,55 +14,42 @@ import (
 
 // TestCancellationSemanticsOracle pins the serving layer's context contract:
 // typed classification for canceled queries, checkpointing between batch
-// sources, no stranded singleflight waiters, and identical answers with and
-// without a live context.
+// sources, and no stranded singleflight waiters.
 func TestCancellationSemanticsOracle(t *testing.T) {
 	g := graph.Connectify(graph.GNP(300, 0.04, graph.UniformWeight(1, 30), 51), 30)
 	o := New(g, Options{MaxRows: 16, Workers: 4})
 
 	pre, cancelPre := context.WithCancel(context.Background())
 	cancelPre()
-	if _, err := o.RowCtx(pre, 0); !errors.Is(err, context.Canceled) || !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("RowCtx(canceled) = %v, want context.Canceled/core.ErrCanceled", err)
+	if _, err := o.Row(pre, 0); !errors.Is(err, context.Canceled) || !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("Row(canceled) = %v, want context.Canceled/core.ErrCanceled", err)
 	}
-	if _, err := o.QueryCtx(pre, 0, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryCtx(canceled) = %v", err)
+	if _, err := o.Query(pre, 0, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Query(canceled) = %v", err)
 	}
 	pairs := ZipfWorkload(g.N(), 200, 1.2, 7)
-	if _, err := o.QueryManyCtx(pre, pairs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryManyCtx(canceled) = %v", err)
+	if _, err := o.QueryMany(pre, pairs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryMany(canceled) = %v", err)
 	}
 
 	// Cancellation classifies uniformly regardless of cache residency: warm
 	// the rows, then re-issue the same canceled calls.
-	if _, err := o.QueryManyCtx(context.Background(), pairs); err != nil {
-		t.Fatal(err)
+	mustQueryMany(t, o, pairs)
+	if _, err := o.Row(pre, pairs[0].U); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("warm Row(canceled) = %v, want ErrCanceled", err)
 	}
-	if _, err := o.RowCtx(pre, pairs[0].U); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("warm RowCtx(canceled) = %v, want ErrCanceled", err)
-	}
-	if _, err := o.QueryManyCtx(pre, pairs); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("warm QueryManyCtx(canceled) = %v, want ErrCanceled", err)
+	if _, err := o.QueryMany(pre, pairs); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("warm QueryMany(canceled) = %v, want ErrCanceled", err)
 	}
 
 	// Typed argument errors.
-	if _, err := o.QueryCtx(context.Background(), 0, g.N()); !errors.Is(err, core.ErrInvalidOption) {
-		t.Fatalf("QueryCtx(bad v) = %v, want core.ErrInvalidOption", err)
+	if _, err := o.Query(context.Background(), 0, g.N()); !errors.Is(err, core.ErrInvalidOption) {
+		t.Fatalf("Query(bad v) = %v, want core.ErrInvalidOption", err)
 	}
 	var oe *core.OptionError
-	_, err := o.QueryManyCtx(context.Background(), []Pair{{U: -1, V: 0}})
+	_, err := o.QueryMany(context.Background(), []Pair{{U: -1, V: 0}})
 	if !errors.As(err, &oe) {
-		t.Fatalf("QueryManyCtx(bad pair) = %v, want *core.OptionError", err)
-	}
-
-	// Context-free and live-context answers agree (and match Query).
-	want := o.QueryMany(pairs)
-	got, err := o.QueryManyCtx(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("QueryManyCtx differs from QueryMany on the same batch")
+		t.Fatalf("QueryMany(bad pair) = %v, want *core.OptionError", err)
 	}
 
 	// A waiter canceled while another goroutine computes the row must
@@ -73,16 +59,19 @@ func TestCancellationSemanticsOracle(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		fresh.Row(7) // computes and publishes
+		// Computes and publishes.
+		if _, err := fresh.Row(context.Background(), 7); err != nil {
+			t.Error(err)
+		}
 	}()
 	waiterCtx, cancelWaiter := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancelWaiter()
-	_, werr := fresh.RowCtx(waiterCtx, 7)
+	_, werr := fresh.Row(waiterCtx, 7)
 	wg.Wait()
 	if werr != nil && !errors.Is(werr, core.ErrCanceled) {
 		t.Fatalf("canceled waiter returned %v, want nil or ErrCanceled", werr)
 	}
-	if row := fresh.Row(7); row[7] != 0 {
+	if row := mustRow(t, fresh, 7); row[7] != 0 {
 		t.Fatal("row corrupted after canceled waiter")
 	}
 
@@ -92,7 +81,7 @@ func TestCancellationSemanticsOracle(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		leakO := New(g, Options{MaxRows: 8, Workers: 8})
-		if _, err := leakO.QueryManyCtx(ctx, pairs); !errors.Is(err, context.Canceled) {
+		if _, err := leakO.QueryMany(ctx, pairs); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled batch = %v", err)
 		}
 	}

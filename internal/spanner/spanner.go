@@ -24,6 +24,7 @@ package spanner
 import (
 	"context"
 	"math"
+	"math/bits"
 	"sort"
 
 	"mpcspanner/internal/cluster"
@@ -235,6 +236,28 @@ func IterationBound(k, t int) int {
 	}
 	l := int(math.Ceil(math.Log(float64(k)) / math.Log(float64(t+1))))
 	return t * l
+}
+
+// DefaultT is the default epoch length for stretch parameter k: the paper's
+// t = ⌈log₂ k⌉ sweet spot (stretch k^{1+o(1)} in O(log² k / log log k)
+// iterations), at least 1.
+func DefaultT(k int) int {
+	if k <= 2 {
+		return 1
+	}
+	return bits.Len(uint(k - 1))
+}
+
+// APSPParams returns the parameters Corollaries 1.4 and 1.5 choose for an
+// n-vertex graph: k = ⌈log₂ n⌉ and t = DefaultT(k) = max(1, ⌈log₂ log₂ n⌉),
+// which yield stretch O(log^{1+o(1)} n) in O(log² log n) rounds. Graphs with
+// fewer than 4 vertices get k = 2, t = 1.
+func APSPParams(n int) (k, t int) {
+	if n < 4 {
+		return 2, 1
+	}
+	k = bits.Len(uint(n - 1))
+	return k, DefaultT(k)
 }
 
 func validateKT(k, t int) error {

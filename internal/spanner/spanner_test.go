@@ -346,6 +346,41 @@ func TestIterationBoundValues(t *testing.T) {
 	}
 }
 
+// TestAPSPParams pins the one default-parameter rule: DefaultT(k) =
+// max(1, ⌈log₂ k⌉) and APSPParams(n) = (⌈log₂ n⌉, DefaultT(k)), the
+// Corollary 1.4/1.5 choice, computed on integers. The sweeps check that the
+// integer rule equals the floating-point ⌈log₂ ·⌉ formulas the paper states.
+func TestAPSPParams(t *testing.T) {
+	for _, c := range []struct{ k, want int }{
+		{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}, {10, 4}, {16, 4}, {17, 5},
+	} {
+		if got := DefaultT(c.k); got != c.want {
+			t.Errorf("DefaultT(%d) = %d, want %d", c.k, got, c.want)
+		}
+	}
+	for _, c := range []struct{ n, k, t int }{
+		{2, 2, 1}, {3, 2, 1}, {4, 2, 1}, {5, 3, 2}, {1024, 10, 4}, {1025, 11, 4},
+		{20_000, 15, 4}, {40_000, 16, 4}, {65_537, 17, 5}, {1 << 24, 24, 5},
+	} {
+		if k, tt := APSPParams(c.n); k != c.k || tt != c.t {
+			t.Errorf("APSPParams(%d) = (%d, %d), want (%d, %d)", c.n, k, tt, c.k, c.t)
+		}
+	}
+	for k := 1; k <= 1<<16; k++ {
+		if got, want := DefaultT(k), max(1, int(math.Ceil(math.Log2(float64(k))))); got != want {
+			t.Fatalf("DefaultT(%d) = %d, float rule %d", k, got, want)
+		}
+	}
+	for n := 4; n <= 1<<20; n++ {
+		k, tt := APSPParams(n)
+		wantK := int(math.Ceil(math.Log2(float64(n))))
+		wantT := max(1, int(math.Ceil(math.Log2(math.Log2(float64(n))))))
+		if k != wantK || tt != wantT {
+			t.Fatalf("APSPParams(%d) = (%d, %d), float rule (%d, %d)", n, k, tt, wantK, wantT)
+		}
+	}
+}
+
 func TestPropertyValidSpanner(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNP(120, 0.07, graph.UniformWeight(1, 20), seed)

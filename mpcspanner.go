@@ -26,7 +26,6 @@ package mpcspanner
 
 import (
 	"context"
-	"math/bits"
 
 	"mpcspanner/internal/apsp"
 	"mpcspanner/internal/cclique"
@@ -124,15 +123,6 @@ type SpannerStats = spanner.Stats
 // quantities.
 type UnweightedStats = spanner.UnweightedStats
 
-// defaultT is Build's default epoch length, the paper's t = ⌈log₂ k⌉ sweet
-// spot (stretch k^{1+o(1)} in O(log² k / log log k) iterations), at least 1.
-func defaultT(k int) int {
-	if k <= 2 {
-		return 1
-	}
-	return bits.Len(uint(k - 1))
-}
-
 // StretchBound returns the certified stretch of General(k, t): 2k^s with
 // s = log(2t+1)/log(t+1).
 func StretchBound(k, t int) float64 { return spanner.StretchBound(k, t) }
@@ -149,14 +139,11 @@ type MPCResult = mpc.Result
 // returns the one behind a Serve session.
 type APSPResult = apsp.Result
 
-// The distance-oracle serving layer (internal/oracle): the §7 regime where
-// the spanner is built once and then serves many queries locally.
+// The distance-oracle serving layer (internal/oracle) behind Session: the
+// §7 regime where the spanner is built once and then serves many queries
+// locally.
 type (
-	// Oracle is a concurrency-safe cached distance oracle over a frozen
-	// graph: sharded per-source row LRU, singleflight miss dedup, and a
-	// deterministic batched query API. APSPResult.Oracle returns one.
-	Oracle = oracle.Oracle
-	// OracleStats is a snapshot of the oracle's cache counters.
+	// OracleStats is a snapshot of a Session's cache counters.
 	OracleStats = oracle.Stats
 	// Pair is one (source, target) query of Session.QueryMany.
 	Pair = oracle.Pair

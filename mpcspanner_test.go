@@ -35,14 +35,7 @@ func TestFacadeAlgorithms(t *testing.T) {
 }
 
 func TestFacadeDefaultT(t *testing.T) {
-	// Default T is ⌈log₂ k⌉, at least 1.
-	for _, c := range []struct{ k, want int }{
-		{1, 1}, {2, 1}, {3, 2}, {5, 3}, {10, 4}, {16, 4},
-	} {
-		if got := defaultT(c.k); got != c.want {
-			t.Fatalf("defaultT(%d) = %d, want %d", c.k, got, c.want)
-		}
-	}
+	// Build's default T is ⌈log₂ k⌉, at least 1 (spanner.DefaultT).
 	g := GNP(200, 0.06, UnitWeight, 3)
 	for _, c := range []struct{ k, want int }{{16, 4}, {10, 4}} {
 		r, err := Build(context.Background(), g, WithK(c.k), WithSeed(4))
@@ -96,8 +89,7 @@ func TestFacadeOracle(t *testing.T) {
 	}
 	res := approx.APSP()
 	// An exact session over the collected spanner must agree with an
-	// independent cache-free Dijkstra on the spanner, and with the result's
-	// shared oracle (which also backs DistancesFrom).
+	// independent cache-free Dijkstra on the spanner.
 	o, err := Serve(ctx, res.Spanner(), WithExact(), WithCacheShards(4), WithCacheRows(16))
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +102,6 @@ func TestFacadeOracle(t *testing.T) {
 	for i, p := range pairs {
 		if want := dist.Dijkstra(res.Spanner(), p.U)[p.V]; got[i] != want {
 			t.Fatalf("pair %v: oracle %v != Dijkstra %v", p, got[i], want)
-		}
-		if shared := res.Oracle().Query(p.U, p.V); got[i] != shared {
-			t.Fatalf("pair %v: standalone %v != shared %v", p, got[i], shared)
 		}
 	}
 	s := o.Stats()

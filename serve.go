@@ -18,7 +18,7 @@ import (
 type Session struct {
 	input  *Graph
 	served *Graph
-	oracle *Oracle
+	oracle *oracle.Oracle
 	apsp   *APSPResult // nil when serving WithExact or WithArtifact
 
 	// Persistence identity: fp is what Session.Fingerprint reports and
@@ -51,7 +51,8 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.art != nil {
+	switch {
+	case cfg.art != nil:
 		// Artifact serving runs no pipeline either; only the cache and
 		// observability knobs combine with it, and the graph argument must
 		// be nil — the artifact is the graph.
@@ -65,28 +66,11 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 					Reason: "not accepted together with WithArtifact (no build runs)"}
 			}
 		}
-		if err := core.Check(ctx); err != nil {
-			return nil, err
-		}
-		cfg.hookPoolMetrics()
-		ag := cfg.art.Graph()
-		s := &Session{input: ag, served: ag, fp: cfg.art.Fingerprint(), art: cfg.art}
-		oopts := oracle.Options{
-			Shards: cfg.shards, MaxRows: cfg.maxRows, Workers: cfg.workers,
-			Metrics: cfg.metrics,
-		}
-		if rows := artifact.RowsOf(cfg.art); rows != nil {
-			s.frozen = rows
-			oopts.Frozen = rows
-		}
-		s.oracle = oracle.New(ag, oopts)
-		return s, nil
-	}
-	if g == nil {
+		g = cfg.art.Graph()
+	case g == nil:
 		return nil, &OptionError{Field: "mpcspanner: Graph", Value: nil,
 			Reason: "Serve needs a graph (or WithArtifact)"}
-	}
-	if cfg.exact {
+	case cfg.exact:
 		// Exact mode runs no pipeline, so the pipeline-only options would
 		// be dead weight; reject them like every other foreign option.
 		// WithMetrics stays accepted: it instruments the serving oracle.
@@ -100,10 +84,13 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 	if err := core.Check(ctx); err != nil {
 		return nil, err
 	}
+	cfg.hookPoolMetrics()
 	s := &Session{input: g, served: g,
 		fp: artifact.Fingerprint{Algorithm: "exact", Workers: cfg.workers}}
-	cfg.hookPoolMetrics()
-	if !cfg.exact {
+	switch {
+	case cfg.art != nil:
+		s.fp, s.art, s.frozen = cfg.art.Fingerprint(), cfg.art, artifact.RowsOf(cfg.art)
+	case !cfg.exact:
 		res, err := apsp.ApproxCtx(ctx, g, apsp.Options{
 			Seed: cfg.seed, T: cfg.t, Gamma: cfg.gamma,
 			Workers: cfg.workers, Progress: traceProgress(cfg.tracer, cfg.progress),
@@ -116,18 +103,17 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 		s.served = res.Spanner()
 		s.fp = artifact.Fingerprint{Algorithm: "apsp-mpc", Seed: cfg.seed,
 			K: res.K, T: res.T, Gamma: cfg.gamma, Workers: cfg.workers}
-		if cfg.shards == 0 && cfg.maxRows == 0 {
-			// Default cache sizing: share the pipeline result's oracle, so
-			// Session queries and APSPResult.DistancesFrom hit one cache
-			// instead of recomputing identical rows into two.
-			s.oracle = res.Oracle()
-			return s, nil
-		}
 	}
-	s.oracle = oracle.New(s.served, oracle.Options{
+	// One oracle for every mode, fronted by the artifact's frozen rows when
+	// it has any.
+	oopts := oracle.Options{
 		Shards: cfg.shards, MaxRows: cfg.maxRows, Workers: cfg.workers,
 		Metrics: cfg.metrics,
-	})
+	}
+	if s.frozen != nil {
+		oopts.Frozen = s.frozen
+	}
+	s.oracle = oracle.New(s.served, oopts)
 	return s, nil
 }
 
@@ -136,7 +122,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 // ErrInvalidOption-classified errors; a done context returns an
 // ErrCanceled-classified error at the next per-row checkpoint.
 func (s *Session) Query(ctx context.Context, u, v int) (float64, error) {
-	return s.oracle.QueryCtx(ctx, u, v)
+	return s.oracle.Query(ctx, u, v)
 }
 
 // QueryMany answers a batch: out[i] is the distance for pairs[i]. Resident
@@ -145,14 +131,14 @@ func (s *Session) Query(ctx context.Context, u, v int) (float64, error) {
 // output is a pure function of (served graph, pairs) regardless of
 // scheduling and cache state.
 func (s *Session) QueryMany(ctx context.Context, pairs []Pair) ([]float64, error) {
-	return s.oracle.QueryManyCtx(ctx, pairs)
+	return s.oracle.QueryMany(ctx, pairs)
 }
 
 // Row returns the full distance row from src, computing and caching it on a
 // miss. The returned slice is shared with the cache: callers must not mutate
 // it.
 func (s *Session) Row(ctx context.Context, src int) ([]float64, error) {
-	return s.oracle.RowCtx(ctx, src)
+	return s.oracle.Row(ctx, src)
 }
 
 // Stats snapshots the serving cache's hit/miss/eviction counters.
