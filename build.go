@@ -33,7 +33,6 @@ type config struct {
 
 	// Serving-side knobs (Serve only).
 	exact   bool
-	shards  int
 	maxRows int
 	art     *Artifact
 
@@ -126,15 +125,9 @@ func WithExact() Option {
 	return func(c *config) { c.exact = true; c.mark("Exact") }
 }
 
-// WithCacheShards sets the serving cache's independently locked shard count
-// (0 = default 16). Accepted by Serve only.
-func WithCacheShards(n int) Option {
-	return func(c *config) { c.shards = n; c.mark("CacheShards") }
-}
-
-// WithCacheRows sets the serving cache's row budget across all shards (one
-// row = n float64s; 0 = default min(1024, max(1, 64 MiB / (8·n))), so at
-// most 64 MiB of rows once n > 8 192). Accepted by Serve only.
+// WithCacheRows sets the serving cache's row budget (one row = n float64s;
+// 0 = default min(1024, max(1, 64 MiB / (8·n))), so at most 64 MiB of rows
+// once n > 8 192). Accepted by Serve only.
 func WithCacheRows(n int) Option {
 	return func(c *config) { c.maxRows = n; c.mark("CacheRows") }
 }
@@ -171,9 +164,8 @@ func WithMemoryBudget(bytes int64) Option {
 // any) ahead of the cache. The session's provenance (Session.Fingerprint)
 // is the artifact's. The artifact must stay open for the session's
 // lifetime — for mmapped artifacts the session reads the mapping directly.
-// Only the cache and observability options (WithCacheShards,
-// WithCacheRows, WithWorkers, WithMetrics) combine with it. Accepted by
-// Serve only.
+// Only the cache and observability options (WithCacheRows, WithWorkers,
+// WithMetrics) combine with it. Accepted by Serve only.
 func WithArtifact(a *Artifact) Option {
 	return func(c *config) { c.art = a; c.mark("Artifact") }
 }
@@ -182,11 +174,11 @@ func WithArtifact(a *Artifact) Option {
 // point rejects.
 var (
 	buildOnly = []string{"Algorithm", "K", "Repetitions", "MeasureRadius", "SaveTo"}
-	serveOnly = []string{"Exact", "CacheShards", "CacheRows", "Artifact"}
+	serveOnly = []string{"Exact", "CacheRows", "Artifact"}
 	// The Corollary 1.5 pipeline fixes its structural parameters, so only
 	// WithSeed / WithWorkers / WithProgress apply.
 	cliqueAPSPForeign = []string{"Algorithm", "K", "T", "Gamma", "Repetitions",
-		"MeasureRadius", "Exact", "CacheShards", "CacheRows", "Metrics", "Tracer",
+		"MeasureRadius", "Exact", "CacheRows", "Metrics", "Tracer",
 		"SaveTo", "Artifact", "MemoryBudget"}
 )
 
@@ -213,10 +205,6 @@ func newConfig(entry string, reject []string, opts []Option) (*config, error) {
 	if c.set["Gamma"] && (c.gamma <= 0 || c.gamma > 1) {
 		return nil, &OptionError{Field: "mpcspanner: Gamma", Value: c.gamma,
 			Reason: "must lie in (0, 1]"}
-	}
-	if c.shards < 0 {
-		return nil, &OptionError{Field: "mpcspanner: CacheShards", Value: c.shards,
-			Reason: "must be >= 0 (0 selects the default)"}
 	}
 	if c.maxRows < 0 {
 		return nil, &OptionError{Field: "mpcspanner: CacheRows", Value: c.maxRows,

@@ -164,6 +164,51 @@ func TestUnweightedFacadeWorkersValidation(t *testing.T) {
 	}
 }
 
+// TestDegenerateGraphSizesTyped pins that the graph sizes the clique and
+// APSP pipelines cannot run on are rejected like every other argument: as an
+// ErrInvalidOption-classified *OptionError naming the rejecting layer's
+// graph and carrying the vertex count.
+func TestDegenerateGraphSizesTyped(t *testing.T) {
+	ctx := context.Background()
+	empty, err := NewGraph(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := NewGraph(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name  string
+		run   func() error
+		field string
+		n     int
+	}{
+		{"Build(congested-clique, n=0)", func() error {
+			_, err := Build(ctx, empty, WithAlgorithm(AlgoCongestedClique), WithK(2))
+			return err
+		}, "cclique: graph", 0},
+		{"ApproxAPSPCongestedCliqueCtx(n=0)", func() error {
+			_, err := ApproxAPSPCongestedCliqueCtx(ctx, empty)
+			return err
+		}, "cclique: graph", 0},
+		{"Serve(n=1)", func() error {
+			_, err := Serve(ctx, single)
+			return err
+		}, "apsp: graph", 1},
+	}
+	for _, c := range calls {
+		err := c.run()
+		if !errors.Is(err, ErrInvalidOption) {
+			t.Fatalf("%s = %v, want ErrInvalidOption", c.name, err)
+		}
+		var oe *OptionError
+		if !errors.As(err, &oe) || oe.Field != c.field || oe.Value != c.n {
+			t.Fatalf("%s rejected as %+v, want Field %q, Value %d", c.name, oe, c.field, c.n)
+		}
+	}
+}
+
 // TestBuildCancellation is the acceptance criterion: a canceled context
 // returns an error satisfying errors.Is(err, context.Canceled) — and the
 // package sentinel ErrCanceled — from every algorithm family.
@@ -293,9 +338,6 @@ func TestServeSession(t *testing.T) {
 	// Serve rejects build-only options and malformed cache sizing.
 	if _, err := Serve(ctx, g, WithK(4)); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("Serve(WithK) = %v, want ErrInvalidOption", err)
-	}
-	if _, err := Serve(ctx, g, WithExact(), WithCacheShards(-4)); !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("Serve(WithCacheShards(-4)) = %v, want ErrInvalidOption", err)
 	}
 	if _, err := Serve(ctx, g, WithExact(), WithCacheRows(-1)); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("Serve(WithCacheRows(-1)) = %v, want ErrInvalidOption", err)

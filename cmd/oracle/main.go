@@ -47,7 +47,6 @@ func main() {
 	pairs := flag.String("pairs", "-", "pairs file, '-' = stdin (ignored with -synth)")
 	synth := flag.Int("synth", 0, "generate this many Zipf-source queries instead of reading pairs")
 	zipf := flag.Float64("zipf", 1.2, "Zipf exponent of the -synth source distribution")
-	shards := flag.Int("shards", 0, "cache shards (0 = default)")
 	rows := flag.Int("rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 1024, "serve queries in batches of this size (stats then show cross-batch cache hits); <= 0 = one batch")
@@ -150,8 +149,8 @@ func main() {
 	}
 
 	cacheOpts := []mpcspanner.Option{
-		mpcspanner.WithCacheShards(*shards), mpcspanner.WithCacheRows(*rows),
-		mpcspanner.WithWorkers(*workers), mpcspanner.WithMetrics(reg),
+		mpcspanner.WithCacheRows(*rows), mpcspanner.WithWorkers(*workers),
+		mpcspanner.WithMetrics(reg),
 	}
 	var s *mpcspanner.Session
 	if art != nil {

@@ -111,7 +111,6 @@ func runServe(args []string) {
 	exact := fs.Bool("exact", false, "serve exact distances on the input graph (skip the spanner build)")
 	k := fs.Int("k", 0, "spanner stretch parameter (0 = Corollary 1.4's ⌈log₂ n⌉)")
 	t := fs.Int("t", 0, "epoch length (0 = default)")
-	shards := fs.Int("shards", 0, "cache shards (0 = default)")
 	rows := fs.Int("rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
 	workers := fs.Int("workers", 0, "per-batch worker pool size (0 = GOMAXPROCS)")
 	inflight := fs.Int("inflight", 0, "max concurrent batches inside the oracle (0 = cache row budget / 4)")
@@ -142,8 +141,8 @@ func runServe(args []string) {
 	defer stop()
 
 	cacheOpts := []mpcspanner.Option{
-		mpcspanner.WithCacheShards(*shards), mpcspanner.WithCacheRows(*rows),
-		mpcspanner.WithWorkers(*workers), mpcspanner.WithMetrics(reg),
+		mpcspanner.WithCacheRows(*rows), mpcspanner.WithWorkers(*workers),
+		mpcspanner.WithMetrics(reg),
 	}
 	var session *mpcspanner.Session
 	var serveGraph *mpcspanner.Graph

@@ -97,7 +97,8 @@ type Result struct {
 // worker count.
 func ApproxCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if g.N() < 2 {
-		return nil, fmt.Errorf("apsp: need at least two vertices, got %d", g.N())
+		return nil, &core.OptionError{Field: "apsp: graph", Value: g.N(),
+			Reason: "need at least two vertices"}
 	}
 	if err := par.CheckWorkers("apsp: Options.Workers", opt.Workers); err != nil {
 		return nil, err

@@ -33,26 +33,3 @@ func BenchmarkCliqueSpanner(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkLenzenRouting pins the per-node message budget validation on a
-// full-rate all-to-all instance.
-func BenchmarkLenzenRouting(b *testing.B) {
-	const n = 512
-	msgs := make([]Message, 0, n*n)
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			msgs = append(msgs, Message{From: int32(from), To: int32(to)})
-		}
-	}
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("n=512/workers=%d", w), func(b *testing.B) {
-			c, _ := New(n)
-			c.SetWorkers(w)
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Lenzen(msgs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -74,47 +74,6 @@ func TestNegativeWorkersRejectedClique(t *testing.T) {
 	}
 }
 
-// TestLenzenParallelBudgets pins the sharded per-node budget counting
-// against the serial path on a full-rate instance.
-func TestLenzenParallelBudgets(t *testing.T) {
-	const n = 64
-	mk := func() []Message {
-		var msgs []Message
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				msgs = append(msgs, Message{From: int32(from), To: int32(to), Payload: uint64(from*n + to)})
-			}
-		}
-		return msgs
-	}
-	serialC, _ := New(n)
-	serialC.SetWorkers(1)
-	serialOut, err := serialC.Lenzen(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parC, _ := New(n)
-	parC.SetWorkers(pinWorkers())
-	parOut, err := parC.Lenzen(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialOut, parOut) {
-		t.Fatal("routed outputs differ between worker counts")
-	}
-	if serialC.Rounds() != parC.Rounds() || serialC.WordsSent() != parC.WordsSent() {
-		t.Fatal("accounting differs between worker counts")
-	}
-	// Overflow still rejected under the parallel counter.
-	over := mk()
-	for i := 0; i < n+1; i++ {
-		over = append(over, Message{From: 0, To: 1})
-	}
-	if _, err := parC.Lenzen(over); err == nil {
-		t.Fatal("budget violation accepted by parallel counter")
-	}
-}
-
 // TestCancellationSemanticsCClique pins the context contract of the Theorem
 // 8.1 and Corollary 1.5 pipelines: fail-fast classification on a canceled
 // context, a bounded number of checkpoints after a mid-run cancel, and

@@ -2,7 +2,6 @@ package cclique
 
 import (
 	"context"
-	"fmt"
 
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/dist"
@@ -56,7 +55,8 @@ type SpannerResult struct {
 // core.Canceled(ctx.Err()) at the first checkpoint after cancellation.
 func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64, opt BuildOptions) (*SpannerResult, error) {
 	if g.N() < 1 {
-		return nil, fmt.Errorf("cclique: empty graph")
+		return nil, &core.OptionError{Field: "cclique: graph", Value: g.N(),
+			Reason: "need at least one vertex"}
 	}
 	if err := par.CheckWorkers("cclique: BuildOptions.Workers", opt.Workers); err != nil {
 		return nil, err
@@ -65,7 +65,6 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 	if err != nil {
 		return nil, err
 	}
-	c.SetWorkers(opt.Workers)
 	res, whp, err := spanner.GeneralWHPCtx(ctx, g, k, t, 0,
 		spanner.Options{Seed: seed, Workers: opt.Workers, Progress: opt.Progress})
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 func TestStatsCoherentWithMetrics(t *testing.T) {
 	g := testGraph(t, 150, 17)
 	reg := obs.NewRegistry()
-	o := New(g, Options{Shards: 4, MaxRows: 16, Metrics: reg})
+	o := New(g, Options{shards: 4, MaxRows: 16, Metrics: reg})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -74,7 +74,7 @@ func TestStatsCoherentWithMetrics(t *testing.T) {
 func TestQueueWaitAccounting(t *testing.T) {
 	g := testGraph(t, 200, 29)
 	reg := obs.NewRegistry()
-	o := New(g, Options{Shards: 1, MaxRows: 8, Metrics: reg})
+	o := New(g, Options{shards: 1, MaxRows: 8, Metrics: reg})
 
 	const racers = 8
 	var start, wg sync.WaitGroup
@@ -127,10 +127,10 @@ func TestMaxRows(t *testing.T) {
 		opt  Options
 		want int
 	}{
-		{g, Options{MaxRows: 37, Shards: 4}, 37},
+		{g, Options{MaxRows: 37, shards: 4}, 37},
 		{g, Options{MaxRows: -9}, 1}, // clamped
 		{g, Options{}, 1024},         // default
-		{g, Options{MaxRows: 3, Shards: 16}, 3},
+		{g, Options{MaxRows: 3, shards: 16}, 3},
 		{long, Options{}, 838}, // default: 64 MiB / (8·10 000) rows
 		{long, Options{MaxRows: 4096}, 4096},
 	} {

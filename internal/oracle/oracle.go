@@ -7,16 +7,16 @@
 // computation per distinct source instead of one per query. The facade's
 // Session is its one public front.
 //
-// Topology: the cache is split into shards keyed by source % shards, each
-// with its own mutex, so concurrent queries on distinct sources do not
-// contend. The Options.MaxRows budget (one row = n float64s) is partitioned
-// round-robin across the shards, and each shard evicts its own least
-// recently used row when a newly computed one would exceed its share — so a
-// workload whose hot sources all collide in one shard can use only that
-// shard's fraction of the budget (lower Shards if that bites). A
-// singleflight-style in-flight table per shard deduplicates concurrent
-// misses on the same source: one goroutine computes the row, the rest wait
-// for it, and the computation is charged exactly once.
+// Topology: the cache is split into 16 shards (fewer when MaxRows or the
+// vertex count is smaller) keyed by source % shards, each with its own
+// mutex, so concurrent queries on distinct sources do not contend. The
+// Options.MaxRows budget (one row = n float64s) is partitioned round-robin
+// across the shards, and each shard evicts its own least recently used row
+// when a newly computed one would exceed its share — so a workload whose hot
+// sources all collide in one shard can use only that shard's fraction of the
+// budget. A singleflight-style in-flight table per shard deduplicates
+// concurrent misses on the same source: one goroutine computes the row, the
+// rest wait for it, and the computation is charged exactly once.
 //
 // Batch queries go through QueryMany, which groups pairs by source, answers
 // sources already resident immediately, and fans the remaining distinct
@@ -47,10 +47,11 @@ type Pair struct {
 
 // Options configures New. The zero value selects the defaults.
 type Options struct {
-	// Shards is the number of independently locked cache shards. Zero
+	// shards is the number of independently locked cache shards. Zero
 	// selects 16. The effective count never exceeds MaxRows (every shard
-	// must be able to hold at least one row) or the vertex count.
-	Shards int
+	// must be able to hold at least one row) or the vertex count. Only the
+	// package's LRU tests set it, to force sources into one shard.
+	shards int
 
 	// MaxRows is the cache budget in resident rows across all shards; each
 	// row holds n float64s, so the memory ceiling is MaxRows·n·8 bytes.
@@ -160,7 +161,7 @@ func New(g *graph.Graph, opt Options) *Oracle {
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	nshards := opt.Shards
+	nshards := opt.shards
 	if nshards <= 0 {
 		nshards = 16
 	}

@@ -116,7 +116,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	g := testGraph(t, 40, 5)
 	// One shard so the LRU order is global and the test is exact.
-	o := New(g, Options{Shards: 1, MaxRows: 2})
+	o := New(g, Options{shards: 1, MaxRows: 2})
 
 	mustQuery(t, o, 0, 1) // resident: {0}
 	mustQuery(t, o, 1, 1) // resident: {1, 0}
@@ -150,7 +150,7 @@ func TestLRUEviction(t *testing.T) {
 // still leaves every shard able to hold a row.
 func TestTinyBudgetShardClamp(t *testing.T) {
 	g := testGraph(t, 30, 11)
-	o := New(g, Options{Shards: 16, MaxRows: 1})
+	o := New(g, Options{shards: 16, MaxRows: 1})
 	if len(o.shards) != 1 {
 		t.Fatalf("shards = %d, want clamp to 1", len(o.shards))
 	}
@@ -187,7 +187,7 @@ func TestQueryManyDeterministicConcurrent(t *testing.T) {
 	g := testGraph(t, 100, 13)
 	truth := dist.APSP(g)
 	// Small budget so eviction races with the fan-out.
-	o := New(g, Options{Shards: 4, MaxRows: 8, Workers: 4})
+	o := New(g, Options{shards: 4, MaxRows: 8, Workers: 4})
 
 	var pairs []Pair
 	rng := xrand.New(21)
@@ -308,7 +308,7 @@ func TestBadVertexRejectedCleanly(t *testing.T) {
 // TestRowSurvivesEviction checks that an evicted row stays valid for holders.
 func TestRowSurvivesEviction(t *testing.T) {
 	g := testGraph(t, 30, 19)
-	o := New(g, Options{Shards: 1, MaxRows: 1})
+	o := New(g, Options{shards: 1, MaxRows: 1})
 	row0 := mustRow(t, o, 0)
 	want := append([]float64(nil), row0...)
 	mustRow(t, o, 1) // evicts source 0

@@ -2,16 +2,15 @@ package par
 
 // This file is the one sort of the construction pipeline: the radix-keyed
 // shuffle behind the MPC simulator's global sorts (mpc.Sim.SortByKey, and
-// through it extmem's chunk sorts), the spanner engine's pair dedup
-// (cluster.MinDedup) and cclique's Lenzen grouping. Every caller keys its
-// records by the labels that define its groups — a vertex or label pair
-// packs into at most 62 bits — and reads each group's minimum in the pass
-// that scans the group, so no sort needs a comparator. An LSD radix sort
-// over precomputed uint64 keys touches each element a constant number of
-// times with no per-comparison indirection, and — because scatter offsets
-// are precomputed per (pass, shard, bucket) — it is stable and
-// bit-identical at every worker count, the same contract every other
-// primitive of this package carries.
+// through it extmem's chunk sorts) and the spanner engine's pair dedup
+// (cluster.MinDedup). Every caller keys its records by the labels that
+// define its groups — a vertex or label pair packs into at most 62 bits —
+// and reads each group's minimum in the pass that scans the group, so no
+// sort needs a comparator. An LSD radix sort over precomputed uint64 keys
+// touches each element a constant number of times with no per-comparison
+// indirection, and — because scatter offsets are precomputed per (pass,
+// shard, bucket) — it is stable and bit-identical at every worker count,
+// the same contract every other primitive of this package carries.
 
 const (
 	radixBits    = 8
@@ -200,13 +199,12 @@ func (rs *RadixSorter) Sort(workers int, keys []uint64, idx []uint32) {
 
 // SortIndexByKey returns the stable ascending-by-key permutation of [0, n):
 // out[r] is the index of the record with the r-th smallest key(i), equal
-// keys in index order. It is the shared shape behind every radix-keyed
-// record reordering outside the MPC arena (pair dedup, Lenzen destination
-// grouping): extract keys in parallel, seed the identity
-// permutation, one stable radix sort. key must be pure (it is invoked
-// concurrently). The returned slice aliases the sorter's retained scratch —
-// it is invalidated by the sorter's next call, so callers consume it before
-// sorting again.
+// keys in index order. It is the shape of the one radix-keyed record
+// reordering outside the MPC arena (the pair dedup): extract keys in
+// parallel, seed the identity permutation, one stable radix sort. key must
+// be pure (it is invoked concurrently). The returned slice aliases the
+// sorter's retained scratch — it is invalidated by the sorter's next call,
+// so callers consume it before sorting again.
 func (rs *RadixSorter) SortIndexByKey(workers, n int, key func(i int) uint64) []uint32 {
 	if cap(rs.keys) < n {
 		rs.keys = make([]uint64, n)
@@ -219,11 +217,4 @@ func (rs *RadixSorter) SortIndexByKey(workers, n int, key func(i int) uint64) []
 	})
 	rs.Sort(workers, keys, idx)
 	return idx
-}
-
-// SortIndexByKey is the throwaway-sorter form of RadixSorter.SortIndexByKey
-// for call sites that run at most once per build or route.
-func SortIndexByKey(workers, n int, key func(i int) uint64) []uint32 {
-	var rs RadixSorter
-	return rs.SortIndexByKey(workers, n, key)
 }

@@ -19,20 +19,19 @@ import (
 // live clusters). Tests switch it on; it panics on violation.
 var CheckInvariants bool
 
-// engine holds the mutable state of one run of the general algorithm on one
+// engine holds the mutable state of one run of any engine variant on one
 // graph. All supernode-indexed slices are rebuilt at each contraction.
 //
 // Parallel execution: the heavy passes — coin evaluation, the per-supernode
-// grow loop (Steps B2–B4), edge removals (B3/B4 discards and B6), the
-// contraction relabel/dedup, and Phase 2 — shard their index space over
-// internal/par with `workers` goroutines. Every shard either writes only its
-// own slots or appends to a per-shard accumulator that is concatenated in
-// shard order (= index order), so a run's output is bit-identical at every
-// worker count; the pinning tests in parallel_test.go enforce that.
+// grow loop (Steps B2–B4), the B6 intra-cluster sweep, the contraction
+// relabel/dedup, and Phase 2 — shard their index space over internal/par
+// with `workers` goroutines. Every shard either writes only its own slots or
+// appends to a per-shard accumulator that is concatenated in shard order
+// (= index order), so a run's output is bit-identical at every worker count;
+// the pinning tests in parallel_test.go enforce that.
 type engine struct {
 	g    *graph.Graph
 	k, t int
-	seed uint64
 	cfg  engineConfig
 
 	workers int // resolved parallel worker count (>= 1)
@@ -49,9 +48,14 @@ type engine struct {
 	clusterOf    []int32 // supernode -> center supernode of its cluster (cluster.None = finished)
 	active       []int32 // centers of the live clusters of D_{j-1}
 
-	// Output.
+	// Output: inSpanner marks the chosen input edges (its ascending scan is
+	// the sorted EdgeIDs) and spanCount counts them.
 	inSpanner []bool
-	spanIDs   []int
+	spanCount int
+
+	// fresh is freshEdges' mark scratch over input edge ids, all false
+	// between calls (allocated by the first Theorem 8.1 plan).
+	fresh []bool
 
 	// Cluster-tree bookkeeping over original vertices, for radius stats:
 	// every merge edge is recorded, and a union-find tracks which original
@@ -92,11 +96,11 @@ type engMetrics struct {
 	iterSeconds   *obs.Histogram // spanner_iteration_seconds
 }
 
-// initObs binds the engine's metric handles to cfg.metrics (no-ops when nil)
+// initObs binds the engine's metric handles to cfg.Metrics (no-ops when nil)
 // and installs the tracer.
 func (e *engine) initObs() {
-	r := e.cfg.metrics
-	e.tracer = e.cfg.tracer
+	r := e.cfg.Metrics
+	e.tracer = e.cfg.Tracer
 	if r == nil {
 		return
 	}
@@ -129,11 +133,14 @@ type growScratch struct {
 // in-flight sharded passes always complete their chunk first, so no state is
 // left torn and nothing leaks. When ctx is never canceled the run is
 // bit-identical to a context-free run at every worker count.
-func runEngine(ctx context.Context, g *graph.Graph, k, t int, seed uint64, cfg engineConfig) (*Result, error) {
-	e := newEngine(g, k, t, seed, cfg)
-	if cfg.classicBS {
+func runEngine(ctx context.Context, g *graph.Graph, k, t int, cfg engineConfig) (*Result, error) {
+	e := newEngine(g, k, t, cfg)
+	switch {
+	case cfg.whp != nil:
+		e.stats.Algorithm = "general-whp"
+	case cfg.classicBS:
 		e.stats.Algorithm = "baswana-sen"
-	} else {
+	default:
 		e.stats.Algorithm = "general"
 	}
 
@@ -145,16 +152,61 @@ func runEngine(ctx context.Context, g *graph.Graph, k, t int, seed uint64, cfg e
 	}
 	sp := e.tracer.StartSpan("spanner.phase2").SetInt("alive_edges", int64(e.nAlive))
 	e.phase2()
-	sp.SetInt("spanner_edges", int64(len(e.spanIDs))).End()
-	e.met.edgesSelected.Set(int64(len(e.spanIDs)))
+	sp.SetInt("spanner_edges", int64(e.spanCount)).End()
+	e.met.edgesSelected.Set(int64(e.spanCount))
 	e.emit("phase2", 0, 0)
 
-	ids := sortedUnique(e.spanIDs)
-	e.stats.Phase2Edges = len(ids) - e.stats.Phase1Edges
-	if cfg.measureRadius {
+	e.stats.Phase2Edges = e.spanCount - e.stats.Phase1Edges
+	if cfg.MeasureRadius {
 		e.stats.Radius = e.measureRadius()
 	}
-	return &Result{EdgeIDs: ids, Stats: e.stats}, nil
+	return &Result{EdgeIDs: markedIDs(e.inSpanner, e.spanCount), Stats: e.stats}, nil
+}
+
+// markedIDs lists the set indexes of a membership bitmap holding count
+// marks, ascending: the sorted, unique EdgeIDs of a spanner.
+func markedIDs(in []bool, count int) []int {
+	ids := make([]int, 0, count)
+	for id, ok := range in {
+		if ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// newEngine constructs the initial state of one run: every vertex a
+// supernode and a live singleton cluster, every edge alive.
+func newEngine(g *graph.Graph, k, t int, cfg engineConfig) *engine {
+	n := g.N()
+	e := &engine{
+		g: g, k: k, t: t, cfg: cfg,
+		workers:      par.Workers(cfg.Workers),
+		nSuper:       n,
+		edges:        cluster.FromGraph(g),
+		part:         cluster.NewPartition(n),
+		centerVertex: make([]int32, n),
+		clusterOf:    make([]int32, n),
+		inSpanner:    make([]bool, g.M()),
+		treeUF:       graph.NewUnionFind(n),
+		compCenter:   make([]int32, n),
+	}
+	for v := 0; v < n; v++ {
+		e.centerVertex[v] = int32(v)
+		e.clusterOf[v] = int32(v)
+		e.compCenter[v] = int32(v)
+	}
+	e.alive = make([]bool, len(e.edges))
+	for i := range e.alive {
+		e.alive[i] = true
+	}
+	e.nAlive = len(e.edges)
+	e.resetEpochScratch()
+	e.rebuildIncidence()
+	e.resetActive()
+	e.initObs()
+	e.stats = Stats{K: k, T: t}
+	return e
 }
 
 // emit delivers one progress event to the run's callback, if installed.
@@ -162,10 +214,10 @@ func runEngine(ctx context.Context, g *graph.Graph, k, t int, seed uint64, cfg e
 // within-epoch index), so event consumers see a monotone fraction of
 // TotalIterations.
 func (e *engine) emit(stage string, epoch, total int) {
-	if e.cfg.progress == nil {
+	if e.cfg.Progress == nil {
 		return
 	}
-	e.cfg.progress(core.ProgressEvent{
+	e.cfg.Progress(core.ProgressEvent{
 		Stage:           stage,
 		Algorithm:       e.stats.Algorithm,
 		Epoch:           epoch,
@@ -173,7 +225,7 @@ func (e *engine) emit(stage string, epoch, total int) {
 		TotalIterations: total,
 		Supernodes:      e.nSuper,
 		AliveEdges:      e.nAlive,
-		SpannerEdges:    len(e.spanIDs),
+		SpannerEdges:    e.spanCount,
 	})
 }
 
@@ -280,13 +332,15 @@ func (e *engine) addSpanner(orig int) bool {
 		return false
 	}
 	e.inSpanner[orig] = true
-	e.spanIDs = append(e.spanIDs, orig)
+	e.spanCount++
 	return true
 }
 
-// phase1 runs the shared epoch/iteration schedule (see Schedule): epoch i
-// samples with exponent (t+1)^{i-1}/k per iteration, cumulative exponents
-// clamp at (k-1)/k, and a contraction follows each epoch. ctx is
+// phase1 is every variant's grow loop over the shared epoch/iteration
+// schedule (see Schedule): epoch i samples with exponent (t+1)^{i-1}/k per
+// iteration, cumulative exponents clamp at (k-1)/k, and a contraction
+// follows each epoch (none under classicBS). Each iteration commits one
+// plan: the Phase 1 coin set's, or under whp the run planWHP picks. ctx is
 // checkpointed once per grow iteration — the engine's chunk size — so a
 // canceled build stops within one iteration's work.
 func (e *engine) phase1(ctx context.Context) error {
@@ -312,16 +366,25 @@ func (e *engine) phase1(ctx context.Context) error {
 		if e.met.iterSeconds != nil {
 			iterStart = time.Now()
 		}
-		e.iterate(math.Pow(n, -spec.Exponent), uint64(spec.Epoch), uint64(spec.Iter))
+		p := math.Pow(n, -spec.Exponent)
+		var plan *iterPlan
+		if e.cfg.whp != nil {
+			plan = e.planWHP(p, spec)
+		} else {
+			plan = e.planIteration(func(center int32) bool {
+				return xrand.CoinAt(p, e.cfg.Seed, CoinDomainPhase1, uint64(spec.Epoch), uint64(spec.Iter), uint64(center))
+			})
+		}
+		e.applyIteration(plan)
 		if e.met.iterSeconds != nil {
 			e.met.iterSeconds.Observe(time.Since(iterStart).Seconds())
 		}
 		e.met.growIters.Inc()
 		e.met.aliveEdges.Set(int64(e.nAlive))
-		e.met.edgesSelected.Set(int64(len(e.spanIDs)))
+		e.met.edgesSelected.Set(int64(e.spanCount))
 		sp.SetInt("clusters", int64(len(e.active))).
 			SetInt("alive_edges", int64(e.nAlive)).
-			SetInt("spanner_edges", int64(len(e.spanIDs))).End()
+			SetInt("spanner_edges", int64(e.spanCount)).End()
 		e.stats.Iterations++
 		e.emit("grow", spec.Epoch, len(schedule))
 		if spec.LastOfEpoch && !e.cfg.classicBS {
@@ -338,58 +401,28 @@ func (e *engine) phase1(ctx context.Context) error {
 	return nil
 }
 
-// groupKey identifies a (supernode, neighbor-cluster) removal group.
-type groupKey struct{ v, c int32 }
-
-// joinRec records that a supernode joins a sampled cluster via an edge.
+// joinRec records that supernode v joins the sampled cluster centered at
+// center via original edge orig (Step B3).
 type joinRec struct {
-	center int32
-	orig   int
+	v, center int32
+	orig      int
 }
 
-// iterPlan is the outcome of planning one grow iteration under a particular
-// coin assignment, before any state is mutated. The Congested Clique mode
-// (Theorem 8.1) plans the same iteration under several independent coin sets
-// and applies only the chosen one.
+// iterPlan is one grow iteration (Steps B1–B4) planned under one coin set,
+// before any engine state is mutated: Theorem 8.1 plans the same iteration
+// under several coin sets and commits one. Every list is in supernode order
+// (the per-shard lists of planRange concatenated in shard order), so
+// applyIteration consumes them in single passes with no lookup structure.
 type iterPlan struct {
-	sampled     []int32 // sampled cluster centers (in active order)
-	removeGroup map[groupKey]struct{}
-	joins       map[int32]joinRec
-	adds        []int // spanner additions (may repeat edges already chosen)
-	newEdges    int   // additions not already in the spanner
-}
-
-// vJoin is a join decision ordered by its supernode, the shard-local record
-// the parallel grow loop emits before the decisions merge into plan.joins.
-type vJoin struct {
-	v   int32
-	rec joinRec
-}
-
-// planPart is one shard's share of an iteration plan. Concatenating parts in
-// shard order reproduces the serial supernode-order decision sequence.
-type planPart struct {
-	adds    []int
-	joins   []vJoin
-	removes []groupKey
-}
-
-// iterate performs one grow iteration (Step B of §5.1) at sampling
-// probability p, identified cross-plane by (epoch, iter).
-func (e *engine) iterate(p float64, epoch, iter uint64) {
-	coin := func(center int32) bool {
-		return xrand.CoinAt(p, e.seed, CoinDomainPhase1, epoch, iter, uint64(center))
-	}
-	e.applyIteration(e.planIteration(coin))
+	sampled []int32   // sampled cluster centers, in active order
+	adds    []int     // spanner additions (may repeat, or be chosen already)
+	joins   []joinRec // Step B3 joins, ascending by v
+	kills   []int32   // alive edges B3/B4 discard; an edge may appear twice
 }
 
 // planIteration evaluates Steps B1-B4 under the given coin without mutating
 // any engine state (the sampled-flag scratch is restored before returning).
 func (e *engine) planIteration(coin func(center int32) bool) *iterPlan {
-	plan := &iterPlan{
-		removeGroup: make(map[groupKey]struct{}),
-		joins:       make(map[int32]joinRec),
-	}
 	// Step B1: sample the live clusters. The coin for a cluster is keyed by
 	// its center's *original vertex*, which is stable across execution
 	// planes and contractions; coins are pure functions, so they evaluate in
@@ -401,13 +434,14 @@ func (e *engine) planIteration(coin func(center int32) bool) *iterPlan {
 	// Assign every active flag (not just the sampled ones): clusters that
 	// survived the previous iteration still carry a stale true flag that a
 	// false coin must overwrite.
+	var sampled []int32
 	for i, c := range e.active {
 		e.sampledFlag[c] = flags[i]
 		if flags[i] {
-			plan.sampled = append(plan.sampled, c)
+			sampled = append(sampled, c)
 		}
 	}
-	spCoins.SetInt("sampled", int64(len(plan.sampled))).End()
+	spCoins.SetInt("sampled", int64(len(sampled))).End()
 	defer func() {
 		for _, c := range e.active {
 			e.sampledFlag[c] = false
@@ -418,75 +452,70 @@ func (e *engine) planIteration(coin func(center int32) bool) *iterPlan {
 	// Decisions are taken against the iteration-start snapshot, matching the
 	// parallel (per-machine) semantics of the MPC implementation — which is
 	// exactly why the supernode space shards cleanly: every worker reads the
-	// same snapshot and appends decisions for its own index range.
-	parts := make([]planPart, e.workers)
+	// same snapshot and appends decisions for its own index range. Shard 0's
+	// part becomes the plan and the others append to it in shard order.
+	parts := make([]iterPlan, len(e.scratch))
 	par.ForShard(e.workers, e.nSuper, func(shard, lo, hi int) {
 		e.planRange(&e.scratch[shard], &parts[shard], int32(lo), int32(hi))
 	})
-	for i := range parts {
-		p := &parts[i]
+	plan := &parts[0]
+	plan.sampled = sampled
+	for _, p := range parts[1:] {
 		plan.adds = append(plan.adds, p.adds...)
-		for _, j := range p.joins {
-			plan.joins[j.v] = j.rec
-		}
-		for _, r := range p.removes {
-			plan.removeGroup[r] = struct{}{}
-		}
-	}
-	// newEdges counts distinct planned additions not already in the spanner
-	// (the same minimum edge can be chosen from both endpoints).
-	seen := make(map[int]struct{}, len(plan.adds))
-	for _, orig := range plan.adds {
-		if _, dup := seen[orig]; dup {
-			continue
-		}
-		seen[orig] = struct{}{}
-		if !e.inSpanner[orig] {
-			plan.newEdges++
-		}
+		plan.joins = append(plan.joins, p.joins...)
+		plan.kills = append(plan.kills, p.kills...)
 	}
 	return plan
+}
+
+// gather collects into sc the minimum-weight alive edge from supernode v
+// toward each neighboring cluster (Definition 4.1's E(v, c) minima, ties
+// broken by original edge id): sc.nbr lists the clusters in first-seen
+// order, sc.bestW/sc.bestIdx hold each one's minimum.
+func (e *engine) gather(sc *growScratch, v int32) {
+	sc.stamp++
+	sc.nbr = sc.nbr[:0]
+	for _, ei := range e.inc[v] {
+		if !e.alive[ei] {
+			continue
+		}
+		u := e.across(ei, v)
+		cu := e.clusterOf[u]
+		if CheckInvariants && cu == cluster.None {
+			panic(fmt.Sprintf("spanner: alive edge %d touches finished supernode %d", ei, u))
+		}
+		ed := &e.edges[ei]
+		if sc.mark[cu] != sc.stamp {
+			sc.mark[cu] = sc.stamp
+			sc.bestW[cu] = ed.W
+			sc.bestIdx[cu] = ei
+			sc.nbr = append(sc.nbr, cu)
+		} else if ed.W < sc.bestW[cu] || (ed.W == sc.bestW[cu] && ed.Orig < e.edges[sc.bestIdx[cu]].Orig) {
+			sc.bestW[cu] = ed.W
+			sc.bestIdx[cu] = ei
+		}
+	}
+}
+
+// across returns the endpoint of edge ei opposite supernode v.
+func (e *engine) across(ei, v int32) int {
+	ed := &e.edges[ei]
+	if ed.A == int(v) {
+		return ed.B
+	}
+	return ed.A
 }
 
 // planRange evaluates Steps B2-B4 for supernodes [lo, hi) against the
 // iteration-start snapshot. It writes only to the shard's own scratch and
 // part, so ranges run concurrently.
-func (e *engine) planRange(sc *growScratch, p *planPart, lo, hi int32) {
+func (e *engine) planRange(sc *growScratch, p *iterPlan, lo, hi int32) {
 	for v := lo; v < hi; v++ {
 		cv := e.clusterOf[v]
 		if cv == cluster.None || e.sampledFlag[cv] {
 			continue
 		}
-		// Gather the minimum-weight alive edge toward each neighboring
-		// cluster (Definition 4.1's E(v, c) minima).
-		sc.stamp++
-		sc.nbr = sc.nbr[:0]
-		for _, ei := range e.inc[v] {
-			if !e.alive[ei] {
-				continue
-			}
-			ed := e.edges[ei]
-			u := ed.A
-			if u == int(v) {
-				u = ed.B
-			}
-			cu := e.clusterOf[u]
-			if CheckInvariants && cu == cluster.None {
-				panic(fmt.Sprintf("spanner: alive edge %d touches finished supernode %d", ei, u))
-			}
-			if sc.mark[cu] != sc.stamp {
-				sc.mark[cu] = sc.stamp
-				sc.bestW[cu] = ed.W
-				sc.bestIdx[cu] = ei
-				sc.nbr = append(sc.nbr, cu)
-			} else if ed.W < sc.bestW[cu] || (ed.W == sc.bestW[cu] && ed.Orig < e.edges[sc.bestIdx[cu]].Orig) {
-				sc.bestW[cu] = ed.W
-				sc.bestIdx[cu] = ei
-			}
-		}
-		if len(sc.nbr) == 0 {
-			continue
-		}
+		e.gather(sc, v)
 		// Step B3: closest sampled neighboring cluster, if any. Ties break
 		// by (weight, center vertex id) for determinism.
 		closest := int32(-1)
@@ -499,37 +528,45 @@ func (e *engine) planRange(sc *growScratch, p *planPart, lo, hi int32) {
 				closest = cu
 			}
 		}
-		if closest >= 0 {
-			je := sc.bestIdx[closest]
-			orig := e.edges[je].Orig
-			p.adds = append(p.adds, orig)
-			p.joins = append(p.joins, vJoin{v: v, rec: joinRec{center: closest, orig: orig}})
-			p.removes = append(p.removes, groupKey{v, closest})
-			w0 := sc.bestW[closest]
-			// Step B3 second bullet: clusters reachable strictly cheaper
-			// than the join edge also get their minimum edge, then all
-			// their edges are discarded.
-			for _, cu := range sc.nbr {
-				if cu == closest || sc.bestW[cu] >= w0 {
-					continue
-				}
-				p.adds = append(p.adds, e.edges[sc.bestIdx[cu]].Orig)
-				p.removes = append(p.removes, groupKey{v, cu})
-			}
-		} else {
+		if closest < 0 {
 			// Step B4: no sampled neighbor — keep one minimum edge per
-			// neighboring cluster and discard everything else.
+			// neighboring cluster and discard every alive edge of v.
 			for _, cu := range sc.nbr {
 				p.adds = append(p.adds, e.edges[sc.bestIdx[cu]].Orig)
-				p.removes = append(p.removes, groupKey{v, cu})
+			}
+			for _, ei := range e.inc[v] {
+				if e.alive[ei] {
+					p.kills = append(p.kills, ei)
+				}
+			}
+			continue
+		}
+		orig := e.edges[sc.bestIdx[closest]].Orig
+		p.adds = append(p.adds, orig)
+		p.joins = append(p.joins, joinRec{v: v, center: closest, orig: orig})
+		// Step B3 second bullet: clusters reachable strictly cheaper than the
+		// join edge also get their minimum edge; v then discards every edge
+		// toward them and toward the cluster it joins.
+		w0 := sc.bestW[closest]
+		for _, cu := range sc.nbr {
+			if sc.bestW[cu] < w0 {
+				p.adds = append(p.adds, e.edges[sc.bestIdx[cu]].Orig)
+			}
+		}
+		for _, ei := range e.inc[v] {
+			if !e.alive[ei] {
+				continue
+			}
+			if cu := e.clusterOf[e.across(ei, v)]; cu == closest || sc.bestW[cu] < w0 {
+				p.kills = append(p.kills, ei)
 			}
 		}
 	}
 }
 
-// applyIteration commits a plan: spanner additions, removals, cluster
-// formation (Step B5), intra-cluster cleanup (Step B6), and the new live
-// cluster set.
+// applyIteration commits a plan: spanner additions, the B3/B4 discards,
+// cluster formation (Step B5), intra-cluster cleanup (Step B6), and the new
+// live cluster set.
 func (e *engine) applyIteration(plan *iterPlan) {
 	for _, c := range plan.sampled {
 		e.sampledFlag[c] = true
@@ -540,50 +577,60 @@ func (e *engine) applyIteration(plan *iterPlan) {
 		}
 	}
 
-	// Apply removals against the snapshot clustering (the removal map is
-	// read-only inside the sharded sweep).
 	spSweep := e.tracer.StartSpan("spanner.removal-sweep").
-		SetInt("remove_groups", int64(len(plan.removeGroup)))
-	if len(plan.removeGroup) > 0 {
-		e.killEdges(func(ei int) bool {
-			ed := &e.edges[ei]
-			if _, ok := plan.removeGroup[groupKey{int32(ed.A), e.clusterOf[ed.B]}]; ok {
-				return true
-			}
-			_, ok := plan.removeGroup[groupKey{int32(ed.B), e.clusterOf[ed.A]}]
-			return ok
-		})
+		SetInt("kills", int64(len(plan.kills)))
+	for _, ei := range plan.kills {
+		if e.alive[ei] {
+			e.alive[ei] = false
+			e.nAlive--
+		}
 	}
 	spSweep.SetInt("alive_edges", int64(e.nAlive)).End()
 
 	// Step B5: form D_j — sampled clusters keep their members and absorb the
-	// joining supernodes; everything else dissolves. Serial: recordMerge
-	// mutates the cluster-tree union-find, and the pass is O(nSuper).
+	// joining supernodes (plan.joins, walked by one cursor in supernode
+	// order); everything else dissolves. Serial: recordMerge mutates the
+	// cluster-tree union-find, and the pass is O(nSuper).
+	joins := plan.joins
 	for v := int32(0); int(v) < e.nSuper; v++ {
 		cv := e.clusterOf[v]
-		if cv == cluster.None {
+		if cv == cluster.None || e.sampledFlag[cv] {
 			continue
 		}
-		if e.sampledFlag[cv] {
-			continue // stays
-		}
-		if j, ok := plan.joins[v]; ok {
-			e.clusterOf[v] = j.center
-			e.recordMerge(v, j.orig)
+		if len(joins) > 0 && joins[0].v == v {
+			e.clusterOf[v] = joins[0].center
+			e.recordMerge(v, joins[0].orig)
+			joins = joins[1:]
 		} else {
 			e.clusterOf[v] = cluster.None
 		}
 	}
 
 	// Step B6: drop intra-cluster edges (cluster labels are stable now).
-	e.killEdges(func(ei int) bool {
-		ed := &e.edges[ei]
-		ca, cb := e.clusterOf[ed.A], e.clusterOf[ed.B]
-		if CheckInvariants && (ca == cluster.None || cb == cluster.None) {
-			panic(fmt.Sprintf("spanner: post-join alive edge %d has finished endpoint", ei))
+	// Edges shard across workers, each writing only its own alive slot; the
+	// per-shard kill counts sum into nAlive.
+	dead := make([]int, e.workers)
+	par.ForShard(e.workers, len(e.edges), func(shard, lo, hi int) {
+		killed := 0
+		for ei := lo; ei < hi; ei++ {
+			if !e.alive[ei] {
+				continue
+			}
+			ed := &e.edges[ei]
+			ca, cb := e.clusterOf[ed.A], e.clusterOf[ed.B]
+			if CheckInvariants && (ca == cluster.None || cb == cluster.None) {
+				panic(fmt.Sprintf("spanner: post-join alive edge %d has finished endpoint", ei))
+			}
+			if ca == cb {
+				e.alive[ei] = false
+				killed++
+			}
 		}
-		return ca == cb
+		dead[shard] = killed
 	})
+	for _, d := range dead {
+		e.nAlive -= d
+	}
 
 	// New live cluster set: the sampled centers, in increasing order
 	// (e.active was sorted, so the filtered list stays sorted).
@@ -596,27 +643,6 @@ func (e *engine) applyIteration(plan *iterPlan) {
 		}
 	}
 	e.active = next
-}
-
-// killEdges disables every alive edge satisfying pred: edges shard across
-// workers (pred must be a pure read of engine state; each edge writes only
-// its own alive slot) and per-shard kill counts sum in shard order into
-// nAlive.
-func (e *engine) killEdges(pred func(ei int) bool) {
-	dead := make([]int, e.workers)
-	par.ForShard(e.workers, len(e.edges), func(shard, lo, hi int) {
-		killed := 0
-		for ei := lo; ei < hi; ei++ {
-			if e.alive[ei] && pred(ei) {
-				e.alive[ei] = false
-				killed++
-			}
-		}
-		dead[shard] = killed
-	})
-	for _, d := range dead {
-		e.nAlive -= d
-	}
 }
 
 // recordMerge notes that supernode v was absorbed via original edge orig:
@@ -729,38 +755,14 @@ func (e *engine) phase2() {
 		return
 	}
 	// Classic Phase 2: per-vertex, per-cluster minima over the snapshot,
-	// sharded like the grow iterations (per-shard scratch, per-shard adds
+	// gathered like the grow iterations' (per-shard scratch, per-shard adds
 	// merged in shard order).
-	adds := make([][]int, e.workers)
+	adds := make([][]int, len(e.scratch))
 	par.ForShard(e.workers, e.nSuper, func(shard, lo, hi int) {
 		sc := &e.scratch[shard]
 		var out []int
 		for v := int32(lo); int(v) < hi; v++ {
-			sc.stamp++
-			sc.nbr = sc.nbr[:0]
-			for _, ei := range e.inc[v] {
-				if !e.alive[ei] {
-					continue
-				}
-				ed := e.edges[ei]
-				u := ed.A
-				if u == int(v) {
-					u = ed.B
-				}
-				cu := e.clusterOf[u]
-				if cu == cluster.None {
-					continue
-				}
-				if sc.mark[cu] != sc.stamp {
-					sc.mark[cu] = sc.stamp
-					sc.bestW[cu] = ed.W
-					sc.bestIdx[cu] = ei
-					sc.nbr = append(sc.nbr, cu)
-				} else if ed.W < sc.bestW[cu] || (ed.W == sc.bestW[cu] && ed.Orig < e.edges[sc.bestIdx[cu]].Orig) {
-					sc.bestW[cu] = ed.W
-					sc.bestIdx[cu] = ei
-				}
-			}
+			e.gather(sc, v)
 			for _, cu := range sc.nbr {
 				out = append(out, e.edges[sc.bestIdx[cu]].Orig)
 			}

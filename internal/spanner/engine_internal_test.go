@@ -8,11 +8,11 @@ import (
 
 // White-box tests of the plan/apply iteration split that the Theorem 8.1
 // selection relies on: planning must be side-effect free and deterministic,
-// and newEdges must count distinct fresh spanner additions.
+// and freshEdges must count distinct fresh spanner additions.
 
 func TestPlanIterationSideEffectFree(t *testing.T) {
 	g := graph.GNP(120, 0.08, graph.UniformWeight(1, 9), 1)
-	e := newEngine(g, 8, 2, 7, engineConfig{})
+	e := newEngine(g, 8, 2, engineConfig{Options: Options{Seed: 7}})
 	coin := func(center int32) bool { return center%3 == 0 }
 
 	snapshotCluster := append([]int32(nil), e.clusterOf...)
@@ -36,8 +36,9 @@ func TestPlanIterationSideEffectFree(t *testing.T) {
 	}
 	// Re-planning under the same coin is identical.
 	plan2 := e.planIteration(coin)
-	if len(plan1.sampled) != len(plan2.sampled) || plan1.newEdges != plan2.newEdges ||
-		len(plan1.adds) != len(plan2.adds) || len(plan1.joins) != len(plan2.joins) {
+	if len(plan1.sampled) != len(plan2.sampled) || e.freshEdges(plan1) != e.freshEdges(plan2) ||
+		len(plan1.adds) != len(plan2.adds) || len(plan1.joins) != len(plan2.joins) ||
+		len(plan1.kills) != len(plan2.kills) {
 		t.Fatal("planIteration not deterministic")
 	}
 }
@@ -45,20 +46,21 @@ func TestPlanIterationSideEffectFree(t *testing.T) {
 func TestPlanNewEdgesCountsDistinctFresh(t *testing.T) {
 	// Triangle with an extra pendant: under "nothing sampled", every
 	// supernode emits its per-cluster minima; shared minima must be counted
-	// once in newEdges.
+	// once by freshEdges.
 	g := graph.MustNew(4, []graph.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1}, {U: 2, V: 3, W: 1},
 	})
-	e := newEngine(g, 4, 1, 1, engineConfig{})
+	e := newEngine(g, 4, 1, engineConfig{Options: Options{Seed: 1}})
 	plan := e.planIteration(func(int32) bool { return false })
 	// All four edges are minima of some (v, c) group; none are in the
 	// spanner yet.
-	if plan.newEdges != 4 {
-		t.Fatalf("newEdges = %d, want 4", plan.newEdges)
+	fresh := e.freshEdges(plan)
+	if fresh != 4 {
+		t.Fatalf("freshEdges = %d, want 4", fresh)
 	}
-	if len(plan.adds) <= plan.newEdges {
-		t.Fatalf("adds (%d) should contain endpoint duplicates beyond newEdges (%d)",
-			len(plan.adds), plan.newEdges)
+	if len(plan.adds) <= fresh {
+		t.Fatalf("adds (%d) should contain endpoint duplicates beyond freshEdges (%d)",
+			len(plan.adds), fresh)
 	}
 	// After applying, re-planning the same decisions yields zero fresh.
 	e.applyIteration(plan)
@@ -71,7 +73,7 @@ func TestApplyIterationFormsClusters(t *testing.T) {
 	// Path 0-1-2-3-4 with only center 2 sampled: neighbors 1 and 3 join it;
 	// 0 and 4 resolve their edges and dissolve.
 	g := graph.Path(5, graph.UnitWeight, 1)
-	e := newEngine(g, 4, 1, 1, engineConfig{})
+	e := newEngine(g, 4, 1, engineConfig{Options: Options{Seed: 1}})
 	plan := e.planIteration(func(center int32) bool { return center == 2 })
 	e.applyIteration(plan)
 	if e.clusterOf[1] != 2 || e.clusterOf[3] != 2 {
@@ -85,8 +87,8 @@ func TestApplyIterationFormsClusters(t *testing.T) {
 	if e.nAlive != 0 {
 		t.Fatalf("%d edges still alive", e.nAlive)
 	}
-	if len(e.spanIDs) != 4 {
-		t.Fatalf("spanner has %d of the path's 4 edges", len(e.spanIDs))
+	if e.spanCount != 4 {
+		t.Fatalf("spanner has %d of the path's 4 edges", e.spanCount)
 	}
 }
 
@@ -98,7 +100,7 @@ func TestContractRelabelsDeterministically(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1},
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 3, V: 5, W: 1},
 	})
-	e := newEngine(g, 4, 1, 1, engineConfig{})
+	e := newEngine(g, 4, 1, engineConfig{Options: Options{Seed: 1}})
 	plan := e.planIteration(func(center int32) bool { return center == 0 || center == 4 })
 	e.applyIteration(plan)
 	e.contract()

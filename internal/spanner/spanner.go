@@ -12,9 +12,18 @@
 //   - BaswanaSenCtx: the classic [BS07] baseline (stretch 2k−1, k−1
 //     iterations, per-vertex Phase 2, no contraction), used as the paper's
 //     comparison point and as a subroutine of the unweighted algorithm.
+//   - GeneralWHPCtx: GeneralCtx with Theorem 8.1's per-iteration run
+//     selection, which makes the size bound hold with high probability.
 //   - UnweightedCtx: the Appendix B adaptation of Parter–Yogev (stretch
 //     O(k/γ), O(log k) rounds, extra O(n^{1+γ}) memory), for unweighted
 //     graphs.
+//
+// Every weighted family runs one engine loop: Phase 1's grow iterations
+// (Steps B1–B6) over the shared Schedule, then Phase 2. The variants differ
+// only in the coin set an iteration commits (the Phase 1 coins, or the
+// Theorem 8.1 run that passes the two-event criterion) and in the [BS07]
+// baseline's uncontracted epoch and per-vertex Phase 2. UnweightedCtx
+// composes two [BS07] runs.
 //
 // All algorithms are deterministic given Options.Seed: every sampling coin is
 // the pure function xrand.CoinAt(p, seed, epoch, iteration, centerVertex), so
@@ -25,7 +34,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"sort"
 
 	"mpcspanner/internal/cluster"
 	"mpcspanner/internal/core"
@@ -151,15 +159,7 @@ func GeneralCtx(ctx context.Context, g *graph.Graph, k, t int, opt Options) (*Re
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return bestOf(ctx, opt, func(runCtx context.Context, seed uint64) (*Result, error) {
-		return runEngine(runCtx, g, k, t, seed, engineConfig{
-			measureRadius: opt.MeasureRadius,
-			workers:       opt.Workers,
-			progress:      opt.Progress,
-			metrics:       opt.Metrics,
-			tracer:        opt.Tracer,
-		})
-	})
+	return bestOf(ctx, g, k, t, engineConfig{Options: opt})
 }
 
 // ClusterMergeCtx runs the §4 cluster-cluster merging algorithm (t = 1):
@@ -200,16 +200,7 @@ func BaswanaSenCtx(ctx context.Context, g *graph.Graph, k int, opt Options) (*Re
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return bestOf(ctx, opt, func(runCtx context.Context, seed uint64) (*Result, error) {
-		return runEngine(runCtx, g, k, k, seed, engineConfig{
-			classicBS:     true,
-			measureRadius: opt.MeasureRadius,
-			workers:       opt.Workers,
-			progress:      opt.Progress,
-			metrics:       opt.Metrics,
-			tracer:        opt.Tracer,
-		})
-	})
+	return bestOf(ctx, g, k, k, engineConfig{Options: opt, classicBS: true})
 }
 
 // StretchBound returns the paper's stretch guarantee for General(k, t):
@@ -272,24 +263,21 @@ func validateKT(k, t int) error {
 	return nil
 }
 
-// bestOf runs `run` Repetitions times with derived seeds and keeps the
-// smallest spanner (ties: earliest repetition). Repetitions execute
-// concurrently on the option's worker pool — each draws its seed from its
-// own per-repetition stream (the per-shard pattern of internal/par), and the
-// winner is reduced order-independently over the index-addressed results,
-// so the outcome is identical at every worker count. Cancellation
-// checkpoints between repetitions (par.ForCoarseCtx) and inside each run
-// (the engine's per-iteration checks); on cancellation every in-flight
-// repetition drains at its own next checkpoint before bestOf returns.
-func bestOf(ctx context.Context, opt Options, run func(ctx context.Context, seed uint64) (*Result, error)) (*Result, error) {
+// bestOf runs the engine cfg.Repetitions times, each with cfg's Options
+// under its own derived seed, and keeps the smallest spanner (ties: earliest
+// repetition). Repetitions execute concurrently on the option's worker pool
+// — each draws its seed from its own per-repetition stream (the per-shard
+// pattern of internal/par), and the winner is reduced order-independently
+// over the index-addressed results, so the outcome is identical at every
+// worker count. Cancellation checkpoints between repetitions
+// (par.ForCoarseCtx) and inside each run (the engine's per-iteration
+// checks); on cancellation every in-flight repetition drains at its own next
+// checkpoint before bestOf returns.
+func bestOf(ctx context.Context, g *graph.Graph, k, t int, cfg engineConfig) (*Result, error) {
+	opt := cfg.Options
 	reps := opt.reps()
 	if reps == 1 {
-		r, err := run(ctx, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		r.Stats.Repetition = 0
-		return r, nil
+		return runEngine(ctx, g, k, t, cfg)
 	}
 	// Per-repetition seeds keep the historical "reps"-tagged derivation so
 	// Repetitions > 1 runs reproduce pre-parallelization outputs exactly;
@@ -297,7 +285,9 @@ func bestOf(ctx context.Context, opt Options, run func(ctx context.Context, seed
 	// own tag for new call sites.
 	results := make([]*Result, reps)
 	err := par.ForCoarseCtx(ctx, par.Workers(opt.Workers), reps, func(rep int) error {
-		r, err := run(ctx, xrand.Split(opt.Seed, 0x72657073, uint64(rep)).Uint64()) // "reps"
+		run := cfg
+		run.Seed = xrand.Split(opt.Seed, 0x72657073, uint64(rep)).Uint64() // "reps"
+		r, err := runEngine(ctx, g, k, t, run)
 		if err != nil {
 			return err
 		}
@@ -321,36 +311,20 @@ func bestOf(ctx context.Context, opt Options, run func(ctx context.Context, seed
 	return best, nil
 }
 
-// engineConfig selects engine variants.
+// engineConfig is one engine run: the caller's Options, whose Seed is the
+// run's own (bestOf derives one per repetition), plus the variant. Every
+// variant runs the same Phase 1 grow loop; they differ in which coin set an
+// iteration commits, whether epochs contract, and Phase 2:
+//
+//   - general (the zero variant): the Phase 1 coin set, a Step C
+//     contraction after each epoch, and a Phase 2 that keeps one minimum
+//     edge per remaining supernode pair;
+//   - classicBS: [BS07] exactly — a single epoch of k−1 iterations at
+//     probability n^{−1/k}, no contraction, per-vertex Phase 2;
+//   - whp: Theorem 8.1 — planWHP plans each run's coin set, commits one and
+//     records the choice in *whp; contraction and Phase 2 as general.
 type engineConfig struct {
-	// classicBS reproduces [BS07] exactly: a single epoch of k−1 iterations
-	// at probability n^{−1/k}, no contraction, per-vertex Phase 2.
+	Options
 	classicBS bool
-
-	measureRadius bool
-
-	// workers is the requested pool size (par conventions; resolved in
-	// newEngine).
-	workers int
-
-	// progress, when non-nil, receives the engine's checkpoint events.
-	progress func(core.ProgressEvent)
-
-	// metrics/tracer, when non-nil, carry the engine's exposition handles
-	// (see Options.Metrics / Options.Tracer).
-	metrics *obs.Registry
-	tracer  *obs.Tracer
-}
-
-// sortedUnique sorts ids and removes duplicates in place.
-func sortedUnique(ids []int) []int {
-	sort.Ints(ids)
-	out := ids[:0]
-	for i, id := range ids {
-		if i > 0 && id == ids[i-1] {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
+	whp       *WHPStats
 }

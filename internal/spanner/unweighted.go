@@ -116,11 +116,11 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 	n := g.N()
 	st := UnweightedStats{K: k}
 	inSpanner := make([]bool, g.M())
-	var ids []int
+	size := 0
 	add := func(id int) {
 		if !inSpanner[id] {
 			inSpanner[id] = true
-			ids = append(ids, id)
+			size++
 		}
 	}
 
@@ -182,7 +182,7 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 			}
 		}
 	}
-	emit("sparse", len(ids))
+	emit("sparse", size)
 
 	// --- Dense side: hitting set + auxiliary-graph spanner. --------------
 	if st.DenseCount > 0 {
@@ -289,9 +289,9 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 	if bsBound := float64(2*k - 1); bsBound > st.StretchBound {
 		st.StretchBound = bsBound
 	}
-	emit("dense", len(ids))
+	emit("dense", size)
 	st.Rounds = RoundsUnweighted(k, gamma)
-	return &UnweightedResult{EdgeIDs: sortedUnique(ids), Stats: st}, nil
+	return &UnweightedResult{EdgeIDs: markedIDs(inSpanner, size), Stats: st}, nil
 }
 
 // RoundsUnweighted returns the simulated MPC round count of the Appendix B

@@ -2,9 +2,11 @@ package spanner
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/obs"
 )
 
 func TestGeneralWHPValidSpanner(t *testing.T) {
@@ -102,5 +104,51 @@ func TestGeneralWHPEmptyGraph(t *testing.T) {
 	}
 	if res.Size() != 0 || len(whp.Choices) != 0 {
 		t.Fatal("edgeless graph should do nothing")
+	}
+}
+
+// TestGeneralWHPInstrumented checks that Theorem 8.1 runs carry the engine's
+// instrumentation: one spanner.grow span and one grow-iteration increment
+// per committed iteration, the per-epoch sampling probabilities, and the
+// same spanner as an uninstrumented run.
+func TestGeneralWHPInstrumented(t *testing.T) {
+	g := graph.GNP(300, 0.05, graph.UniformWeight(1, 20), 19)
+	tr := obs.NewTracer()
+	reg := obs.NewRegistry()
+	res, whp, err := GeneralWHPCtx(context.Background(), g, 8, 2, 0, Options{Seed: 23, Tracer: tr, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := res.Stats.Iterations
+	if iters == 0 || len(whp.Choices) != iters {
+		t.Fatalf("%d iterations, %d choices", iters, len(whp.Choices))
+	}
+	grows := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name == "spanner.grow" {
+			grows++
+		}
+	}
+	if grows != iters {
+		t.Fatalf("%d spanner.grow spans for %d iterations", grows, iters)
+	}
+	if v, _ := reg.Snapshot().Counter("spanner_grow_iterations_total"); v != int64(iters) {
+		t.Fatalf("spanner_grow_iterations_total = %d for %d iterations", v, iters)
+	}
+	epochs := 0
+	for _, ch := range whp.Choices {
+		if ch.Iter == 1 {
+			epochs++
+		}
+	}
+	if len(res.Stats.Probabilities) != epochs {
+		t.Fatalf("Probabilities %v for %d epochs", res.Stats.Probabilities, epochs)
+	}
+	plain, _, err := GeneralWHPCtx(context.Background(), g, 8, 2, 0, Options{Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, res) {
+		t.Fatal("instrumentation changed the WHP spanner")
 	}
 }

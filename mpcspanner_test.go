@@ -90,7 +90,7 @@ func TestFacadeOracle(t *testing.T) {
 	res := approx.APSP()
 	// An exact session over the collected spanner must agree with an
 	// independent cache-free Dijkstra on the spanner.
-	o, err := Serve(ctx, res.Spanner(), WithExact(), WithCacheShards(4), WithCacheRows(16))
+	o, err := Serve(ctx, res.Spanner(), WithExact(), WithCacheRows(16))
 	if err != nil {
 		t.Fatal(err)
 	}

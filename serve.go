@@ -43,7 +43,7 @@ type Session struct {
 //	s, _ := mpcspanner.Serve(ctx, res.Spanner(), mpcspanner.WithExact())
 //	d, err := s.Query(ctx, 0, 99)
 //
-// WithCacheShards and WithCacheRows size the serving cache. Cancellation and
+// WithCacheRows sizes the serving cache. Cancellation and
 // error classification follow the Build contract (ErrCanceled /
 // ErrInvalidOption via errors.Is).
 func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
@@ -107,8 +107,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 	// One oracle for every mode, fronted by the artifact's frozen rows when
 	// it has any.
 	oopts := oracle.Options{
-		Shards: cfg.shards, MaxRows: cfg.maxRows, Workers: cfg.workers,
-		Metrics: cfg.metrics,
+		MaxRows: cfg.maxRows, Workers: cfg.workers, Metrics: cfg.metrics,
 	}
 	if s.frozen != nil {
 		oopts.Frozen = s.frozen
