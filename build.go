@@ -398,9 +398,7 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 			t = spanner.DefaultT(cfg.k)
 		}
 		fpT = t
-		r, err := cclique.BuildSpannerCtx(ctx, g, cfg.k, t, cfg.seed, cclique.BuildOptions{
-			Workers: cfg.workers, Progress: traceProgress(cfg.tracer, cfg.progress),
-		})
+		r, err := cclique.BuildSpannerCtx(ctx, g, cfg.k, t, engineOpts)
 		if err != nil {
 			return nil, err
 		}

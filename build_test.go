@@ -76,7 +76,7 @@ func TestBuildMatchesEngines(t *testing.T) {
 			t.Fatalf("mpc: Build differs from the MPC driver at workers=%d", workers)
 		}
 		// Congested Clique.
-		refC, err := cclique.BuildSpannerCtx(ctx, g, 6, 2, 21, cclique.BuildOptions{Workers: workers})
+		refC, err := cclique.BuildSpannerCtx(ctx, g, 6, 2, spanner.Options{Seed: 21, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -343,11 +343,11 @@ func T10CongestedClique(cfg Config) Table {
 	for _, n := range sizes {
 		g := graph.Connectify(graph.GNP(n, 10/float64(n), graph.UniformWeight(1, 20), cfg.Seed+100), 10)
 		k, t := spanner.APSPParams(n)
-		sp, err := cclique.BuildSpannerCtx(context.Background(), g, k, t, cfg.Seed+101, cclique.BuildOptions{})
+		sp, err := cclique.BuildSpannerCtx(context.Background(), g, k, t, spanner.Options{Seed: cfg.Seed + 101})
 		if err != nil {
 			panic(err)
 		}
-		ap, err := cclique.ApproxAPSPCtx(context.Background(), g, cfg.Seed+101, cclique.BuildOptions{})
+		ap, err := cclique.ApproxAPSPCtx(context.Background(), g, spanner.Options{Seed: cfg.Seed + 101})
 		if err != nil {
 			panic(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/spanner"
 )
 
 // benchWorkerCounts sweeps serial vs the GOMAXPROCS default.
@@ -26,7 +27,7 @@ func BenchmarkCliqueSpanner(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("n=4k/k=8/t=2/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildSpannerCtx(context.Background(), g, 8, 2, 7, BuildOptions{Workers: w}); err != nil {
+				if _, err := BuildSpannerCtx(context.Background(), g, 8, 2, spanner.Options{Seed: 7, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -35,7 +35,7 @@ func TestBroadcastVolume(t *testing.T) {
 
 func TestBuildSpannerValidAndWHP(t *testing.T) {
 	g := graph.GNP(300, 0.05, graph.UniformWeight(1, 20), 3)
-	res, err := BuildSpannerCtx(context.Background(), g, 8, 2, 5, BuildOptions{})
+	res, err := BuildSpannerCtx(context.Background(), g, 8, 2, spanner.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestBuildSpannerValidAndWHP(t *testing.T) {
 
 func TestBuildSpannerDeterministic(t *testing.T) {
 	g := graph.GNP(200, 0.06, graph.UnitWeight, 7)
-	a, err := BuildSpannerCtx(context.Background(), g, 4, 1, 11, BuildOptions{})
+	a, err := BuildSpannerCtx(context.Background(), g, 4, 1, spanner.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildSpannerCtx(context.Background(), g, 4, 1, 11, BuildOptions{})
+	b, err := BuildSpannerCtx(context.Background(), g, 4, 1, spanner.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestAPSPParams(t *testing.T) {
 	}
 	g := graph.Connectify(graph.GNP(64, 0.1, graph.UniformWeight(1, 10), 2), 5)
 	wantK, wantT := spanner.APSPParams(g.N())
-	res, err := ApproxAPSPCtx(context.Background(), g, 3, BuildOptions{})
+	res, err := ApproxAPSPCtx(context.Background(), g, spanner.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.K != wantK || res.T != wantT {
 		t.Fatalf("params (%d, %d), want (%d, %d)", res.K, res.T, wantK, wantT)
 	}
-	res, err = ApproxAPSPCtx(context.Background(), graph.Path(2, graph.UnitWeight, 1), 3, BuildOptions{})
+	res, err = ApproxAPSPCtx(context.Background(), graph.Path(2, graph.UnitWeight, 1), spanner.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAPSPParams(t *testing.T) {
 
 func TestApproxAPSPEndToEnd(t *testing.T) {
 	g := graph.Connectify(graph.GNP(400, 0.03, graph.UniformWeight(1, 10), 13), 5)
-	res, err := ApproxAPSPCtx(context.Background(), g, 17, BuildOptions{})
+	res, err := ApproxAPSPCtx(context.Background(), g, spanner.Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestApproxAPSPSublogarithmicRounds(t *testing.T) {
 	// check the spanner phase round count is far below k = log n iterations'
 	// worth of [BS07]-style rounds.
 	g := graph.Connectify(graph.GNP(800, 0.02, graph.UniformWeight(1, 5), 23), 3)
-	res, err := ApproxAPSPCtx(context.Background(), g, 29, BuildOptions{})
+	res, err := ApproxAPSPCtx(context.Background(), g, spanner.Options{Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,10 @@ func TestApproxAPSPSublogarithmicRounds(t *testing.T) {
 }
 
 func TestBuildSpannerEmptyGraph(t *testing.T) {
-	if _, err := BuildSpannerCtx(context.Background(), graph.MustNew(0, nil), 2, 1, 1, BuildOptions{}); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), graph.MustNew(0, nil), 2, 1, spanner.Options{Seed: 1}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	res, err := BuildSpannerCtx(context.Background(), graph.MustNew(2, nil), 2, 1, 1, BuildOptions{})
+	res, err := BuildSpannerCtx(context.Background(), graph.MustNew(2, nil), 2, 1, spanner.Options{Seed: 1})
 	if err != nil || len(res.EdgeIDs) != 0 {
 		t.Fatalf("edgeless graph: %v, %d edges", err, len(res.EdgeIDs))
 	}

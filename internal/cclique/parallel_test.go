@@ -9,6 +9,7 @@ import (
 
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/graph"
+	"mpcspanner/internal/spanner"
 )
 
 func pinWorkers() int {
@@ -24,11 +25,11 @@ func pinWorkers() int {
 // bit-identical between serial and multi-worker runs.
 func TestWorkerCountInvarianceClique(t *testing.T) {
 	g := graph.GNP(220, 0.06, graph.UniformWeight(1, 25), 3)
-	serial, err := BuildSpannerCtx(context.Background(), g, 6, 2, 17, BuildOptions{Workers: 1})
+	serial, err := BuildSpannerCtx(context.Background(), g, 6, 2, spanner.Options{Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := BuildSpannerCtx(context.Background(), g, 6, 2, 17, BuildOptions{Workers: pinWorkers()})
+	parallel, err := BuildSpannerCtx(context.Background(), g, 6, 2, spanner.Options{Seed: 17, Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +43,11 @@ func TestWorkerCountInvarianceClique(t *testing.T) {
 // the measured stretch report.
 func TestWorkerCountInvarianceAPSP(t *testing.T) {
 	g := graph.Connectify(graph.GNP(150, 0.05, graph.UnitWeight, 5), 1)
-	serial, err := ApproxAPSPCtx(context.Background(), g, 19, BuildOptions{Workers: 1})
+	serial, err := ApproxAPSPCtx(context.Background(), g, spanner.Options{Seed: 19, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ApproxAPSPCtx(context.Background(), g, 19, BuildOptions{Workers: pinWorkers()})
+	parallel, err := ApproxAPSPCtx(context.Background(), g, spanner.Options{Seed: 19, Workers: pinWorkers()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestWorkerCountInvarianceAPSP(t *testing.T) {
 
 func TestNegativeWorkersRejectedClique(t *testing.T) {
 	g := graph.Path(4, graph.UnitWeight, 1)
-	if _, err := BuildSpannerCtx(context.Background(), g, 2, 1, 1, BuildOptions{Workers: -1}); err == nil {
+	if _, err := BuildSpannerCtx(context.Background(), g, 2, 1, spanner.Options{Seed: 1, Workers: -1}); err == nil {
 		t.Fatal("negative workers accepted")
 	}
 }
@@ -83,10 +84,10 @@ func TestCancellationSemanticsCClique(t *testing.T) {
 
 	pre, cancelPre := context.WithCancel(context.Background())
 	cancelPre()
-	if _, err := BuildSpannerCtx(pre, g, 6, 2, 1, BuildOptions{}); !errors.Is(err, context.Canceled) || !errors.Is(err, core.ErrCanceled) {
+	if _, err := BuildSpannerCtx(pre, g, 6, 2, spanner.Options{Seed: 1}); !errors.Is(err, context.Canceled) || !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("BuildSpannerCtx(canceled) = %v, want context.Canceled/core.ErrCanceled", err)
 	}
-	if _, err := ApproxAPSPCtx(pre, g, 1, BuildOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := ApproxAPSPCtx(pre, g, spanner.Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ApproxAPSPCtx(canceled) = %v, want context.Canceled", err)
 	}
 
@@ -94,7 +95,7 @@ func TestCancellationSemanticsCClique(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	after := 0
 	fired := false
-	_, err := BuildSpannerCtx(ctx, g, 8, 2, 3, BuildOptions{
+	_, err := BuildSpannerCtx(ctx, g, 8, 2, spanner.Options{Seed: 3,
 		Progress: func(ev core.ProgressEvent) {
 			if fired {
 				after++
@@ -112,11 +113,11 @@ func TestCancellationSemanticsCClique(t *testing.T) {
 
 	// Live contexts change nothing, at serial and parallel worker counts.
 	for _, w := range []int{1, pinWorkers()} {
-		plain, err := BuildSpannerCtx(context.Background(), g, 6, 2, 21, BuildOptions{Workers: w})
+		plain, err := BuildSpannerCtx(context.Background(), g, 6, 2, spanner.Options{Seed: 21, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		withCtx, err := BuildSpannerCtx(context.Background(), g, 6, 2, 21, BuildOptions{Workers: w})
+		withCtx, err := BuildSpannerCtx(context.Background(), g, 6, 2, spanner.Options{Seed: 21, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

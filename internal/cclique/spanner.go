@@ -6,21 +6,8 @@ import (
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/dist"
 	"mpcspanner/internal/graph"
-	"mpcspanner/internal/par"
 	"mpcspanner/internal/spanner"
 )
-
-// BuildOptions is the full option surface of the context-aware entry points.
-type BuildOptions struct {
-	// Workers sizes the goroutine pool the simulated nodes' local work runs
-	// on (par conventions: 0 = GOMAXPROCS, 1 = serial; negatives rejected).
-	Workers int
-
-	// Progress, when non-nil, receives the engine's checkpoint events (the
-	// WHP engine emits "grow"/"contract"/"phase2" with algorithm
-	// "general-whp"). Same contract as spanner.Options.Progress.
-	Progress func(core.ProgressEvent)
-}
 
 // Per-iteration round constants of the semi-MPC execution (Theorem 8.1):
 // one round carries the O(log n)-bit sampling-outcome word of all parallel
@@ -47,26 +34,25 @@ type SpannerResult struct {
 // BuildSpannerCtx runs Theorem 8.1: the general algorithm in the semi-MPC
 // view of the clique, with ⌈log₂ n⌉+1 parallel sampling runs per iteration
 // and the two-event run selection, so the O(n^{1+1/k}(t+log k)) size bound
-// holds w.h.p. at only O(1) extra rounds per iteration. The per-node work
-// runs on a pool of opt.Workers (par conventions: 0 = GOMAXPROCS,
-// 1 = serial; negatives are rejected); the spanner, round bill and WHP
-// selection are bit-identical at every worker count. The WHP engine
-// checkpoints ctx once per grow iteration and the call returns
-// core.Canceled(ctx.Err()) at the first checkpoint after cancellation.
-func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64, opt BuildOptions) (*SpannerResult, error) {
+// holds w.h.p. at only O(1) extra rounds per iteration. The options are
+// the engine's own (spanner.GeneralWHPCtx): opt.Seed drives every coin,
+// the per-node work runs on a pool of opt.Workers (par conventions:
+// 0 = GOMAXPROCS, 1 = serial; negatives are rejected), and Progress,
+// Metrics and Tracer observe the grow loop as they do for GeneralCtx. The
+// spanner, round bill and WHP selection are bit-identical at every worker
+// count. The WHP engine checkpoints ctx once per grow iteration and the
+// call returns core.Canceled(ctx.Err()) at the first checkpoint after
+// cancellation.
+func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, opt spanner.Options) (*SpannerResult, error) {
 	if g.N() < 1 {
 		return nil, &core.OptionError{Field: "cclique: graph", Value: g.N(),
 			Reason: "need at least one vertex"}
-	}
-	if err := par.CheckWorkers("cclique: BuildOptions.Workers", opt.Workers); err != nil {
-		return nil, err
 	}
 	c, err := New(g.N())
 	if err != nil {
 		return nil, err
 	}
-	res, whp, err := spanner.GeneralWHPCtx(ctx, g, k, t, 0,
-		spanner.Options{Seed: seed, Workers: opt.Workers, Progress: opt.Progress})
+	res, whp, err := spanner.GeneralWHPCtx(ctx, g, k, t, 0, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +97,9 @@ type APSPResult struct {
 // (near-linear) spanner so that every node can answer distance queries
 // locally. Cancellation follows BuildSpannerCtx; the collection step
 // follows one final checkpoint after the build.
-func ApproxAPSPCtx(ctx context.Context, g *graph.Graph, seed uint64, opt BuildOptions) (*APSPResult, error) {
+func ApproxAPSPCtx(ctx context.Context, g *graph.Graph, opt spanner.Options) (*APSPResult, error) {
 	k, t := spanner.APSPParams(g.N())
-	sp, err := BuildSpannerCtx(ctx, g, k, t, seed, opt)
+	sp, err := BuildSpannerCtx(ctx, g, k, t, opt)
 	if err != nil {
 		return nil, err
 	}

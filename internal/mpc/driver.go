@@ -173,7 +173,7 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 	}
 
 	res := &Result{Machines: sim.Machines(), MemoryPerMachine: sim.MemoryPerMachine(), Workers: sim.Workers()}
-	ds := newDriverScratch(g.M(), sim.Workers())
+	ds := newDriverScratch(g.N(), g.M(), sim.Workers())
 	enc := newKeyEncoding(g.N())
 	n := float64(g.N())
 
@@ -255,68 +255,46 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 	return res, nil
 }
 
-// pairKey identifies a (supernode, neighbor-cluster) group.
-type pairKey struct{ v, c int32 }
-
-// joinRec records a supernode's chosen sampled cluster.
-type joinRec struct {
-	center int32
-	orig   int32
-}
-
-// srcJoin is a join decision keyed by its supernode label.
-type srcJoin struct {
-	v   int32
-	rec joinRec
-}
-
-// decisionPart is one shard's share of an iteration's per-supernode
-// decisions; parts concatenate in shard order (= segment order).
+// decisionPart is one shard's share of an iteration's B3/B4 decisions;
+// parts concatenate in shard order (= segment order).
 type decisionPart struct {
-	adds    []int32
-	joins   []srcJoin
-	removes []pairKey
+	adds  []int32 // spanner additions (edge ids)
+	kills []int32 // edge ids of every tuple in a discarded (Src, CDst) group
 }
 
-// reset empties the part for the next iteration, keeping its capacity.
-func (p *decisionPart) reset() {
-	p.adds = p.adds[:0]
-	p.joins = p.joins[:0]
-	p.removes = p.removes[:0]
-}
-
-// groupMin is one (Src, CDst) group's minimum-weight representative.
+// groupMin is one (Src, CDst) group's minimum-weight representative and the
+// group's index range [lo, hi) in its Src segment.
 type groupMin struct {
-	c    int32
-	w    float64
-	orig int32
+	c      int32
+	w      float64
+	orig   int32
+	lo, hi int
 }
 
 // driverScratch is the per-build state the iteration loop reuses across
-// rounds: the spanner-membership bitmap and the decision accumulators and
-// maps that used to be reallocated every iteration. Maps are cleared, not
-// remade, so their buckets amortize across the whole build.
+// rounds: the spanner-membership bitmap, the discarded-edge mark, the
+// label-indexed cluster plan and the per-shard decision buffers.
 type driverScratch struct {
 	inSpanner []bool // edge id -> chosen (ascending scan = sorted EdgeIDs)
 	spanCount int
+	killed    []bool  // edge id -> discarded by some B3/B4 decision
+	next      []int32 // supernode label -> post-B5 cluster label, or none
 
 	parts   []decisionPart
 	groups  [][]groupMin // per-shard group-minima buffer
 	badFlag []bool       // per-shard dead-label fail-fast flags
 	badTup  []Tuple      // the offending tuple each failing shard saw first
-	removes map[pairKey]struct{}
-	joins   map[int32]joinRec
 }
 
-func newDriverScratch(m, workers int) *driverScratch {
+func newDriverScratch(n, m, workers int) *driverScratch {
 	return &driverScratch{
 		inSpanner: make([]bool, m),
+		killed:    make([]bool, m),
+		next:      make([]int32, n),
 		parts:     make([]decisionPart, workers),
 		groups:    make([][]groupMin, workers),
 		badFlag:   make([]bool, workers),
 		badTup:    make([]Tuple, workers),
-		removes:   make(map[pairKey]struct{}),
-		joins:     make(map[int32]joinRec),
 	}
 }
 
@@ -345,12 +323,19 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	// segment is independent, so segments fan out over the worker pool —
 	// exactly the per-machine group-leader work of Section 6; crossing
 	// machine boundaries costs one Find-Minimum tree and one
-	// decision-gather tree, charged below as before. Per-shard decision
-	// lists concatenate in shard order, which equals segment order, so the
-	// merged decisions are identical at every worker count.
+	// decision-gather tree, charged below as before. The pass plans the
+	// whole iteration as ordered lists: per-shard spanner additions, the
+	// edge ids of every discarded group, and each supernode's B5 cluster in
+	// next — every live supernode heads exactly one Src segment, so shards
+	// write disjoint entries.
 	parts := ds.parts
 	for i := range parts {
-		parts[i].reset()
+		parts[i].adds = parts[i].adds[:0]
+		parts[i].kills = parts[i].kills[:0]
+	}
+	next := ds.next
+	for i := range next {
+		next[i] = none
 	}
 	// badFlag/badTup record the first dead-labeled tuple each shard saw, so
 	// the fail-fast error can name the tuple; the lowest shard's find is
@@ -375,7 +360,8 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		}
 		cur := seg[0].Src
 		if sampled(seg[0].CSrc) {
-			return // supernodes inside sampled clusters do nothing
+			next[cur] = seg[0].CSrc // supernodes inside sampled clusters stay
+			return
 		}
 		// Group minima: the (W, Orig)-least tuple of each (Src, CDst) run,
 		// found by the pass that reads the run.
@@ -383,17 +369,16 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		for gi := range seg {
 			t := &seg[gi]
 			if n := len(groups); n > 0 && groups[n-1].c == t.CDst {
-				if gm := &groups[n-1]; t.W < gm.w || t.W == gm.w && t.Orig < gm.orig {
+				gm := &groups[n-1]
+				gm.hi++
+				if t.W < gm.w || t.W == gm.w && t.Orig < gm.orig {
 					gm.w, gm.orig = t.W, t.Orig
 				}
 				continue
 			}
-			groups = append(groups, groupMin{c: t.CDst, w: t.W, orig: t.Orig})
+			groups = append(groups, groupMin{c: t.CDst, w: t.W, orig: t.Orig, lo: gi, hi: gi + 1})
 		}
 		groupsByShard[shard] = groups
-		if len(groups) == 0 {
-			return
-		}
 		// Closest sampled neighbor cluster by (weight, center label).
 		best := -1
 		for i, gm := range groups {
@@ -406,22 +391,27 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 			}
 		}
 		part := &parts[shard]
-		if best >= 0 {
-			joinW := groups[best].w
-			part.adds = append(part.adds, groups[best].orig)
-			part.joins = append(part.joins, srcJoin{v: cur, rec: joinRec{center: groups[best].c, orig: groups[best].orig}})
-			part.removes = append(part.removes, pairKey{cur, groups[best].c})
-			for i, gm := range groups {
-				if i == best || gm.w >= joinW {
-					continue
-				}
-				part.adds = append(part.adds, gm.orig)
-				part.removes = append(part.removes, pairKey{cur, gm.c})
-			}
-		} else {
+		if best < 0 {
+			// B4: keep each group's minimum and discard every tuple of v;
+			// v's cluster dissolves (next stays none).
 			for _, gm := range groups {
 				part.adds = append(part.adds, gm.orig)
-				part.removes = append(part.removes, pairKey{cur, gm.c})
+			}
+			for gi := range seg {
+				part.kills = append(part.kills, seg[gi].Orig)
+			}
+			return
+		}
+		// B3: join the closest sampled cluster, and keep the minimum toward
+		// every strictly cheaper cluster; all those groups are discarded.
+		joinW := groups[best].w
+		next[cur] = groups[best].c
+		for i, gm := range groups {
+			if i == best || gm.w < joinW {
+				part.adds = append(part.adds, gm.orig)
+				for j := gm.lo; j < gm.hi; j++ {
+					part.kills = append(part.kills, seg[j].Orig)
+				}
 			}
 		}
 	})
@@ -433,19 +423,13 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 			return fmt.Errorf("mpc: tuple with dead label survived: %+v", badTup[i])
 		}
 	}
-	removePairs := ds.removes
-	joins := ds.joins
-	clear(removePairs)
-	clear(joins)
+	killed := ds.killed
 	for i := range parts {
 		for _, orig := range parts[i].adds {
 			ds.addSpanner(orig)
 		}
-		for _, j := range parts[i].joins {
-			joins[j.v] = j.rec
-		}
-		for _, r := range parts[i].removes {
-			removePairs[r] = struct{}{}
+		for _, orig := range parts[i].kills {
+			killed[orig] = true
 		}
 	}
 	sim.ChargeTree(2) // segmented minima + decision gathering
@@ -459,31 +443,18 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	}
 	sim.ChargeTree(1)
 
-	// B5 — cluster labels advance: sampled clusters persist, joiners adopt
-	// their target, everything else would die (and can't appear on a live
-	// tuple, which B6 then certifies).
-	relabel := func(x, cx int32) int32 {
-		if sampled(cx) {
-			return cx
-		}
-		if j, ok := joins[x]; ok {
-			return j.center
-		}
-		return none
-	}
-	// Removal, the B5 relabel and B6 run as one local pass: removed tuples
-	// drop first, survivors are relabeled in place, then intra-cluster edges
-	// vanish and dead labels must not survive.
+	// Removal, the B5 relabel and B6 run as one local pass: a discarded
+	// group's mirror copies carry the same edge ids, so both copies drop by
+	// id; survivors adopt their endpoints' planned clusters (sampled
+	// clusters persist, joiners adopt their target, everything else dies
+	// and can't appear on a live tuple); then intra-cluster edges vanish
+	// and dead labels must not survive.
 	var lostCluster atomic.Int64
 	err := sim.Filter(func(t *Tuple) bool {
-		if _, dead := removePairs[pairKey{t.Src, t.CDst}]; dead {
+		if killed[t.Orig] {
 			return false
 		}
-		if _, dead := removePairs[pairKey{t.Dst, t.CSrc}]; dead {
-			return false
-		}
-		t.CSrc = relabel(t.Src, t.CSrc)
-		t.CDst = relabel(t.Dst, t.CDst)
+		t.CSrc, t.CDst = next[t.Src], next[t.Dst]
 		if t.CSrc == none || t.CDst == none {
 			lostCluster.Add(1)
 			return false

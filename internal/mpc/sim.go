@@ -17,9 +17,7 @@
 // re-validates that no machine holds more than S tuples and that total
 // memory never exceeded its initial O(m) footprint. Message contents are not
 // materialized bit-by-bit; what the paper's claims quantify — rounds,
-// memory per machine, total memory — is tracked exactly. The Congested
-// Clique simulator (internal/cclique) additionally enforces per-round
-// message budgets at the node level.
+// memory per machine, total memory — is tracked exactly.
 //
 // Out-of-core execution: the tuples live in one internal/extmem store.
 // NewSim never spills it; NewSimBudget caps the process-level tuple memory
@@ -372,11 +370,4 @@ func (m *Sim) ChargeTree(times int) {
 	m.treeOps += times
 	m.met.rounds.Add(int64(times * m.TreeRounds()))
 	m.met.treeOps.Add(int64(times))
-}
-
-// ChargeRounds charges raw rounds (used for fixed-cost steps such as the
-// single-round sampling-outcome exchange of Theorem 8.1).
-func (m *Sim) ChargeRounds(r int) {
-	m.rounds += r
-	m.met.rounds.Add(int64(r))
 }

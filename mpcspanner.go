@@ -169,7 +169,7 @@ func ApproxAPSPCongestedCliqueCtx(ctx context.Context, g *Graph, opts ...Option)
 	if err != nil {
 		return nil, err
 	}
-	return cclique.ApproxAPSPCtx(ctx, g, cfg.seed, cclique.BuildOptions{
-		Workers: cfg.workers, Progress: cfg.progress,
+	return cclique.ApproxAPSPCtx(ctx, g, spanner.Options{
+		Seed: cfg.seed, Workers: cfg.workers, Progress: cfg.progress,
 	})
 }

@@ -43,20 +43,22 @@ type SpanSummary = obs.SpanSummary
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // WithMetrics instruments the call on r: Build fills the mpc_* / spanner_* /
-// par_* series, Serve additionally fills the oracle_* serving series. nil
-// restores the default (uninstrumented); either way results are
-// bit-identical — metrics observe the computation without steering it.
+// par_* series (AlgoCongestedClique fills spanner_*, since it runs the
+// engine's grow loop), Serve additionally fills the oracle_* serving
+// series. nil restores the default (uninstrumented); either way results
+// are bit-identical — metrics observe the computation without steering it.
 func WithMetrics(r *Metrics) Option {
 	return func(c *config) { c.metrics = r; c.mark("Metrics") }
 }
 
 // WithTracer records the construction's phase spans into tr. The local
 // engine families (AlgoGeneral, AlgoClusterMerge, AlgoSqrtK, AlgoBaswanaSen)
-// emit real timed spans from inside the engine; the simulated planes
-// (AlgoMPC, AlgoUnweighted, AlgoCongestedClique) and Serve's §7 pipeline
-// mirror their progress checkpoints as zero-duration marker spans. nil
-// restores the default (no tracing). Build-side only: rejected by Serve's
-// WithExact mode, where no construction runs.
+// and AlgoCongestedClique, which runs the engine's grow loop, emit real
+// timed spans from inside the engine; the simulated planes (AlgoMPC,
+// AlgoUnweighted) and Serve's §7 pipeline mirror their progress
+// checkpoints as zero-duration marker spans. nil restores the default (no
+// tracing). Build-side only: rejected by Serve's WithExact mode, where no
+// construction runs.
 func WithTracer(tr *Tracer) Option {
 	return func(c *config) { c.tracer = tr; c.mark("Tracer") }
 }

@@ -47,12 +47,27 @@ func TestWithMetricsBitIdentity(t *testing.T) {
 	if !reflect.DeepEqual(baseM.MPC, liveM.MPC) {
 		t.Fatal("instrumented MPC build differs from the uninstrumented build")
 	}
+
+	baseC, err := Build(ctx, g, WithAlgorithm(AlgoCongestedClique), WithK(6), WithT(2), WithSeed(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveC, err := Build(ctx, g, WithAlgorithm(AlgoCongestedClique), WithK(6), WithT(2), WithSeed(21),
+		WithMetrics(NewMetrics()), WithTracer(NewTracer()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(baseC.EdgeIDs, liveC.EdgeIDs) || !reflect.DeepEqual(baseC.Stats, liveC.Stats) ||
+		!reflect.DeepEqual(baseC.CC, liveC.CC) {
+		t.Fatal("instrumented clique build differs from the uninstrumented build")
+	}
 }
 
 // TestWithMetricsSeries checks that one shared registry accumulates the
 // paper-native series of every instrumented layer: spanner_* from the local
 // engine, mpc_* from the simulated cluster, par_* from the worker pool, and
-// oracle_* from a serving session.
+// oracle_* from a serving session. A clique build on a registry of its own
+// records the engine's spanner_* series too.
 func TestWithMetricsSeries(t *testing.T) {
 	g := testGraphSmall()
 	ctx := context.Background()
@@ -112,11 +127,20 @@ func TestWithMetricsSeries(t *testing.T) {
 	if v, _ := snap.Counter("oracle_row_misses_total"); v != stats.Misses {
 		t.Fatalf("oracle_row_misses_total = %d, Session.Stats().Misses = %d", v, stats.Misses)
 	}
+
+	regC := NewMetrics()
+	if _, err := Build(ctx, g, WithAlgorithm(AlgoCongestedClique), WithK(6), WithT(2), WithSeed(21),
+		WithMetrics(regC)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := regC.Snapshot().Counter("spanner_grow_iterations_total"); !ok || v <= 0 {
+		t.Fatalf("clique build spanner_grow_iterations_total = (%d, %v), want > 0", v, ok)
+	}
 }
 
 // TestWithTracerSpans checks both tracing modes: native engine spans with
-// real durations for the local families, and checkpoint marker spans mirrored
-// from progress events on the simulated planes.
+// real durations for the local families and the clique build, and
+// checkpoint marker spans mirrored from progress events on the MPC plane.
 func TestWithTracerSpans(t *testing.T) {
 	g := testGraphSmall()
 	ctx := context.Background()
@@ -150,6 +174,21 @@ func TestWithTracerSpans(t *testing.T) {
 		if !strings.HasPrefix(sp.Name, "checkpoint.") {
 			t.Fatalf("MPC bridge span %q does not carry the checkpoint prefix", sp.Name)
 		}
+	}
+
+	trC := NewTracer()
+	if _, err := Build(ctx, g, WithAlgorithm(AlgoCongestedClique), WithK(6), WithT(2), WithSeed(21),
+		WithTracer(trC)); err != nil {
+		t.Fatal(err)
+	}
+	grows := 0
+	for _, sum := range trC.Summary() {
+		if sum.Name == "spanner.grow" {
+			grows = sum.Count
+		}
+	}
+	if grows == 0 {
+		t.Fatalf("clique trace records no native spanner.grow spans (got %v)", trC.Summary())
 	}
 }
 
