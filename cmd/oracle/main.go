@@ -201,8 +201,8 @@ func main() {
 	perQ := float64(elapsed.Nanoseconds()) / math.Max(1, float64(len(dists)))
 	fmt.Fprintf(os.Stderr, "served %d queries in %v (%.0f ns/query)\n",
 		len(dists), elapsed.Round(time.Microsecond), perQ)
-	fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d evictions=%d resident=%d\n",
-		st.Hits, st.Misses, st.Evictions, st.Resident)
+	fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d point_fills=%d evictions=%d resident=%d\n",
+		st.Hits, st.Misses, st.PointFills, st.Evictions, st.Resident)
 	if *synth > 0 && reg != nil {
 		if h := reg.Snapshot().Histogram("oracle_row_seconds"); h != nil && h.Count > 0 {
 			fmt.Fprintf(os.Stderr, "row latency (%d rows): p50=%v p95=%v p99=%v\n", h.Count,

@@ -285,8 +285,8 @@ func runServe(args []string) {
 		log.Fatal(err)
 	}
 	st := session.Stats()
-	fmt.Fprintf(os.Stderr, "drained; cache at exit: hits=%d misses=%d evictions=%d resident=%d\n",
-		st.Hits, st.Misses, st.Evictions, st.Resident)
+	fmt.Fprintf(os.Stderr, "drained; cache at exit: hits=%d misses=%d point_fills=%d evictions=%d resident=%d\n",
+		st.Hits, st.Misses, st.PointFills, st.Evictions, st.Resident)
 }
 
 // runLoad is the load-generator half.

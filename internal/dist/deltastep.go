@@ -2,15 +2,16 @@ package dist
 
 // This file is the delta-stepping SSSP engine (Meyer & Sanders 2003): the
 // bucketed replacement for the binary-heap Dijkstra on every path that needs
-// a *full* distance row — oracle cold fills, APSP materialization, the
-// pair-stretch estimators. A row is filled by one serial kernel; parallelism
-// comes only from filling many sources at once (the oracle's QueryMany pool,
-// concurrent requests, forWorkers), which keeps every core busy without the
-// atomics a shared row would need. The heap stays behind two paths on
-// purpose: dijkstraTo early-exits after settling a few targets
-// (delta-stepping has no cheap early exit — it settles a whole bucket at a
-// time), and MultiSourceDijkstra's nearest-source attribution breaks ties by
-// heap pop order, an order delta-stepping does not reproduce.
+// shortest-path distances from one source — oracle row fills, APSP
+// materialization, the pair-stretch estimators — and, through DistsTo, on
+// every path that needs only a few of them: the oracle's point fills and the
+// edge-stretch probes. DistsTo's early exit is a bucket boundary: once the
+// bucket holding the farthest target has settled, the run stops. A run is one
+// serial kernel; parallelism comes only from running many sources at once
+// (the oracle's QueryMany pool, concurrent requests, forWorkers), which keeps
+// every core busy without the atomics a shared row would need. The heap
+// stays behind MultiSourceDijkstra on purpose: its nearest-source attribution
+// breaks ties by heap pop order, an order delta-stepping does not reproduce.
 //
 // Exactness: with strictly positive weights every label-correcting schedule
 // — heap order, bucket order, any order that keeps relaxing until no edge
@@ -104,17 +105,19 @@ type SolverOptions struct {
 	// latencies (dist_sssp_rows_total, dist_sssp_row_seconds) plus the
 	// delta-stepping internals (dist_delta_relaxations_total,
 	// dist_delta_buckets_total, dist_delta_light_phases_total and the
-	// per-phase dist_delta_{light,heavy}_seconds histograms). When nil the
-	// fill path reads no clocks, mirroring the oracle's discipline.
+	// per-phase dist_delta_{light,heavy}_seconds histograms); DistsTo runs
+	// count in the delta-stepping internals only. When nil the fill path
+	// reads no clocks, mirroring the oracle's discipline.
 	Metrics *obs.Registry
 }
 
-// Solver answers full single-source distance rows over one frozen graph,
-// with the engine and Δ resolved once at construction. The light/heavy edge
-// split is precomputed per CSR adjacency at construction; per-run state
-// (buckets, marks) is drawn from a per-Solver sync.Pool, so steady-state rows
-// allocate nothing beyond the row itself. A Solver is safe for concurrent
-// use: each row runs serially on its caller's goroutine.
+// Solver answers full single-source distance rows (RowInto) and
+// target-bounded queries (DistsTo) over one frozen graph, with the engine
+// and Δ resolved once at construction. The light/heavy edge split is
+// precomputed per CSR adjacency at construction; per-run state (buckets,
+// marks, DistsTo's row) is drawn from a per-Solver sync.Pool, so
+// steady-state rows allocate nothing beyond the row itself. A Solver is
+// safe for concurrent use: each run is serial on its caller's goroutine.
 type Solver struct {
 	g       *graph.Graph
 	engine  Engine  // resolved: EngineHeap or EngineDelta, never EngineAuto
@@ -174,12 +177,15 @@ func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
 			delta = 1 // edgeless or degenerate graph: any width works
 		}
 	}
-	if b := int64(maxW/delta) + 3; b > maxDeltaBuckets {
+	// Compare in float64: maxW/Δ can pass 2⁶³ (weights near 1e308 overflow
+	// the weight sum, so Δ falls back to 1), where an integer conversion
+	// would wrap.
+	if maxW/delta+3 > maxDeltaBuckets {
 		delta = maxW / float64(maxDeltaBuckets-3)
 	}
 	s.delta = delta
 	s.invDel = 1 / delta
-	s.buckets = int(int64(maxW/delta) + 3)
+	s.buckets = int(maxW/delta) + 3
 
 	// Split every adjacency into light (w ≤ Δ) and heavy (w > Δ) runs:
 	// counting pass builds the offsets, fill pass scatters targets and
@@ -261,11 +267,50 @@ func (s *Solver) fill(src int, d []float64) {
 	if s.engine == EngineHeap {
 		DijkstraInto(s.g, src, d)
 	} else {
-		s.runDelta(src, d)
+		sc := s.getScratch()
+		s.runDelta(sc, src, d, nil)
+		s.pool.Put(sc)
 	}
 	if s.rows != nil {
 		s.rows.Add(1)
 	}
+}
+
+// DistsTo writes the distance from src to targets[i] into out[i] and returns
+// out; unreachable targets get Inf. It runs the row kernel on a pooled row
+// and stops once the bucket holding the farthest target has settled, so a
+// near target costs a fraction of a row. The answers are bit-identical to
+// RowInto's entries. Targets may repeat and may include src. An out of the
+// wrong length (nil included) is replaced by a fresh allocation; a reused
+// len(targets)-sized buffer makes the steady-state call allocation-free.
+// It panics if src or a target is not a vertex. DistsTo is not a row fill:
+// it counts under no dist_sssp_* series.
+func (s *Solver) DistsTo(src int, targets []int, out []float64) []float64 {
+	if len(out) != len(targets) {
+		out = make([]float64, len(targets))
+	}
+	if len(targets) == 0 {
+		return out
+	}
+	if s.engine == EngineHeap {
+		sc := acquire(s.g.N())
+		d := DijkstraInto(s.g, src, sc.dist)
+		for i, t := range targets {
+			out[i] = d[t]
+		}
+		sc.release()
+		return out
+	}
+	sc := s.getScratch()
+	if sc.row == nil {
+		sc.row = make([]float64, s.g.N())
+	}
+	s.runDelta(sc, src, sc.row, targets)
+	for i, t := range targets {
+		out[i] = sc.row[t]
+	}
+	s.pool.Put(sc)
+	return out
 }
 
 // deltaScratch is the pooled per-run state of one delta-stepping execution.
@@ -289,6 +334,8 @@ type deltaScratch struct {
 	rgen  uint32
 
 	pending int64 // live bucket entries; 0 ⇔ done
+
+	row []float64 // DistsTo's distance row, allocated on its first use
 
 	// Local metric accumulators, flushed once per row (Add per edge would be
 	// an atomic per relaxation).
@@ -335,13 +382,14 @@ func (sc *deltaScratch) enqueue(v int32, b int64, nbuckets int) {
 	sc.pending++
 }
 
-// runDelta fills d with the exact distance row from src.
-func (s *Solver) runDelta(src int, d []float64) {
+// runDelta fills d with the exact distance row from src. With targets
+// non-nil it stops at the first bucket boundary where every target's label
+// is final, and only those labels are exact; the rest hold upper bounds.
+func (s *Solver) runDelta(sc *deltaScratch, src int, d []float64, targets []int) {
 	for i := range d {
 		d[i] = Inf
 	}
 	d[src] = 0
-	sc := s.getScratch()
 	sc.qgen++
 	if sc.qgen == 0 { // epoch wrapped: invalidate stale stamps
 		clear(sc.qmark)
@@ -351,6 +399,7 @@ func (s *Solver) runDelta(src int, d []float64) {
 	sc.enqueue(int32(src), 0, s.buckets)
 
 	cur := int64(0)
+	settled := 0 // targets[:settled] hold final labels
 	for sc.pending > 0 {
 		for len(sc.buckets[cur%int64(s.buckets)]) == 0 {
 			cur++
@@ -412,6 +461,23 @@ func (s *Solver) runDelta(src int, d []float64) {
 			s.heavySeconds.Observe(time.Since(phaseStart).Seconds())
 		}
 		sc.nBuckets++
+		// Early exit. Once bucket cur is still empty after its heavy phase
+		// (rounding can put a heavy relaxation back into cur, so the check
+		// comes after it), every label in buckets ≤ cur is final: bucketOf
+		// is monotone and weights are positive, so no later relaxation can
+		// land at or below cur.
+		if targets != nil && len(sc.buckets[cur%int64(s.buckets)]) == 0 {
+			for settled < len(targets) {
+				if x := d[targets[settled]]; x == Inf || s.bucketOf(x) > cur {
+					break
+				}
+				settled++
+			}
+			if settled == len(targets) {
+				sc.recycle(cur+1, s.buckets)
+				break
+			}
+		}
 	}
 
 	if s.rows != nil {
@@ -420,7 +486,21 @@ func (s *Solver) runDelta(src int, d []float64) {
 		s.lightPhases.Add(sc.nLight)
 	}
 	sc.nRelax, sc.nBuckets, sc.nLight = 0, 0, 0
-	s.pool.Put(sc)
+}
+
+// recycle moves every live bucket, from bucket from onwards, to the free
+// list, so a run that stopped early leaves the next run an empty array.
+// Live entries span less than one cycle of the array, so the walk ends
+// within nbuckets steps.
+func (sc *deltaScratch) recycle(from int64, nbuckets int) {
+	for b := from; sc.pending > 0; b++ {
+		i := int(b % int64(nbuckets))
+		if take := sc.buckets[i]; take != nil {
+			sc.pending -= int64(len(take))
+			sc.free = append(sc.free, take[:0])
+			sc.buckets[i] = nil
+		}
+	}
 }
 
 // relax applies one relaxation pass of the given CSR split (light or heavy)

@@ -26,7 +26,8 @@ func requireRowEqual(t *testing.T, want, got []float64, ctx string) {
 }
 
 // checkAllSources compares delta-stepping against heap Dijkstra from every
-// source (or a stride of sources for larger graphs).
+// source (or a stride of sources for larger graphs), and DistsTo against the
+// full row on a few target lists per source.
 func checkAllSources(t *testing.T, g *graph.Graph, name string, delta float64) {
 	t.Helper()
 	stride := 1
@@ -41,7 +42,32 @@ func checkAllSources(t *testing.T, g *graph.Graph, name string, delta float64) {
 	for src := 0; src < g.N(); src += stride {
 		want := Dijkstra(g, src)
 		got := s.RowInto(src, row)
-		requireRowEqual(t, want, got, fmt.Sprintf("%s delta=%v src=%d", name, delta, src))
+		ctx := fmt.Sprintf("%s delta=%v src=%d", name, delta, src)
+		requireRowEqual(t, want, got, ctx)
+		requireDistsToMatchRow(t, s, src, got, ctx)
+	}
+}
+
+// requireDistsToMatchRow checks DistsTo from src against row, the full row,
+// on target lists that stop at different buckets: src alone, the farthest
+// reachable vertex alone, one other vertex alone, and all three with
+// repeats.
+func requireDistsToMatchRow(t *testing.T, s *Solver, src int, row []float64, ctx string) {
+	t.Helper()
+	far := src
+	for v, d := range row {
+		if d != Inf && d > row[far] {
+			far = v
+		}
+	}
+	other := (src + 1) % len(row)
+	for _, targets := range [][]int{{src}, {far}, {other}, {other, far, src, other, far}} {
+		got := s.DistsTo(src, targets, nil)
+		for i, v := range targets {
+			if math.Float64bits(got[i]) != math.Float64bits(row[v]) {
+				t.Fatalf("%s: DistsTo(%v)[%d] = %v, full row says d[%d] = %v", ctx, targets, i, got[i], v, row[v])
+			}
+		}
 	}
 }
 
@@ -249,6 +275,136 @@ func TestSolverRowIntoReuse(t *testing.T) {
 	if allocs > 1 { // occasional bucket slice growth is tolerated; O(n) churn is not
 		t.Fatalf("warm RowInto allocates %v objects per run; want ≤ 1", allocs)
 	}
+}
+
+// TestDistsToSettlesTargets checks target-bounded runs against the full row
+// on a connected graph, including a repeated target and the source itself,
+// and that an unreachable target ends the run with Inf.
+func TestDistsToSettlesTargets(t *testing.T) {
+	g := graph.Connectify(graph.GNP(300, 0.02, graph.UniformWeight(1, 60), 29), 30)
+	s := NewSolver(g, SolverOptions{})
+	full := Dijkstra(g, 0)
+	targets := []int{1, g.N() / 3, g.N() - 1, 0, 1}
+	for _, s := range []*Solver{s, NewSolver(g, SolverOptions{Engine: EngineHeap})} {
+		d := s.DistsTo(0, targets, nil)
+		for i, v := range targets {
+			if d[i] != full[v] {
+				t.Fatalf("%v: target-bounded distance to %d is %v, full run says %v", s.Engine(), v, d[i], full[v])
+			}
+		}
+	}
+	// Unreachable target: the run must terminate and report Inf, and the
+	// reachable target beside it must still be exact.
+	ti := twoIslands()
+	d := NewSolver(ti, SolverOptions{}).DistsTo(0, []int{4, 2}, nil)
+	if !math.IsInf(d[0], 1) || d[1] != Dijkstra(ti, 0)[2] {
+		t.Fatalf("DistsTo(0, [4 2]) on two islands = %v", d)
+	}
+	if got := s.DistsTo(0, nil, nil); len(got) != 0 {
+		t.Fatalf("empty target list answered %v", got)
+	}
+}
+
+// TestDistsToReusedScratch pins the recycling discipline: back-to-back
+// target-bounded runs on one solver must not leak buckets or queue state
+// between runs, whether the previous run stopped early or ran to the end.
+func TestDistsToReusedScratch(t *testing.T) {
+	g := graph.Connectify(graph.GNP(300, 0.02, graph.UniformWeight(1, 60), 31), 17)
+	s := NewSolver(g, SolverOptions{})
+	out := make([]float64, 3)
+	for src := 0; src < 12; src++ {
+		full := Dijkstra(g, src)
+		targets := []int{(src + 7) % g.N(), (src * 13) % g.N(), src}
+		d := s.DistsTo(src, targets, out)
+		if &d[0] != &out[0] {
+			t.Fatal("DistsTo must fill the provided right-sized buffer")
+		}
+		for i, v := range targets {
+			if d[i] != full[v] {
+				t.Fatalf("run %d: target-bounded distance to %d is %v, full run says %v", src, v, d[i], full[v])
+			}
+		}
+		if src%3 == 0 {
+			s.Row(src) // interleave full rows on the same pooled scratch
+		}
+	}
+}
+
+// TestDistsToAllocationFree pins the pooled-row contract: with a reused
+// output buffer, a steady-state target-bounded run allocates nothing.
+func TestDistsToAllocationFree(t *testing.T) {
+	if raceEnabled { // under -race, sync.Pool drops entries by design
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g := graph.Connectify(graph.GNP(500, 8.0/500, graph.UniformWeight(1, 100), 51), 50)
+	s := NewSolver(g, SolverOptions{})
+	targets := []int{7, 250, 499}
+	out := make([]float64, len(targets))
+	s.DistsTo(1, targets, out) // warm the pool and the pooled row
+	if allocs := testing.AllocsPerRun(20, func() { s.DistsTo(1, targets, out) }); allocs > 0 {
+		t.Fatalf("warm DistsTo allocates %v objects per run; want 0", allocs)
+	}
+}
+
+// TestSolverHugeWeights pins the bucket-count clamp: two weights of 1e308
+// overflow the weight sum, so the auto-tuned Δ falls back to 1 and maxW/Δ
+// passes 2⁶³. The count must be clamped before any integer conversion, or
+// every fill panics; rows must still match the heap's.
+func TestSolverHugeWeights(t *testing.T) {
+	g, err := graph.New(4, []graph.Edge{
+		{U: 0, V: 1, W: 1e308}, {U: 1, V: 2, W: 1e308}, {U: 2, V: 3, W: 1}, {U: 0, V: 3, W: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver(g, SolverOptions{})
+	if s.buckets > maxDeltaBuckets {
+		t.Fatalf("bucket array of %d slots exceeds the %d cap", s.buckets, maxDeltaBuckets)
+	}
+	for src := 0; src < g.N(); src++ {
+		row := s.Row(src)
+		requireRowEqual(t, Dijkstra(g, src), row, fmt.Sprintf("huge weights src=%d", src))
+		requireDistsToMatchRow(t, s, src, row, fmt.Sprintf("huge weights src=%d", src))
+	}
+}
+
+// FuzzDistsToVsRow derives a random graph with two isolated vertices, a
+// source and a target list from the fuzz input, and checks DistsTo against
+// RowInto bit for bit. Every target list carries a repeat, the source itself
+// and an unreachable vertex.
+func FuzzDistsToVsRow(f *testing.F) {
+	f.Add(uint64(1), 16, 30, false, []byte{3, 9, 3})
+	f.Add(uint64(7), 40, 120, true, []byte{0, 39, 41})
+	f.Add(uint64(42), 3, 1, false, []byte{})
+	f.Add(uint64(99), 25, 0, true, []byte{24, 24})
+	f.Fuzz(func(t *testing.T, seed uint64, n, m int, heavyTail bool, raw []byte) {
+		if n < 1 || n > 200 || m < 0 || m > 2000 || len(raw) > 64 {
+			t.Skip()
+		}
+		w := graph.UniformWeight(0.1, 10)
+		if heavyTail {
+			w = graph.PowerWeight(4, 12)
+		}
+		g, err := graph.New(n+2, graph.GNM(n, m, w, seed).Edges())
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := int(seed % uint64(n))
+		targets := []int{src, n + 1}
+		for _, b := range raw {
+			targets = append(targets, int(b)%g.N())
+		}
+		targets = append(targets, targets[len(targets)-1])
+		s := NewSolver(g, SolverOptions{})
+		row := s.RowInto(src, nil)
+		got := s.DistsTo(src, targets, nil)
+		for i, v := range targets {
+			if math.Float64bits(got[i]) != math.Float64bits(row[v]) {
+				t.Fatalf("seed=%d n=%d m=%d src=%d: DistsTo(%v)[%d] = %v, row says d[%d] = %v",
+					seed, n, m, src, targets, i, got[i], v, row[v])
+			}
+		}
+	})
 }
 
 // FuzzDeltaVsHeap derives a random weighted graph from the fuzz input and

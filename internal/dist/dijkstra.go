@@ -82,51 +82,3 @@ func (s *scratch) run(g *graph.Graph, d []float64, origin []int) {
 		}
 	}
 }
-
-// runTo is run with early exit: it stops once every vertex stamped with the
-// scratch's current mark epoch has settled. remaining is the stamp count
-// (see wantTargets).
-func (s *scratch) runTo(g *graph.Graph, d []float64, remaining int) {
-	h := &s.heap
-	for h.len() > 0 && remaining > 0 {
-		it := h.pop()
-		v := int(it.v)
-		if it.d > d[v] {
-			continue
-		}
-		if s.mark[v] == s.gen {
-			s.mark[v] = s.gen - 1
-			remaining--
-			if remaining == 0 {
-				return
-			}
-		}
-		for _, a := range g.Adj(v) {
-			nd := it.d + g.Edge(a.Edge).W
-			if nd < d[a.To] {
-				d[a.To] = nd
-				h.push(nd, int32(a.To))
-			}
-		}
-	}
-}
-
-// dijkstraTo computes the distances from src into the scratch's pooled row,
-// only far enough to settle every vertex in targets — the early-exit
-// single-source query behind the sampled stretch estimators. Entries beyond
-// the settled frontier are an upper bound or Inf; only the targets' entries
-// are guaranteed exact. The returned slice is the pooled row: it is valid
-// until the scratch's next run or its release, which is why this stays a
-// package-internal primitive.
-func (s *scratch) dijkstraTo(g *graph.Graph, src int, targets []int) []float64 {
-	d := s.dist
-	for i := range d {
-		d[i] = Inf
-	}
-	d[src] = 0
-	remaining := s.wantTargets(targets, src)
-	s.heap.reset()
-	s.heap.push(0, int32(src))
-	s.runTo(g, d, remaining)
-	return d
-}

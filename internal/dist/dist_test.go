@@ -375,47 +375,6 @@ func TestStretchCDFMatchesPairStretch(t *testing.T) {
 	}
 }
 
-func TestDijkstraToSettlesTargets(t *testing.T) {
-	g := graph.Connectify(graph.GNP(300, 0.02, graph.UniformWeight(1, 60), 29), 30)
-	full := Dijkstra(g, 0)
-	targets := []int{1, g.N() / 3, g.N() - 1, 0}
-	s := acquire(g.N())
-	d := s.dijkstraTo(g, 0, targets)
-	for _, v := range targets {
-		if d[v] != full[v] {
-			t.Fatalf("early-exit distance to %d is %v, full run says %v", v, d[v], full[v])
-		}
-	}
-	s.release()
-	// Unreachable target: the run must terminate and report Inf.
-	ti := twoIslands()
-	s = acquire(ti.N())
-	d = s.dijkstraTo(ti, 0, []int{4})
-	if !math.IsInf(d[4], 1) {
-		t.Fatalf("unreachable target got %v", d[4])
-	}
-	s.release()
-}
-
-// TestDijkstraToReusedScratch pins the epoch-stamp discipline: back-to-back
-// early-exit runs on one scratch must not leak target marks or heap state
-// between runs.
-func TestDijkstraToReusedScratch(t *testing.T) {
-	g := graph.Connectify(graph.GNP(300, 0.02, graph.UniformWeight(1, 60), 31), 17)
-	s := acquire(g.N())
-	defer s.release()
-	for src := 0; src < 12; src++ {
-		full := Dijkstra(g, src)
-		targets := []int{(src + 7) % g.N(), (src * 13) % g.N(), src}
-		d := s.dijkstraTo(g, src, targets)
-		for _, v := range targets {
-			if d[v] != full[v] {
-				t.Fatalf("run %d: early-exit distance to %d is %v, full run says %v", src, v, d[v], full[v])
-			}
-		}
-	}
-}
-
 // TestDijkstraIntoMatchesAndIsAllocationFree pins DijkstraInto's contract:
 // same distances as Dijkstra, zero allocations with a right-sized buffer.
 func TestDijkstraIntoMatchesAndIsAllocationFree(t *testing.T) {

@@ -2,14 +2,14 @@ package dist
 
 import "sync"
 
-// This file is the memory discipline of the distance subsystem: every
+// This file is the memory discipline of the heap runs: every heap
 // shortest-path run draws its mutable state — the frontier heap, and for
-// internal read-then-discard runs the distance array and target marks — from
-// a sync.Pool keyed by the vertex count, so the serving-layer hot paths
-// (oracle cold fills, APSP rows, stretch estimators) stop paying one heap
-// growth and one O(n) allocation per source. Results that outlive the call
-// (Dijkstra's returned row, MultiSourceDijkstra's arrays) are still freshly
-// allocated; only state whose lifetime ends inside this package is pooled.
+// internal read-then-discard runs the distance array — from a sync.Pool
+// keyed by the vertex count, so repeated runs stop paying one heap growth and
+// one O(n) allocation per source. Results that outlive the call (Dijkstra's
+// returned row, MultiSourceDijkstra's arrays) are still freshly allocated;
+// only state whose lifetime ends inside this package is pooled. Delta-stepping
+// runs pool their state per Solver (deltaScratch).
 
 // heapItem is a (distance, vertex) pair on the Dijkstra frontier.
 type heapItem struct {
@@ -81,15 +81,14 @@ func (h *heap4) pop() heapItem {
 }
 
 // scratch is the reusable per-run state of a shortest-path execution, sized
-// for an n-vertex graph. dist and mark back the internal read-then-discard
-// runs (dijkstraTo, the stretch estimators); the heap backs every run.
+// for an n-vertex graph. dist backs the internal read-then-discard rows (the
+// pair-stretch estimators, a heap Solver's DistsTo); the heap backs every
+// heap run.
 type scratch struct {
 	pool *sync.Pool // owning pool, for release
 
 	heap heap4
 	dist []float64 // pooled distance row (internal runs only)
-	mark []uint32  // epoch-stamped target set for early-exit runs
-	gen  uint32    // current mark epoch; mark[v] == gen ⇔ v is wanted
 }
 
 // pools maps the vertex count n to the *sync.Pool of scratches sized n.
@@ -108,32 +107,8 @@ func acquire(n int) *scratch {
 		s.heap.reset()
 		return s
 	}
-	return &scratch{
-		pool: pool,
-		dist: make([]float64, n),
-		mark: make([]uint32, n),
-	}
+	return &scratch{pool: pool, dist: make([]float64, n)}
 }
 
 // release returns the scratch to its pool.
 func (s *scratch) release() { s.pool.Put(s) }
-
-// wantTargets stamps a new epoch over the target set and returns how many
-// distinct targets (excluding src) the run must settle.
-func (s *scratch) wantTargets(targets []int, src int) int {
-	s.gen++
-	if s.gen == 0 { // epoch counter wrapped: invalidate stale stamps
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.gen = 1
-	}
-	remaining := 0
-	for _, t := range targets {
-		if t != src && s.mark[t] != s.gen {
-			s.mark[t] = s.gen
-			remaining++
-		}
-	}
-	return remaining
-}

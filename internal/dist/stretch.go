@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpcspanner/internal/graph"
@@ -21,12 +22,10 @@ const (
 // how Verify certifies the paper's bounds. Edges whose endpoints h
 // disconnects contribute Inf. h must share g's vertex set.
 //
-// The edge estimators stay on the early-exit heap Dijkstra deliberately:
-// each source only needs its incident edges' endpoints settled, and the heap
-// stops as soon as the last target pops, typically exploring a small ball —
-// while delta-stepping has no cheap early exit (it settles whole buckets).
-// The full-row estimators (PairStretchOpts, StretchCDFOpts) are the ones
-// that fill rows by delta-stepping.
+// Each source only needs its incident edges' far endpoints, so the edge
+// estimators probe h with Solver.DistsTo, which stops once the bucket of the
+// farthest endpoint has settled — typically a small ball. The full-row
+// estimators (PairStretchOpts, StretchCDFOpts) fill whole rows.
 func EdgeStretch(g, h *graph.Graph) (StretchReport, error) {
 	if err := compatible(g, h); err != nil {
 		return StretchReport{}, err
@@ -60,37 +59,35 @@ func SampledEdgeStretch(g, h *graph.Graph, samples int, seed uint64) (StretchRep
 }
 
 // edgeRatios computes d_h(u,v)/w for the given g-edge ids (duplicates
-// allowed). Queries are grouped by source endpoint so each distinct source
-// costs one early-exit Dijkstra in h, and the per-source runs are fanned out
-// over the worker pool, each drawing its distance row and frontier heap from
-// the scratch pool (the row is read and discarded, so nothing per-source
-// survives). Ratio slots are written by index, so the output is independent
-// of scheduling.
+// allowed), in no particular order. Probes are grouped by source endpoint —
+// sorting the keys U<<32 | pos puts each source's probes in one run — so
+// each distinct source costs one target-bounded run of a Solver over h
+// (DistsTo), and the runs are fanned out over the worker pool. Each run
+// writes only its own slots, so the output is independent of scheduling.
 func edgeRatios(g, h *graph.Graph, ids []int) []float64 {
-	bySrc := make(map[int][]int) // source vertex -> positions in ids
+	keys := make([]uint64, len(ids))
 	for pos, id := range ids {
-		bySrc[g.Edge(id).U] = append(bySrc[g.Edge(id).U], pos)
+		keys[pos] = uint64(g.Edge(id).U)<<32 | uint64(pos)
 	}
-	srcs := make([]int, 0, len(bySrc))
-	for s := range bySrc {
-		srcs = append(srcs, s)
+	slices.Sort(keys)
+	targets := make([]int, len(ids))
+	var starts []int
+	for j, k := range keys {
+		if j == 0 || k>>32 != keys[j-1]>>32 {
+			starts = append(starts, j)
+		}
+		targets[j] = g.Edge(ids[uint32(k)]).V
 	}
+	starts = append(starts, len(keys))
+	solver := NewSolver(h, SolverOptions{})
 	ratios := make([]float64, len(ids))
-	parallelFor(len(srcs), func(i int) {
-		src := srcs[i]
-		positions := bySrc[src]
-		targets := make([]int, len(positions))
-		for j, pos := range positions {
-			targets[j] = g.Edge(ids[pos]).V
-		}
-		s := acquire(h.N())
-		d := s.dijkstraTo(h, src, targets)
-		for _, pos := range positions {
-			e := g.Edge(ids[pos])
-			ratios[pos] = d[e.V] / e.W
-		}
-		s.release()
+	parallelFor(len(starts)-1, func(i int) {
+		lo, hi := starts[i], starts[i+1]
+		solver.DistsTo(int(keys[lo]>>32), targets[lo:hi], ratios[lo:hi])
 	})
+	for j, k := range keys {
+		ratios[j] /= g.Edge(ids[uint32(k)]).W
+	}
 	return ratios
 }
 

@@ -10,8 +10,8 @@ import (
 	"mpcspanner/internal/obs"
 )
 
-func benchGraph(b *testing.B) *graph.Graph {
-	b.Helper()
+func benchGraph(tb testing.TB) *graph.Graph {
+	tb.Helper()
 	return graph.Connectify(graph.GNP(4000, 8/4000.0, graph.UniformWeight(1, 100), 1), 50)
 }
 

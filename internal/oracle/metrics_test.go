@@ -13,8 +13,8 @@ import (
 // TestStatsCoherentWithMetrics pins satellite contract of the obs rewiring:
 // Stats() and the registry read the very same atomic counters, so after any
 // concurrent workload they tell one story (run under -race in CI). The
-// resident gauge closes the books: Resident = Misses - Evictions at
-// quiescence.
+// resident gauge closes the books: Resident = Misses - PointFills -
+// Evictions at quiescence.
 func TestStatsCoherentWithMetrics(t *testing.T) {
 	g := testGraph(t, 150, 17)
 	reg := obs.NewRegistry()
@@ -53,9 +53,9 @@ func TestStatsCoherentWithMetrics(t *testing.T) {
 	if v, _ := snap.Gauge("oracle_rows_resident"); v != int64(st.Resident) {
 		t.Fatalf("resident: registry %d, Stats %d", v, st.Resident)
 	}
-	if st.Resident != st.Misses-st.Evictions {
-		t.Fatalf("books don't close: resident %d != misses %d - evictions %d",
-			st.Resident, st.Misses, st.Evictions)
+	if st.Resident != st.Misses-st.PointFills-st.Evictions {
+		t.Fatalf("books don't close: resident %d != misses %d - point fills %d - evictions %d",
+			st.Resident, st.Misses, st.PointFills, st.Evictions)
 	}
 	// row() times every acquisition that reaches it; QueryMany's resident
 	// fast-pass answers from peek without a row() call, so only the
@@ -152,7 +152,8 @@ func TestMaxRows(t *testing.T) {
 // layer: with a live registry attached, a warm single query allocates
 // nothing, and a warm QueryMany batch allocates exactly as much as the
 // uninstrumented batch path (its output slice and source grouping) — the
-// instrumentation itself adds zero.
+// instrumentation itself adds zero. The grouping is a sort of one key slice,
+// so a warm batch allocates at most 3 objects whatever its source count.
 func TestInstrumentedWarmPathAllocs(t *testing.T) {
 	g := testGraph(t, 100, 23)
 	pairs := []Pair{{U: 3, V: 9}, {U: 3, V: 50}, {U: 7, V: 1}, {U: 7, V: 99}}
@@ -172,5 +173,16 @@ func TestInstrumentedWarmPathAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(20, func() { instr.QueryMany(ctx, pairs) })
 	if got > base {
 		t.Errorf("instrumented warm QueryMany allocates %.1f objects/op, uninstrumented %.1f — instrumentation must add zero", got, base)
+	}
+
+	var many []Pair // 50 distinct sources, two pairs each
+	for u := 0; u < 50; u++ {
+		many = append(many, Pair{U: u, V: 99 - u}, Pair{U: u, V: u})
+	}
+	mustQueryMany(t, plain, many)
+	for _, batch := range [][]Pair{pairs, many} {
+		if allocs := testing.AllocsPerRun(20, func() { plain.QueryMany(ctx, batch) }); allocs > 3 {
+			t.Errorf("warm QueryMany over %d pairs allocates %.1f objects/op, want at most 3", len(batch), allocs)
+		}
 	}
 }

@@ -24,11 +24,20 @@
 // position-addressed slots, so the output is a pure function of the input
 // pairs regardless of scheduling — design rule 1 of DESIGN.md §3, inherited
 // here as the determinism rule for batch fan-out (DESIGN.md §5).
+//
+// Admission: a full shard does not give a row to every one-time source. A
+// batch source whose pairs all name one target, missing from a full shard
+// and not already being filled, is answered by a point fill
+// (dist.Solver.DistsTo, which stops at the target's bucket) and installs
+// nothing — unless it is among the last cap sources the shard answered that
+// way, so a source that misses twice inside that window earns a row (the
+// doorkeeper of TinyLFU). Query and Row always fill and install.
 package oracle
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,25 +81,28 @@ type Options struct {
 	Frozen RowSource
 
 	// Metrics, when non-nil, exposes the cache counters
-	// (oracle_row_{hits,misses,evictions}_total, oracle_rows_resident) and
-	// enables the latency histograms (oracle_row_seconds,
-	// oracle_row_fill_seconds, oracle_batch_seconds) on the registry. When
-	// nil the counters live in a private registry — Stats() always reads
-	// coherent obs counters — and no latency timing runs, so the
-	// uninstrumented query path reads no clocks.
+	// (oracle_row_{hits,misses,evictions}_total, oracle_point_fills_total,
+	// oracle_rows_resident) and enables the latency histograms
+	// (oracle_row_seconds, oracle_row_fill_seconds, oracle_batch_seconds) on
+	// the registry. When nil the counters live in a private registry —
+	// Stats() always reads coherent obs counters — and no latency timing
+	// runs, so the uninstrumented query path reads no clocks.
 	Metrics *obs.Registry
 }
 
 // Stats is a point-in-time snapshot of the cache counters. Hits and Misses
 // count row acquisitions (one per distinct source of a batch, not one per
 // pair): an acquisition is a hit when the row was already resident or being
-// computed by another goroutine, and a miss when it triggered a row fill —
-// so Misses equals the number of shortest-path computations performed.
+// computed by another goroutine, and a miss when it triggered a
+// shortest-path computation — a row fill or a point fill — so Misses equals
+// the number of shortest-path computations performed. A point fill installs
+// nothing, so at quiescence Resident = Misses − PointFills − Evictions.
 type Stats struct {
-	Hits      int64 // row acquisitions served without a new computation
-	Misses    int64 // row acquisitions that filled a fresh row
-	Evictions int64 // rows dropped by the LRU policy
-	Resident  int64 // rows currently cached
+	Hits       int64 // row acquisitions served without a new computation
+	Misses     int64 // row acquisitions that ran a fresh computation
+	PointFills int64 // misses answered by a point fill, installing no row
+	Evictions  int64 // rows dropped by the LRU policy
+	Resident   int64 // rows currently cached
 }
 
 // Oracle serves approximate (or exact, if g is the original graph) distance
@@ -106,12 +118,12 @@ type Oracle struct {
 	// Cache counters are obs counters (atomic, lock-free) so Stats() and an
 	// attached /metrics endpoint read the same coherent series. resident
 	// tracks insertions minus evictions.
-	hits, misses, evictions *obs.Counter
-	resident                *obs.Gauge
+	hits, misses, pointFills, evictions *obs.Counter
+	resident                            *obs.Gauge
 
 	// Latency histograms are nil unless Options.Metrics was set: the
 	// uninstrumented path performs no clock reads.
-	rowSeconds       *obs.Histogram // per row acquisition through row()
+	rowSeconds       *obs.Histogram // per acquisition through acquire(), point fills included
 	rowFillSeconds   *obs.Histogram // per cold row fill
 	batchSeconds     *obs.Histogram // per QueryMany batch
 	queueWaitSeconds *obs.Histogram // per wait on another goroutine's in-flight fill
@@ -139,6 +151,11 @@ type shard struct {
 	inflight map[int]*call
 	head     *entry // most recently used
 	tail     *entry // least recently used, next eviction victim
+
+	// window is the admission ring: the last cap sources this shard
+	// answered by a point fill, overwritten at next once it holds cap.
+	window []int
+	next   int
 }
 
 // defaultBudgetBytes is the row memory a default-sized cache may hold.
@@ -181,6 +198,7 @@ func New(g *graph.Graph, opt Options) *Oracle {
 	}
 	o.hits = reg.Counter("oracle_row_hits_total")
 	o.misses = reg.Counter("oracle_row_misses_total")
+	o.pointFills = reg.Counter("oracle_point_fills_total")
 	o.evictions = reg.Counter("oracle_row_evictions_total")
 	o.resident = reg.Gauge("oracle_rows_resident")
 	if opt.Metrics != nil {
@@ -248,7 +266,7 @@ func (o *Oracle) Query(ctx context.Context, u, v int) (float64, error) {
 	if err := core.Check(ctx); err != nil {
 		return 0, err
 	}
-	row, err := o.row(ctx, u)
+	row, _, err := o.acquire(ctx, u, -1)
 	if err != nil {
 		return 0, err
 	}
@@ -268,36 +286,38 @@ func (o *Oracle) Row(ctx context.Context, src int) ([]float64, error) {
 	if err := core.Check(ctx); err != nil {
 		return nil, err
 	}
-	return o.row(ctx, src)
-}
-
-// row acquires the distance row for a validated source, timing the
-// acquisition when the oracle is instrumented. The split keeps the
-// uninstrumented path clock-free and the instrumented one allocation-free
-// (no deferred closure).
-func (o *Oracle) row(ctx context.Context, src int) ([]float64, error) {
-	if o.rowSeconds == nil {
-		return o.acquireRow(ctx, src)
-	}
-	start := time.Now()
-	row, err := o.acquireRow(ctx, src)
-	o.rowSeconds.Observe(time.Since(start).Seconds())
+	row, _, err := o.acquire(ctx, src, -1)
 	return row, err
 }
 
-// acquireRow is the acquisition path behind row. It checkpoints ctx before
-// starting a fresh computation and while waiting on an in-flight one. Once
-// this goroutine has registered itself as the computing goroutine it always
-// finishes and publishes the row — waiters can never be stranded by a
-// canceled computer.
-func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
+// acquire answers a validated source, timing the acquisition when the
+// oracle is instrumented. The split keeps the uninstrumented path clock-free
+// and the instrumented one allocation-free (no deferred closure).
+func (o *Oracle) acquire(ctx context.Context, src, point int) ([]float64, float64, error) {
+	if o.rowSeconds == nil {
+		return o.acquireRow(ctx, src, point)
+	}
+	start := time.Now()
+	row, d, err := o.acquireRow(ctx, src, point)
+	o.rowSeconds.Observe(time.Since(start).Seconds())
+	return row, d, err
+}
+
+// acquireRow is the acquisition path behind acquire. It returns src's row,
+// except when point ≥ 0 — the one target of a batch source — and the
+// admission rule turns the miss away: then it returns a nil row and the
+// distance from src to point. It checkpoints ctx before starting a fresh
+// computation and while waiting on an in-flight one. Once this goroutine has
+// registered itself as the computing goroutine it always finishes and
+// publishes the row — waiters can never be stranded by a canceled computer.
+func (o *Oracle) acquireRow(ctx context.Context, src, point int) ([]float64, float64, error) {
 	// Frozen rows sit in front of the cache: no lock, no LRU traffic, and
 	// no residency accounting (they are not evictable cache state), so the
-	// Resident = Misses − Evictions invariant is untouched.
+	// books of Stats are untouched.
 	if o.frozen != nil {
 		if row, ok := o.frozen.FrozenRow(src); ok {
 			o.hits.Add(1)
-			return row, nil
+			return row, 0, nil
 		}
 	}
 	sh := &o.shards[src%len(o.shards)]
@@ -306,7 +326,7 @@ func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
 		sh.moveToFront(e)
 		sh.mu.Unlock()
 		o.hits.Add(1)
-		return e.row, nil
+		return e.row, 0, nil
 	}
 	if c, ok := sh.inflight[src]; ok {
 		sh.mu.Unlock()
@@ -325,17 +345,25 @@ func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
 			if o.queueWaitSeconds != nil {
 				o.queueWaitSeconds.Observe(time.Since(waitStart).Seconds())
 			}
-			return nil, core.Canceled(ctx.Err())
+			return nil, 0, core.Canceled(ctx.Err())
 		}
 		if o.queueWaitSeconds != nil {
 			o.queueWaitSeconds.Observe(time.Since(waitStart).Seconds())
 		}
 		o.hits.Add(1)
-		return c.row, nil
+		return c.row, 0, nil
 	}
 	if err := core.Check(ctx); err != nil {
 		sh.mu.Unlock()
-		return nil, err
+		return nil, 0, err
+	}
+	// Admission: a one-target miss on a full shard is answered by a point
+	// fill and installs nothing, unless it is a repeat inside the window.
+	if point >= 0 && len(sh.rows) >= sh.cap && !sh.admit(src) {
+		sh.mu.Unlock()
+		o.misses.Add(1)
+		o.pointFills.Add(1)
+		return nil, o.solver.DistsTo(src, []int{point}, nil)[0], nil
 	}
 	c := &call{done: make(chan struct{})}
 	sh.inflight[src] = c
@@ -365,7 +393,7 @@ func (o *Oracle) acquireRow(ctx context.Context, src int) ([]float64, error) {
 	}
 	sh.mu.Unlock()
 	close(c.done)
-	return c.row, nil
+	return c.row, 0, nil
 }
 
 // peek returns the row for src iff it is already resident, counting a hit
@@ -394,7 +422,9 @@ func (o *Oracle) peek(src int) ([]float64, bool) {
 // QueryMany answers a batch of pairs: out[i] is the distance for pairs[i].
 // Pairs are grouped by source; sources already resident are answered
 // immediately, and the remaining distinct sources fan out over Workers
-// goroutines, each writing only the slots of its own source. The result is
+// goroutines, each writing only the slots of its own source. A missing
+// source whose pairs all name one target may be answered by a point fill
+// instead of a row (see the package doc's admission rule). The result is
 // therefore deterministic — a pure function of (graph, pairs) — regardless
 // of scheduling, cache state, or concurrent callers. Bad pairs return a
 // typed *core.OptionError before any work is fanned out. Cancellation is
@@ -434,42 +464,63 @@ func (o *Oracle) queryMany(ctx context.Context, pairs []Pair) ([]float64, error)
 // runBatch is the batch path behind queryMany.
 func (o *Oracle) runBatch(ctx context.Context, pairs []Pair) ([]float64, error) {
 	out := make([]float64, len(pairs))
-	// Group pair indices by source, preserving first-seen source order so
-	// the fan-out below is stable.
-	bySrc := make(map[int][]int, len(pairs))
-	var order []int
+	// Group pairs by source without a map: sorting the keys U<<32 | i puts
+	// each source's pairs in one run, in position order.
+	keys := make([]uint64, len(pairs))
 	for i, p := range pairs {
-		if _, ok := bySrc[p.U]; !ok {
-			order = append(order, p.U)
-		}
-		bySrc[p.U] = append(bySrc[p.U], i)
+		keys[i] = uint64(p.U)<<32 | uint64(i)
 	}
+	slices.Sort(keys)
 	// Fast pass: sources already resident are answered without any fan-out.
-	missing := order[:0]
-	for _, src := range order {
+	// The runs of missing sources are compacted to the front of keys, and
+	// starts[j] is where the j-th begins.
+	var starts []int
+	w := 0
+	for lo := 0; lo < len(keys); {
+		src := int(keys[lo] >> 32)
+		hi := lo + 1
+		for hi < len(keys) && int(keys[hi]>>32) == src {
+			hi++
+		}
 		if row, ok := o.peek(src); ok {
-			for _, i := range bySrc[src] {
+			for _, k := range keys[lo:hi] {
+				i := uint32(k)
 				out[i] = row[pairs[i].V]
 			}
 		} else {
-			missing = append(missing, src)
+			starts = append(starts, w)
+			w += copy(keys[w:], keys[lo:hi])
 		}
+		lo = hi
 	}
-	if len(missing) == 0 {
+	if len(starts) == 0 {
 		return out, nil
 	}
+	starts = append(starts, w)
 	// Fan the uncached sources out. Each worker holds the row it acquired
 	// while filling its slots, so a concurrent eviction cannot invalidate the
 	// batch; ForCoarseCtx checkpoints ctx before each source and joins every
 	// worker, so cancellation leaks nothing.
-	err := par.ForCoarseCtx(ctx, o.workers, len(missing), func(j int) error {
-		src := missing[j]
-		row, err := o.row(ctx, src)
+	err := par.ForCoarseCtx(ctx, o.workers, len(starts)-1, func(j int) error {
+		run := keys[starts[j]:starts[j+1]]
+		src := int(run[0] >> 32)
+		point := pairs[uint32(run[0])].V
+		for _, k := range run[1:] {
+			if pairs[uint32(k)].V != point {
+				point = -1 // more than one target: only a row serves
+				break
+			}
+		}
+		row, d, err := o.acquire(ctx, src, point)
 		if err != nil {
 			return err
 		}
-		for _, i := range bySrc[src] {
-			out[i] = row[pairs[i].V]
+		for _, k := range run {
+			i := uint32(k)
+			if row != nil {
+				d = row[pairs[i].V]
+			}
+			out[i] = d
 		}
 		return nil
 	})
@@ -510,12 +561,14 @@ func ZipfWorkload(n, q int, exponent float64, seed uint64) []Pair {
 // attached Options.Metrics registry exposes, so Stats() and /metrics never
 // disagree. Resident is additionally cross-checked against the shard maps:
 // it is summed under the shard locks, and at quiescence equals
-// Misses − Evictions (every miss inserts exactly one row).
+// Misses − PointFills − Evictions (every miss but a point fill inserts
+// exactly one row).
 func (o *Oracle) Stats() Stats {
 	s := Stats{
-		Hits:      o.hits.Value(),
-		Misses:    o.misses.Value(),
-		Evictions: o.evictions.Value(),
+		Hits:       o.hits.Value(),
+		Misses:     o.misses.Value(),
+		PointFills: o.pointFills.Value(),
+		Evictions:  o.evictions.Value(),
 	}
 	for i := range o.shards {
 		sh := &o.shards[i]
@@ -524,6 +577,23 @@ func (o *Oracle) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return s
+}
+
+// admit reports whether a one-target miss on src earns a row: whether src
+// is among the last cap sources this shard answered by a point fill. If it
+// is not, src enters the window as the newest of them. Caller holds the
+// shard lock.
+func (sh *shard) admit(src int) bool {
+	if slices.Contains(sh.window, src) {
+		return true
+	}
+	if len(sh.window) < sh.cap {
+		sh.window = append(sh.window, src)
+	} else {
+		sh.window[sh.next] = src
+		sh.next = (sh.next + 1) % sh.cap
+	}
+	return false
 }
 
 // insert links e at the front of the LRU list and indexes it. Caller holds

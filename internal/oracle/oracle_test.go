@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -315,6 +316,44 @@ func TestRowSurvivesEviction(t *testing.T) {
 	for v := range row0 {
 		if row0[v] != want[v] {
 			t.Fatalf("held row mutated at %d after eviction", v)
+		}
+	}
+}
+
+// TestZipfOnePairAdmission drives one-pair Zipf traffic through a cache far
+// smaller than the source set, the regime the admission rule is for: one-time
+// sources get point fills, repeat sources earn rows. The hit count must not
+// fall below what plain LRU scores on this workload (12 682), and every
+// answer must equal the full row's entry.
+func TestZipfOnePairAdmission(t *testing.T) {
+	g := benchGraph(t)
+	pairs := ZipfWorkload(g.N(), 20_000, 1.2, 3)
+	o := New(g, Options{MaxRows: 64})
+	got := make([]float64, len(pairs))
+	for i, p := range pairs {
+		got[i] = mustQueryMany(t, o, []Pair{p})[0]
+	}
+	st := o.Stats()
+	if st.Hits < 12_682 {
+		t.Errorf("hits %d, want at least plain LRU's 12 682 (%+v)", st.Hits, st)
+	}
+	if st.PointFills == 0 || st.Resident != st.Misses-st.PointFills-st.Evictions {
+		t.Errorf("stats %+v: want point fills and closed books", st)
+	}
+	// Check every answer against the full row, one row per distinct source.
+	order := make([]int, len(pairs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return pairs[a].U - pairs[b].U })
+	s := dist.NewSolver(g, dist.SolverOptions{})
+	var row []float64
+	for j, i := range order {
+		if j == 0 || pairs[i].U != pairs[order[j-1]].U {
+			row = s.RowInto(pairs[i].U, row)
+		}
+		if got[i] != row[pairs[i].V] {
+			t.Fatalf("pair %d (%d,%d): %v, full row says %v", i, pairs[i].U, pairs[i].V, got[i], row[pairs[i].V])
 		}
 	}
 }
