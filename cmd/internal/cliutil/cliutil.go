@@ -20,14 +20,26 @@ import (
 // maxW <= 1). With connectify, disconnected outputs are bridged (weight
 // maxW) so every distance is finite — the oracle CLI wants that; the
 // spanner CLI serves disconnected inputs as-is.
-func MakeGraph(in, gen string, n int, deg, maxW float64, seed uint64, connectify bool) (*graph.Graph, error) {
+func MakeGraph(in, gen string, n int, deg, maxW float64, seed uint64, connectify bool) (g *graph.Graph, err error) {
+	// Generators and Connectify build through graph.MustNew. Weights drawn
+	// up to a huge -maxw, or bridges at a file's own weight scale, can take
+	// the weight sum out of New's domain: report New's error, not a panic.
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *core.OptionError:
+			g, err = nil, r
+		default:
+			panic(r)
+		}
+	}()
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		g, err := graph.ReadFrom(f)
+		g, err := graph.ReadFrom(in, f)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +62,6 @@ func MakeGraph(in, gen string, n int, deg, maxW float64, seed uint64, connectify
 		w = graph.UniformWeight(1, maxW)
 	}
 	side := int(math.Sqrt(float64(n)))
-	var g *graph.Graph
 	switch gen {
 	case "gnp":
 		g = graph.GNP(n, deg/float64(n), w, seed)
@@ -93,7 +104,7 @@ type GraphConfig struct {
 func GraphFlags(fs *flag.FlagSet) *GraphConfig {
 	c := &GraphConfig{}
 	fs.StringVar(&c.Gen, "gen", "gnp", "generator: gnp|grid|torus|pa|rgg|cycle")
-	fs.StringVar(&c.In, "in", "", "read graph from file (overrides -gen)")
+	fs.StringVar(&c.In, "in", "", "read graph from an edge list, native 'n'/'e' or DIMACS 'p sp'/'a' (overrides -gen)")
 	fs.IntVar(&c.N, "n", 10000, "vertices")
 	fs.Float64Var(&c.Deg, "deg", 10, "average degree (gnp) / attachment degree (pa)")
 	fs.Float64Var(&c.MaxW, "maxw", 100, "maximum edge weight (1 = unweighted)")

@@ -154,6 +154,23 @@ func TestLoadFromFileConnectifyUsesFileScale(t *testing.T) {
 	}
 }
 
+// TestWeightSumOverflowErrors pins that a graph whose weights would sum
+// past float64 — a file bridged at its own weight scale, or a generator
+// under a huge -maxw — is an ErrInvalidOption, not graph.MustNew's panic.
+func TestWeightSumOverflowErrors(t *testing.T) {
+	path := writeGraphFile(t, graph.MustNew(3, []graph.Edge{{U: 0, V: 1, W: 1.5e308}}))
+	if _, err := MakeGraph(path, "", 0, 0, 0, 0, false); err != nil {
+		t.Fatalf("unbridged load: %v", err)
+	}
+	_, errBridged := MakeGraph(path, "", 0, 0, 0, 0, true)
+	_, errGenerated := MakeGraph("", "gnp", 1000, 10, 1e307, 1, false)
+	for _, err := range []error{errBridged, errGenerated} {
+		if !errors.Is(err, core.ErrInvalidOption) || !strings.Contains(err.Error(), "weight sum overflows") {
+			t.Errorf("got %v, want a weight-sum overflow rejection", err)
+		}
+	}
+}
+
 func TestLoadMissingFileErrors(t *testing.T) {
 	if _, err := MakeGraph(filepath.Join(t.TempDir(), "absent.txt"), "", 0, 0, 0, 0, false); err == nil {
 		t.Fatal("missing input file accepted")

@@ -81,7 +81,7 @@ func usage() {
 // result to verify every checksum and report its identity.
 func runConvert(args []string) {
 	fs := flag.NewFlagSet("oracled convert", flag.ExitOnError)
-	in := fs.String("in", "", "source edge list (native 'n/e' or DIMACS 'p sp'/'a' format; required)")
+	in := fs.String("in", "", "source edge list, native 'n'/'e' or DIMACS 'p sp'/'a' (required)")
 	out := fs.String("out", "", "artifact to write (required)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {

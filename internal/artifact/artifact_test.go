@@ -196,8 +196,8 @@ func mutate(t *testing.T, path string, fn func([]byte)) string {
 }
 
 // wantArtifactError opens path and asserts the typed-error contract: an
-// error matching core.ErrArtifact, carrying a *core.ArtifactError whose
-// Section and Reason match, and never a panic.
+// error matching core.ErrArtifact and not core.ErrInvalidOption, carrying a
+// *core.ArtifactError whose Section and Reason match, and never a panic.
 func wantArtifactError(t *testing.T, path, section, reasonSub string) {
 	t.Helper()
 	for _, opt := range []OpenOptions{{}, {ForceHeap: true}} {
@@ -206,8 +206,8 @@ func wantArtifactError(t *testing.T, path, section, reasonSub string) {
 			a.Close()
 			t.Fatalf("Open(%v) accepted a damaged artifact", opt)
 		}
-		if !errors.Is(err, core.ErrArtifact) {
-			t.Fatalf("error does not match core.ErrArtifact: %v", err)
+		if !errors.Is(err, core.ErrArtifact) || errors.Is(err, core.ErrInvalidOption) {
+			t.Fatalf("error does not match core.ErrArtifact alone: %v", err)
 		}
 		var ae *core.ArtifactError
 		if !errors.As(err, &ae) {
@@ -227,6 +227,14 @@ func wantArtifactError(t *testing.T, path, section, reasonSub string) {
 // Open trips on.
 func refixHeaderCRC(b []byte) {
 	binary.LittleEndian.PutUint32(b[20:], crc32.Checksum(b[:20], castagnoli))
+}
+
+// refixTableCRC is refixHeaderCRC after an edit to the section table.
+func refixTableCRC(b []byte) {
+	nsect := binary.LittleEndian.Uint32(b[12:])
+	table := b[headerSize : headerSize+int(nsect)*sectionSize]
+	binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(table, castagnoli))
+	refixHeaderCRC(b)
 }
 
 func TestOpenRejectsDamage(t *testing.T) {
@@ -298,12 +306,25 @@ func TestOpenRejectsDamage(t *testing.T) {
 		p := mutate(t, path, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[headerSize:], 250)
 			// Refix the table CRC so the kind check itself is what fires.
-			nsect := binary.LittleEndian.Uint32(b[12:])
-			table := b[headerSize : headerSize+int(nsect)*sectionSize]
-			binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(table, castagnoli))
-			refixHeaderCRC(b)
+			refixTableCRC(b)
 		})
 		wantArtifactError(t, p, "kind-250", "unknown section kind")
+	})
+	t.Run("checksummed infinite weight", func(t *testing.T) {
+		// Every checksum holds, but edge 0 weighs +Inf: graph.Adopt's
+		// weight-domain check is what must fire.
+		p := mutate(t, path, func(b []byte) {
+			for i := 0; i < int(binary.LittleEndian.Uint32(b[12:])); i++ {
+				e := b[headerSize+i*sectionSize:]
+				if binary.LittleEndian.Uint32(e) == secGraphEdges {
+					off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+					binary.LittleEndian.PutUint64(b[off+16:], math.Float64bits(math.Inf(1)))
+					binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(b[off:off+n], castagnoli))
+				}
+			}
+			refixTableCRC(b)
+		})
+		wantArtifactError(t, p, "graph-arcs", "infinite weight")
 	})
 }
 

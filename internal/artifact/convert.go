@@ -4,16 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"mpcspanner/internal/core"
+	"mpcspanner/internal/graph"
 )
 
 // ConvertResult summarizes a streaming conversion.
@@ -27,14 +25,13 @@ type ConvertResult struct {
 // graphs far larger than RAM can be converted offline and then served
 // straight from the mapping.
 //
-// Two input grammars are auto-detected from the header line:
-//
-//	native  "# comment" / "n <n> <m>" / "e <u> <v> <w>"   (0-based, graph.Write)
-//	DIMACS  "c comment" / "p sp <n> <m>" / "a <u> <v> <w>" (1-based)
-//
-// DIMACS files that list each undirected edge in both directions produce
-// parallel edges (the library tolerates them; they cost space, not
-// correctness) — deduplicate upstream if that matters.
+// Both passes read src with graph.ScanEdges: either of its dialects
+// (native "n"/"e" or 1-based DIMACS "p sp"/"a", told apart by the header
+// line), every edge held to graph.New's weight domain, and every rejected
+// input failing with the *core.ArtifactError graph.ReadFrom returns for the
+// same bytes. DIMACS files that list each undirected edge in both
+// directions produce parallel edges (the library tolerates them; they cost
+// space, not correctness) — deduplicate upstream if that matters.
 //
 // The conversion is two passes over src: pass one counts degrees and
 // validates every record; pass two writes edge records and CSR offsets
@@ -96,12 +93,9 @@ func Convert(src, dst string) (ConvertResult, error) {
 	cursor[n] = acc
 
 	// off section: the prefix sums, written before cursor starts moving.
+	// ScanEdges caps m at math.MaxInt32/2, so every sum fits an int32.
 	offBytes := make([]byte, layOff.len)
 	for v := 0; v <= n; v++ {
-		if cursor[v] > math.MaxInt32 {
-			return res, core.ArtifactErrorf(dst, "graph-off", nil,
-				"arc offset %d overflows the int32 CSR index (2m = %d)", cursor[v], 2*m)
-		}
 		binary.LittleEndian.PutUint32(offBytes[v*4:], uint32(cursor[v]))
 	}
 	if _, err := tmp.WriteAt(offBytes, int64(layOff.off)); err != nil {
@@ -165,109 +159,6 @@ func Convert(src, dst string) (ConvertResult, error) {
 	return res, nil
 }
 
-// edgeListScanner yields (u, v, w) records from either supported grammar,
-// normalizing to 0-based vertex ids.
-type edgeListScanner struct {
-	sc       *bufio.Scanner
-	path     string
-	line     int
-	n, m     int
-	oneBased bool // DIMACS ids are 1-based
-	edgeTag  string
-}
-
-func newEdgeListScanner(path string, r io.Reader) *edgeListScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	return &edgeListScanner{sc: sc, path: path}
-}
-
-func (s *edgeListScanner) errf(format string, args ...any) error {
-	return core.ArtifactErrorf(s.path, "", nil, "line %d: %s", s.line, fmt.Sprintf(format, args...))
-}
-
-// header consumes lines up to and including the header, establishing the
-// grammar and (n, m).
-func (s *edgeListScanner) header() error {
-	for s.sc.Scan() {
-		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		switch {
-		case text == "" || strings.HasPrefix(text, "#"):
-			continue
-		case text == "c" || strings.HasPrefix(text, "c "):
-			continue // DIMACS comment
-		case strings.HasPrefix(text, "n "):
-			if _, err := fmt.Sscanf(text, "n %d %d", &s.n, &s.m); err != nil {
-				return s.errf("bad native header %q: %v", text, err)
-			}
-			s.edgeTag = "e"
-		case strings.HasPrefix(text, "p "):
-			var kind string
-			if _, err := fmt.Sscanf(text, "p %s %d %d", &kind, &s.n, &s.m); err != nil || kind != "sp" {
-				return s.errf("bad DIMACS problem line %q (want \"p sp <n> <m>\")", text)
-			}
-			s.edgeTag = "a"
-			s.oneBased = true
-		default:
-			return s.errf("expected a header line before %q", text)
-		}
-		if s.edgeTag != "" {
-			if s.n < 0 || s.m < 0 {
-				return s.errf("negative header values n=%d m=%d", s.n, s.m)
-			}
-			return nil
-		}
-	}
-	if err := s.sc.Err(); err != nil {
-		return core.ArtifactErrorf(s.path, "", err, "reading: %v", err)
-	}
-	return core.ArtifactErrorf(s.path, "", nil, "missing header line")
-}
-
-// next returns the next edge, or io.EOF after the last one.
-func (s *edgeListScanner) next() (u, v int, w float64, err error) {
-	for s.sc.Scan() {
-		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") ||
-			(s.oneBased && (text == "c" || strings.HasPrefix(text, "c "))) {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 4 || fields[0] != s.edgeTag {
-			return 0, 0, 0, s.errf("unrecognized record %q (want \"%s <u> <v> <w>\")", text, s.edgeTag)
-		}
-		if u, err = strconv.Atoi(fields[1]); err != nil {
-			return 0, 0, 0, s.errf("bad endpoint %q: %v", fields[1], err)
-		}
-		if v, err = strconv.Atoi(fields[2]); err != nil {
-			return 0, 0, 0, s.errf("bad endpoint %q: %v", fields[2], err)
-		}
-		if w, err = strconv.ParseFloat(fields[3], 64); err != nil {
-			return 0, 0, 0, s.errf("bad weight %q: %v", fields[3], err)
-		}
-		if s.oneBased {
-			u--
-			v--
-		}
-		if u < 0 || u >= s.n || v < 0 || v >= s.n {
-			return 0, 0, 0, s.errf("edge (%d,%d) out of range for n=%d", u, v, s.n)
-		}
-		if u == v {
-			return 0, 0, 0, s.errf("self-loop at vertex %d", u)
-		}
-		if !(w > 0) {
-			return 0, 0, 0, s.errf("non-positive weight %v", w)
-		}
-		return u, v, w, nil
-	}
-	if err := s.sc.Err(); err != nil {
-		return 0, 0, 0, core.ArtifactErrorf(s.path, "", err, "reading: %v", err)
-	}
-	return 0, 0, 0, io.EOF
-}
-
 // convertScanDegrees is pass one: full validation plus the degree tally.
 func convertScanDegrees(src string) (n, m int, deg []int32, err error) {
 	f, err := os.Open(src)
@@ -275,29 +166,15 @@ func convertScanDegrees(src string) (n, m int, deg []int32, err error) {
 		return 0, 0, nil, core.ArtifactErrorf(src, "", err, "opening: %v", err)
 	}
 	defer f.Close()
-	s := newEdgeListScanner(src, bufio.NewReaderSize(f, 1<<20))
-	if err := s.header(); err != nil {
-		return 0, 0, nil, err
-	}
-	deg = make([]int32, s.n)
-	count := 0
-	for {
-		u, v, _, err := s.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		deg[u]++
-		deg[v]++
-		count++
-	}
-	if count != s.m {
-		return 0, 0, nil, core.ArtifactErrorf(src, "", nil,
-			"header declared %d edges, found %d", s.m, count)
-	}
-	return s.n, s.m, deg, nil
+	err = graph.ScanEdges(src, f, func(nv, mv int) error {
+		n, m, deg = nv, mv, make([]int32, nv)
+		return nil
+	}, func(_ int, e graph.Edge) error {
+		deg[e.U]++
+		deg[e.V]++
+		return nil
+	})
+	return n, m, deg, err
 }
 
 // convertWriteEdges is pass two: sequential 24-byte edge records (buffered)
@@ -309,47 +186,42 @@ func convertWriteEdges(src, dst string, out *os.File, n, m int, edgesOff, arcsOf
 		return 0, core.ArtifactErrorf(src, "", err, "reopening for pass two: %v", err)
 	}
 	defer f.Close()
-	s := newEdgeListScanner(src, bufio.NewReaderSize(f, 1<<20))
-	if err := s.header(); err != nil {
-		return 0, err
-	}
-	if s.n != n || s.m != m {
-		return 0, core.ArtifactErrorf(src, "", nil,
-			"input changed between passes (header now n=%d m=%d, was n=%d m=%d)", s.n, s.m, n, m)
-	}
 
 	crc := crc32.New(castagnoli)
 	ew := bufio.NewWriterSize(&sectionWriter{f: out, off: edgesOff}, 1<<20)
 	var edgeRec [24]byte
 	var arcRec [16]byte
-	for id := 0; ; id++ {
-		u, v, w, err := s.next()
-		if err == io.EOF {
-			break
+	err = graph.ScanEdges(src, f, func(n2, m2 int) error {
+		if n2 != n || m2 != m {
+			return core.ArtifactErrorf(src, "", nil,
+				"input changed between passes (header now n=%d m=%d, was n=%d m=%d)", n2, m2, n, m)
 		}
-		if err != nil {
-			return 0, err
-		}
-		binary.LittleEndian.PutUint64(edgeRec[0:], uint64(int64(u)))
-		binary.LittleEndian.PutUint64(edgeRec[8:], uint64(int64(v)))
-		binary.LittleEndian.PutUint64(edgeRec[16:], math.Float64bits(w))
+		return nil
+	}, func(id int, e graph.Edge) error {
+		binary.LittleEndian.PutUint64(edgeRec[0:], uint64(int64(e.U)))
+		binary.LittleEndian.PutUint64(edgeRec[8:], uint64(int64(e.V)))
+		binary.LittleEndian.PutUint64(edgeRec[16:], math.Float64bits(e.W))
 		if _, err := ew.Write(edgeRec[:]); err != nil {
-			return 0, core.ArtifactErrorf(dst, "graph-edges", err, "writing edges: %v", err)
+			return core.ArtifactErrorf(dst, "graph-edges", err, "writing edges: %v", err)
 		}
 		crc.Write(edgeRec[:])
 
 		// Arc u → v and its reverse, each at its vertex's next slot.
-		binary.LittleEndian.PutUint64(arcRec[0:], uint64(int64(v)))
+		binary.LittleEndian.PutUint64(arcRec[0:], uint64(int64(e.V)))
 		binary.LittleEndian.PutUint64(arcRec[8:], uint64(int64(id)))
-		if _, err := out.WriteAt(arcRec[:], arcsOff+16*cursor[u]); err != nil {
-			return 0, core.ArtifactErrorf(dst, "graph-arcs", err, "writing arcs: %v", err)
+		if _, err := out.WriteAt(arcRec[:], arcsOff+16*cursor[e.U]); err != nil {
+			return core.ArtifactErrorf(dst, "graph-arcs", err, "writing arcs: %v", err)
 		}
-		cursor[u]++
-		binary.LittleEndian.PutUint64(arcRec[0:], uint64(int64(u)))
-		if _, err := out.WriteAt(arcRec[:], arcsOff+16*cursor[v]); err != nil {
-			return 0, core.ArtifactErrorf(dst, "graph-arcs", err, "writing arcs: %v", err)
+		cursor[e.U]++
+		binary.LittleEndian.PutUint64(arcRec[0:], uint64(int64(e.U)))
+		if _, err := out.WriteAt(arcRec[:], arcsOff+16*cursor[e.V]); err != nil {
+			return core.ArtifactErrorf(dst, "graph-arcs", err, "writing arcs: %v", err)
 		}
-		cursor[v]++
+		cursor[e.V]++
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	if err := ew.Flush(); err != nil {
 		return 0, core.ArtifactErrorf(dst, "graph-edges", err, "flushing edges: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,7 +44,7 @@ func TestConvertNative(t *testing.T) {
 		t.Fatalf("ConvertResult: got n=%d m=%d, want n=%d m=%d", res.N, res.M, g.N(), g.M())
 	}
 
-	want, err := graph.ReadFrom(bytes.NewReader(buf.Bytes()))
+	want, err := graph.ReadFrom(src, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestConvertMatchesWrite(t *testing.T) {
 	if err := g.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := graph.ReadFrom(bytes.NewReader(buf.Bytes()))
+	parsed, err := graph.ReadFrom("g.txt", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,41 +137,142 @@ func TestConvertMatchesWrite(t *testing.T) {
 	}
 }
 
+// edgeListCase is one input of the grammar corpus for both loaders of the
+// text edge list; wantSub is "" for an accepted input, else a substring of
+// the rejection both loaders must report.
+type edgeListCase struct {
+	name, content, wantSub string
+}
+
+// edgeListAccepted and edgeListRejected are the two halves of the corpus.
+var edgeListAccepted = []edgeListCase{
+	{"comments and blank lines", "# hello\n\nn 2 1\n# mid\ne 0 1 2.5\n", ""},
+	{"tab-separated record", "n 2 1\ne\t0\t1\t2\n", ""},
+	{"dimacs", "c tiny\np sp 4 3\na 1 2 1.5\nc mid\na 2 3 2\na 3 4 0.25\n", ""},
+	{"c comment before native header", "c note\nn 2 1\ne 0 1 2\n", ""},
+	{"edgeless", "n 3 0\n", ""},
+}
+
+var edgeListRejected = []edgeListCase{
+	// Headers.
+	{"empty", "", "missing header"},
+	{"no header", "e 0 1 2\n", "expected a header line"},
+	{"edge before header", "e 0 1 1\n", "expected a header line"},
+	{"bad dimacs problem", "p max 3 2\na 1 2 1\na 2 3 1\n", "p sp"},
+	{"native header junk", "n 2 1 junk\ne 0 1 2\n", "bad native header"},
+	{"negative header", "n -1 0\n", "negative header values"},
+	{"duplicate header", "n 1 0\nn 1 0\n", "unrecognized record"},
+	{"vertex count past int32", "n 1000000000000000 0\n", "int32 vertex-id limit"},
+	{"edge count past int32 offsets", "n 2 1000000000000000\n", "int32 CSR offsets"},
+	// Counts.
+	{"no edges", "n 2 1\n", "declared 1 edges, found 0"},
+	{"edge count short", "n 3 2\ne 0 1 1\n", "declared 2 edges, found 1"},
+	{"edge count long", "n 3 1\ne 0 1 1\ne 1 2 1\n", "declared 1 edges, found 2"},
+	// Records.
+	{"unrecognized record", "n 3 1\nq 0 1 1\n", "unrecognized record"},
+	{"unknown record", "n 2 1\nx 0 1 1\n", "unrecognized record"},
+	{"record junk", "n 2 1\ne 0 1 2 junk\n", "unrecognized record"},
+	{"bad endpoint", "n 2 1\ne zero one one\n", "bad endpoint"},
+	{"bad weight", "n 3 1\ne 0 1 cheap\n", "bad weight"},
+	// The weight domain.
+	{"out of range", "n 3 1\ne 0 3 1\n", "out of range"},
+	{"out of range far", "n 2 1\ne 0 5 1\n", "out of range"},
+	{"dimacs vertex 0", "p sp 2 1\na 0 1 1\n", "out of range"},
+	{"self loop", "n 3 1\ne 1 1 1\n", "self-loop"},
+	{"zero weight", "n 3 1\ne 0 1 0\n", "non-positive weight"},
+	{"negative weight", "n 3 1\ne 0 1 -2\n", "non-positive weight"},
+	{"nan weight", "n 2 1\ne 0 1 NaN\n", "non-positive weight"},
+	{"inf weight", "n 2 1\ne 0 1 Inf\n", "infinite weight"},
+	{"+inf weight", "n 2 1\ne 0 1 +Inf\n", "infinite weight"},
+	{"weight sum overflows", "n 3 2\ne 0 1 1e308\ne 1 2 1e308\n", "weight sum overflows"},
+}
+
+// TestEdgeListGrammar runs the accepted inputs of the corpus through both
+// loaders of the text edge list, graph.ReadFrom and Convert.
+func TestEdgeListGrammar(t *testing.T) {
+	runEdgeListCases(t, edgeListAccepted)
+}
+
+// TestConvertRejectsBadInput runs the rejected inputs of the corpus through
+// Convert and graph.ReadFrom, which must fail with the same error.
 func TestConvertRejectsBadInput(t *testing.T) {
-	cases := []struct {
-		name, content, wantSub string
-	}{
-		{"empty", "", "missing header"},
-		{"no header", "e 0 1 2\n", "expected a header line"},
-		{"bad dimacs problem", "p max 3 2\na 1 2 1\na 2 3 1\n", "p sp"},
-		{"edge count short", "n 3 2\ne 0 1 1\n", "declared 2 edges, found 1"},
-		{"edge count long", "n 3 1\ne 0 1 1\ne 1 2 1\n", "declared 1 edges, found 2"},
-		{"out of range", "n 3 1\ne 0 3 1\n", "out of range"},
-		{"self loop", "n 3 1\ne 1 1 1\n", "self-loop"},
-		{"zero weight", "n 3 1\ne 0 1 0\n", "non-positive weight"},
-		{"negative weight", "n 3 1\ne 0 1 -2\n", "non-positive weight"},
-		{"bad weight", "n 3 1\ne 0 1 cheap\n", "bad weight"},
-		{"unrecognized record", "n 3 1\nq 0 1 1\n", "unrecognized record"},
-	}
+	runEdgeListCases(t, edgeListRejected)
+}
+
+// runEdgeListCases checks each case with loadBoth, one subtest per case.
+func runEdgeListCases(t *testing.T, cases []edgeListCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := writeFile(t, "bad.txt", tc.content)
-			dst := filepath.Join(t.TempDir(), "bad.art")
-			_, err := Convert(src, dst)
-			if err == nil {
-				t.Fatal("Convert accepted bad input")
-			}
-			if !errors.Is(err, core.ErrArtifact) {
-				t.Fatalf("want ErrArtifact, got %v", err)
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
+			err := loadBoth(t, writeFile(t, "g.txt", tc.content))
+			switch {
+			case tc.wantSub == "" && err != nil:
+				t.Fatalf("both loaders rejected a valid input: %v", err)
+			case tc.wantSub != "" && err == nil:
+				t.Fatalf("both loaders accepted an input that should fail with %q", tc.wantSub)
+			case err != nil && !strings.Contains(err.Error(), tc.wantSub):
 				t.Fatalf("error %q does not contain %q", err, tc.wantSub)
-			}
-			if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("failed Convert left a file at dst: %v", err)
 			}
 		})
 	}
+}
+
+// FuzzEdgeList holds graph.ReadFrom and Convert to one grammar on any bytes.
+// Inputs declaring more than 2¹⁶ vertices are skipped, since both loaders
+// rightly allocate O(n) for them.
+func FuzzEdgeList(f *testing.F) {
+	for _, tc := range append(edgeListAccepted, edgeListRejected...) {
+		f.Add([]byte(tc.content))
+	}
+	errLarge := errors.New("too many vertices to fuzz")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		err := graph.ScanEdges("fuzz", bytes.NewReader(data), func(n, _ int) error {
+			if n > 1<<16 {
+				return errLarge
+			}
+			return nil
+		}, func(int, graph.Edge) error { return nil })
+		if errors.Is(err, errLarge) {
+			t.Skip()
+		}
+		loadBoth(t, writeFile(t, "g.txt", string(data)))
+	})
+}
+
+// loadBoth loads the edge list at src with graph.ReadFrom and with Convert
+// and fails t unless they agree. Either both accept, Open gives ReadFrom's
+// graph, and its total weight is finite; or both reject with the same
+// *core.ArtifactError, which loadBoth returns, and Convert leaves no file at
+// dst.
+func loadBoth(t *testing.T, src string) error {
+	t.Helper()
+	f, err := os.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, readErr := graph.ReadFrom(src, f)
+	f.Close()
+	dst := filepath.Join(t.TempDir(), "g.art")
+	_, convErr := Convert(src, dst)
+	if readErr != nil || convErr != nil {
+		var ra, ca *core.ArtifactError
+		if !errors.As(readErr, &ra) || !errors.As(convErr, &ca) || readErr.Error() != convErr.Error() {
+			t.Fatalf("loaders disagree: ReadFrom: %v; Convert: %v", readErr, convErr)
+		}
+		if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("failed Convert left a file at dst: %v", err)
+		}
+		return readErr
+	}
+	a, err := Open(dst, OpenOptions{})
+	if err != nil {
+		t.Fatalf("Open of a converted edge list: %v", err)
+	}
+	defer a.Close()
+	sameGraph(t, want, a.Graph())
+	if w := want.TotalWeight(); math.IsInf(w, 0) || math.IsNaN(w) {
+		t.Fatalf("accepted graph has total weight %v", w)
+	}
+	return nil
 }
 
 // TestConvertLarger exercises the streaming path on a graph big enough that
@@ -194,7 +296,7 @@ func TestConvertLarger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	want, err := graph.ReadFrom(bytes.NewReader(buf.Bytes()))
+	want, err := graph.ReadFrom(src, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

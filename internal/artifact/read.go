@@ -205,7 +205,8 @@ func (a *Artifact) parse() error {
 	}
 	g, err := graph.Adopt(a.meta.N, edges, off, arcs)
 	if err != nil {
-		return core.ArtifactErrorf(path, "graph-arcs", err, "adopting graph: %v", err)
+		// Structural, so a nil cause: a bad file must not match ErrInvalidOption.
+		return core.ArtifactErrorf(path, "graph-arcs", nil, "adopting graph: %v", err)
 	}
 	a.g = g
 

@@ -177,9 +177,9 @@ func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
 			delta = 1 // edgeless or degenerate graph: any width works
 		}
 	}
-	// Compare in float64: maxW/Δ can pass 2⁶³ (weights near 1e308 overflow
-	// the weight sum, so Δ falls back to 1), where an integer conversion
-	// would wrap.
+	// Compare in float64: maxW/Δ can pass 2⁶³, or overflow to +Inf, when
+	// the weights span a wide range and Δ is set small, where an integer
+	// conversion would wrap. graph.New keeps maxW and the weight sum finite.
 	if maxW/delta+3 > maxDeltaBuckets {
 		delta = maxW / float64(maxDeltaBuckets-3)
 	}

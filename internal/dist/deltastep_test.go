@@ -346,25 +346,32 @@ func TestDistsToAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSolverHugeWeights pins the bucket-count clamp: two weights of 1e308
-// overflow the weight sum, so the auto-tuned Δ falls back to 1 and maxW/Δ
-// passes 2⁶³. The count must be clamped before any integer conversion, or
-// every fill panics; rows must still match the heap's.
+// TestSolverHugeWeights pins the bucket-count clamp on an in-domain graph
+// whose max/min weight ratio is 1e300. Under an explicit Δ of 1, maxW/Δ
+// passes 2⁶³, and under 1e-300 it overflows to +Inf: the count must be
+// clamped in float64 before any integer conversion, or every fill panics.
+// Rows must still match the heap's, under the auto-tuned Δ too.
 func TestSolverHugeWeights(t *testing.T) {
 	g, err := graph.New(4, []graph.Edge{
-		{U: 0, V: 1, W: 1e308}, {U: 1, V: 2, W: 1e308}, {U: 2, V: 3, W: 1}, {U: 0, V: 3, W: 2},
+		{U: 0, V: 1, W: 1e300}, {U: 1, V: 2, W: 1e300}, {U: 2, V: 3, W: 1}, {U: 0, V: 3, W: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSolver(g, SolverOptions{})
-	if s.buckets > maxDeltaBuckets {
-		t.Fatalf("bucket array of %d slots exceeds the %d cap", s.buckets, maxDeltaBuckets)
-	}
-	for src := 0; src < g.N(); src++ {
-		row := s.Row(src)
-		requireRowEqual(t, Dijkstra(g, src), row, fmt.Sprintf("huge weights src=%d", src))
-		requireDistsToMatchRow(t, s, src, row, fmt.Sprintf("huge weights src=%d", src))
+	for _, delta := range []float64{0, 1, 1e-300} {
+		s := NewSolver(g, SolverOptions{Delta: delta})
+		if s.buckets > maxDeltaBuckets {
+			t.Fatalf("Δ=%g: bucket array of %d slots exceeds the %d cap", delta, s.buckets, maxDeltaBuckets)
+		}
+		if delta > 0 && s.delta == delta {
+			t.Fatalf("Δ=%g: the bucket clamp did not raise Δ (%d slots)", delta, s.buckets)
+		}
+		for src := 0; src < g.N(); src++ {
+			what := fmt.Sprintf("huge weights Δ=%g src=%d", delta, src)
+			row := s.Row(src)
+			requireRowEqual(t, Dijkstra(g, src), row, what)
+			requireDistsToMatchRow(t, s, src, row, what)
+		}
 	}
 }
 

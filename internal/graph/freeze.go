@@ -14,15 +14,15 @@ func CSR(g *Graph) (off []int32, arcs []Arc) { return g.off, g.arcs }
 // artifact only after its graph is out of use), and nothing may mutate them
 // afterwards.
 //
-// Adopt validates structure in one O(n+m) pass: every edge in range with
-// positive weight and no self-loops (the New invariants), offsets forming a
+// Adopt validates structure in one O(n+m) pass: every edge in the weight
+// domain (New's check, with New's *core.OptionError), offsets forming a
 // monotone [0, 2m] prefix-sum, and every arc naming a real edge. A
 // checksummed container already rules out corruption; this pass rules out a
 // well-formed file describing an impossible graph, so a loaded artifact can
 // never panic deep inside Dijkstra instead of failing at open.
 func Adopt(n int, edges []Edge, off []int32, arcs []Arc) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	if err := checkEdges(n, edges); err != nil {
+		return nil, err
 	}
 	if len(off) != n+1 {
 		return nil, fmt.Errorf("graph: offset slice has %d entries, want n+1 = %d", len(off), n+1)
@@ -30,28 +30,15 @@ func Adopt(n int, edges []Edge, off []int32, arcs []Arc) (*Graph, error) {
 	if len(arcs) != 2*len(edges) {
 		return nil, fmt.Errorf("graph: %d arcs for %d edges, want exactly 2 per edge", len(arcs), len(edges))
 	}
-	for i, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: edge %d endpoints (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: edge %d is a self-loop at %d", i, e.U)
-		}
-		if !(e.W > 0) {
-			return nil, fmt.Errorf("graph: edge %d has non-positive weight %v", i, e.W)
-		}
+	if off[0] != 0 {
+		return nil, fmt.Errorf("graph: offsets start at %d, want 0", off[0])
 	}
-	if len(off) > 0 {
-		if off[0] != 0 {
-			return nil, fmt.Errorf("graph: offsets start at %d, want 0", off[0])
-		}
-		if int(off[n]) != len(arcs) {
-			return nil, fmt.Errorf("graph: offsets end at %d, want %d", off[n], len(arcs))
-		}
-		for v := 0; v < n; v++ {
-			if off[v] > off[v+1] {
-				return nil, fmt.Errorf("graph: offsets decrease at vertex %d (%d > %d)", v, off[v], off[v+1])
-			}
+	if int(off[n]) != len(arcs) {
+		return nil, fmt.Errorf("graph: offsets end at %d, want %d", off[n], len(arcs))
+	}
+	for v := 0; v < n; v++ {
+		if off[v] > off[v+1] {
+			return nil, fmt.Errorf("graph: offsets decrease at vertex %d (%d > %d)", v, off[v], off[v+1])
 		}
 	}
 	for i, a := range arcs {

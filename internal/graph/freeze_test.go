@@ -57,6 +57,8 @@ func TestAdoptValidation(t *testing.T) {
 		{"self loop", 3, []Edge{{U: 1, V: 1, W: 1}, {U: 1, V: 2, W: 2}}, off, arcs, "self-loop"},
 		{"zero weight", 3, []Edge{{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 2}}, off, arcs, "non-positive weight"},
 		{"nan weight", 3, []Edge{{U: 0, V: 1, W: math.NaN()}, {U: 1, V: 2, W: 2}}, off, arcs, "non-positive weight"},
+		{"infinite weight", 3, []Edge{{U: 0, V: 1, W: math.Inf(1)}, {U: 1, V: 2, W: 2}}, off, arcs, "infinite weight"},
+		{"weight sum overflows", 3, []Edge{{U: 0, V: 1, W: 1e308}, {U: 1, V: 2, W: 1e308}}, off, arcs, "weight sum overflows"},
 		{"off start", 3, edges, []int32{1, 1, 3, 4}, arcs, "offsets start at 1"},
 		{"off end", 3, edges, []int32{0, 1, 3, 3}, arcs, "offsets end at 3"},
 		{"off decreasing", 3, edges, []int32{0, 3, 1, 4}, arcs, "offsets decrease"},

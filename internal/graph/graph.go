@@ -13,12 +13,16 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
+
+	"mpcspanner/internal/core"
 )
 
-// Edge is an undirected weighted edge. U and V are vertex indices and W > 0
-// is the weight. Algorithms treat the edge {U,V} and {V,U} as identical.
+// Edge is an undirected weighted edge. U and V are vertex indices and W is
+// the weight, finite and positive. Algorithms treat the edge {U,V} and {V,U} as identical.
 type Edge struct {
 	U, V int
 	W    float64
@@ -55,31 +59,58 @@ type Graph struct {
 	arcs []Arc
 }
 
-// New builds a graph on n vertices from the given edges. Self-loops are
-// rejected; parallel edges are allowed (spanner algorithms handle them).
-// The edge slice is retained; callers must not mutate it afterwards.
+// New builds a graph on n vertices from the given edges, which must lie in
+// the weight domain (see checkEdge); parallel edges are allowed (spanner
+// algorithms handle them). Every rejection is a *core.OptionError. The edge
+// slice is retained; callers must not mutate it afterwards.
 func New(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	for i, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: edge %d endpoints (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: edge %d is a self-loop at %d", i, e.U)
-		}
-		if !(e.W > 0) {
-			return nil, fmt.Errorf("graph: edge %d has non-positive weight %v", i, e.W)
-		}
+	if err := checkEdges(n, edges); err != nil {
+		return nil, err
 	}
 	g := &Graph{n: n, edges: edges}
 	g.buildCSR()
 	return g, nil
 }
 
-// MustNew is New but panics on error; for tests and generators whose inputs
-// are valid by construction.
+// checkEdge holds e to the weight domain of a graph on n vertices: both
+// endpoints in [0, n) and distinct, the weight finite and positive, and the
+// running weight sum *sum, to which it adds e.W, still finite. Every simple
+// path is then, up to rounding, no longer than the total weight, so no
+// distance overflows into the +Inf that means "unreachable". New, Adopt and
+// ScanEdges all hold their edges to it, in edge-id order.
+func checkEdge(n int, e Edge, sum *float64) error {
+	switch {
+	case e.U < 0 || e.U >= n || e.V < 0 || e.V >= n:
+		return fmt.Errorf("endpoints (%d,%d) out of range [0,%d)", e.U, e.V, n)
+	case e.U == e.V:
+		return fmt.Errorf("self-loop at vertex %d", e.U)
+	case !(e.W > 0):
+		return fmt.Errorf("non-positive weight %v", e.W)
+	case math.IsInf(e.W, 1):
+		return errors.New("infinite weight")
+	}
+	if *sum += e.W; math.IsInf(*sum, 1) {
+		return fmt.Errorf("weight sum overflows at weight %v", e.W)
+	}
+	return nil
+}
+
+// checkEdges is checkEdge over a whole edge list, as a *core.OptionError.
+func checkEdges(n int, edges []Edge) error {
+	if n < 0 {
+		return &core.OptionError{Field: "graph: n", Value: n, Reason: "negative vertex count"}
+	}
+	var sum float64
+	for i, e := range edges {
+		if err := checkEdge(n, e, &sum); err != nil {
+			return &core.OptionError{Field: fmt.Sprintf("graph: edge %d", i), Value: e, Reason: err.Error()}
+		}
+	}
+	return nil
+}
+
+// MustNew is New but panics with its *core.OptionError; for tests and
+// generators, whose inputs are valid unless their weights leave the domain.
 func MustNew(n int, edges []Edge) *Graph {
 	g, err := New(n, edges)
 	if err != nil {

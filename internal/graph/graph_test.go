@@ -1,10 +1,14 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mpcspanner/internal/core"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -24,12 +28,20 @@ func TestNewValidation(t *testing.T) {
 		{"self loop", 2, []Edge{{1, 1, 1}}, false},
 		{"zero weight", 2, []Edge{{0, 1, 0}}, false},
 		{"negative weight", 2, []Edge{{0, 1, -3}}, false},
+		{"infinite weight", 2, []Edge{{0, 1, math.Inf(1)}}, false},
+		{"nan weight", 2, []Edge{{0, 1, math.NaN()}}, false},
+		{"largest finite weight", 2, []Edge{{0, 1, math.MaxFloat64}}, true},
+		// Each weight is finite, but their sum overflows to +Inf.
+		{"weight sum overflows", 4, []Edge{{0, 1, 1e308}, {1, 2, 1e308}, {2, 3, 1}, {0, 3, 2}}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := New(c.n, c.edges)
 			if (err == nil) != c.ok {
 				t.Fatalf("New(%d, %v) error = %v, want ok=%v", c.n, c.edges, err, c.ok)
+			}
+			if err != nil && !errors.Is(err, core.ErrInvalidOption) {
+				t.Fatalf("New rejection %v does not match ErrInvalidOption", err)
 			}
 		})
 	}
@@ -334,7 +346,7 @@ func TestIORoundTrip(t *testing.T) {
 	if err := g.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadFrom(strings.NewReader(sb.String()))
+	h, err := ReadFrom("roundtrip", strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +364,8 @@ func TestIORoundTrip(t *testing.T) {
 	}
 }
 
+// TestIOErrors holds ReadFrom to its *core.ArtifactError on malformed input.
+// The artifact package's edge-list corpus checks that Convert agrees.
 func TestIOErrors(t *testing.T) {
 	bad := []string{
 		"",                        // missing header
@@ -362,15 +376,18 @@ func TestIOErrors(t *testing.T) {
 		"n 1 0\nn 1 0\n",          // duplicate header
 		"n -1 0\n",                // negative
 		"n 2 1\ne zero one one\n", // unparsable edge
+		"n 2 1\ne 0 1 Inf\n",      // infinite weight
 	}
 	for i, s := range bad {
-		if _, err := ReadFrom(strings.NewReader(s)); err == nil {
-			t.Fatalf("case %d (%q): expected error", i, s)
+		_, err := ReadFrom("bad", strings.NewReader(s))
+		var ae *core.ArtifactError
+		if !errors.As(err, &ae) {
+			t.Fatalf("case %d (%q): want *core.ArtifactError, got %v", i, s, err)
 		}
 	}
 	// Comments and blank lines are fine.
 	ok := "# hello\n\nn 2 1\n# mid\ne 0 1 2.5\n"
-	if _, err := ReadFrom(strings.NewReader(ok)); err != nil {
+	if _, err := ReadFrom("ok", strings.NewReader(ok)); err != nil {
 		t.Fatalf("comment handling: %v", err)
 	}
 }

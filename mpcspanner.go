@@ -46,11 +46,18 @@ type (
 	WeightFn = graph.WeightFn
 )
 
-// NewGraph builds a graph on n vertices from edges.
+// NewGraph builds a graph on n vertices from edges. Every edge must have
+// both endpoints in [0, n) and distinct, and a finite positive weight, and
+// the weights must have a finite sum, so no distance can overflow into the
+// +Inf that means "unreachable". Any other input is rejected with an
+// *OptionError, which matches ErrInvalidOption.
 func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.New(n, edges) }
 
 // Synthetic workload generators, re-exported from internal/graph. Each takes
-// a WeightFn and an explicit seed; equal seeds give identical graphs.
+// a WeightFn and an explicit seed; equal seeds give identical graphs. A
+// WeightFn whose draws leave NewGraph's weight domain (their sum overflows
+// float64, say) makes a generator, or Connectify, panic with NewGraph's
+// *OptionError.
 var (
 	// GNP is the Erdős–Rényi G(n, p) random graph.
 	GNP = graph.GNP
