@@ -29,7 +29,7 @@ import (
 func main() {
 	n := flag.Int("n", 5000, "vertices")
 	deg := flag.Float64("deg", 10, "average degree")
-	maxW := flag.Float64("maxw", 100, "maximum edge weight")
+	maxW := flag.Float64("maxw", 100, "maximum edge weight (1 = unweighted)")
 	t := flag.Int("t", 0, "epoch length (0 = Corollary 1.4 default loglog n)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	queries := flag.Int("queries", 3, "sample source vertices to query and check")
@@ -40,8 +40,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	g := mpcspanner.Connectify(
-		mpcspanner.GNP(*n, *deg/float64(*n), mpcspanner.UniformWeight(1, *maxW), *seed), *maxW)
+	g, err := cliutil.MakeGraph("", "gnp", *n, *deg, *maxW, *seed, true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 
 	var last atomic.Pointer[mpcspanner.ProgressEvent]

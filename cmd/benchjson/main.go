@@ -12,8 +12,9 @@
 //
 // Compare (exit 1 if any benchmark present in both profiles slowed down —
 // allocated more, or lost custom "/s" throughput — by more than the
-// threshold factor; flags must precede the file arguments, as Go's flag
-// parsing stops at the first positional):
+// threshold factor, or changed a deterministic counter at all; flags must
+// precede the file arguments, as Go's flag parsing stops at the first
+// positional):
 //
 //	benchjson -compare -threshold 1.25 [-md summary.md] BENCH_spanner.json BENCH_new.json
 //
@@ -35,12 +36,18 @@
 //
 // Raw ns/op is only comparable on like hardware, so profiles record the
 // `cpu:` line go test prints. When the two profiles come from different
-// CPUs the comparison report still prints but the gate exits 0 with a
-// calibration notice — commit the freshly produced profile as the new
+// CPUs the comparison report still prints but the timing gate exits 0 with
+// a calibration notice — commit the freshly produced profile as the new
 // baseline to arm the gate on that hardware. On matching CPUs the
 // threshold is enforced strictly. Alloc counts are hardware-independent in
 // principle, but scheduling-dependent in practice (pool misses, goroutine
 // closures), so they gate under the same like-hardware rule.
+//
+// The deterministic counters (exactUnits: simulated rounds, spanner size,
+// and the spill traffic of a budgeted build) are functions of the code and
+// the seed alone, so they compare exactly on any hardware: any change fails
+// the gate, as does a counter the baseline row has and the fresh row lost.
+// A change that moves one on purpose re-blesses the baseline.
 package main
 
 import (
@@ -119,6 +126,16 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 // allocSlack is the absolute allocs/op increase below which the alloc gate
 // never fires: ratio thresholds are meaningless against a ~0 baseline.
 const allocSlack = 16.0
+
+// exactUnits are the custom units no noise can move: equal code and seeds
+// reproduce them exactly on any machine, so -compare requires equality.
+var exactUnits = map[string]bool{
+	"mpc-rounds":    true,
+	"spanner-edges": true,
+	"spilled_bytes": true,
+	"run_files":     true,
+	"merge_passes":  true,
+}
 
 func main() {
 	out := flag.String("out", "", "write the converted profile to this file (default stdout)")
@@ -248,19 +265,23 @@ type row struct {
 	hasAllocs      bool
 	timeRegressed  bool
 	allocRegressed bool
-	extras         []extraDelta // shared custom-unit metrics, sorted by unit
+	extras         []extraDelta // custom-unit metrics, sorted by unit
 	extraRegressed bool         // any "/s" unit fell below baseline/threshold
+	counterChanged bool         // any exactUnits counter differs or went missing
 }
 
-// extraDelta is one shared custom-unit metric's old-vs-new verdict. Only
-// throughput units ("/s" suffix: higher is better) gate — a drop such that
-// base/fresh exceeds the threshold is a regression, mirroring the ns/op rule
-// with the polarity flipped. Gauge-style units (peak_rss_bytes, mpc-rounds)
-// are carried for the report but never fail the gate.
+// extraDelta is one custom-unit metric's old-vs-new verdict. Throughput
+// units ("/s" suffix: higher is better) gate on the threshold — a drop such
+// that base/fresh exceeds it is a regression, mirroring the ns/op rule with
+// the polarity flipped. exactUnits counters gate on any difference, or on
+// being absent from the fresh row. Other gauge-style units
+// (peak_rss_bytes) are carried for the report but never fail the gate.
 type extraDelta struct {
 	unit        string
 	base, fresh float64
-	regressed   bool
+	missing     bool // an exactUnits counter the fresh row lacks
+	regressed   bool // a "/s" unit fell past the threshold
+	changed     bool // an exactUnits counter differs or is missing
 }
 
 // compareProfiles builds the per-benchmark verdicts.
@@ -298,22 +319,23 @@ func compareProfiles(base, fresh Profile, threshold float64) []row {
 		}
 		var units []string
 		for u := range b.Extra {
-			if _, ok := n.Extra[u]; ok {
+			if _, ok := n.Extra[u]; ok || exactUnits[u] {
 				units = append(units, u)
 			}
 		}
 		sort.Strings(units)
 		for _, u := range units {
-			d := extraDelta{unit: u, base: b.Extra[u], fresh: n.Extra[u]}
+			fresh, ok := n.Extra[u]
+			d := extraDelta{unit: u, base: b.Extra[u], fresh: fresh, missing: !ok}
 			if strings.HasSuffix(u, "/s") && d.base > 0 {
 				d.regressed = d.fresh <= 0 || d.base/d.fresh > threshold
 			}
-			if d.regressed {
-				r.extraRegressed = true
-			}
+			d.changed = exactUnits[u] && (d.missing || d.fresh != d.base)
+			r.extraRegressed = r.extraRegressed || d.regressed
+			r.counterChanged = r.counterChanged || d.changed
 			r.extras = append(r.extras, d)
 		}
-		if r.timeRegressed || r.allocRegressed || r.extraRegressed {
+		if r.timeRegressed || r.allocRegressed || r.extraRegressed || r.counterChanged {
 			r.status = "FAIL"
 		}
 		rows = append(rows, r)
@@ -332,13 +354,14 @@ func compareProfiles(base, fresh Profile, threshold float64) []row {
 }
 
 // runCompare prints a per-benchmark report (and optionally a markdown table)
-// and returns the process exit code: 1 if any shared benchmark regressed
-// beyond the threshold on like hardware.
+// and returns the process exit code: 1 if any shared benchmark changed a
+// deterministic counter, or regressed beyond the threshold on like
+// hardware.
 func runCompare(basePath, newPath string, threshold float64, mdPath string) int {
 	base, fresh := load(basePath), load(newPath)
 	rows := compareProfiles(base, fresh, threshold)
 
-	regressed, compared := 0, 0
+	regressed, changed, compared := 0, 0, 0
 	for _, r := range rows {
 		switch r.status {
 		case "WARN":
@@ -349,8 +372,11 @@ func runCompare(basePath, newPath string, threshold float64, mdPath string) int 
 			continue
 		}
 		compared++
-		if r.status == "FAIL" {
+		if r.timeRegressed || r.allocRegressed || r.extraRegressed {
 			regressed++
+		}
+		if r.counterChanged {
+			changed++
 		}
 		line := fmt.Sprintf("%-5s %-70s %12.0f -> %12.0f ns/op  (%.2fx)", r.status, r.name, r.base.NsPerOp, r.fresh.NsPerOp, r.ratio)
 		if r.hasAllocs {
@@ -360,9 +386,12 @@ func runCompare(basePath, newPath string, threshold float64, mdPath string) int 
 			}
 		}
 		for _, d := range r.extras {
-			line += fmt.Sprintf("  %s %.3g -> %.3g", d.unit, d.base, d.fresh)
+			line += fmt.Sprintf("  %s %s -> %s", d.unit, fmtUnit(d.unit, d.base), d.freshCell())
 			if d.regressed {
 				line += " (THROUGHPUT REGRESSION)"
+			}
+			if d.changed {
+				line += " (COUNTER CHANGED)"
 			}
 		}
 		fmt.Println(line)
@@ -381,10 +410,16 @@ func runCompare(basePath, newPath string, threshold float64, mdPath string) int 
 	}
 	if !sameHW {
 		fmt.Printf("NOTE  baseline CPU %q != current CPU %q: raw ns/op is not comparable across hardware.\n", base.CPU, fresh.CPU)
-		fmt.Println("NOTE  gate is ADVISORY on this run — commit the fresh profile as the baseline to arm it on this hardware.")
+		fmt.Println("NOTE  timing gate is ADVISORY on this run — commit the fresh profile as the baseline to arm it on this hardware.")
 		if regressed > 0 {
 			fmt.Printf("NOTE  %d of %d shared benchmarks exceeded %.2fx (not failing: hardware mismatch)\n", regressed, compared, threshold)
 		}
+	}
+	if changed > 0 {
+		fmt.Printf("FAIL  %d of %d shared benchmarks changed a deterministic counter; re-bless the baseline if the change is intended\n", changed, compared)
+		return 1
+	}
+	if !sameHW {
 		return 0
 	}
 	if regressed > 0 {
@@ -402,7 +437,7 @@ func markdownReport(rows []row, baseCPU, freshCPU string, threshold float64, sam
 	sb.WriteString("## Bench regression report\n\n")
 	fmt.Fprintf(&sb, "Threshold: %.2fx · baseline CPU: `%s` · this run: `%s`\n\n", threshold, orDash(baseCPU), orDash(freshCPU))
 	if !sameHW {
-		sb.WriteString("> ⚠️ Hardware mismatch — gate advisory; the baseline recalibrates on push to main.\n\n")
+		sb.WriteString("> ⚠️ Hardware mismatch — timing gate advisory; deterministic counters still gate. The baseline recalibrates on push to main.\n\n")
 	}
 	sb.WriteString("| status | benchmark | ns/op (old → new) | Δtime | allocs/op (old → new) | custom units (old → new) |\n")
 	sb.WriteString("|---|---|---|---|---|---|\n")
@@ -424,7 +459,7 @@ func markdownReport(rows []row, baseCPU, freshCPU string, threshold float64, sam
 				sort.Strings(units)
 				var parts []string
 				for _, u := range units {
-					parts = append(parts, fmt.Sprintf("%s — → %.3g", u, r.fresh.Extra[u]))
+					parts = append(parts, fmt.Sprintf("%s — → %s", u, fmtUnit(u, r.fresh.Extra[u])))
 				}
 				extras = strings.Join(parts, " · ")
 			}
@@ -445,8 +480,8 @@ func markdownReport(rows []row, baseCPU, freshCPU string, threshold float64, sam
 			if len(r.extras) > 0 {
 				var parts []string
 				for _, d := range r.extras {
-					part := fmt.Sprintf("%s %.3g → %.3g", d.unit, d.base, d.fresh)
-					if d.regressed {
+					part := fmt.Sprintf("%s %s → %s", d.unit, fmtUnit(d.unit, d.base), d.freshCell())
+					if d.regressed || d.changed {
 						part += " ❌"
 					}
 					parts = append(parts, part)
@@ -458,6 +493,24 @@ func markdownReport(rows []row, baseCPU, freshCPU string, threshold float64, sam
 		}
 	}
 	return sb.String()
+}
+
+// fmtUnit renders a custom-unit value: exactUnits counters in full, so a
+// changed counter never prints as its unchanged rounding, and everything
+// else to three significant digits.
+func fmtUnit(unit string, v float64) string {
+	if exactUnits[unit] {
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return fmt.Sprintf("%.3g", v)
+}
+
+// freshCell renders the fresh side of a delta, or "missing".
+func (d extraDelta) freshCell() string {
+	if d.missing {
+		return "missing"
+	}
+	return fmtUnit(d.unit, d.fresh)
 }
 
 func orDash(s string) string {

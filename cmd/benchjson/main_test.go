@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -235,5 +237,76 @@ func TestMarkdownReportRendersAllRowKinds(t *testing.T) {
 	mismatch := markdownReport(nil, "cpuA", "cpuB", 1.25, false)
 	if !strings.Contains(mismatch, "Hardware mismatch") {
 		t.Errorf("hardware-mismatch notice missing:\n%s", mismatch)
+	}
+}
+
+// TestCompareGatesDeterministicCounters pins the exact-counter rule: a
+// profile pair that differs only in spilled_bytes fails, on like hardware
+// and across CPUs alike, as does a counter the fresh row lost; a pair that
+// differs only in peak_rss_bytes passes.
+func TestCompareGatesDeterministicCounters(t *testing.T) {
+	spill := func(cpu string, spilled float64, rss float64) Profile {
+		return mkProfile(cpu, map[string]Entry{
+			"BenchmarkMPCBuildSpill/n=1M/k=8/t=3/budget=quarter": {NsPerOp: 100, HasMem: true, AllocsPerOp: 10,
+				Extra: map[string]float64{"spilled_bytes": spilled, "run_files": 29, "merge_passes": 2, "peak_rss_bytes": rss}},
+		})
+	}
+	base := spill("cpuA", 915_000_000, 7e8)
+	// runCompare prints its report to stdout; keep it out of the test log,
+	// where its "FAIL" lines would read like the suite's own.
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout := os.Stdout
+	os.Stdout = devnull
+	defer func() { os.Stdout = stdout }()
+	for _, tc := range []struct {
+		name  string
+		fresh Profile
+		want  int
+	}{
+		{"spilled_bytes, same cpu", spill("cpuA", 915_000_001, 7e8), 1},
+		{"spilled_bytes, other cpu", spill("cpuB", 915_000_001, 7e8), 1},
+		{"peak_rss_bytes, same cpu", spill("cpuA", 915_000_000, 9e8), 0},
+		{"peak_rss_bytes, other cpu", spill("cpuB", 915_000_000, 9e8), 0},
+		{"run_files missing", mkProfile("cpuA", map[string]Entry{
+			"BenchmarkMPCBuildSpill/n=1M/k=8/t=3/budget=quarter": {NsPerOp: 100, HasMem: true, AllocsPerOp: 10,
+				Extra: map[string]float64{"spilled_bytes": 915_000_000, "merge_passes": 2, "peak_rss_bytes": 7e8}},
+		}), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := compareProfiles(base, tc.fresh, 1.25)
+			if len(rows) != 1 {
+				t.Fatalf("rows = %+v", rows)
+			}
+			if r := rows[0]; r.counterChanged != (tc.want == 1) || (r.status == "FAIL") != (tc.want == 1) {
+				t.Errorf("row %+v, want counterChanged and FAIL = %v", r, tc.want == 1)
+			}
+			dir := t.TempDir()
+			write := func(name string, p Profile) string {
+				path := filepath.Join(dir, name)
+				data, err := json.Marshal(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+			md := filepath.Join(dir, "compare.md")
+			if got := runCompare(write("base.json", base), write("fresh.json", tc.fresh), 1.25, md); got != tc.want {
+				t.Errorf("runCompare exit code %d, want %d", got, tc.want)
+			}
+			report, err := os.ReadFile(md)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if marked := strings.Contains(string(report), "❌"); marked != (tc.want == 1) {
+				t.Errorf("markdown failure marker present = %v, want %v:\n%s", marked, tc.want == 1, report)
+			}
+		})
 	}
 }

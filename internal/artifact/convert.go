@@ -163,7 +163,7 @@ func Convert(src, dst string) (ConvertResult, error) {
 func convertScanDegrees(src string) (n, m int, deg []int32, err error) {
 	f, err := os.Open(src)
 	if err != nil {
-		return 0, 0, nil, core.ArtifactErrorf(src, "", err, "opening: %v", err)
+		return 0, 0, nil, core.EdgeListErrorf(src, err, "opening: %v", err)
 	}
 	defer f.Close()
 	err = graph.ScanEdges(src, f, func(nv, mv int) error {
@@ -183,7 +183,7 @@ func convertScanDegrees(src string) (n, m int, deg []int32, err error) {
 func convertWriteEdges(src, dst string, out *os.File, n, m int, edgesOff, arcsOff int64, cursor []int64) (uint32, error) {
 	f, err := os.Open(src)
 	if err != nil {
-		return 0, core.ArtifactErrorf(src, "", err, "reopening for pass two: %v", err)
+		return 0, core.EdgeListErrorf(src, err, "reopening for pass two: %v", err)
 	}
 	defer f.Close()
 
@@ -193,7 +193,7 @@ func convertWriteEdges(src, dst string, out *os.File, n, m int, edgesOff, arcsOf
 	var arcRec [16]byte
 	err = graph.ScanEdges(src, f, func(n2, m2 int) error {
 		if n2 != n || m2 != m {
-			return core.ArtifactErrorf(src, "", nil,
+			return core.EdgeListErrorf(src, nil,
 				"input changed between passes (header now n=%d m=%d, was n=%d m=%d)", n2, m2, n, m)
 		}
 		return nil

@@ -203,12 +203,15 @@ func TestConvertRejectsBadInput(t *testing.T) {
 func runEdgeListCases(t *testing.T, cases []edgeListCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := loadBoth(t, writeFile(t, "g.txt", tc.content))
+			src := writeFile(t, "g.txt", tc.content)
+			err := loadBoth(t, src)
 			switch {
 			case tc.wantSub == "" && err != nil:
 				t.Fatalf("both loaders rejected a valid input: %v", err)
 			case tc.wantSub != "" && err == nil:
 				t.Fatalf("both loaders accepted an input that should fail with %q", tc.wantSub)
+			case err != nil && !strings.HasPrefix(err.Error(), "invalid edge list "+src+": "):
+				t.Fatalf("error %q does not name the edge list %s", err, src)
 			case err != nil && !strings.Contains(err.Error(), tc.wantSub):
 				t.Fatalf("error %q does not contain %q", err, tc.wantSub)
 			}

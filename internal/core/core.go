@@ -49,12 +49,13 @@ func (e *OptionError) Is(target error) bool { return target == ErrInvalidOption 
 // and interruptions (ErrCanceled) without string matching.
 var ErrArtifact = errors.New("invalid artifact")
 
-// ArtifactError reports one rejected artifact file. It matches ErrArtifact
-// under errors.Is and carries the structured fields programmatic callers need
-// under errors.As. When the failure wraps an I/O error, Unwrap exposes it, so
+// ArtifactError reports one rejected artifact file, or one rejected text
+// edge list (EdgeListErrorf). It matches ErrArtifact under errors.Is and
+// carries the structured fields programmatic callers need under errors.As.
+// When the failure wraps an I/O error, Unwrap exposes it, so
 // errors.Is(err, fs.ErrNotExist) still works for a missing path.
 type ArtifactError struct {
-	// Path is the artifact file the failure concerns.
+	// Path is the artifact or edge-list file the failure concerns.
 	Path string
 	// Section names the part of the container that failed ("header",
 	// "section-table", "meta", "graph-edges", …); empty when the failure
@@ -64,13 +65,18 @@ type ArtifactError struct {
 	Reason string
 
 	cause error
+	kind  string // what Error calls the file; empty means "artifact"
 }
 
 func (e *ArtifactError) Error() string {
-	if e.Section != "" {
-		return fmt.Sprintf("invalid artifact %s: section %s: %s", e.Path, e.Section, e.Reason)
+	kind := e.kind
+	if kind == "" {
+		kind = "artifact"
 	}
-	return fmt.Sprintf("invalid artifact %s: %s", e.Path, e.Reason)
+	if e.Section != "" {
+		return fmt.Sprintf("invalid %s %s: section %s: %s", kind, e.Path, e.Section, e.Reason)
+	}
+	return fmt.Sprintf("invalid %s %s: %s", kind, e.Path, e.Reason)
 }
 
 // Is makes every *ArtifactError match the ErrArtifact sentinel.
@@ -84,6 +90,15 @@ func (e *ArtifactError) Unwrap() error { return e.cause }
 func ArtifactErrorf(path, section string, cause error, format string, args ...any) error {
 	return &ArtifactError{Path: path, Section: section,
 		Reason: fmt.Sprintf(format, args...), cause: cause}
+}
+
+// EdgeListErrorf builds the *ArtifactError for a rejected text edge list.
+// It matches ErrArtifact like every other, and its message reads
+// "invalid edge list <path>: …", so an operator is not told that a text
+// file is a corrupt artifact.
+func EdgeListErrorf(path string, cause error, format string, args ...any) error {
+	return &ArtifactError{Path: path, Reason: fmt.Sprintf(format, args...),
+		cause: cause, kind: "edge list"}
 }
 
 // ErrCanceled is the sentinel a cooperatively interrupted operation matches.

@@ -62,14 +62,15 @@ func ReadFrom(path string, r io.Reader) (*Graph, error) {
 // record in file order with its id, 0-based endpoints, and New's weight
 // domain already checked. After the last line the declared edge count must
 // equal the records found. An error a callback returns ends the scan and is
-// returned as is; every other failure is a *core.ArtifactError naming path
-// and, for a bad line, its number.
+// returned as is; every other failure is a *core.ArtifactError from
+// core.EdgeListErrorf, reading "invalid edge list <path>: …" and naming, for
+// a bad line, its number.
 func ScanEdges(path string, r io.Reader, header func(n, m int) error, edge func(id int, e Edge) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	line := 0
 	fail := func(format string, args ...any) error {
-		return core.ArtifactErrorf(path, "", nil, "line %d: %s", line, fmt.Sprintf(format, args...))
+		return core.EdgeListErrorf(path, nil, "line %d: %s", line, fmt.Sprintf(format, args...))
 	}
 	n, m, id, base := 0, 0, 0, 0
 	tag := "" // the record tag; empty until the header is read
@@ -137,13 +138,13 @@ func ScanEdges(path string, r io.Reader, header func(n, m int) error, edge func(
 		id++
 	}
 	if err := sc.Err(); err != nil {
-		return core.ArtifactErrorf(path, "", err, "reading: %v", err)
+		return core.EdgeListErrorf(path, err, "reading: %v", err)
 	}
 	if tag == "" {
-		return core.ArtifactErrorf(path, "", nil, "missing header line")
+		return core.EdgeListErrorf(path, nil, "missing header line")
 	}
 	if id != m {
-		return core.ArtifactErrorf(path, "", nil, "header declared %d edges, found %d", m, id)
+		return core.EdgeListErrorf(path, nil, "header declared %d edges, found %d", m, id)
 	}
 	return nil
 }

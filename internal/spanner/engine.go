@@ -371,9 +371,8 @@ func (e *engine) phase1(ctx context.Context) error {
 		if e.cfg.whp != nil {
 			plan = e.planWHP(p, spec)
 		} else {
-			plan = e.planIteration(func(center int32) bool {
-				return xrand.CoinAt(p, e.cfg.Seed, CoinDomainPhase1, uint64(spec.Epoch), uint64(spec.Iter), uint64(center))
-			})
+			coins := xrand.NewCoins(p, e.cfg.Seed, CoinDomainPhase1, uint64(spec.Epoch), uint64(spec.Iter))
+			plan = e.planIteration(func(center int32) bool { return coins.At(uint64(center)) })
 		}
 		e.applyIteration(plan)
 		if e.met.iterSeconds != nil {

@@ -82,10 +82,8 @@ func (e *engine) planWHP(p float64, spec IterationSpec) *iterPlan {
 	chosenFresh := 0
 	choice := IterationChoice{Epoch: spec.Epoch, Iter: spec.Iter, Active: len(e.active)}
 	for rep := 0; rep < e.cfg.whp.Runs; rep++ {
-		plan := e.planIteration(func(center int32) bool {
-			return xrand.CoinAt(p, e.cfg.Seed, CoinDomainWHP, uint64(rep),
-				uint64(spec.Epoch), uint64(spec.Iter), uint64(center))
-		})
+		coins := xrand.NewCoins(p, e.cfg.Seed, CoinDomainWHP, uint64(rep), uint64(spec.Epoch), uint64(spec.Iter))
+		plan := e.planIteration(func(center int32) bool { return coins.At(uint64(center)) })
 		fresh := e.freshEdges(plan)
 		okSample := float64(len(plan.sampled)) <= math.Max(whpC1*active*p, whpC1*math.Log(n))
 		okEdges := float64(fresh) <= whpC2*active/p

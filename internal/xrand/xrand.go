@@ -46,11 +46,7 @@ func New(seed uint64) *Source {
 // yields the same stream. This is the primitive that lets per-entity coins be
 // re-drawn identically on different execution planes.
 func Split(seed uint64, keys ...uint64) *Source {
-	s := mix(seed + golden)
-	for _, k := range keys {
-		s = mix(s ^ mix(k+golden))
-	}
-	return &Source{state: s}
+	return &Source{state: absorb(mix(seed+golden), keys...)}
 }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -165,20 +161,48 @@ func (z *Zipf) Next() int {
 // The evaluation inlines the first draw of the stream Split(seed, keys...)
 // would yield — bit-identical to Split(seed, keys...).Float64() < p — but
 // without materializing a Source, because CoinAt sits on the per-tuple hot
-// paths of the construction pipeline (the MPC driver evaluates one coin per
-// tuple endpoint per iteration) and a heap allocation per coin was the
-// pipeline's single largest allocation source.
+// paths of the construction pipeline and a heap allocation per coin was the
+// pipeline's single largest allocation source. Callers that flip many coins
+// sharing every key but the last use Coins instead.
 func CoinAt(p float64, seed uint64, keys ...uint64) bool {
+	return fires(p, absorb(mix(seed+golden), keys...))
+}
+
+// Coins is the prefix form of CoinAt: the coins of the events
+// (seed, keys..., key) for every last key, with the shared prefix mixed
+// into the stream state once. Coins{...}.At(key) equals
+// CoinAt(p, seed, keys..., key) by construction — both run absorb and
+// fires — at 3 mix calls per coin instead of 2·len(keys) + 4. A Coins is an
+// immutable value, safe for concurrent use.
+type Coins struct {
+	p     float64
+	state uint64 // the stream state after absorbing seed and keys
+}
+
+// NewCoins fixes the probability, the seed and every key but the last.
+func NewCoins(p float64, seed uint64, keys ...uint64) Coins {
+	return Coins{p: p, state: absorb(mix(seed+golden), keys...)}
+}
+
+// At reports whether the coin for event (seed, keys..., key) fires.
+func (c Coins) At(key uint64) bool { return fires(c.p, absorb(c.state, key)) }
+
+// absorb folds keys into a stream state, as Split does.
+func absorb(s uint64, keys ...uint64) uint64 {
+	for _, k := range keys {
+		s = mix(s ^ mix(k+golden))
+	}
+	return s
+}
+
+// fires reports whether the first Float64 draw of the stream at state s
+// falls below p. p <= 0 never fires and p >= 1 always does.
+func fires(p float64, s uint64) bool {
 	if p <= 0 {
 		return false
 	}
 	if p >= 1 {
 		return true
 	}
-	s := mix(seed + golden)
-	for _, k := range keys {
-		s = mix(s ^ mix(k+golden))
-	}
-	s += golden // first Uint64 draw of the derived stream
-	return float64(mix(s)>>11)/(1<<53) < p
+	return float64(mix(s+golden)>>11)/(1<<53) < p
 }

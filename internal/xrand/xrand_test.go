@@ -187,6 +187,43 @@ func TestCoinAtRate(t *testing.T) {
 	}
 }
 
+// TestCoinsMatchCoinAt pins the prefix form to CoinAt — and both to the
+// first draw of the Split stream — over random seeds, prefixes of zero to
+// four keys and last keys, at probabilities inside (0, 1), at and beyond
+// both ends, and NaN.
+func TestCoinsMatchCoinAt(t *testing.T) {
+	rng := New(41)
+	ps := []float64{math.Inf(-1), -1, 0, 1e-300, 0.25, 0.5, 0.999, math.Nextafter(1, 0), 1, 2, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 2000; trial++ {
+		seed := rng.Uint64()
+		prefix := make([]uint64, trial%5)
+		for i := range prefix {
+			prefix[i] = rng.Uint64() >> (rng.Intn(4) * 16) // small keys too
+		}
+		p := rng.Float64()
+		if trial%3 == 0 {
+			p = ps[rng.Intn(len(ps))]
+		}
+		coins := NewCoins(p, seed, prefix...)
+		for j := 0; j < 8; j++ {
+			key := rng.Uint64() >> (rng.Intn(4) * 16)
+			keys := append(append([]uint64(nil), prefix...), key)
+			want := CoinAt(p, seed, keys...)
+			if got := coins.At(key); got != want {
+				t.Fatalf("p=%v seed=%d keys=%v: Coins.At = %v, CoinAt = %v", p, seed, keys, got, want)
+			}
+			switch {
+			case p <= 0 && want, p >= 1 && !want:
+				t.Fatalf("p=%v: CoinAt = %v, want the clamp's answer", p, want)
+			case p > 0 && p < 1:
+				if ref := Split(seed, keys...).Float64() < p; ref != want {
+					t.Fatalf("p=%v seed=%d keys=%v: CoinAt = %v, Split draw = %v", p, seed, keys, want, ref)
+				}
+			}
+		}
+	}
+}
+
 func TestBoolBalance(t *testing.T) {
 	s := New(29)
 	trues := 0
