@@ -81,31 +81,15 @@ func (s *Session) Save(path string) error {
 			rows = append(rows, row)
 		}
 	}
-	return artifact.Write(path, artifact.Payload{
-		Graph:       s.served,
-		EdgeIDs:     s.savedEdgeIDs(),
-		SourceN:     s.input.N(),
-		SourceM:     s.input.M(),
-		Fingerprint: s.fp,
-		RowSources:  srcs,
-		Rows:        rows,
-	})
+	p := s.saved
+	p.RowSources, p.Rows = srcs, rows
+	return artifact.Write(path, p)
 }
 
-// savedEdgeIDs returns the spanner edge ids a saved session should record:
-// the pipeline's selection when one ran, nil for exact or artifact-served
-// sessions (their served graph is the source of truth).
-func (s *Session) savedEdgeIDs() []int {
-	if s.apsp != nil {
-		return s.apsp.SpannerEdgeIDs
-	}
-	return nil
-}
-
-// Fingerprint returns the provenance of what the session serves: the
-// pipeline parameters for a Serve-built session, "exact" for WithExact,
-// or the stored fingerprint of the artifact it was loaded from.
-func (s *Session) Fingerprint() Fingerprint { return s.fp }
+// Fingerprint returns the provenance of what the session serves: the "mpc"
+// build of a Serve-built session, "exact" for WithExact, or the stored
+// fingerprint of the artifact it was loaded from.
+func (s *Session) Fingerprint() Fingerprint { return s.saved.Fingerprint }
 
 // Artifact returns the artifact the session was loaded from, or nil when
 // it was built in-process.

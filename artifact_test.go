@@ -1,13 +1,17 @@
 package mpcspanner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mpcspanner/internal/artifact"
+	"mpcspanner/internal/spanner"
 )
 
 func artifactTestGraph() *Graph {
@@ -34,8 +38,7 @@ func TestSaveOpenBitIdentity(t *testing.T) {
 	pairs := artifactTestPairs(g.N())
 	for _, workers := range []int{1, 3, 0} {
 		res, err := Build(ctx, g,
-			WithAlgorithm(AlgoMPC), WithK(6), WithSeed(42), WithWorkers(workers),
-			WithSaveTo(filepath.Join(t.TempDir(), "spanner.art")))
+			WithAlgorithm(AlgoMPC), WithK(6), WithSeed(42), WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: Build: %v", workers, err)
 		}
@@ -88,36 +91,6 @@ func TestSaveOpenBitIdentity(t *testing.T) {
 			t.Fatalf("workers=%d: source shape (%d,%d), want (%d,%d)", workers, sn, sm, g.N(), g.M())
 		}
 		a.Close()
-	}
-}
-
-// TestWithSaveTo pins that the one-step save writes exactly the file an
-// explicit Save writes.
-func TestWithSaveTo(t *testing.T) {
-	ctx := context.Background()
-	g := artifactTestGraph()
-	dir := t.TempDir()
-	auto := filepath.Join(dir, "auto.art")
-	manual := filepath.Join(dir, "manual.art")
-	res, err := Build(ctx, g, WithAlgorithm(AlgoMPC), WithK(5), WithSeed(3), WithSaveTo(auto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Save(manual); err != nil {
-		t.Fatal(err)
-	}
-	aa, err := Open(ctx, auto)
-	if err != nil {
-		t.Fatalf("WithSaveTo produced an unopenable artifact: %v", err)
-	}
-	defer aa.Close()
-	am, err := Open(ctx, manual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer am.Close()
-	if aa.Checksum() != am.Checksum() {
-		t.Fatalf("WithSaveTo checksum %s != Save checksum %s", aa.Checksum(), am.Checksum())
 	}
 }
 
@@ -197,11 +170,13 @@ func TestArtifactOptionValidation(t *testing.T) {
 	ctx := context.Background()
 	g := artifactTestGraph()
 	path := filepath.Join(t.TempDir(), "a.art")
-	res, err := Build(ctx, g, WithAlgorithm(AlgoMPC), WithK(5), WithSeed(1), WithSaveTo(path))
+	res, err := Build(ctx, g, WithAlgorithm(AlgoMPC), WithK(5), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
+	if err := res.Save(path); err != nil {
+		t.Fatal(err)
+	}
 	a, err := Open(ctx, path)
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +189,6 @@ func TestArtifactOptionValidation(t *testing.T) {
 	}{
 		{"WithArtifact on Build", func() error {
 			_, err := Build(ctx, g, WithK(4), WithArtifact(a))
-			return err
-		}},
-		{"WithSaveTo on Serve", func() error {
-			_, err := Serve(ctx, g, WithExact(), WithSaveTo(path))
-			return err
-		}},
-		{"empty SaveTo path", func() error {
-			_, err := Build(ctx, g, WithK(4), WithSaveTo(""))
 			return err
 		}},
 		{"nil artifact", func() error {
@@ -295,7 +262,8 @@ func TestSaveOnForeignResult(t *testing.T) {
 }
 
 // TestServeBuiltSessionFingerprint pins the provenance of the two in-process
-// session kinds.
+// session kinds: the pipeline records the AlgoMPC build it is, with the γ
+// it ran at.
 func TestServeBuiltSessionFingerprint(t *testing.T) {
 	ctx := context.Background()
 	g := artifactTestGraph()
@@ -314,7 +282,105 @@ func TestServeBuiltSessionFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := piped.Fingerprint()
-	if fp.Algorithm != "apsp-mpc" || fp.Seed != 5 || fp.K == 0 || fp.T == 0 {
+	if fp.Algorithm != string(AlgoMPC) || fp.Seed != 5 || fp.K == 0 || fp.T == 0 || fp.Gamma != 0.5 {
 		t.Fatalf("pipeline session fingerprint %+v", fp)
+	}
+}
+
+// saveBytes runs save on a fresh path and returns the file it wrote.
+func saveBytes(t *testing.T, save func(string) error) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "x.art")
+	if err := save(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServeSaveMatchesBuildSave pins one identity per computation: a fresh
+// pipeline session saves the very file its AlgoMPC build at Corollary 1.4's
+// k saves — fingerprint, edge ids and source shape included.
+func TestServeSaveMatchesBuildSave(t *testing.T) {
+	ctx := context.Background()
+	g := artifactTestGraph()
+	k, _ := spanner.APSPParams(g.N())
+	s, err := Serve(ctx, g, WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Build(ctx, g, WithAlgorithm(AlgoMPC), WithK(k), WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, s.Save), saveBytes(t, res.Save)) {
+		t.Fatalf("pipeline session %v saves a different file than Build %v", s.Fingerprint(), res.fp)
+	}
+}
+
+// TestArtifactSessionResaveKeepsProvenance pins that save→load→save keeps
+// the build's record: the re-saved artifact carries the loaded one's
+// fingerprint, edge ids and source shape, not the spanner's own shape.
+func TestArtifactSessionResaveKeepsProvenance(t *testing.T) {
+	ctx := context.Background()
+	g := artifactTestGraph()
+	res, err := Build(ctx, g, WithAlgorithm(AlgoMPC), WithK(5), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	p1, p2 := filepath.Join(dir, "one.art"), filepath.Join(dir, "two.art")
+	if err := res.Save(p1); err != nil {
+		t.Fatal(err)
+	}
+	a1, err := Open(ctx, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a1.Close()
+	s, err := Serve(ctx, nil, WithArtifact(a1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(ctx, 3, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(p2); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := Open(ctx, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Close()
+	if a2.Fingerprint() != a1.Fingerprint() {
+		t.Fatalf("re-saved fingerprint %v, want %v", a2.Fingerprint(), a1.Fingerprint())
+	}
+	if !slices.Equal(a2.EdgeIDs(), res.EdgeIDs) {
+		t.Fatalf("re-saved %d edge ids, want the build's %d", len(a2.EdgeIDs()), len(res.EdgeIDs))
+	}
+	if sn, sm := a2.SourceShape(); sn != g.N() || sm != g.M() {
+		t.Fatalf("re-saved source shape (%d,%d), want (%d,%d)", sn, sm, g.N(), g.M())
+	}
+}
+
+// TestUnweightedGammaDefaultIdentity pins that the fingerprint records the
+// γ a build ran with: AlgoUnweighted at the default γ and at an explicit
+// WithGamma(0.5) is one computation and writes one file.
+func TestUnweightedGammaDefaultIdentity(t *testing.T) {
+	ctx := context.Background()
+	g := Grid(30, 30, UnitWeight, 2)
+	save := func(opts ...Option) []byte {
+		res, err := Build(ctx, g, append(opts, WithAlgorithm(AlgoUnweighted), WithK(3), WithSeed(2))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return saveBytes(t, res.Save)
+	}
+	if !bytes.Equal(save(), save(WithGamma(0.5))) {
+		t.Fatal("the default γ and WithGamma(0.5) save different files")
 	}
 }

@@ -36,9 +36,6 @@ type config struct {
 	maxRows int
 	art     *Artifact
 
-	// Persistence knob (Build only).
-	saveTo string
-
 	// Out-of-core knob (MPC-plane builds only).
 	memBudget int64
 
@@ -75,7 +72,8 @@ func WithT(t int) Option {
 }
 
 // WithGamma sets the memory exponent γ of the simulated machines (AlgoMPC,
-// AlgoUnweighted, and Serve's build phase; default 0.5).
+// AlgoUnweighted, and Serve's build phase; default 0.5). The build's
+// fingerprint records the γ it ran with, defaulted or not.
 func WithGamma(gamma float64) Option {
 	return func(c *config) { c.gamma = gamma; c.mark("Gamma") }
 }
@@ -132,15 +130,6 @@ func WithCacheRows(n int) Option {
 	return func(c *config) { c.maxRows = n; c.mark("CacheRows") }
 }
 
-// WithSaveTo persists the build result to path as a versioned artifact
-// (see Open) immediately after a successful build, atomically — equivalent
-// to calling BuildResult.Save(path) yourself, but in one step. A failed
-// save fails the Build call with an ErrArtifact-classified error. Accepted
-// by Build only.
-func WithSaveTo(path string) Option {
-	return func(c *config) { c.saveTo = path; c.mark("SaveTo") }
-}
-
 // WithMemoryBudget caps the bytes the simulated MPC cluster's tuple store
 // may keep resident in the host process: contents past the budget spill to
 // checksummed run files (internal/extmem) and the global sorts run as
@@ -161,8 +150,9 @@ func WithMemoryBudget(bytes int64) Option {
 // WithArtifact serves a previously saved artifact instead of running any
 // pipeline: pass a nil graph to Serve and the session answers distance
 // queries on the artifact's frozen graph, serving its precomputed rows (if
-// any) ahead of the cache. The session's provenance (Session.Fingerprint)
-// is the artifact's. The artifact must stay open for the session's
+// any) ahead of the cache. The session's provenance (Session.Fingerprint,
+// and the edge ids and source shape Session.Save records) is the
+// artifact's. The artifact must stay open for the session's
 // lifetime — for mmapped artifacts the session reads the mapping directly.
 // Only the cache and observability options (WithCacheRows, WithWorkers,
 // WithMetrics) combine with it. Accepted by Serve only.
@@ -173,13 +163,13 @@ func WithArtifact(a *Artifact) Option {
 // buildOnly / serveOnly / cliqueAPSPForeign name the options each entry
 // point rejects.
 var (
-	buildOnly = []string{"Algorithm", "K", "Repetitions", "MeasureRadius", "SaveTo"}
+	buildOnly = []string{"Algorithm", "K", "Repetitions", "MeasureRadius"}
 	serveOnly = []string{"Exact", "CacheRows", "Artifact"}
 	// The Corollary 1.5 pipeline fixes its structural parameters, so only
 	// WithSeed / WithWorkers / WithProgress apply.
 	cliqueAPSPForeign = []string{"Algorithm", "K", "T", "Gamma", "Repetitions",
 		"MeasureRadius", "Exact", "CacheRows", "Metrics", "Tracer",
-		"SaveTo", "Artifact", "MemoryBudget"}
+		"Artifact", "MemoryBudget"}
 )
 
 // newConfig folds opts and rejects the ones foreign to the calling entry
@@ -202,7 +192,9 @@ func newConfig(entry string, reject []string, opts []Option) (*config, error) {
 		return nil, &OptionError{Field: "mpcspanner: T", Value: c.t,
 			Reason: "must be >= 1 (0 selects the default)"}
 	}
-	if c.set["Gamma"] && (c.gamma <= 0 || c.gamma > 1) {
+	if !c.set["Gamma"] {
+		c.gamma = 0.5 // the one γ default, for every build and fingerprint
+	} else if c.gamma <= 0 || c.gamma > 1 {
 		return nil, &OptionError{Field: "mpcspanner: Gamma", Value: c.gamma,
 			Reason: "must lie in (0, 1]"}
 	}
@@ -213,10 +205,6 @@ func newConfig(entry string, reject []string, opts []Option) (*config, error) {
 	if c.set["MemoryBudget"] && c.memBudget <= 0 {
 		return nil, &OptionError{Field: "mpcspanner: MemoryBudget", Value: c.memBudget,
 			Reason: "byte budget must be positive (omit the option to keep everything resident)"}
-	}
-	if c.set["SaveTo"] && c.saveTo == "" {
-		return nil, &OptionError{Field: "mpcspanner: SaveTo", Value: "",
-			Reason: "path must be non-empty"}
 	}
 	if c.set["Artifact"] && c.art == nil {
 		return nil, &OptionError{Field: "mpcspanner: Artifact", Value: nil,
@@ -313,11 +301,6 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 		Metrics:       cfg.metrics,
 		Tracer:        cfg.tracer,
 	}
-	gamma := cfg.gamma
-	if gamma == 0 {
-		gamma = 0.5
-	}
-
 	algo := cfg.algo
 	if algo == "" {
 		algo = AlgoGeneral
@@ -346,19 +329,20 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 
 	// The engine families differ only in which constructor runs; every
 	// family funnels through the common tail below, which stamps the
-	// determinism fingerprint and honors WithSaveTo. fpT / fpGamma record
-	// the structural parameters the family actually ran with (after
-	// defaulting), so a saved artifact identifies the build exactly.
+	// determinism fingerprint. fp records the structural parameters the
+	// family actually ran with (after defaulting), so a saved artifact
+	// identifies the build exactly; t is the one epoch-length default of
+	// the families that have one.
+	t := cfg.t
+	if t <= 0 {
+		t = spanner.DefaultT(cfg.k)
+	}
+	fp := artifact.Fingerprint{Algorithm: string(algo), Seed: cfg.seed, K: cfg.k, Workers: cfg.workers}
 	var out *BuildResult
 	var engineResult *spanner.Result
-	fpT, fpGamma := 0, 0.0
 	switch algo {
 	case AlgoGeneral:
-		t := cfg.t
-		if t <= 0 {
-			t = spanner.DefaultT(cfg.k)
-		}
-		fpT = t
+		fp.T = t
 		engineResult, err = spanner.GeneralCtx(ctx, g, cfg.k, t, engineOpts)
 	case AlgoClusterMerge:
 		engineResult, err = spanner.ClusterMergeCtx(ctx, g, cfg.k, engineOpts)
@@ -367,7 +351,7 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 	case AlgoBaswanaSen:
 		engineResult, err = spanner.BaswanaSenCtx(ctx, g, cfg.k, engineOpts)
 	case AlgoUnweighted:
-		fpGamma = cfg.gamma
+		fp.Gamma = cfg.gamma
 		r, err := spanner.UnweightedCtx(ctx, g, cfg.k, spanner.UnweightedOptions{
 			Seed: cfg.seed, Gamma: cfg.gamma, Workers: cfg.workers,
 			Progress: traceProgress(cfg.tracer, cfg.progress),
@@ -377,13 +361,9 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 		}
 		out = &BuildResult{Algorithm: algo, EdgeIDs: r.EdgeIDs, Unweighted: &r.Stats, g: g}
 	case AlgoMPC:
-		t := cfg.t
-		if t <= 0 {
-			t = spanner.DefaultT(cfg.k)
-		}
-		fpT, fpGamma = t, gamma
+		fp.T, fp.Gamma = t, cfg.gamma
 		r, err := mpc.BuildSpannerCtx(ctx, g, cfg.k, t, cfg.seed, mpc.Options{
-			Gamma: gamma, Workers: cfg.workers,
+			Gamma: cfg.gamma, Workers: cfg.workers,
 			Progress:     traceProgress(cfg.tracer, cfg.progress),
 			Metrics:      cfg.metrics,
 			MemoryBudget: cfg.memBudget,
@@ -393,11 +373,7 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 		}
 		out = &BuildResult{Algorithm: algo, EdgeIDs: r.EdgeIDs, MPC: r, g: g}
 	case AlgoCongestedClique:
-		t := cfg.t
-		if t <= 0 {
-			t = spanner.DefaultT(cfg.k)
-		}
-		fpT = t
+		fp.T = t
 		r, err := cclique.BuildSpannerCtx(ctx, g, cfg.k, t, engineOpts)
 		if err != nil {
 			return nil, err
@@ -413,14 +389,6 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 		}
 		out = &BuildResult{Algorithm: algo, EdgeIDs: engineResult.EdgeIDs, Stats: engineResult.Stats, g: g}
 	}
-	out.fp = artifact.Fingerprint{
-		Algorithm: string(algo), Seed: cfg.seed, K: cfg.k, T: fpT,
-		Gamma: fpGamma, Workers: cfg.workers,
-	}
-	if cfg.saveTo != "" {
-		if err := out.Save(cfg.saveTo); err != nil {
-			return nil, err
-		}
-	}
+	out.fp = fp
 	return out, nil
 }

@@ -47,7 +47,9 @@
 // and the spill traffic of a budgeted build) are functions of the code and
 // the seed alone, so they compare exactly on any hardware: any change fails
 // the gate, as does a counter the baseline row has and the fresh row lost.
-// A change that moves one on purpose re-blesses the baseline.
+// A change that moves one on purpose re-blesses the baseline. Conversion
+// holds them to the same rule across -count samples: two samples of one
+// row that disagree on a counter fail the conversion, naming both values.
 package main
 
 import (
@@ -68,7 +70,9 @@ import (
 // fields). Extra carries every custom-unit column a benchmark reported via
 // testing.B.ReportMetric (edges/s, peak_rss_bytes, mpc-rounds, …), keyed by
 // unit; across -count samples a "/s" unit keeps its maximum (throughput:
-// higher is better) and everything else its minimum.
+// higher is better), an exactUnits counter must read the same in every
+// sample (conversion fails otherwise), and everything else keeps its
+// minimum.
 type Entry struct {
 	NsPerOp     float64            `json:"ns_per_op"`
 	Samples     int                `json:"samples"`
@@ -177,14 +181,17 @@ func main() {
 func parse(f *os.File) Profile {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	prof := parseLines(sc)
+	prof, err := parseLines(sc)
+	if err != nil {
+		fatalf("benchjson: %v", err)
+	}
 	if err := sc.Err(); err != nil {
 		fatalf("benchjson: reading stdin: %v", err)
 	}
 	return prof
 }
 
-func parseLines(sc *bufio.Scanner) Profile {
+func parseLines(sc *bufio.Scanner) (Profile, error) {
 	prof := Profile{Benchmarks: map[string]Entry{}}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -231,6 +238,10 @@ func parseLines(sc *bufio.Scanner) Profile {
 				e.Extra = map[string]float64{}
 			}
 			old, seen := e.Extra[unit]
+			if seen && exactUnits[unit] && v != old {
+				return prof, fmt.Errorf("%s: deterministic counter %s differs between samples: %s vs %s",
+					name, unit, fmtUnit(unit, old), fmtUnit(unit, v))
+			}
 			throughput := strings.HasSuffix(unit, "/s")
 			if !seen || (throughput && v > old) || (!throughput && v < old) {
 				e.Extra[unit] = v
@@ -239,7 +250,7 @@ func parseLines(sc *bufio.Scanner) Profile {
 		e.Samples++
 		prof.Benchmarks[name] = e
 	}
-	return prof
+	return prof, nil
 }
 
 func load(path string) Profile {

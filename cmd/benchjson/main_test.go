@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,8 +21,11 @@ PASS
 
 func parseString(t *testing.T, s string) Profile {
 	t.Helper()
-	sc := bufio.NewScanner(strings.NewReader(s))
-	return parseLines(sc)
+	prof, err := parseLines(bufio.NewScanner(strings.NewReader(s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof
 }
 
 func TestParseRecordsMemColumnsAndMinimum(t *testing.T) {
@@ -84,6 +88,28 @@ BenchmarkPlain-8                              5     1000000 ns/op   10 B/op   1 
 	rounds := parseString(t, sampleBench).Benchmarks["BenchmarkMPCBuild/n=20k/k=16/t=4/workers=1"]
 	if rounds.Extra["mpc-rounds"] != 147 {
 		t.Errorf("mpc-rounds = %v, want 147", rounds.Extra["mpc-rounds"])
+	}
+}
+
+// TestParseRejectsDisagreeingCounters pins that a deterministic counter
+// may not differ between -count samples of one row: conversion fails,
+// naming the row, the unit and both values, instead of keeping the minimum.
+func TestParseRejectsDisagreeingCounters(t *testing.T) {
+	row := "BenchmarkMPCBuildSpill/n=1M/k=8/t=3/budget=quarter-8   1   9000000000 ns/op   %s spilled_bytes   96 run_files\n"
+	equal := fmt.Sprintf(row, "917624512") + fmt.Sprintf(row, "917624512")
+	e := parseString(t, equal).Benchmarks["BenchmarkMPCBuildSpill/n=1M/k=8/t=3/budget=quarter"]
+	if e.Samples != 2 || e.Extra["spilled_bytes"] != 917624512 {
+		t.Fatalf("equal samples folded to %+v, want one entry with samples: 2", e)
+	}
+	differ := fmt.Sprintf(row, "917624512") + fmt.Sprintf(row, "917624999")
+	_, err := parseLines(bufio.NewScanner(strings.NewReader(differ)))
+	if err == nil {
+		t.Fatal("two samples disagreeing on spilled_bytes converted without an error")
+	}
+	for _, want := range []string{"BenchmarkMPCBuildSpill/n=1M/k=8/t=3/budget=quarter", "spilled_bytes", "917624512", "917624999"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

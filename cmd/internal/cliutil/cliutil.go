@@ -1,14 +1,19 @@
 // Package cliutil holds the flag-level helpers the cmd/* drivers share, so
-// the generator vocabulary stays identical across CLIs.
+// the generator vocabulary stays identical across CLIs, and the one session
+// opener the serving CLIs share, so they serve through the same Serve call.
 package cliutil
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"time"
 
+	"mpcspanner"
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
@@ -162,6 +167,80 @@ func (c *ArtifactConfig) Validate() error {
 		}
 	})
 	return conflict
+}
+
+// ServeConfig holds the session flags cmd/oracle and `oracled serve` share
+// (-exact, -t, -rows, -workers, -memory) after parsing. Register them with
+// ServeFlags next to GraphFlags and ArtifactFlags, check them with
+// Validate, and open the session with Open.
+type ServeConfig struct {
+	Exact   bool
+	T       int
+	Rows    int
+	Workers int
+	mem     *MemoryConfig
+	budget  int64
+	fs      *flag.FlagSet
+}
+
+// ServeFlags registers the session flags on fs and returns the config the
+// parsed values land in.
+func ServeFlags(fs *flag.FlagSet) *ServeConfig {
+	c := &ServeConfig{mem: MemoryFlag(fs), fs: fs}
+	fs.BoolVar(&c.Exact, "exact", false, "serve exact distances on the input graph (skip the spanner build)")
+	fs.IntVar(&c.T, "t", 0, "epoch length of the spanner build (0 = Corollary 1.4's default; rejected where nothing is built)")
+	fs.IntVar(&c.Rows, "rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
+	fs.IntVar(&c.Workers, "workers", 0, "worker pool size of the spanner build and of each query batch (0 = GOMAXPROCS)")
+	return c
+}
+
+// Validate resolves -memory, which conflicts with -exact and -load (no
+// build runs there). Call after fs.Parse, before any expensive work.
+func (c *ServeConfig) Validate() (err error) {
+	c.budget, err = c.mem.Budget([]string{"exact", "load"}, "")
+	return err
+}
+
+// Open opens the session the flags select, with one Serve call per mode:
+// WithArtifact when art is non-nil (-load), WithExact under -exact, and
+// otherwise Serve's own Corollary 1.4 pipeline over g, built with seed at
+// k = ⌈log₂ n⌉. Every mode gets -rows, -workers and reg. -t is passed
+// whenever it was set, so a mode that builds nothing rejects it with a
+// typed *OptionError. A pipeline session reports its build on w.
+func (c *ServeConfig) Open(ctx context.Context, g *mpcspanner.Graph, art *mpcspanner.Artifact,
+	seed uint64, reg *mpcspanner.Metrics, w io.Writer) (*mpcspanner.Session, error) {
+	opts := []mpcspanner.Option{
+		mpcspanner.WithCacheRows(c.Rows), mpcspanner.WithWorkers(c.Workers),
+		mpcspanner.WithMetrics(reg),
+	}
+	c.fs.Visit(func(f *flag.Flag) {
+		if f.Name == "t" {
+			opts = append(opts, mpcspanner.WithT(c.T))
+		}
+	})
+	switch {
+	case art != nil:
+		return mpcspanner.Serve(ctx, nil, append(opts, mpcspanner.WithArtifact(art))...)
+	case c.Exact:
+		return mpcspanner.Serve(ctx, g, append(opts, mpcspanner.WithExact())...)
+	}
+	opts = append(opts, mpcspanner.WithSeed(seed))
+	if c.budget > 0 {
+		opts = append(opts, mpcspanner.WithMemoryBudget(c.budget))
+	}
+	start := time.Now()
+	s, err := mpcspanner.Serve(ctx, g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	a := s.APSP()
+	fmt.Fprintf(w, "spanner: k=%d %d/%d edges, stretch <= %.2f, %d simulated rounds, built in %v\n",
+		a.K, a.SpannerSize, g.M(), a.Bound, a.BuildRounds, time.Since(start).Round(time.Millisecond))
+	if a.MemoryBudget > 0 {
+		fmt.Fprintf(w, "extmem: budget=%d spilled=%d runs=%d mergePasses=%d\n",
+			a.MemoryBudget, a.SpilledBytes, a.SpillRuns, a.MergePasses)
+	}
+	return s, nil
 }
 
 // MemoryConfig holds the shared -memory flag after parsing: the byte budget

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpcspanner"
 	"mpcspanner/internal/core"
 	"mpcspanner/internal/graph"
 )
@@ -425,6 +427,80 @@ func TestMemoryFlagBudget(t *testing.T) {
 		var oe *core.OptionError
 		if !errors.As(err, &oe) || oe.Field != "-memory" {
 			t.Fatalf("want *core.OptionError on -memory, got %v", err)
+		}
+	}
+}
+
+// TestServeConfigOpen pins the shared opener's three modes — Serve's own
+// Corollary 1.4 pipeline, -exact, and -load — and that -t reaches Serve
+// wherever it was set, so the modes that build nothing reject it with a
+// typed error instead of dropping it.
+func TestServeConfigOpen(t *testing.T) {
+	ctx := context.Background()
+	g, err := MakeGraph("", "grid", 100, 4, 10, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "s.art")
+	res, err := mpcspanner.Build(ctx, g,
+		mpcspanner.WithAlgorithm(mpcspanner.AlgoMPC), mpcspanner.WithK(3), mpcspanner.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	art, err := mpcspanner.Open(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Close()
+
+	open := func(art *mpcspanner.Artifact, args ...string) (*mpcspanner.Session, string, error) {
+		t.Helper()
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		ArtifactFlags(fs)
+		sc := ServeFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var w strings.Builder
+		s, err := sc.Open(ctx, g, art, 3, nil, &w)
+		return s, w.String(), err
+	}
+
+	s, report, err := open(nil, "-memory", "64KiB")
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	if fp := s.Fingerprint(); fp.Algorithm != "mpc" || fp.Seed != 3 || s.APSP() == nil {
+		t.Fatalf("pipeline session fingerprint %v", fp)
+	}
+	if !strings.Contains(report, "spanner: k=") || !strings.Contains(report, "extmem: budget=65536 ") {
+		t.Fatalf("pipeline report %q lacks its spanner: and extmem: lines", report)
+	}
+	if s, _, err = open(nil, "-t", "2"); err != nil || s.Fingerprint().T != 2 {
+		t.Fatalf("pipeline -t 2: %v, %v", s, err)
+	}
+	s, report, err = open(nil, "-exact")
+	if err != nil || s.Fingerprint().Algorithm != "exact" || s.APSP() != nil || s.Served() != g || report != "" {
+		t.Fatalf("exact: %v, report %q", err, report)
+	}
+	if s, _, err = open(art); err != nil || s.Artifact() != art || s.Fingerprint() != art.Fingerprint() {
+		t.Fatalf("load: %v", err)
+	}
+
+	for _, tc := range []struct {
+		art  *mpcspanner.Artifact
+		args []string
+	}{{nil, []string{"-exact", "-t", "3"}}, {art, []string{"-t", "3"}}} {
+		_, _, err := open(tc.art, tc.args...)
+		var oe *core.OptionError
+		if !errors.As(err, &oe) || oe.Field != "mpcspanner: T" {
+			t.Fatalf("%v (load=%v): want an OptionError on T, got %v", tc.args, tc.art != nil, err)
 		}
 	}
 }

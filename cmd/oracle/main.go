@@ -1,7 +1,8 @@
 // Command oracle is the serving-layer driver: it loads or generates a graph,
-// builds the Corollary 1.4 spanner (unless -exact), wraps it in a cached
-// distance-serving Session, and answers (source, target) queries from a
-// pairs file, stdin, or a synthetic Zipf workload.
+// opens a cached distance-serving Session over it — Serve's Corollary 1.4
+// pipeline by default, exact distances under -exact, a saved artifact under
+// -load — and answers (source, target) queries from a pairs file, stdin, or
+// a synthetic Zipf workload.
 //
 //	go run ./cmd/oracle -gen gnp -n 20000 -deg 10 -synth 50000 -quiet
 //	go run ./cmd/oracle -in graph.txt -pairs queries.txt
@@ -35,30 +36,23 @@ import (
 	"mpcspanner/cmd/internal/cliutil"
 	"mpcspanner/internal/artifact"
 	"mpcspanner/internal/oracle"
-	"mpcspanner/internal/spanner"
 )
 
 func main() {
 	gc := cliutil.GraphFlags(flag.CommandLine)
 	ac := cliutil.ArtifactFlags(flag.CommandLine)
-	k := flag.Int("k", 0, "spanner stretch parameter (0 = Corollary 1.4's ⌈log₂ n⌉)")
-	t := flag.Int("t", 0, "epoch length (0 = default)")
-	exact := flag.Bool("exact", false, "serve exact distances on the input graph (skip the spanner)")
+	sc := cliutil.ServeFlags(flag.CommandLine)
 	pairs := flag.String("pairs", "-", "pairs file, '-' = stdin (ignored with -synth)")
 	synth := flag.Int("synth", 0, "generate this many Zipf-source queries instead of reading pairs")
 	zipf := flag.Float64("zipf", 1.2, "Zipf exponent of the -synth source distribution")
-	rows := flag.Int("rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
-	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 1024, "serve queries in batches of this size (stats then show cross-batch cache hits); <= 0 = one batch")
 	quiet := flag.Bool("quiet", false, "suppress per-query output, print stats only")
-	mem := cliutil.MemoryFlag(flag.CommandLine)
 	met := cliutil.MetricsFlag()
 	flag.Parse()
 	if err := ac.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	budget, err := mem.Budget([]string{"exact", "load"}, "")
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -73,6 +67,7 @@ func main() {
 	// from the file, so the generator path is skipped entirely.
 	var art *mpcspanner.Artifact
 	var g *mpcspanner.Graph
+	var err error
 	if ac.Load != "" {
 		art, err = mpcspanner.Open(ctx, ac.Load)
 		if err != nil {
@@ -86,7 +81,7 @@ func main() {
 		// Bridge disconnected inputs so every served distance is finite —
 		// except in -exact mode, where the input graph must be served
 		// untouched and cross-component queries correctly answer +Inf.
-		g, err = gc.Make(!*exact)
+		g, err = gc.Make(!sc.Exact)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -109,58 +104,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	serve := g
-	if !*exact && art == nil {
-		kk := *k
-		if kk <= 0 {
-			kk, _ = spanner.APSPParams(g.N()) // Corollary 1.4's k = ⌈log₂ n⌉
-		}
-		tt := *t
-		if tt <= 0 {
-			tt = spanner.DefaultT(kk)
-		}
-		start := time.Now()
-		// Build on the simulated MPC plane — bit-identical to the local
-		// engine for equal seeds, and the plane the mpc_* round/load series
-		// of the -metrics dump describe.
-		buildOpts := []mpcspanner.Option{
-			mpcspanner.WithAlgorithm(mpcspanner.AlgoMPC),
-			mpcspanner.WithK(kk), mpcspanner.WithT(tt), mpcspanner.WithSeed(gc.Seed),
-			mpcspanner.WithMetrics(reg),
-		}
-		if budget > 0 {
-			buildOpts = append(buildOpts, mpcspanner.WithMemoryBudget(budget))
-		}
-		res, err := mpcspanner.Build(ctx, g, buildOpts...)
-		if err != nil {
-			if errors.Is(err, mpcspanner.ErrCanceled) {
-				fmt.Fprintln(os.Stderr, "canceled during the spanner build; no queries served")
-			}
-			log.Fatal(err)
-		}
-		serve = res.Spanner()
-		fmt.Fprintf(os.Stderr, "spanner: k=%d %d/%d edges, stretch <= %.2f, %d simulated rounds, built in %v\n",
-			kk, serve.M(), g.M(), mpcspanner.StretchBound(kk, tt), res.MPC.Rounds,
-			time.Since(start).Round(time.Millisecond))
-		if res.MPC.MemoryBudget > 0 {
-			fmt.Fprintf(os.Stderr, "extmem: budget=%d spilled=%d runs=%d mergePasses=%d\n",
-				res.MPC.MemoryBudget, res.MPC.SpilledBytes, res.MPC.SpillRuns, res.MPC.MergePasses)
-		}
-	}
-
-	cacheOpts := []mpcspanner.Option{
-		mpcspanner.WithCacheRows(*rows), mpcspanner.WithWorkers(*workers),
-		mpcspanner.WithMetrics(reg),
-	}
-	var s *mpcspanner.Session
-	if art != nil {
-		s, err = mpcspanner.Serve(ctx, nil,
-			append(cacheOpts, mpcspanner.WithArtifact(art))...)
-	} else {
-		s, err = mpcspanner.Serve(ctx, serve,
-			append(cacheOpts, mpcspanner.WithExact())...)
-	}
+	s, err := sc.Open(ctx, g, art, gc.Seed, reg, os.Stderr)
 	if err != nil {
+		if errors.Is(err, mpcspanner.ErrCanceled) {
+			fmt.Fprintln(os.Stderr, "canceled during the spanner build; no queries served")
+		}
 		log.Fatal(err)
 	}
 	sssp := s.SSSP()

@@ -1,9 +1,9 @@
 // Command oracled is the networked distance-serving daemon: the paper's §7
 // build-once/query-many pipeline behind a wire. It has two subcommands:
 //
-//	oracled serve  — build (or load) a graph, build the Corollary 1.4
-//	                 spanner unless -exact, wrap it in a serving Session,
-//	                 and answer batched POST /v1/query requests with
+//	oracled serve  — generate (or load) a graph, open a serving Session
+//	                 over it (Serve's Corollary 1.4 pipeline unless -exact
+//	                 or -load), and answer batched POST /v1/query requests with
 //	                 admission control, /metrics, /healthz and /debug/pprof.
 //	                 SIGTERM/SIGINT drains gracefully: in-flight requests
 //	                 finish, new ones are rejected, then the process exits 0.
@@ -42,7 +42,6 @@ import (
 	"mpcspanner/internal/artifact"
 	"mpcspanner/internal/oracle"
 	"mpcspanner/internal/server"
-	"mpcspanner/internal/spanner"
 )
 
 func main() {
@@ -107,27 +106,21 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("oracled serve", flag.ExitOnError)
 	gc := cliutil.GraphFlags(fs)
 	ac := cliutil.ArtifactFlags(fs)
+	sc := cliutil.ServeFlags(fs)
 	addr := fs.String("addr", ":8080", "listen address")
-	exact := fs.Bool("exact", false, "serve exact distances on the input graph (skip the spanner build)")
-	k := fs.Int("k", 0, "spanner stretch parameter (0 = Corollary 1.4's ⌈log₂ n⌉)")
-	t := fs.Int("t", 0, "epoch length (0 = default)")
-	rows := fs.Int("rows", 0, "cache budget in resident rows (0 = default: 1024, at most 64 MiB of rows)")
-	workers := fs.Int("workers", 0, "per-batch worker pool size (0 = GOMAXPROCS)")
 	inflight := fs.Int("inflight", 0, "max concurrent batches inside the oracle (0 = cache row budget / 4)")
 	queueWait := fs.Duration("queue-wait", 100*time.Millisecond, "longest a request may queue for an in-flight slot before 429")
 	maxPairs := fs.Int("max-pairs", 0, "max pairs per request batch (0 = 65536)")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "ceiling on client-requested timeout_ms")
 	drain := fs.Duration("drain", 15*time.Second, "grace period for in-flight requests on SIGTERM")
-	mem := cliutil.MemoryFlag(fs)
 	fs.Parse(args)
 	if err := ac.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	budget, err := mem.Budget([]string{"exact", "load"}, "")
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if ac.Save != "" && *exact {
+	if ac.Save != "" && sc.Exact {
 		log.Fatal(&mpcspanner.OptionError{Field: "-save", Value: ac.Save,
 			Reason: "nothing is built to save with -exact (use 'oracled convert' for graph-only artifacts)"})
 	}
@@ -140,31 +133,38 @@ func runServe(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cacheOpts := []mpcspanner.Option{
-		mpcspanner.WithCacheRows(*rows), mpcspanner.WithWorkers(*workers),
-		mpcspanner.WithMetrics(reg),
-	}
-	var session *mpcspanner.Session
-	var serveGraph *mpcspanner.Graph
-	var artInfo *server.ArtifactInfo
-	var memInfo *server.MemoryInfo
+	var art *mpcspanner.Artifact
+	var g *mpcspanner.Graph
+	var err error
+	start := time.Now()
 	if ac.Load != "" {
 		// Cold start from a saved artifact: no generation, no build — the
 		// graph (mmapped where possible) and any frozen rows come straight
 		// from the file, and /v1/info advertises exactly which build this
 		// replica answers from.
-		start := time.Now()
-		art, err := mpcspanner.Open(ctx, ac.Load)
-		if err != nil {
+		if art, err = mpcspanner.Open(ctx, ac.Load); err != nil {
 			log.Fatal(err)
 		}
 		defer art.Close()
-		session, err = mpcspanner.Serve(ctx, nil,
-			append(cacheOpts, mpcspanner.WithArtifact(art))...)
-		if err != nil {
+		g = art.Graph()
+	} else {
+		// Bridge disconnected inputs so every served distance is finite —
+		// except in -exact mode, where the graph must be served untouched
+		// and cross-component queries correctly answer null (+Inf).
+		if g, err = gc.Make(!sc.Exact); err != nil {
 			log.Fatal(err)
 		}
-		serveGraph = session.Served()
+		fmt.Fprintf(os.Stderr, "graph: n=%d m=%d\n", g.N(), g.M())
+	}
+	session, err := sc.Open(ctx, g, art, gc.Seed, reg, os.Stderr)
+	if err != nil {
+		if errors.Is(err, mpcspanner.ErrCanceled) {
+			log.Fatal("canceled during the spanner build; not serving")
+		}
+		log.Fatal(err)
+	}
+	var artInfo *server.ArtifactInfo
+	if art != nil {
 		fp := art.Fingerprint()
 		artInfo = &server.ArtifactInfo{
 			Algorithm: fp.Algorithm, Seed: fp.Seed, K: fp.K, T: fp.T,
@@ -175,76 +175,29 @@ func runServe(args []string) {
 		fmt.Fprintf(os.Stderr, "artifact: %s checksum=%s mapped=%v rows=%d fingerprint=%s loaded in %v\n",
 			ac.Load, art.Checksum(), art.Mapped(), artInfo.Rows, fp,
 			time.Since(start).Round(time.Millisecond))
-		fmt.Fprintf(os.Stderr, "graph: n=%d m=%d\n", serveGraph.N(), serveGraph.M())
-	} else {
-		// Bridge disconnected inputs so every served distance is finite —
-		// except in -exact mode, where the graph must be served untouched
-		// and cross-component queries correctly answer null (+Inf).
-		g, err := gc.Make(!*exact)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Fprintf(os.Stderr, "graph: n=%d m=%d\n", g.N(), g.M())
-
-		serveGraph = g
-		if !*exact {
-			kk := *k
-			if kk <= 0 {
-				kk, _ = spanner.APSPParams(g.N()) // Corollary 1.4's k = ⌈log₂ n⌉
-			}
-			tt := *t
-			if tt <= 0 {
-				tt = spanner.DefaultT(kk)
-			}
-			buildOpts := []mpcspanner.Option{
-				mpcspanner.WithAlgorithm(mpcspanner.AlgoMPC),
-				mpcspanner.WithK(kk), mpcspanner.WithT(tt), mpcspanner.WithSeed(gc.Seed),
-				mpcspanner.WithMetrics(reg),
-			}
-			if ac.Save != "" {
-				buildOpts = append(buildOpts, mpcspanner.WithSaveTo(ac.Save))
-			}
-			if budget > 0 {
-				buildOpts = append(buildOpts, mpcspanner.WithMemoryBudget(budget))
-			}
-			start := time.Now()
-			res, err := mpcspanner.Build(ctx, g, buildOpts...)
-			if err != nil {
-				if errors.Is(err, mpcspanner.ErrCanceled) {
-					log.Fatal("canceled during the spanner build; not serving")
-				}
-				log.Fatal(err)
-			}
-			serveGraph = res.Spanner()
-			fmt.Fprintf(os.Stderr, "spanner: k=%d %d/%d edges, stretch <= %.2f, %d simulated rounds, built in %v\n",
-				kk, serveGraph.M(), g.M(), mpcspanner.StretchBound(kk, tt), res.MPC.Rounds,
-				time.Since(start).Round(time.Millisecond))
-			if m := res.MPC; m.MemoryBudget > 0 {
-				memInfo = &server.MemoryInfo{
-					BudgetBytes: m.MemoryBudget, SpilledBytes: m.SpilledBytes,
-					RunFiles: m.SpillRuns, MergePasses: m.MergePasses,
-				}
-				fmt.Fprintf(os.Stderr, "extmem: budget=%d spilled=%d runs=%d mergePasses=%d\n",
-					m.MemoryBudget, m.SpilledBytes, m.SpillRuns, m.MergePasses)
-			}
-			if ac.Save != "" {
-				// Reopen what WithSaveTo wrote so the printed checksum is the
-				// loader's view of the file — the line the CI smoke job greps
-				// and asserts against a -load replica's /v1/info.
-				a, err := mpcspanner.Open(ctx, ac.Save)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "artifact: saved to %s checksum=%s fingerprint=%s\n",
-					ac.Save, a.Checksum(), a.Fingerprint())
-				a.Close()
-			}
+	}
+	if ac.Save != "" {
+		// Save the fresh session — the build and no rows — and reopen it so
+		// the printed checksum is the loader's view of the file: the line
+		// the CI smoke job greps and asserts against a -load replica's
+		// /v1/info.
+		if err := session.Save(ac.Save); err != nil {
+			log.Fatal(err)
 		}
-
-		session, err = mpcspanner.Serve(ctx, serveGraph,
-			append(cacheOpts, mpcspanner.WithExact())...)
+		a, err := mpcspanner.Open(ctx, ac.Save)
 		if err != nil {
 			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "artifact: saved to %s checksum=%s fingerprint=%s\n",
+			ac.Save, a.Checksum(), a.Fingerprint())
+		a.Close()
+	}
+	var memInfo *server.MemoryInfo
+	if a := session.APSP(); a != nil && a.MemoryBudget > 0 {
+		memInfo = &server.MemoryInfo{
+			BudgetBytes: a.MemoryBudget, SpilledBytes: a.SpilledBytes,
+			RunFiles: a.SpillRuns, MergePasses: a.MergePasses,
 		}
 	}
 
@@ -263,7 +216,7 @@ func runServe(args []string) {
 	sssp := session.SSSP()
 	srv := server.New(server.Config{
 		Backend:     session,
-		Graph:       serveGraph,
+		Graph:       session.Served(),
 		Metrics:     reg,
 		MaxInflight: ceil,
 		QueueWait:   *queueWait,

@@ -69,9 +69,6 @@ func main() {
 		mpcspanner.WithSeed(gc.Seed),
 		mpcspanner.WithMetrics(met.Registry()),
 	}
-	if ac.Save != "" {
-		opts = append(opts, mpcspanner.WithSaveTo(ac.Save))
-	}
 	if *t > 0 {
 		opts = append(opts, mpcspanner.WithT(*t))
 	}
@@ -138,6 +135,9 @@ func main() {
 	}
 	report(g, res.EdgeIDs, bound, *verify, gc.Seed, *out)
 	if ac.Save != "" {
+		if err := res.Save(ac.Save); err != nil {
+			log.Fatal(err)
+		}
 		a, err := mpcspanner.Open(ctx, ac.Save)
 		if err != nil {
 			log.Fatal(err)

@@ -24,11 +24,11 @@ var (
 	// errors.Is(err, ErrCanceled) and errors.Is(err, ctx.Err()) hold.
 	ErrCanceled = core.ErrCanceled
 
-	// ErrArtifact matches every artifact-format failure from Open, Save,
-	// and WithSaveTo: a missing or truncated file, a checksum mismatch, a
-	// foreign magic number, a format version from the future. When the
-	// failure wraps an I/O error the chain unwraps to it, so
-	// errors.Is(err, fs.ErrNotExist) still identifies a missing path.
+	// ErrArtifact matches every artifact-format failure from Open,
+	// BuildResult.Save and Session.Save: a missing or truncated file, a
+	// checksum mismatch, a foreign magic number, a format version from the
+	// future. When the failure wraps an I/O error the chain unwraps to it,
+	// so errors.Is(err, fs.ErrNotExist) still identifies a missing path.
 	ErrArtifact = core.ErrArtifact
 )
 

@@ -118,7 +118,8 @@ type section struct {
 // meta section and surfaced by serving daemons (/v1/info), so a fleet can
 // verify every replica answers from the same build.
 type Fingerprint struct {
-	// Algorithm is the construction family ("mpc", "general", …), "exact"
+	// Algorithm is the construction family ("mpc", "general", …; Serve's
+	// Corollary 1.4 pipeline records "mpc", the build it runs), "exact"
 	// for a session serving a graph as given, or "graph" for a bare
 	// converted graph with no build attached.
 	Algorithm string `json:"algorithm"`

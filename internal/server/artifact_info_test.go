@@ -41,11 +41,13 @@ func TestInfoArtifactIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spanner.art")
 	res, err := mpcspanner.Build(ctx, g,
 		mpcspanner.WithAlgorithm(mpcspanner.AlgoMPC), mpcspanner.WithK(4),
-		mpcspanner.WithSeed(11), mpcspanner.WithSaveTo(path))
+		mpcspanner.WithSeed(11))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	_ = res
+	if err := res.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
 	a, err := mpcspanner.Open(ctx, path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

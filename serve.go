@@ -17,14 +17,14 @@ import (
 // leaking goroutines.
 type Session struct {
 	input  *Graph
-	served *Graph
 	oracle *oracle.Oracle
 	apsp   *APSPResult // nil when serving WithExact or WithArtifact
 
-	// Persistence identity: fp is what Session.Fingerprint reports and
-	// Session.Save records; art and frozen are set only for sessions
-	// loaded with WithArtifact.
-	fp     artifact.Fingerprint
+	// saved is what Save writes before it adds the warm rows: the served
+	// graph and its one provenance value (fingerprint, spanner edge ids,
+	// source shape), set once by each Serve mode. art and frozen are set
+	// only for sessions loaded with WithArtifact.
+	saved  artifact.Payload
 	art    *Artifact
 	frozen *artifact.Rows
 }
@@ -33,11 +33,16 @@ type Session struct {
 //
 // By default it runs the full Corollary 1.4 pipeline — a near-linear spanner
 // with k = ⌈log₂ n⌉ built on the simulated MPC cluster (honoring WithT,
-// WithGamma, WithSeed, WithWorkers, WithProgress), collected onto one
-// machine and wrapped in the cached oracle — so queries answer with the
-// certified O(log^{1+o(1)} n) approximation. With WithExact the pipeline is
-// skipped and distances are served on g as given; use that for exact
-// serving, or to serve a spanner built separately with Build:
+// WithGamma, WithSeed, WithWorkers, WithProgress, WithMemoryBudget),
+// collected onto one machine and wrapped in the cached oracle — so queries
+// answer with the certified O(log^{1+o(1)} n) approximation. The session
+// records that build exactly as Build(WithAlgorithm(AlgoMPC)) at
+// k = ⌈log₂ n⌉ does (fingerprint "mpc", edge ids, source shape), so a fresh
+// session's Save writes the file the BuildResult's Save writes.
+// With WithExact the pipeline is skipped and distances are served on g as
+// given; use that for exact serving, or to serve a spanner built separately
+// with Build (the session then records it as an "exact" input; serve the
+// BuildResult's saved artifact WithArtifact to keep the build's identity):
 //
 //	res, _ := mpcspanner.Build(ctx, g, mpcspanner.WithK(8))
 //	s, _ := mpcspanner.Serve(ctx, res.Spanner(), mpcspanner.WithExact())
@@ -85,11 +90,14 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	cfg.hookPoolMetrics()
-	s := &Session{input: g, served: g,
-		fp: artifact.Fingerprint{Algorithm: "exact", Workers: cfg.workers}}
+	s := &Session{input: g, saved: artifact.Payload{Graph: g, SourceN: g.N(), SourceM: g.M(),
+		Fingerprint: artifact.Fingerprint{Algorithm: "exact", Workers: cfg.workers}}}
 	switch {
 	case cfg.art != nil:
-		s.fp, s.art, s.frozen = cfg.art.Fingerprint(), cfg.art, artifact.RowsOf(cfg.art)
+		// The artifact's own record, so save→load→save keeps it.
+		s.saved.EdgeIDs, s.saved.Fingerprint = cfg.art.EdgeIDs(), cfg.art.Fingerprint()
+		s.saved.SourceN, s.saved.SourceM = cfg.art.SourceShape()
+		s.art, s.frozen = cfg.art, artifact.RowsOf(cfg.art)
 	case !cfg.exact:
 		res, err := apsp.ApproxCtx(ctx, g, apsp.Options{
 			Seed: cfg.seed, T: cfg.t, Gamma: cfg.gamma,
@@ -100,8 +108,8 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 			return nil, err
 		}
 		s.apsp = res
-		s.served = res.Spanner()
-		s.fp = artifact.Fingerprint{Algorithm: "apsp-mpc", Seed: cfg.seed,
+		s.saved.Graph, s.saved.EdgeIDs = res.Spanner(), res.SpannerEdgeIDs
+		s.saved.Fingerprint = artifact.Fingerprint{Algorithm: string(AlgoMPC), Seed: cfg.seed,
 			K: res.K, T: res.T, Gamma: cfg.gamma, Workers: cfg.workers}
 	}
 	// One oracle for every mode, fronted by the artifact's frozen rows when
@@ -112,7 +120,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 	if s.frozen != nil {
 		oopts.Frozen = s.frozen
 	}
-	s.oracle = oracle.New(s.served, oopts)
+	s.oracle = oracle.New(s.saved.Graph, oopts)
 	return s, nil
 }
 
@@ -168,7 +176,7 @@ func (s *Session) SSSP() SSSPInfo {
 
 // Served returns the graph queries are answered on: the collected spanner,
 // or the input graph under WithExact.
-func (s *Session) Served() *Graph { return s.served }
+func (s *Session) Served() *Graph { return s.saved.Graph }
 
 // Input returns the graph Serve was called with.
 func (s *Session) Input() *Graph { return s.input }
