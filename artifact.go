@@ -20,9 +20,11 @@ import (
 type Artifact = artifact.Artifact
 
 // Fingerprint is the determinism identity of the computation behind an
-// artifact: algorithm family, seed, structural parameters, and worker
-// count. Under the library's seed contract, equal fingerprints on equal
-// inputs mean bit-identical results at every worker count.
+// artifact: algorithm family, seed and structural parameters. Under the
+// library's seed contract, equal fingerprints on equal inputs mean
+// bit-identical results at every worker count, so the pool size is not part
+// of the identity: Build and Serve record Workers as 0, and one build saves
+// one checksum whatever WithWorkers says.
 type Fingerprint = artifact.Fingerprint
 
 // Open loads and verifies the artifact at path: header, section table, and

@@ -31,11 +31,14 @@ func artifactTestPairs(n int) []Pair {
 // TestSaveOpenBitIdentity is the determinism acceptance test: build, save,
 // reload, and the restored session must answer every query bit-identical to
 // a session served directly from the in-process result — at every worker
-// count (1, 3, and the GOMAXPROCS default).
+// count (1, 3, and the GOMAXPROCS default). The saved identity does not
+// depend on the pool size either: every file records Workers 0, and a Build
+// or a Serve session saves one checksum at every worker count.
 func TestSaveOpenBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	g := artifactTestGraph()
 	pairs := artifactTestPairs(g.N())
+	checksums := map[string][]string{}
 	for _, workers := range []int{1, 3, 0} {
 		res, err := Build(ctx, g,
 			WithAlgorithm(AlgoMPC), WithK(6), WithSeed(42), WithWorkers(workers))
@@ -77,9 +80,10 @@ func TestSaveOpenBitIdentity(t *testing.T) {
 
 		// Provenance survives the round trip.
 		fp := loaded.Fingerprint()
-		if fp.Algorithm != string(AlgoMPC) || fp.Seed != 42 || fp.K != 6 || fp.Workers != workers {
+		if fp.Algorithm != string(AlgoMPC) || fp.Seed != 42 || fp.K != 6 || fp.Workers != 0 {
 			t.Fatalf("workers=%d: restored fingerprint %+v", workers, fp)
 		}
+		checksums["Build"] = append(checksums["Build"], a.Checksum())
 		if loaded.Artifact() != a {
 			t.Fatalf("workers=%d: Session.Artifact does not return the served artifact", workers)
 		}
@@ -91,6 +95,32 @@ func TestSaveOpenBitIdentity(t *testing.T) {
 			t.Fatalf("workers=%d: source shape (%d,%d), want (%d,%d)", workers, sn, sm, g.N(), g.M())
 		}
 		a.Close()
+
+		s, err := Serve(ctx, g, WithSeed(42), WithWorkers(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: Serve: %v", workers, err)
+		}
+		spath := filepath.Join(t.TempDir(), "session.art")
+		if err := s.Save(spath); err != nil {
+			t.Fatalf("workers=%d: Session.Save: %v", workers, err)
+		}
+		sa, err := Open(ctx, spath)
+		if err != nil {
+			t.Fatalf("workers=%d: Open session artifact: %v", workers, err)
+		}
+		if fp := sa.Fingerprint(); fp.Algorithm != string(AlgoMPC) || fp.Workers != 0 {
+			t.Fatalf("workers=%d: session fingerprint %+v", workers, fp)
+		}
+		checksums["Serve"] = append(checksums["Serve"], sa.Checksum())
+		sa.Close()
+	}
+	for path, sums := range checksums {
+		for i := range sums {
+			if sums[i] != sums[0] {
+				t.Errorf("%s: checksums %v differ across workers 1, 3 and 0", path, sums)
+				break
+			}
+		}
 	}
 }
 

@@ -86,7 +86,8 @@ func WithSeed(seed uint64) Option {
 
 // WithWorkers sizes the real goroutine pool: 0 selects GOMAXPROCS (the
 // default), 1 forces the serial path, larger values pin the pool. Negative
-// values are rejected. Results never depend on the worker count.
+// values are rejected. Results never depend on the worker count, and
+// neither does a saved artifact: its fingerprint records Workers as 0.
 func WithWorkers(w int) Option {
 	return func(c *config) { c.workers = w; c.mark("Workers") }
 }
@@ -332,12 +333,13 @@ func Build(ctx context.Context, g *Graph, opts ...Option) (*BuildResult, error) 
 	// determinism fingerprint. fp records the structural parameters the
 	// family actually ran with (after defaulting), so a saved artifact
 	// identifies the build exactly; t is the one epoch-length default of
-	// the families that have one.
+	// the families that have one. It leaves out the pool size, which no
+	// result depends on, so one build saves one checksum at any -workers.
 	t := cfg.t
 	if t <= 0 {
 		t = spanner.DefaultT(cfg.k)
 	}
-	fp := artifact.Fingerprint{Algorithm: string(algo), Seed: cfg.seed, K: cfg.k, Workers: cfg.workers}
+	fp := artifact.Fingerprint{Algorithm: string(algo), Seed: cfg.seed, K: cfg.k}
 	var out *BuildResult
 	var engineResult *spanner.Result
 	switch algo {

@@ -38,6 +38,16 @@
 // version-1 files; the version field, not kind-skipping, is the evolution
 // mechanism — see DESIGN.md §11 for the version policy).
 //
+// # Writing
+//
+// One streaming writer produces every container. Write (a graph, its
+// provenance and its rows, all in memory) and Convert (a text edge list
+// that is never materialized) fill its sections through a buffered record
+// stream; the writer owns the layout, the padding, the checksums, the
+// header, the table and the atomic rename. Neither caller holds an encoded
+// copy of a section, and a converted edge list is byte for byte the file
+// Write gives its parsed graph.
+//
 // # Integrity and errors
 //
 // Open verifies the header CRC, the table CRC, and every section CRC before
@@ -131,8 +141,11 @@ type Fingerprint struct {
 	T int `json:"t"`
 	// Gamma is the simulated machines' memory exponent (zero when unused).
 	Gamma float64 `json:"gamma,omitempty"`
-	// Workers records the pool size the build ran with — informational
-	// only, since results are worker-count independent.
+	// Workers is 0 in every file this version writes. Results do not
+	// depend on the pool size, so the checksummed identity must not
+	// either: one build saved at any worker count gives one file. The
+	// field is kept so older files, which recorded the pool size, still
+	// decode and report it.
 	Workers int `json:"workers"`
 }
 

@@ -151,6 +151,11 @@ var edgeListAccepted = []edgeListCase{
 	{"dimacs", "c tiny\np sp 4 3\na 1 2 1.5\nc mid\na 2 3 2\na 3 4 0.25\n", ""},
 	{"c comment before native header", "c note\nn 2 1\ne 0 1 2\n", ""},
 	{"edgeless", "n 3 0\n", ""},
+	// Even n with no edges ends the file on an empty arcs section, which
+	// must still lie inside the file.
+	{"empty graph", "n 0 0\n", ""},
+	{"edgeless even", "n 2 0\n", ""},
+	{"dimacs edgeless", "p sp 2 0\n", ""},
 }
 
 var edgeListRejected = []edgeListCase{
@@ -242,10 +247,11 @@ func FuzzEdgeList(f *testing.F) {
 }
 
 // loadBoth loads the edge list at src with graph.ReadFrom and with Convert
-// and fails t unless they agree. Either both accept, Open gives ReadFrom's
-// graph, and its total weight is finite; or both reject with the same
-// *core.ArtifactError, which loadBoth returns, and Convert leaves no file at
-// dst.
+// and fails t unless they agree. Either both accept, Convert's file holds
+// the bytes Write gives ReadFrom's graph, Open gives that graph back, and
+// its total weight is finite; or both reject with the same
+// *core.ArtifactError, which loadBoth returns, and Convert leaves its
+// destination directory empty, with no staged file either.
 func loadBoth(t *testing.T, src string) error {
 	t.Helper()
 	f, err := os.Open(src)
@@ -254,17 +260,29 @@ func loadBoth(t *testing.T, src string) error {
 	}
 	want, readErr := graph.ReadFrom(src, f)
 	f.Close()
-	dst := filepath.Join(t.TempDir(), "g.art")
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "g.art")
 	_, convErr := Convert(src, dst)
 	if readErr != nil || convErr != nil {
 		var ra, ca *core.ArtifactError
 		if !errors.As(readErr, &ra) || !errors.As(convErr, &ca) || readErr.Error() != convErr.Error() {
 			t.Fatalf("loaders disagree: ReadFrom: %v; Convert: %v", readErr, convErr)
 		}
-		if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("failed Convert left a file at dst: %v", err)
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("failed Convert left files behind: %v %v", ents, err)
 		}
 		return readErr
+	}
+	wrote := filepath.Join(t.TempDir(), "w.art")
+	if err := Write(wrote, Payload{Graph: want, Fingerprint: Fingerprint{Algorithm: "graph"}}); err != nil {
+		t.Fatalf("Write of the parsed graph: %v", err)
+	}
+	cb, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wb, err := os.ReadFile(wrote); err != nil || !bytes.Equal(cb, wb) {
+		t.Fatalf("Convert wrote %d bytes that differ from Write's %d (%v)", len(cb), len(wb), err)
 	}
 	a, err := Open(dst, OpenOptions{})
 	if err != nil {

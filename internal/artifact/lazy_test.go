@@ -8,10 +8,9 @@ import (
 	"mpcspanner/internal/graph"
 )
 
-// lazyRowsArtifact writes an artifact whose frozen-row payload dominates the
-// file: rows×n float64s ≫ graph sections.
-func lazyRowsArtifact(t *testing.T, n, nrows int) (string, [][]float64) {
-	t.Helper()
+// rowsPayload is a payload whose frozen rows dominate the file: rows×n
+// float64s ≫ graph sections.
+func rowsPayload(n, nrows int) Payload {
 	g := graph.Connectify(graph.GNP(n, 4/float64(n), graph.UniformWeight(1, 50), 7), 50)
 	srcs := make([]int, nrows)
 	rows := make([][]float64, nrows)
@@ -23,11 +22,53 @@ func lazyRowsArtifact(t *testing.T, n, nrows int) (string, [][]float64) {
 		}
 		rows[i] = row
 	}
+	return Payload{Graph: g, RowSources: srcs, Rows: rows}
+}
+
+// lazyRowsArtifact writes rowsPayload(n, nrows) and returns its path and rows.
+func lazyRowsArtifact(t *testing.T, n, nrows int) (string, [][]float64) {
+	t.Helper()
+	p := rowsPayload(n, nrows)
 	path := filepath.Join(t.TempDir(), "lazy.bin")
-	if err := Write(path, Payload{Graph: g, RowSources: srcs, Rows: rows}); err != nil {
+	if err := Write(path, p); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	return path, rows
+	return path, p.Rows
+}
+
+// TestWriteStreamsRows pins that Write streams its sections into the file
+// instead of assembling an encoded copy in memory. The payload is 16 MiB of
+// rows; a writer that held the encoded rows (or the whole file) would
+// allocate at least that much, while the stream needs only its buffers.
+func TestWriteStreamsRows(t *testing.T) {
+	const n, nrows = 8192, 256
+	p := rowsPayload(n, nrows)
+	path := filepath.Join(t.TempDir(), "rows.art")
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := Write(path, p); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<20); alloc > limit {
+		t.Fatalf("Write allocated %d bytes for a %d-byte row payload (limit %d); it buffers instead of streaming",
+			alloc, nrows*n*8, limit)
+	}
+
+	a, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer a.Close()
+	r := RowsOf(a)
+	for i, src := range p.RowSources {
+		got, ok := r.FrozenRow(src)
+		if !ok || len(got) != n || got[0] != p.Rows[i][0] || got[n-1] != p.Rows[i][n-1] {
+			t.Fatalf("row %d did not round-trip", src)
+		}
+	}
 }
 
 // TestHeapOpenDecodesRowsLazily pins the ROADMAP item-2 fix: a ForceHeap

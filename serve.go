@@ -91,7 +91,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 	}
 	cfg.hookPoolMetrics()
 	s := &Session{input: g, saved: artifact.Payload{Graph: g, SourceN: g.N(), SourceM: g.M(),
-		Fingerprint: artifact.Fingerprint{Algorithm: "exact", Workers: cfg.workers}}}
+		Fingerprint: artifact.Fingerprint{Algorithm: "exact"}}}
 	switch {
 	case cfg.art != nil:
 		// The artifact's own record, so save→load→save keeps it.
@@ -110,7 +110,7 @@ func Serve(ctx context.Context, g *Graph, opts ...Option) (*Session, error) {
 		s.apsp = res
 		s.saved.Graph, s.saved.EdgeIDs = res.Spanner(), res.SpannerEdgeIDs
 		s.saved.Fingerprint = artifact.Fingerprint{Algorithm: string(AlgoMPC), Seed: cfg.seed,
-			K: res.K, T: res.T, Gamma: cfg.gamma, Workers: cfg.workers}
+			K: res.K, T: res.T, Gamma: cfg.gamma}
 	}
 	// One oracle for every mode, fronted by the artifact's frozen rows when
 	// it has any.
