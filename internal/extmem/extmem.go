@@ -7,7 +7,7 @@
 // allocate nothing; past it, contents live in CRC-32C-checksummed run files
 // (run.go) and the streaming forms of each operation take over — chunked
 // stable key sorts plus k-way external merges for SortKey, frame-at-a-time
-// rewrites for Update/Filter, carry-buffered batching for segment walks.
+// rewrites for Filter, carry-buffered batching for segment walks.
 //
 // The determinism contract every layer above relies on: a stable sort has
 // exactly one output permutation, so sorting chunks stably (with the same
@@ -296,7 +296,7 @@ func (s *Store[T]) flushMem() error {
 }
 
 // Scan calls fn once per record, in order. Mutations through the pointer
-// are not persisted on the spilled path; use Update for that.
+// are not persisted on the spilled path; use Filter for that.
 func (s *Store[T]) Scan(fn func(*T)) error {
 	if len(s.runs) == 0 {
 		for i := range s.mem {
@@ -313,18 +313,12 @@ func (s *Store[T]) Scan(fn func(*T)) error {
 	})
 }
 
-// Update applies fn to every record in place, in parallel within frames.
-// fn must be safe to call concurrently and depend only on its record. It is
-// a Filter that keeps every record, so a failed pass leaves the contents
-// as they were.
-func (s *Store[T]) Update(fn func(*T)) error {
-	return s.Filter(func(t *T) bool { fn(t); return true })
-}
-
 // Filter keeps exactly the records keep reports true for, preserving
-// order. keep may rewrite the record it is handed: a kept record keeps the
-// rewrite, so one Filter can also do an Update's work. keep must depend
-// only on its record and be safe to call concurrently.
+// order. keep may rewrite the record it is handed, and a kept record keeps
+// the rewrite, so Filter is also the store's rewrite pass. keep must
+// depend only on its record and be safe to call concurrently. A spilled
+// pass commits its new runs before it removes the old ones, so a failed
+// pass leaves the contents as they were.
 func (s *Store[T]) Filter(keep func(*T) bool) error {
 	if len(s.runs) == 0 {
 		s.mem = s.filterBatch(s.mem, keep)

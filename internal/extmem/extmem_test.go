@@ -243,7 +243,10 @@ func TestMergeStaysInBudget(t *testing.T) {
 	checkRunDir(t, s)
 }
 
-func TestUpdateFilterMatchResident(t *testing.T) {
+// TestFilterRewritesMatchResident pins Filter's two uses, spilled against
+// resident: a rewrite that keeps every record, then a filter that drops
+// some.
+func TestFilterRewritesMatchResident(t *testing.T) {
 	data := genRecs(6000, 3)
 	for _, spill := range []bool{false, true} {
 		var s *Store[rec]
@@ -253,8 +256,8 @@ func TestUpdateFilterMatchResident(t *testing.T) {
 			s = residentStoreT(t, 0)
 		}
 		loadStore(t, s, data)
-		if err := s.Update(func(r *rec) { r.V *= 2 }); err != nil {
-			t.Fatalf("Update: %v", err)
+		if err := s.Filter(func(r *rec) bool { r.V *= 2; return true }); err != nil {
+			t.Fatalf("rewriting Filter: %v", err)
 		}
 		if err := s.Filter(func(r *rec) bool { return r.K%3 != 0 }); err != nil {
 			t.Fatalf("Filter: %v", err)
@@ -433,7 +436,7 @@ func TestCorruptRunFailsCleanly(t *testing.T) {
 		run  func(s *Store[rec]) error
 	}{
 		{"Scan", func(s *Store[rec]) error { return s.Scan(func(*rec) {}) }},
-		{"Update", func(s *Store[rec]) error { return s.Update(func(r *rec) { r.V++ }) }},
+		{"FilterRewrite", func(s *Store[rec]) error { return s.Filter(func(r *rec) bool { r.V++; return true }) }},
 		{"Filter", func(s *Store[rec]) error { return s.Filter(func(r *rec) bool { return r.K%2 == 0 }) }},
 		{"Segments", func(s *Store[rec]) error { return s.Segments(same, func(int, []rec) {}) }},
 		{"FilterSegments", func(s *Store[rec]) error {

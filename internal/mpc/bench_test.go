@@ -15,8 +15,9 @@ import (
 // BenchmarkSimSortByKey is the keyed-shuffle steady state the acceptance
 // criteria pin: one radix sort of the resident tuples per op on a sized
 // arena, so allocs/op must report ~0. The keys alternate between the
-// driver's (Src, CDst) grouping key and a (Dst, CSrc) key held here, so
-// every iteration really permutes.
+// driver's (Src, cluster[Dst]) grouping key, with every vertex its own
+// cluster as at the load, and a (Dst, Src) key held here, so every
+// iteration really permutes.
 func BenchmarkSimSortByKey(b *testing.B) {
 	g := graph.GNP(20_000, 12/20_000.0, graph.UniformWeight(1, 100), 7)
 	sim, err := NewSim(g.N(), 2*g.M(), 0.5)
@@ -27,16 +28,20 @@ func BenchmarkSimSortByKey(b *testing.B) {
 	for id, e := range g.Edges() {
 		u, v := int32(e.U), int32(e.V)
 		tuples = append(tuples,
-			Tuple{Src: u, Dst: v, CSrc: u, CDst: v, W: e.W, Orig: int32(id)},
-			Tuple{Src: v, Dst: u, CSrc: v, CDst: u, W: e.W, Orig: int32(id)},
+			Tuple{Src: u, Dst: v, W: e.W, Orig: int32(id)},
+			Tuple{Src: v, Dst: u, W: e.W, Orig: int32(id)},
 		)
 	}
 	if err := sim.Load(tuples); err != nil {
 		b.Fatal(err)
 	}
-	enc := newKeyEncoding(g.N())
+	cluster := make([]int32, g.N())
+	for i := range cluster {
+		cluster[i] = int32(i)
+	}
+	enc := newKeyEncoding(g.N(), cluster)
 	vb := uint(bits.Len(uint(g.N() - 1)))
-	mirror := func(t *Tuple) uint64 { return uint64(t.Dst)<<vb | uint64(t.CSrc) }
+	mirror := func(t *Tuple) uint64 { return uint64(t.Dst)<<vb | uint64(t.Src) }
 	if err := sim.SortByKey(enc.group); err != nil { // size the arena
 		b.Fatal(err)
 	}

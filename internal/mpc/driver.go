@@ -26,16 +26,17 @@ const none = int32(-1)
 // group take its (W, Orig)-least tuple by scanning it, and nothing else
 // depends on the order inside a group.
 type keyEncoding struct {
-	group func(*Tuple) uint64 // (Src, CDst) — the B2 grouping sort
+	group func(*Tuple) uint64 // (Src, cluster[Dst]) — the B2 grouping sort
 	pair  func(*Tuple) uint64 // (min, max) — the dedup sort
 }
 
-// newKeyEncoding builds the encoding for labels in [0, n). The closures are
-// built once so hot loops don't re-bind them.
-func newKeyEncoding(n int) *keyEncoding {
+// newKeyEncoding builds the encoding for labels in [0, n), reading cluster
+// labels from cluster, whose entries the caller keeps current. The closures
+// are built once so hot loops don't re-bind them.
+func newKeyEncoding(n int, cluster []int32) *keyEncoding {
 	vb := uint(bits.Len(uint(max(n, 1) - 1)))
 	return &keyEncoding{
-		group: func(t *Tuple) uint64 { return uint64(t.Src)<<vb | uint64(t.CDst) },
+		group: func(t *Tuple) uint64 { return uint64(t.Src)<<vb | uint64(cluster[t.Dst]) },
 		pair: func(t *Tuple) uint64 {
 			return uint64(min(t.Src, t.Dst))<<vb | uint64(max(t.Src, t.Dst))
 		},
@@ -117,14 +118,16 @@ type Result struct {
 
 // BuildSpannerCtx executes the general algorithm (Section 5) on the
 // simulated MPC cluster with memory exponent opt.Gamma, following Section
-// 6's implementation: edges live as directed tuple pairs carrying cluster
-// labels; every iteration is one grouping sort + segmented minima/decisions
-// + mirror-side label routing; every epoch ends with a contraction realized
-// as a relabel + dedup sort. The routing's (Dst, CSrc) sort is charged to
-// the round bill but not performed: the host delivers its labels through
-// label- and edge-indexed arrays, so each grow iteration permutes the
-// tuples once. Each simulated machine's local pass runs as a real goroutine
-// of a pool of opt.Workers, without touching the model-level accounting.
+// 6's implementation: edges live as directed tuple pairs whose cluster
+// labels the host keeps once, in a label-indexed array; every iteration is
+// one grouping sort + segmented minima/decisions + mirror-side label
+// routing; every epoch ends with a contraction realized as a relabel +
+// dedup sort, the relabel folded into the epoch's last grow pass. The
+// routing's (Dst, cluster[Src]) sort is charged to the round bill but not
+// performed: the host delivers its labels through label- and edge-indexed
+// arrays, so each grow iteration permutes the tuples once. Each simulated
+// machine's local pass runs as a real goroutine of a pool of opt.Workers,
+// without touching the model-level accounting.
 //
 // The run is driven by the same spanner.Schedule and the same
 // xrand.CoinAt(p, seed, spanner.CoinDomainPhase1, epoch, iter, center) coins
@@ -159,14 +162,14 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 	sim.SetMetrics(opt.Metrics)
 	iterSeconds := opt.Metrics.Histogram("mpc_iteration_seconds", obs.LatencyBuckets)
 
-	// Input: two directed copies of every edge; supernode and cluster
-	// labels start as the vertex itself. Streamed through the store so a
+	// Input: two directed copies of every edge, labeled by their endpoints,
+	// each its own supernode and cluster. Streamed through the store so a
 	// budgeted build never materializes the 2m-tuple slice.
 	err = sim.LoadFrom(2*g.M(), func(emit func(Tuple)) {
 		for id, e := range g.Edges() {
 			u, v := int32(e.U), int32(e.V)
-			emit(Tuple{Src: u, Dst: v, CSrc: u, CDst: v, W: e.W, Orig: int32(id)})
-			emit(Tuple{Src: v, Dst: u, CSrc: v, CDst: u, W: e.W, Orig: int32(id)})
+			emit(Tuple{Src: u, Dst: v, W: e.W, Orig: int32(id)})
+			emit(Tuple{Src: v, Dst: u, W: e.W, Orig: int32(id)})
 		}
 	})
 	if err != nil {
@@ -175,7 +178,7 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 
 	res := &Result{Machines: sim.Machines(), MemoryPerMachine: sim.MemoryPerMachine(), Workers: sim.Workers()}
 	ds := newDriverScratch(g.N(), g.M(), sim.Workers())
-	enc := newKeyEncoding(g.N())
+	enc := newKeyEncoding(g.N(), ds.cluster)
 	n := float64(g.N())
 
 	// Iteration reports the driver's global grow-iteration count so the
@@ -201,7 +204,7 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 		if iterSeconds != nil {
 			iterStart = time.Now()
 		}
-		if err := iterateDistributed(sim, p, uint64(spec.Epoch), uint64(spec.Iter), seed, ds, enc); err != nil {
+		if err := iterateDistributed(sim, p, uint64(spec.Epoch), uint64(spec.Iter), seed, spec.LastOfEpoch, ds, enc); err != nil {
 			return nil, err
 		}
 		if iterSeconds != nil {
@@ -209,8 +212,9 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 		}
 		res.Iterations++
 		emit("mpc-grow", spec.Epoch, len(schedule))
+		// Step C: the last grow pass relabeled, so the dedup sort remains.
 		if spec.LastOfEpoch && sim.Len() > 0 {
-			if err := contractDistributed(sim, enc); err != nil {
+			if err := dedupPairs(sim, enc); err != nil {
 				return nil, err
 			}
 			res.Epochs++
@@ -260,11 +264,11 @@ func BuildSpannerCtx(ctx context.Context, g *graph.Graph, k, t int, seed uint64,
 // parts concatenate in shard order (= segment order).
 type decisionPart struct {
 	adds  []int32 // spanner additions (edge ids)
-	kills []int32 // edge ids of every tuple in a discarded (Src, CDst) group
+	kills []int32 // edge ids of every tuple in a discarded (Src, cluster[Dst]) group
 }
 
-// groupMin is one (Src, CDst) group's minimum-weight representative and the
-// group's index range [lo, hi) in its Src segment.
+// groupMin is one (Src, cluster[Dst]) group's minimum-weight representative
+// and the group's index range [lo, hi) in its Src segment.
 type groupMin struct {
 	c      int32
 	w      float64
@@ -274,11 +278,12 @@ type groupMin struct {
 
 // driverScratch is the per-build state the iteration loop reuses across
 // rounds: the spanner-membership bitmap, the discarded-edge mark, the
-// label-indexed cluster plan and the per-shard decision buffers.
+// label-indexed cluster labels and plan, and the per-shard decision buffers.
 type driverScratch struct {
 	inSpanner []bool // edge id -> chosen (ascending scan = sorted EdgeIDs)
 	spanCount int
 	killed    []bool  // edge id -> discarded by some B3/B4 decision
+	cluster   []int32 // supernode label -> current cluster label: the host's one copy
 	next      []int32 // supernode label -> post-B5 cluster label, or none
 
 	parts   []decisionPart
@@ -291,6 +296,7 @@ func newDriverScratch(n, m, workers int) *driverScratch {
 	return &driverScratch{
 		inSpanner: make([]bool, m),
 		killed:    make([]bool, m),
+		cluster:   make([]int32, n),
 		next:      make([]int32, n),
 		parts:     make([]decisionPart, workers),
 		groups:    make([][]groupMin, workers),
@@ -306,15 +312,27 @@ func (ds *driverScratch) addSpanner(orig int32) {
 	}
 }
 
-// iterateDistributed is one grow iteration (Steps B1–B6) in tuple form.
-func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *driverScratch, enc *keyEncoding) error {
+// iterateDistributed is one grow iteration (Steps B1–B6) in tuple form;
+// with contract set, its rewrite pass also does Step C's relabel.
+func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, contract bool, ds *driverScratch, enc *keyEncoding) error {
+	// Each supernode's cluster, which B2's key reads: its own in an epoch's
+	// first iteration, the previous iteration's plan after that.
+	cluster, next := ds.cluster, ds.next
+	if iter == 1 {
+		for i := range cluster {
+			cluster[i] = int32(i)
+		}
+	} else {
+		copy(cluster, next)
+	}
+
 	// B1 — sampling. The coin for a cluster is a pure function of its
 	// center label, so every machine evaluates it locally: no rounds.
 	coins := xrand.NewCoins(p, seed, spanner.CoinDomainPhase1, epoch, iter)
 	sampled := func(label int32) bool { return coins.At(uint64(label)) }
 
-	// B2 — group edges of processed supernodes: sort by (Src, CDst) so each
-	// (v, c) group is contiguous. One radix shuffle on the label pair.
+	// B2 — group edges of processed supernodes: sort by (Src, cluster[Dst])
+	// so each (v, c) group is contiguous, in one radix shuffle.
 	if err := sim.SortByKey(enc.group); err != nil {
 		return err
 	}
@@ -333,7 +351,6 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		parts[i].adds = parts[i].adds[:0]
 		parts[i].kills = parts[i].kills[:0]
 	}
-	next := ds.next
 	for i := range next {
 		next[i] = none
 	}
@@ -352,23 +369,24 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 		// Every tuple must carry live labels, sampled segment or not — the
 		// same invariant the serial scan enforced.
 		for gi := range seg {
-			if seg[gi].CSrc == none || seg[gi].CDst == none {
+			if cluster[seg[gi].Src] == none || cluster[seg[gi].Dst] == none {
 				badFlag[shard] = true
 				badTup[shard] = seg[gi]
 				return
 			}
 		}
 		cur := seg[0].Src
-		if sampled(seg[0].CSrc) {
-			next[cur] = seg[0].CSrc // supernodes inside sampled clusters stay
+		if c := cluster[cur]; sampled(c) {
+			next[cur] = c // supernodes inside sampled clusters stay
 			return
 		}
-		// Group minima: the (W, Orig)-least tuple of each (Src, CDst) run,
-		// found by the pass that reads the run.
+		// Group minima: the (W, Orig)-least tuple of each (Src,
+		// cluster[Dst]) run, found by the pass that reads the run.
 		groups := groupsByShard[shard][:0]
 		for gi := range seg {
 			t := &seg[gi]
-			if n := len(groups); n > 0 && groups[n-1].c == t.CDst {
+			c := cluster[t.Dst]
+			if n := len(groups); n > 0 && groups[n-1].c == c {
 				gm := &groups[n-1]
 				gm.hi++
 				if t.W < gm.w || t.W == gm.w && t.Orig < gm.orig {
@@ -376,7 +394,7 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 				}
 				continue
 			}
-			groups = append(groups, groupMin{c: t.CDst, w: t.W, orig: t.Orig, lo: gi, hi: gi + 1})
+			groups = append(groups, groupMin{c: c, w: t.W, orig: t.Orig, lo: gi, hi: gi + 1})
 		}
 		groupsByShard[shard] = groups
 		// Closest sampled neighbor cluster by (weight, center label).
@@ -420,7 +438,8 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	}
 	for i, bad := range badFlag {
 		if bad {
-			return fmt.Errorf("mpc: tuple with dead label survived: %+v", badTup[i])
+			t := badTup[i]
+			return fmt.Errorf("mpc: tuple with dead label survived: %+v (clusters %d, %d)", t, cluster[t.Src], cluster[t.Dst])
 		}
 	}
 	killed := ds.killed
@@ -436,7 +455,7 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 
 	// Removal + join application. The Src side rides the current sort
 	// order (one broadcast tree); the mirror side needs a resort by
-	// (Dst, CSrc), which puts every mirror copy of a discarded (v, c)
+	// (Dst, cluster[Src]), which puts every mirror copy of a discarded (v, c)
 	// group in one run, plus its own broadcast tree. The host delivers
 	// that routing through next and killed, so the sort is charged, not
 	// performed: no pass reads the order it would leave.
@@ -448,21 +467,25 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 
 	// Removal, the B5 relabel and B6 run as one local pass: a discarded
 	// group's mirror copies carry the same edge ids, so both copies drop by
-	// id; survivors adopt their endpoints' planned clusters (sampled
+	// id; survivors' endpoints adopt their planned clusters (sampled
 	// clusters persist, joiners adopt their target, everything else dies
 	// and can't appear on a live tuple); then intra-cluster edges vanish
-	// and dead labels must not survive.
+	// and dead labels must not survive. An epoch's last pass also does
+	// Step C's relabel: the planned clusters become the supernode labels.
 	var lostCluster atomic.Int64
 	err := sim.Filter(func(t *Tuple) bool {
 		if killed[t.Orig] {
 			return false
 		}
-		t.CSrc, t.CDst = next[t.Src], next[t.Dst]
-		if t.CSrc == none || t.CDst == none {
+		cs, cd := next[t.Src], next[t.Dst]
+		if cs == none || cd == none {
 			lostCluster.Add(1)
 			return false
 		}
-		return t.CSrc != t.CDst
+		if contract {
+			t.Src, t.Dst = cs, cd
+		}
+		return cs != cd
 	})
 	if err != nil {
 		return err
@@ -472,19 +495,6 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 			lostCluster.Load(), epoch, iter)
 	}
 	return nil
-}
-
-// contractDistributed is Step C: supernode labels become the cluster labels
-// (local relabel), then one dedup sort keeps the minimum-weight
-// representative per supernode pair.
-func contractDistributed(sim *Sim, enc *keyEncoding) error {
-	err := sim.Update(func(t *Tuple) {
-		t.Src, t.Dst = t.CSrc, t.CDst
-	})
-	if err != nil {
-		return err
-	}
-	return dedupPairs(sim, enc)
 }
 
 // dedupPairs sorts by unordered pair and keeps only the two directed copies

@@ -26,20 +26,22 @@ type mpcGolden struct {
 // change to what the plane selects, sorts, charges or spills fails here
 // at both worker counts and both memory modes. The spill columns were
 // re-recorded when the mirror routing sort became a charge (Sim.ChargeSort)
-// instead of a permutation; every other column kept its value.
+// instead of a permutation, and again when the host tuple dropped its
+// cluster labels (a 20-byte record) and Step C's relabel moved into the
+// epoch's last grow pass; every other column kept its value.
 var goldenMPCBuilds = map[string]mpcGolden{
-	"gnp-weighted/k=4/t=1":  {0x2cab1b2ee3932f4, 57, 2, 2, 7, 11, 18380, 20, 4890, 1096928, 31, 4},
-	"gnp-weighted/k=8/t=3":  {0xf4d9ab04362dbe9, 93, 4, 2, 11, 19, 31212, 20, 4890, 1853600, 52, 8},
-	"gnp-weighted/k=16/t=4": {0xfce8e154c987bf5, 147, 7, 2, 17, 31, 50224, 20, 4890, 2858520, 76, 12},
-	"grid-unit/k=4/t=1":     {0xd4461412b996e316, 57, 2, 2, 7, 11, 4278, 20, 1520, 142296, 6, 1},
-	"grid-unit/k=8/t=3":     {0x216af22ce77bbf9e, 79, 4, 1, 9, 17, 6610, 20, 1520, 156352, 6, 1},
-	"grid-unit/k=16/t=4":    {0x9a46b6eb4e560af, 147, 7, 2, 17, 31, 10714, 20, 1520, 262528, 11, 2},
-	"pa/k=4/t=1":            {0x69c3bc2fc00d65bd, 57, 2, 2, 7, 11, 7746, 20, 2388, 286552, 9, 2},
-	"pa/k=8/t=3":            {0x3f28bad82732ae03, 93, 4, 2, 11, 19, 12054, 20, 2388, 512568, 19, 4},
-	"pa/k=16/t=4":           {0x7c18fdf2b3e2d82b, 147, 7, 2, 17, 31, 19162, 20, 2388, 925736, 34, 7},
-	"gnm-ties/k=4/t=1":      {0x38e60a2b2df35986, 82, 2, 2, 7, 11, 14376, 13, 4000, 1071560, 32, 5},
-	"gnm-ties/k=8/t=3":      {0xbe8931acf5833ea5, 114, 4, 1, 9, 17, 25662, 13, 4000, 1602888, 45, 8},
-	"gnm-ties/k=16/t=4":     {0x30fedd16e1c8b27, 192, 7, 1, 15, 29, 34814, 13, 4000, 2075304, 56, 10},
+	"gnp-weighted/k=4/t=1":  {0x2cab1b2ee3932f4, 57, 2, 2, 7, 11, 18380, 20, 4890, 725720, 28, 4},
+	"gnp-weighted/k=8/t=3":  {0xf4d9ab04362dbe9, 93, 4, 2, 11, 19, 31212, 20, 4890, 1265680, 49, 8},
+	"gnp-weighted/k=16/t=4": {0xfce8e154c987bf5, 147, 7, 2, 17, 31, 50224, 20, 4890, 1970720, 72, 12},
+	"grid-unit/k=4/t=1":     {0xd4461412b996e316, 57, 2, 2, 7, 11, 4278, 20, 1520, 101640, 6, 1},
+	"grid-unit/k=8/t=3":     {0x216af22ce77bbf9e, 79, 4, 1, 9, 17, 6610, 20, 1520, 111680, 6, 1},
+	"grid-unit/k=16/t=4":    {0x9a46b6eb4e560af, 147, 7, 2, 17, 31, 10714, 20, 1520, 187520, 11, 2},
+	"pa/k=4/t=1":            {0x69c3bc2fc00d65bd, 57, 2, 2, 7, 11, 7746, 20, 2388, 204680, 9, 2},
+	"pa/k=8/t=3":            {0x3f28bad82732ae03, 93, 4, 2, 11, 19, 12054, 20, 2388, 366120, 19, 4},
+	"pa/k=16/t=4":           {0x7c18fdf2b3e2d82b, 147, 7, 2, 17, 31, 19162, 20, 2388, 637240, 32, 7},
+	"gnm-ties/k=4/t=1":      {0x38e60a2b2df35986, 82, 2, 2, 7, 11, 14376, 13, 4000, 692320, 28, 5},
+	"gnm-ties/k=8/t=3":      {0xbe8931acf5833ea5, 114, 4, 1, 9, 17, 25662, 13, 4000, 1094960, 42, 8},
+	"gnm-ties/k=16/t=4":     {0x30fedd16e1c8b27, 192, 7, 1, 15, 29, 34814, 13, 4000, 1427280, 53, 10},
 }
 
 // TestMPCBuildGolden pins the MPC plane's spanner and absolute round bill on

@@ -23,8 +23,6 @@ func randomTuples(rng *xrand.Source, count, n, m int, infWeights bool) []Tuple {
 		ts[i] = Tuple{
 			Src:  int32(rng.Intn(n)),
 			Dst:  int32(rng.Intn(n)),
-			CSrc: int32(rng.Intn(n)),
-			CDst: int32(rng.Intn(n)),
 			W:    w,
 			Orig: int32(rng.Intn(m)),
 		}
@@ -56,31 +54,33 @@ func snapshot(t *testing.T, s *Sim) []Tuple {
 	return out
 }
 
-// checkKeyEncodings asserts that SortByKey with each of newKeyEncoding(n)'s
-// keys leaves base in exactly the order sort.SliceStable gives under the
-// label-pair comparator the key encodes — ties and all — and charges one
-// sort, at several worker counts.
-func checkKeyEncodings(t *testing.T, n int, base []Tuple) {
+// checkKeyEncodings asserts that SortByKey with each of
+// newKeyEncoding(n, cluster)'s keys leaves its tuples in exactly the order
+// sort.SliceStable gives under the label-pair comparator the key encodes —
+// ties and all — and charges one sort, at several worker counts. The group
+// key sorts the tuples in groups, the pair key those in pairs.
+func checkKeyEncodings(t *testing.T, n int, cluster []int32, groups, pairs []Tuple) {
 	t.Helper()
-	enc := newKeyEncoding(n)
+	enc := newKeyEncoding(n, cluster)
 	orders := []struct {
 		name string
 		key  func(*Tuple) uint64
 		pair func(*Tuple) (int32, int32)
+		base []Tuple
 	}{
-		{"group", enc.group, func(t *Tuple) (int32, int32) { return t.Src, t.CDst }},
-		{"pairs", enc.pair, func(t *Tuple) (int32, int32) { return min(t.Src, t.Dst), max(t.Src, t.Dst) }},
+		{"group", enc.group, func(t *Tuple) (int32, int32) { return t.Src, cluster[t.Dst] }, groups},
+		{"pairs", enc.pair, func(t *Tuple) (int32, int32) { return min(t.Src, t.Dst), max(t.Src, t.Dst) }, pairs},
 	}
 	for _, o := range orders {
 		t.Run(o.name, func(t *testing.T) {
-			want := append([]Tuple(nil), base...)
+			want := append([]Tuple(nil), o.base...)
 			sort.SliceStable(want, func(i, j int) bool {
 				ai, aj := o.pair(&want[i])
 				bi, bj := o.pair(&want[j])
 				return ai < bi || ai == bi && aj < bj
 			})
 			for _, w := range []int{1, 2, 4} {
-				got := loadSim(t, base, w)
+				got := loadSim(t, o.base, w)
 				if err := got.SortByKey(o.key); err != nil {
 					t.Fatal(err)
 				}
@@ -101,16 +101,25 @@ func checkKeyEncodings(t *testing.T, n int, base []Tuple) {
 
 // TestKeyEncodingsMatchComparators is the property test of the driver's
 // two sort keys on a small label space with heavy ties: each orders
-// exactly like its label-pair comparator.
+// exactly like its label-pair comparator, the group key reading cluster
+// labels from a random cluster array.
 func TestKeyEncodingsMatchComparators(t *testing.T) {
 	const n, m, count = 37, 211, 4000
-	checkKeyEncodings(t, n, randomTuples(xrand.Split(17, 0x6b657973), count, n, m, true))
+	rng := xrand.Split(17, 0x6b657973)
+	ts := randomTuples(rng, count, n, m, true)
+	cluster := make([]int32, n)
+	for i := range cluster {
+		cluster[i] = int32(rng.Intn(n))
+	}
+	checkKeyEncodings(t, n, cluster, ts, ts)
 }
 
 // TestKeyEncodingFullLabelRange pins the 62-bit bound: at the largest label
-// space a Tuple can carry, half the tuples take labels among the top four
-// values, so both halves of every key use all of their bits and collide
-// often, and each key still orders exactly like its label-pair comparator.
+// space a Tuple can carry, half the labels are among the top four values,
+// so both halves of every key use all of their bits and collide often, and
+// each key still orders exactly like its label-pair comparator. The group
+// key's second label comes from the cluster array, so its tuples' Dst is a
+// small index into one whose entries take those labels.
 func TestKeyEncodingFullLabelRange(t *testing.T) {
 	const n = math.MaxInt32
 	rng := xrand.Split(19, 0x66756c6c)
@@ -120,12 +129,18 @@ func TestKeyEncodingFullLabelRange(t *testing.T) {
 		}
 		return int32(rng.Intn(n))
 	}
-	ts := make([]Tuple, 3000)
-	for i := range ts {
-		ts[i] = Tuple{Src: label(i), Dst: label(i), CSrc: label(i), CDst: label(i),
-			W: float64(rng.Intn(3)), Orig: int32(i)}
+	cluster := make([]int32, 16)
+	for i := range cluster {
+		cluster[i] = label(i)
 	}
-	checkKeyEncodings(t, n, ts)
+	groups := make([]Tuple, 3000)
+	pairs := make([]Tuple, 3000)
+	for i := range pairs {
+		w := float64(rng.Intn(3))
+		groups[i] = Tuple{Src: label(i), Dst: int32(rng.Intn(len(cluster))), W: w, Orig: int32(i)}
+		pairs[i] = Tuple{Src: label(i), Dst: label(i), W: w, Orig: int32(i)}
+	}
+	checkKeyEncodings(t, n, cluster, groups, pairs)
 }
 
 // TestSortByKeyFullRangeKeys drives SortByKey with keys spanning the whole

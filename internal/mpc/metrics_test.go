@@ -39,9 +39,10 @@ func TestSimMetricsSeries(t *testing.T) {
 	if h.Sum != float64(3*s.Len()) {
 		t.Fatalf("mpc_round_tuples sum = %g, want %d", h.Sum, 3*s.Len())
 	}
+	// Section 6's six-field record, whatever the host stores.
 	hb := snap.Histogram("mpc_shuffle_bytes")
-	if hb == nil || hb.Sum != float64(int64(3*s.Len())*tupleBytes) {
-		t.Fatalf("mpc_shuffle_bytes = %+v, want sum %d", hb, int64(3*s.Len())*tupleBytes)
+	if hb == nil || hb.Sum != float64(3*s.Len()*32) {
+		t.Fatalf("mpc_shuffle_bytes = %+v, want sum %d (32 bytes a tuple)", hb, 3*s.Len()*32)
 	}
 	if v, _ := snap.Gauge("mpc_peak_machine_load_tuples"); v <= 0 || v > int64(s.s) {
 		t.Fatalf("mpc_peak_machine_load_tuples = %d, want in (0, S=%d]", v, s.s)
@@ -80,7 +81,7 @@ func TestSimInstrumentedSteadyStateAllocs(t *testing.T) {
 // tuples, their order and the store's spill counters as they were.
 func TestChargeSortBillsLikeSortByKey(t *testing.T) {
 	ts := randomTuples(xrand.Split(37, 0x63686172), 4000, 4000, 8000, false)
-	key := func(tp *Tuple) uint64 { return uint64(tp.Dst)<<32 | uint64(uint32(tp.CSrc)) }
+	key := func(tp *Tuple) uint64 { return uint64(tp.Dst)<<32 | uint64(uint32(tp.Src)) }
 	for _, budget := range []int64{0, 16 << 10} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 			// bill loads ts into a fresh instrumented Sim, charges two sorts

@@ -97,7 +97,7 @@ func TestSimSortAndAccounting(t *testing.T) {
 	}
 }
 
-func TestSimFilterAndUpdateAreLocal(t *testing.T) {
+func TestSimFiltersAreLocal(t *testing.T) {
 	s, _ := NewSim(100, 20, 0.5)
 	ts := make([]Tuple, 20)
 	for i := range ts {
@@ -105,7 +105,7 @@ func TestSimFilterAndUpdateAreLocal(t *testing.T) {
 	}
 	_ = s.Load(ts)
 	r0 := s.Rounds()
-	s.Update(func(t *Tuple) { t.Src *= 2 })
+	s.Filter(func(t *Tuple) bool { t.Src *= 2; return true })
 	s.Filter(func(t *Tuple) bool { return t.Src < 20 })
 	if s.Rounds() != r0 {
 		t.Fatal("local passes must not charge rounds")

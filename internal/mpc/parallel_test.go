@@ -75,8 +75,9 @@ func TestNegativeWorkersRejectedMPC(t *testing.T) {
 }
 
 // TestSimParallelPrimitives pins the Sim primitives themselves: a parallel
-// SortByKey/Filter/Update sequence leaves the same tuples and the same round
-// bill as a serial one.
+// SortByKey and Filter sequence, one Filter rewriting every tuple and one
+// dropping some, leaves the same tuples and the same round bill as a serial
+// one.
 func TestSimParallelPrimitives(t *testing.T) {
 	mk := func(workers int) *Sim {
 		s, err := NewSim(400, 2000, 0.5)
@@ -105,7 +106,7 @@ func TestSimParallelPrimitives(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		s.Update(func(t *Tuple) { t.Dst += t.Src })
+		s.Filter(func(t *Tuple) bool { t.Dst += t.Src; return true })
 		s.Filter(func(t *Tuple) bool { return t.Orig%3 != 0 })
 		return snapshot(t, s), s.Rounds(), s.Len()
 	}

@@ -13,12 +13,13 @@
 //     delivers another way, without permuting the tuples;
 //   - segmented aggregates (Find Minimum(v)) and Broadcast(b, v): tree
 //     rounds each, via the same implicit aggregation trees;
-//   - purely local passes (map/filter over resident tuples): 0 rounds.
+//   - purely local passes (filters that may rewrite what they keep): 0 rounds.
 //
 // Placement fidelity: after every communication primitive the simulator
 // re-validates that no machine holds more than S tuples and that total
 // memory never exceeded its initial O(m) footprint. Message contents are not
-// materialized bit-by-bit; what the paper's claims quantify — rounds,
+// materialized bit-by-bit: the host's Tuple even omits the cluster labels of
+// Section 6's six-field record. What the paper's claims quantify — rounds,
 // memory per machine, total memory — is tracked exactly.
 //
 // Out-of-core execution: the tuples live in one internal/extmem store.
@@ -32,22 +33,21 @@ package mpc
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"mpcspanner/internal/extmem"
 	"mpcspanner/internal/obs"
 	"mpcspanner/internal/par"
 )
 
-// Tuple is one directed copy of a quotient-graph edge, the record format of
-// Section 6: endpoints carry their supernode labels and current cluster
-// labels. Labels are the original-vertex id of the cluster/supernode center,
-// which is globally unique and stable across contractions.
+// Tuple is the host's record of one directed copy of a quotient-graph edge.
+// Section 6's record also carries both endpoints' cluster labels; the host
+// keeps those once, in the driver's label-indexed cluster array. Labels are
+// the original-vertex id of the cluster/supernode center, which is globally
+// unique and stable across contractions.
 type Tuple struct {
-	Src, Dst   int32 // supernode labels (center original-vertex ids)
-	CSrc, CDst int32 // cluster labels of the two endpoints
-	W          float64
-	Orig       int32 // original edge identifier
+	Src, Dst int32 // supernode labels (center original-vertex ids)
+	W        float64
+	Orig     int32 // original edge identifier
 }
 
 // Sim is the machine cluster. Its tuples are one logical sequence in an
@@ -102,8 +102,10 @@ type simMetrics struct {
 	moved        *obs.Counter   // mpc_tuples_moved_total
 }
 
-// tupleBytes is the wire size a shipped Tuple is accounted at.
-const tupleBytes = int64(unsafe.Sizeof(Tuple{}))
+// tupleBytes is the wire size a shipped tuple is accounted at: Section 6's
+// record of four int32 labels, a float64 weight and an int32 edge id,
+// 8-byte aligned, whatever the host's Tuple takes.
+const tupleBytes = 32
 
 // SetMetrics attaches the simulator's cost counters to r (get-or-create, so
 // multiple Sims sharing a registry aggregate, Prometheus-style). A nil
@@ -338,18 +340,12 @@ func (m *Sim) ChargeSort() error {
 // spilled store surfaces run-file I/O errors.
 func (m *Sim) Scan(f func(t *Tuple)) error { return m.st.Scan(f) }
 
-// Update mutates tuples in place (local relabeling; no rounds). Each
-// simulated machine's pass runs on the worker pool, so f must be a pure
-// per-tuple function: it may be invoked concurrently and must touch only
-// the tuple it is handed.
-func (m *Sim) Update(f func(t *Tuple)) error { return m.st.Update(f) }
-
-// Filter drops tuples not accepted by keep (local; no rounds — machines
-// simply release memory). keep may also rewrite the tuple it is handed, and
-// a kept tuple keeps the rewrite, so one Filter can fold in an Update's
-// relabeling. keep runs on the worker pool and must depend only on the
-// tuple it is handed; the surviving tuples retain their order, so the
-// result is identical at every worker count.
+// Filter is the one local rewrite pass (no rounds — machines simply
+// release memory): it drops the tuples keep rejects, and a kept tuple keeps
+// any rewrite keep made to it, so a relabeling is a Filter that keeps every
+// tuple. keep runs on the worker pool and must depend only on the tuple it
+// is handed; the surviving tuples retain their order, so the result is
+// identical at every worker count.
 func (m *Sim) Filter(keep func(t *Tuple) bool) error { return m.st.Filter(keep) }
 
 // ForEachSegment decomposes the stored tuples into maximal runs of

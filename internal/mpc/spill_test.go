@@ -101,7 +101,7 @@ func TestFilterKeepsRewrites(t *testing.T) {
 	const n = 5000
 	in := make([]Tuple, n)
 	for i := range in {
-		in[i] = Tuple{Src: int32(i % 97), Dst: int32(i % 89), CSrc: int32(i), CDst: int32(i / 2), W: float64(i % 13), Orig: int32(i)}
+		in[i] = Tuple{Src: int32(i % 97), Dst: int32(i % 89), W: float64(i % 13), Orig: int32(i)}
 	}
 	for _, workers := range []int{1, 3} {
 		sim, err := NewSim(n, n, 1)
@@ -126,7 +126,7 @@ func TestFilterKeepsRewrites(t *testing.T) {
 				t.Fatalf("%s: load: %v", name, err)
 			}
 			if err := tc.st.Filter(func(t *Tuple) bool {
-				t.CSrc = -t.CSrc - 1
+				t.Src = -t.Src - 1
 				return t.Orig%2 == 0
 			}); err != nil {
 				t.Fatalf("%s: filter: %v", name, err)
@@ -140,7 +140,7 @@ func TestFilterKeepsRewrites(t *testing.T) {
 			}
 			for i, tu := range got {
 				want := in[2*i]
-				want.CSrc = -want.CSrc - 1
+				want.Src = -want.Src - 1
 				if tu != want {
 					t.Fatalf("%s: survivor %d = %+v, want %+v", name, i, tu, want)
 				}
