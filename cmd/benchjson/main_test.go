@@ -267,9 +267,10 @@ func TestMarkdownReportRendersAllRowKinds(t *testing.T) {
 }
 
 // TestCompareGatesDeterministicCounters pins the exact-counter rule: a
-// profile pair that differs only in spilled_bytes fails, on like hardware
-// and across CPUs alike, as does a counter the fresh row lost; a pair that
-// differs only in peak_rss_bytes passes.
+// profile pair that differs only in spilled_bytes, or only in a serial
+// kernel's relaxations, fails, on like hardware and across CPUs alike, as
+// does a counter the fresh row lost; a pair that differs only in
+// peak_rss_bytes passes.
 func TestCompareGatesDeterministicCounters(t *testing.T) {
 	spill := func(cpu string, spilled float64, rss float64) Profile {
 		return mkProfile(cpu, map[string]Entry{
@@ -277,7 +278,13 @@ func TestCompareGatesDeterministicCounters(t *testing.T) {
 				Extra: map[string]float64{"spilled_bytes": spilled, "run_files": 29, "merge_passes": 2, "peak_rss_bytes": rss}},
 		})
 	}
-	base := spill("cpuA", 915_000_000, 7e8)
+	point := func(cpu string, relaxations float64) Profile {
+		return mkProfile(cpu, map[string]Entry{
+			"BenchmarkDistsToPoint/graph=spanner-like-40k": {NsPerOp: 100, HasMem: true,
+				Extra: map[string]float64{"relaxations": relaxations}},
+		})
+	}
+	spillBase := spill("cpuA", 915_000_000, 7e8)
 	// runCompare prints its report to stdout; keep it out of the test log,
 	// where its "FAIL" lines would read like the suite's own.
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -289,21 +296,22 @@ func TestCompareGatesDeterministicCounters(t *testing.T) {
 	os.Stdout = devnull
 	defer func() { os.Stdout = stdout }()
 	for _, tc := range []struct {
-		name  string
-		fresh Profile
-		want  int
+		name        string
+		base, fresh Profile
+		want        int
 	}{
-		{"spilled_bytes, same cpu", spill("cpuA", 915_000_001, 7e8), 1},
-		{"spilled_bytes, other cpu", spill("cpuB", 915_000_001, 7e8), 1},
-		{"peak_rss_bytes, same cpu", spill("cpuA", 915_000_000, 9e8), 0},
-		{"peak_rss_bytes, other cpu", spill("cpuB", 915_000_000, 9e8), 0},
-		{"run_files missing", mkProfile("cpuA", map[string]Entry{
+		{"spilled_bytes, same cpu", spillBase, spill("cpuA", 915_000_001, 7e8), 1},
+		{"spilled_bytes, other cpu", spillBase, spill("cpuB", 915_000_001, 7e8), 1},
+		{"peak_rss_bytes, same cpu", spillBase, spill("cpuA", 915_000_000, 9e8), 0},
+		{"peak_rss_bytes, other cpu", spillBase, spill("cpuB", 915_000_000, 9e8), 0},
+		{"run_files missing", spillBase, mkProfile("cpuA", map[string]Entry{
 			"BenchmarkMPCBuildSpill/n=1M/k=8/t=3/budget=quarter": {NsPerOp: 100, HasMem: true, AllocsPerOp: 10,
 				Extra: map[string]float64{"spilled_bytes": 915_000_000, "merge_passes": 2, "peak_rss_bytes": 7e8}},
 		}), 1},
+		{"relaxations, other cpu", point("cpuA", 521_534), point("cpuB", 521_535), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rows := compareProfiles(base, tc.fresh, 1.25)
+			rows := compareProfiles(tc.base, tc.fresh, 1.25)
 			if len(rows) != 1 {
 				t.Fatalf("rows = %+v", rows)
 			}
@@ -323,7 +331,7 @@ func TestCompareGatesDeterministicCounters(t *testing.T) {
 				return path
 			}
 			md := filepath.Join(dir, "compare.md")
-			if got := runCompare(write("base.json", base), write("fresh.json", tc.fresh), 1.25, md); got != tc.want {
+			if got := runCompare(write("base.json", tc.base), write("fresh.json", tc.fresh), 1.25, md); got != tc.want {
 				t.Errorf("runCompare exit code %d, want %d", got, tc.want)
 			}
 			report, err := os.ReadFile(md)

@@ -8,6 +8,7 @@ import (
 
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
+	"mpcspanner/internal/xrand"
 )
 
 func benchGraph(n int) *graph.Graph {
@@ -59,6 +60,51 @@ func BenchmarkSSSP(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDistsToPoint times the oracle's point fill, a one-target DistsTo.
+// One op answers a fixed list of 256 seeded uniform pairs. The graphs span
+// the two-sided search's range: a spanner-like subgraph of benchGraph(40k),
+// an expander on which two half-balls hold a small fraction of one ball, and
+// a 200×200 grid, where they save the least. relaxations is the per-op count
+// of dist_delta_relaxations_total, read from a separate instrumented solver
+// over the same pairs, so the timed solver stays uninstrumented; the kernel
+// is serial and picks sides by arcs scanned, not by a clock, so the count is
+// exact.
+func BenchmarkDistsToPoint(b *testing.B) {
+	big := benchGraph(40_000)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"graph=spanner-like-40k", big.Subgraph(spannerLikeSubset(big))},
+		{"graph=grid-200x200", graph.Grid(200, 200, graph.UniformWeight(1, 100), 7)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := xrand.Split(7, 0x706f696e74) // "point"
+			src, dst := make([]int, 256), make([]int, 256)
+			for i := range src {
+				src[i], dst[i] = r.Intn(c.g.N()), r.Intn(c.g.N())
+			}
+			var out [1]float64
+			pass := func(s *Solver) {
+				for i, v := range src {
+					s.DistsTo(v, dst[i:i+1], out[:])
+				}
+			}
+			s := NewSolver(c.g, SolverOptions{})
+			pass(s) // warm the scratch pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass(s)
+			}
+			b.StopTimer()
+			reg := obs.NewRegistry()
+			pass(NewSolver(c.g, SolverOptions{Metrics: reg}))
+			b.ReportMetric(float64(reg.Counter("dist_delta_relaxations_total").Value()), "relaxations")
+		})
 	}
 }
 

@@ -6,12 +6,17 @@ package dist
 // materialization, the pair-stretch estimators — and, through DistsTo, on
 // every path that needs only a few of them: the oracle's point fills and the
 // edge-stretch probes. DistsTo's early exit is a bucket boundary: once the
-// bucket holding the farthest target has settled, the run stops. A run is one
-// serial kernel; parallelism comes only from running many sources at once
-// (the oracle's QueryMany pool, concurrent requests, forWorkers), which keeps
-// every core busy without the atomics a shared row would need. The heap
-// stays behind MultiSourceDijkstra on purpose: its nearest-source attribution
-// breaks ties by heap pop order, an order delta-stepping does not reproduce.
+// bucket holding the farthest target has settled, the run stops. With one
+// target other than the source, DistsTo runs two such searches, from the
+// source and from the target, that meet in the middle (bidirectional search,
+// Pohl 1971), then finishes the forward one through the corridor of
+// near-shortest paths the two leave (distTo). A run is one serial kernel;
+// every bucket of every run, full row or side, settles through one step.
+// Parallelism comes only from running many sources at once (the oracle's
+// QueryMany pool, concurrent requests, forWorkers), which keeps every core
+// busy without the atomics a shared row would need. The heap stays behind
+// MultiSourceDijkstra on purpose: its nearest-source attribution breaks ties
+// by heap pop order, an order delta-stepping does not reproduce.
 //
 // Exactness: with strictly positive weights every label-correcting schedule
 // — heap order, bucket order, any order that keeps relaxing until no edge
@@ -124,6 +129,7 @@ type Solver struct {
 	delta   float64 // effective bucket width; 0 when the engine is the heap
 	invDel  float64 // 1/delta, so bucketOf multiplies instead of divides
 	buckets int     // cyclic bucket array length B
+	slack   float64 // 1 + δ, distTo's corridor margin: 1 + 4·(n + m)·2⁻⁵³
 
 	// Light/heavy CSR split: arc i of vertex v lives at lightOff[v] ≤ i <
 	// lightOff[v+1] (weight ≤ Δ) or the heavy mirror (> Δ). Targets and
@@ -186,6 +192,7 @@ func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
 	s.delta = delta
 	s.invDel = 1 / delta
 	s.buckets = int(maxW/delta) + 3
+	s.slack = 1 + 4*float64(g.N()+m)*0x1p-53
 
 	// Split every adjacency into light (w ≤ Δ) and heavy (w > Δ) runs:
 	// counting pass builds the offsets, fill pass scatters targets and
@@ -279,12 +286,15 @@ func (s *Solver) fill(src int, d []float64) {
 // DistsTo writes the distance from src to targets[i] into out[i] and returns
 // out; unreachable targets get Inf. It runs the row kernel on a pooled row
 // and stops once the bucket holding the farthest target has settled, so a
-// near target costs a fraction of a row. The answers are bit-identical to
-// RowInto's entries. Targets may repeat and may include src. An out of the
-// wrong length (nil included) is replaced by a fresh allocation; a reused
-// len(targets)-sized buffer makes the steady-state call allocation-free.
-// It panics if src or a target is not a vertex. DistsTo is not a row fill:
-// it counts under no dist_sssp_* series.
+// near target costs a fraction of a row. A list of exactly one target other
+// than src takes the two-sided search instead, which settles two balls of
+// about half the radius. The answers are bit-identical to RowInto's entries.
+// Targets may repeat and may include src. An out of the wrong length (nil
+// included) is replaced by a fresh allocation; a reused len(targets)-sized
+// buffer makes the steady-state call allocation-free. It panics if src or a
+// target is not a vertex. DistsTo is not a row fill: it counts under no
+// dist_sssp_* series, and both sides of a two-sided search count in the
+// delta-stepping internals.
 func (s *Solver) DistsTo(src int, targets []int, out []float64) []float64 {
 	if len(out) != len(targets) {
 		out = make([]float64, len(targets))
@@ -301,13 +311,15 @@ func (s *Solver) DistsTo(src int, targets []int, out []float64) []float64 {
 		sc.release()
 		return out
 	}
-	sc := s.getScratch()
-	if sc.row == nil {
-		sc.row = make([]float64, s.g.N())
+	if len(targets) == 1 && targets[0] != src {
+		out[0] = s.distTo(src, targets[0])
+		return out
 	}
-	s.runDelta(sc, src, sc.row, targets)
+	sc := s.getScratch()
+	d := sc.rowOf(s.g.N())
+	s.runDelta(sc, src, d, targets)
 	for i, t := range targets {
-		out[i] = sc.row[t]
+		out[i] = d[t]
 	}
 	s.pool.Put(sc)
 	return out
@@ -334,8 +346,18 @@ type deltaScratch struct {
 	rgen  uint32
 
 	pending int64 // live bucket entries; 0 ⇔ done
+	cur     int64 // lowest bucket that may hold a live entry (see step)
+	arcs    int64 // arcs scanned this run: distTo advances the side with fewer
 
 	row []float64 // DistsTo's distance row, allocated on its first use
+
+	// distTo's side state; nil on every other run. In phase 1, other is the
+	// opposite side's row and mu the least meeting sum this side has seen.
+	// In phase 2 the forward side skips the arcs of every vertex v with
+	// d[v] + min(lb[v], lbMax) > limit: lb is the backward row, lbMax the
+	// backward radius and limit mu·(1+δ).
+	other, lb        []float64
+	mu, lbMax, limit float64
 
 	// Local metric accumulators, flushed once per row (Add per edge would be
 	// an atomic per relaxation).
@@ -353,6 +375,14 @@ func (s *Solver) getScratch() *deltaScratch {
 		qbucket: make([]int64, n),
 		rmark:   make([]uint32, n),
 	}
+}
+
+// rowOf returns sc's pooled DistsTo row, allocating it on first use.
+func (sc *deltaScratch) rowOf(n int) []float64 {
+	if sc.row == nil {
+		sc.row = make([]float64, n)
+	}
+	return sc.row
 }
 
 // bucketOf bins a finite tentative distance. Multiplication by 1/Δ is
@@ -386,6 +416,72 @@ func (sc *deltaScratch) enqueue(v int32, b int64, nbuckets int) {
 // non-nil it stops at the first bucket boundary where every target's label
 // is final, and only those labels are exact; the rest hold upper bounds.
 func (s *Solver) runDelta(sc *deltaScratch, src int, d []float64, targets []int) {
+	s.start(sc, src, d)
+	settled := 0 // targets[:settled] hold final labels
+	for sc.pending > 0 {
+		s.step(sc, d)
+		for settled < len(targets) && s.final(sc, d[targets[settled]]) {
+			settled++
+		}
+		if targets != nil && settled == len(targets) {
+			sc.recycle(sc.cur, s.buckets)
+			break
+		}
+	}
+	s.flush(sc)
+}
+
+// distTo is DistsTo for one target t ≠ src: two delta-stepping runs, a
+// forward one from src into f's row and a backward one from t into b's row
+// (the graph is undirected, so the backward run is a forward run from t),
+// that meet in the middle. DESIGN §12 "Target-bounded runs" proves the
+// answer bit-identical to the row's entry.
+//
+// Phase 1 advances the side that has scanned fewer arcs by one bucket at a
+// time. Every relaxation that improves a label meets the other side's label
+// of that vertex, and mu keeps the least such sum. The phase ends when the
+// radii of the two sides sum to at least mu, or when a side runs out; then
+// mu = +Inf means t is unreachable and f's row already says so.
+//
+// Phase 2 runs the forward side alone, through the corridor only: it skips
+// the arcs of every vertex v with d_s(v) + lb(v) > mu·(1+δ), where lb(v) is
+// the backward label if the backward run settled v and the backward radius
+// otherwise (the lesser of the two is that bound in both cases). It stops
+// once t's label is final, by runDelta's early-exit rule.
+func (s *Solver) distTo(src, t int) float64 {
+	f, b := s.getScratch(), s.getScratch()
+	df, db := f.rowOf(s.g.N()), b.rowOf(s.g.N())
+	s.start(f, src, df)
+	s.start(b, t, db)
+	f.other, b.other = db, df
+	f.mu, b.mu = Inf, Inf
+	for f.pending > 0 && b.pending > 0 && s.radius(f)+s.radius(b) < min(f.mu, b.mu) {
+		if f.arcs <= b.arcs {
+			s.step(f, df)
+		} else {
+			s.step(b, db)
+		}
+	}
+	f.other, b.other = nil, nil
+	if mu := min(f.mu, b.mu); mu < Inf {
+		f.lb, f.lbMax, f.limit = db, s.radius(b), mu*s.slack
+		for f.pending > 0 && !s.final(f, df[t]) {
+			s.step(f, df)
+		}
+		f.lb = nil
+	}
+	d := df[t]
+	for _, sc := range [2]*deltaScratch{f, b} {
+		sc.recycle(sc.cur, s.buckets)
+		s.flush(sc)
+		s.pool.Put(sc)
+	}
+	return d
+}
+
+// start resets sc for a run from src into d: every label +Inf but src's 0,
+// and src queued alone in bucket 0.
+func (s *Solver) start(sc *deltaScratch, src int, d []float64) {
 	for i := range d {
 		d[i] = Inf
 	}
@@ -395,91 +491,94 @@ func (s *Solver) runDelta(sc *deltaScratch, src int, d []float64, targets []int)
 		clear(sc.qmark)
 		sc.qgen = 1
 	}
-	sc.pending = 0
+	sc.pending, sc.cur, sc.arcs = 0, 0, 0
 	sc.enqueue(int32(src), 0, s.buckets)
+}
 
-	cur := int64(0)
-	settled := 0 // targets[:settled] hold final labels
-	for sc.pending > 0 {
-		for len(sc.buckets[cur%int64(s.buckets)]) == 0 {
-			cur++
+// step settles bucket sc.cur, the lowest bucket with a live entry, and
+// advances sc.cur to the next bucket holding an entry. Afterwards every label
+// binned below sc.cur is final: bucketOf is monotone and weights are
+// positive, so no later relaxation can land below sc.cur.
+func (s *Solver) step(sc *deltaScratch, d []float64) {
+	cur := sc.cur
+	// Light loop: drain bucket cur until it stays empty. Relaxing a light
+	// edge can refill the active bucket (w ≤ Δ keeps nd in the same bin),
+	// so re-taking until stable is what settles the bucket exactly.
+	sc.rgen++
+	if sc.rgen == 0 {
+		clear(sc.rmark)
+		sc.rgen = 1
+	}
+	sc.r = sc.r[:0]
+	var phaseStart time.Time
+	if s.lightSeconds != nil {
+		phaseStart = time.Now()
+	}
+	for {
+		i := int(cur % int64(s.buckets))
+		take := sc.buckets[i]
+		if len(take) == 0 {
+			break
 		}
-		// Light loop: drain bucket cur until it stays empty. Relaxing a light
-		// edge can refill the active bucket (w ≤ Δ keeps nd in the same bin),
-		// so re-taking until stable is what settles the bucket exactly.
-		sc.rgen++
-		if sc.rgen == 0 {
-			clear(sc.rmark)
-			sc.rgen = 1
-		}
-		sc.r = sc.r[:0]
-		var phaseStart time.Time
-		if s.lightSeconds != nil {
-			phaseStart = time.Now()
-		}
-		for {
-			i := int(cur % int64(s.buckets))
-			take := sc.buckets[i]
-			if len(take) == 0 {
-				break
+		sc.buckets[i] = nil
+		sc.pending -= int64(len(take))
+		// Pre-filter: drop stale entries (the vertex has moved to
+		// an earlier bucket and was or will be settled there), release
+		// the live-entry stamp, and collect first-time vertices into R.
+		fr := sc.fr[:0]
+		for _, v := range take {
+			if s.bucketOf(d[v]) != cur {
+				continue
 			}
-			sc.buckets[i] = nil
-			sc.pending -= int64(len(take))
-			// Pre-filter: drop stale entries (the vertex has moved to
-			// an earlier bucket and was or will be settled there), release
-			// the live-entry stamp, and collect first-time vertices into R.
-			fr := sc.fr[:0]
-			for _, v := range take {
-				if s.bucketOf(d[v]) != cur {
-					continue
-				}
-				if sc.qmark[v] == sc.qgen && sc.qbucket[v] == cur {
-					sc.qbucket[v] = -1
-				}
-				if sc.rmark[v] != sc.rgen {
-					sc.rmark[v] = sc.rgen
-					sc.r = append(sc.r, v)
-				}
-				fr = append(fr, v)
+			if sc.qmark[v] == sc.qgen && sc.qbucket[v] == cur {
+				sc.qbucket[v] = -1
 			}
-			sc.fr = fr
-			sc.free = append(sc.free, take[:0])
-			s.relax(sc, d, fr, s.lightOff, s.lightTo, s.lightW)
-			sc.nLight++
-		}
-		if s.lightSeconds != nil {
-			s.lightSeconds.Observe(time.Since(phaseStart).Seconds())
-			phaseStart = time.Now()
-		}
-		// Heavy phase: every vertex settled in this bucket relaxes its heavy
-		// arcs once, with its final distance. Heavy targets land in later
-		// buckets (w > Δ), except at most one bucket of float-rounding slack
-		// — if that lands back in cur, the outer loop re-enters the light
-		// loop for cur before advancing, so nothing is stranded.
-		s.relax(sc, d, sc.r, s.heavyOff, s.heavyTo, s.heavyW)
-		if s.heavySeconds != nil {
-			s.heavySeconds.Observe(time.Since(phaseStart).Seconds())
-		}
-		sc.nBuckets++
-		// Early exit. Once bucket cur is still empty after its heavy phase
-		// (rounding can put a heavy relaxation back into cur, so the check
-		// comes after it), every label in buckets ≤ cur is final: bucketOf
-		// is monotone and weights are positive, so no later relaxation can
-		// land at or below cur.
-		if targets != nil && len(sc.buckets[cur%int64(s.buckets)]) == 0 {
-			for settled < len(targets) {
-				if x := d[targets[settled]]; x == Inf || s.bucketOf(x) > cur {
-					break
-				}
-				settled++
+			if sc.rmark[v] != sc.rgen {
+				sc.rmark[v] = sc.rgen
+				sc.r = append(sc.r, v)
 			}
-			if settled == len(targets) {
-				sc.recycle(cur+1, s.buckets)
-				break
-			}
+			fr = append(fr, v)
+		}
+		sc.fr = fr
+		sc.free = append(sc.free, take[:0])
+		s.relax(sc, d, fr, s.lightOff, s.lightTo, s.lightW)
+		sc.nLight++
+	}
+	if s.lightSeconds != nil {
+		s.lightSeconds.Observe(time.Since(phaseStart).Seconds())
+		phaseStart = time.Now()
+	}
+	// Heavy phase: every vertex settled in this bucket relaxes its heavy
+	// arcs once, with its final distance. Heavy targets land in later
+	// buckets (w > Δ), except at most one bucket of float-rounding slack
+	// — if that lands back in cur, sc.cur stays at cur and the next step
+	// re-enters the light loop for it, so nothing is stranded.
+	s.relax(sc, d, sc.r, s.heavyOff, s.heavyTo, s.heavyW)
+	if s.heavySeconds != nil {
+		s.heavySeconds.Observe(time.Since(phaseStart).Seconds())
+	}
+	sc.nBuckets++
+	if len(sc.buckets[cur%int64(s.buckets)]) == 0 {
+		sc.cur = cur + 1
+		for sc.pending > 0 && len(sc.buckets[sc.cur%int64(s.buckets)]) == 0 {
+			sc.cur++
 		}
 	}
+}
 
+// final reports whether label x is the fixpoint value: finite and binned
+// below sc.cur (step's invariant).
+func (s *Solver) final(sc *deltaScratch, x float64) bool {
+	return x != Inf && s.bucketOf(x) < sc.cur
+}
+
+// radius is the lower edge of sc.cur's bucket: every label a later step of
+// sc settles is at least this, up to the rounding of the product.
+func (s *Solver) radius(sc *deltaScratch) float64 { return float64(sc.cur) * s.delta }
+
+// flush adds the run's local work counts to the solver's metrics and zeroes
+// them.
+func (s *Solver) flush(sc *deltaScratch) {
 	if s.rows != nil {
 		s.relaxations.Add(sc.nRelax)
 		s.bucketsDone.Add(sc.nBuckets)
@@ -504,8 +603,14 @@ func (sc *deltaScratch) recycle(from int64, nbuckets int) {
 }
 
 // relax applies one relaxation pass of the given CSR split (light or heavy)
-// over list, enqueueing every target whose distance improves.
+// over list, enqueueing every target whose distance improves. A side of
+// distTo relaxes through relaxSide instead, so the loop of every other run
+// carries none of its checks.
 func (s *Solver) relax(sc *deltaScratch, d []float64, list []int32, off, to []int32, w []float64) {
+	if sc.other != nil || sc.lb != nil {
+		s.relaxSide(sc, d, list, off, to, w)
+		return
+	}
 	for _, v := range list {
 		dv := d[v]
 		end := off[v+1]
@@ -515,6 +620,33 @@ func (s *Solver) relax(sc *deltaScratch, d []float64, list []int32, off, to []in
 			if nd < d[u] {
 				d[u] = nd
 				sc.nRelax++
+				sc.enqueue(u, s.bucketOf(nd), s.buckets)
+			}
+		}
+	}
+}
+
+// relaxSide is relax on a side of distTo. It counts the arcs it scans, meets
+// every improved label with the other side's row in phase 1, and in phase 2
+// skips the arcs of every vertex outside the corridor.
+func (s *Solver) relaxSide(sc *deltaScratch, d []float64, list []int32, off, to []int32, w []float64) {
+	other, lb := sc.other, sc.lb
+	for _, v := range list {
+		dv := d[v]
+		if lb != nil && dv+min(lb[v], sc.lbMax) > sc.limit {
+			continue
+		}
+		start, end := off[v], off[v+1]
+		sc.arcs += int64(end - start)
+		for i := start; i < end; i++ {
+			u := to[i]
+			nd := dv + w[i]
+			if nd < d[u] {
+				d[u] = nd
+				sc.nRelax++
+				if other != nil && nd+other[u] < sc.mu {
+					sc.mu = nd + other[u]
+				}
 				sc.enqueue(u, s.bucketOf(nd), s.buckets)
 			}
 		}

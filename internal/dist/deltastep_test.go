@@ -7,6 +7,7 @@ import (
 
 	"mpcspanner/internal/graph"
 	"mpcspanner/internal/obs"
+	"mpcspanner/internal/xrand"
 )
 
 // requireRowEqual asserts bit-identity (not tolerance) between two rows.
@@ -256,6 +257,23 @@ func TestSolverMetrics(t *testing.T) {
 	if v := reg.Counter("dist_delta_light_phases_total").Value(); v <= 0 {
 		t.Fatalf("dist_delta_light_phases_total = %d; want > 0", v)
 	}
+
+	// A one-target DistsTo is no row fill, and both of its sides count. On a
+	// unit-weight path from one end to the other, the forward side alone
+	// improves exactly n−1 labels, once each; the backward side's come on
+	// top.
+	reg = obs.NewRegistry()
+	path := graph.Path(64, graph.UnitWeight, 1)
+	s = NewSolver(path, SolverOptions{Engine: EngineDelta, Metrics: reg})
+	if d := s.DistsTo(0, []int{63}, nil)[0]; d != 63 {
+		t.Fatalf("DistsTo(0, [63]) on a unit path = %v; want 63", d)
+	}
+	if v := reg.Counter("dist_sssp_rows_total").Value(); v != 0 {
+		t.Fatalf("one-target DistsTo counted %d rows; want 0", v)
+	}
+	if v := reg.Counter("dist_delta_relaxations_total").Value(); v <= 63 {
+		t.Fatalf("one-target DistsTo counted %d relaxations; want more than the forward side's 63", v)
+	}
 }
 
 // TestSolverRowIntoReuse pins the pooled-scratch contract: reusing the row
@@ -338,11 +356,51 @@ func TestDistsToAllocationFree(t *testing.T) {
 	}
 	g := graph.Connectify(graph.GNP(500, 8.0/500, graph.UniformWeight(1, 100), 51), 50)
 	s := NewSolver(g, SolverOptions{})
-	targets := []int{7, 250, 499}
-	out := make([]float64, len(targets))
-	s.DistsTo(1, targets, out) // warm the pool and the pooled row
-	if allocs := testing.AllocsPerRun(20, func() { s.DistsTo(1, targets, out) }); allocs > 0 {
-		t.Fatalf("warm DistsTo allocates %v objects per run; want 0", allocs)
+	// Three targets take the forward loop, one takes the two-sided search,
+	// which draws two scratches and two rows from the pool.
+	for _, targets := range [][]int{{7, 250, 499}, {250}} {
+		out := make([]float64, len(targets))
+		s.DistsTo(1, targets, out) // warm the pool and the pooled rows
+		if allocs := testing.AllocsPerRun(20, func() { s.DistsTo(1, targets, out) }); allocs > 0 {
+			t.Fatalf("warm DistsTo(%v) allocates %v objects per run; want 0", targets, allocs)
+		}
+	}
+}
+
+// TestDistToMarginMatters zeroes distTo's corridor margin δ on a fixed graph
+// and gets wrong answers: a meeting sum, folded in another order than the
+// fixpoint path's left-to-right sum, can fall below that sum by rounding,
+// and a corridor of exactly mu then cuts a vertex of the fixpoint path off.
+// With the derived margin every answer equals the row's entry.
+func TestDistToMarginMatters(t *testing.T) {
+	g := graph.Connectify(graph.GNP(2000, 8.0/2000, graph.UniformWeight(1, 100), 61), 50)
+	s := NewSolver(g, SolverOptions{})
+	r := xrand.Split(61, 0x6d617267) // "marg"
+	type pair struct {
+		src, dst int
+		want     float64
+	}
+	pairs := make([]pair, 200)
+	for i := range pairs {
+		src := r.Intn(g.N())
+		dst := (src + 1 + r.Intn(g.N()-1)) % g.N() // any vertex but src
+		pairs[i] = pair{src, dst, s.Row(src)[dst]}
+	}
+	wrong := func() int {
+		bad := 0
+		for _, p := range pairs {
+			if got := s.distTo(p.src, p.dst); math.Float64bits(got) != math.Float64bits(p.want) {
+				bad++
+			}
+		}
+		return bad
+	}
+	if bad := wrong(); bad != 0 {
+		t.Fatalf("with δ = %g, %d of %d answers differ from the row", s.slack-1, bad, len(pairs))
+	}
+	s.slack = 1
+	if bad := wrong(); bad == 0 {
+		t.Fatalf("with δ = 0, all %d answers equal the row's: the test no longer shows the margin matters", len(pairs))
 	}
 }
 
@@ -377,20 +435,27 @@ func TestSolverHugeWeights(t *testing.T) {
 
 // FuzzDistsToVsRow derives a random graph with two isolated vertices, a
 // source and a target list from the fuzz input, and checks DistsTo against
-// RowInto bit for bit. Every target list carries a repeat, the source itself
-// and an unreachable vertex.
+// RowInto bit for bit: on the whole list, which always carries a repeat, the
+// source itself and an unreachable vertex, and on each of its targets alone,
+// which takes the two-sided path. Weights are uniform, a wide-range power
+// ladder, or small integers, where ties abound.
 func FuzzDistsToVsRow(f *testing.F) {
-	f.Add(uint64(1), 16, 30, false, []byte{3, 9, 3})
-	f.Add(uint64(7), 40, 120, true, []byte{0, 39, 41})
-	f.Add(uint64(42), 3, 1, false, []byte{})
-	f.Add(uint64(99), 25, 0, true, []byte{24, 24})
-	f.Fuzz(func(t *testing.T, seed uint64, n, m int, heavyTail bool, raw []byte) {
+	f.Add(uint64(1), 16, 30, uint8(0), []byte{3, 9, 3})
+	f.Add(uint64(7), 40, 120, uint8(1), []byte{0, 39, 41})
+	f.Add(uint64(42), 3, 1, uint8(0), []byte{})
+	f.Add(uint64(99), 25, 0, uint8(1), []byte{24, 24})
+	f.Add(uint64(5), 60, 240, uint8(2), []byte{7, 59, 31})
+	f.Add(uint64(13), 120, 600, uint8(1), []byte{1, 119, 60})
+	f.Fuzz(func(t *testing.T, seed uint64, n, m int, family uint8, raw []byte) {
 		if n < 1 || n > 200 || m < 0 || m > 2000 || len(raw) > 64 {
 			t.Skip()
 		}
 		w := graph.UniformWeight(0.1, 10)
-		if heavyTail {
+		switch family % 3 {
+		case 1:
 			w = graph.PowerWeight(4, 12)
+		case 2:
+			w = func(r *xrand.Source) float64 { return float64(1 + r.Intn(4)) }
 		}
 		g, err := graph.New(n+2, graph.GNM(n, m, w, seed).Edges())
 		if err != nil {
@@ -406,9 +471,12 @@ func FuzzDistsToVsRow(f *testing.F) {
 		row := s.RowInto(src, nil)
 		got := s.DistsTo(src, targets, nil)
 		for i, v := range targets {
-			if math.Float64bits(got[i]) != math.Float64bits(row[v]) {
-				t.Fatalf("seed=%d n=%d m=%d src=%d: DistsTo(%v)[%d] = %v, row says d[%d] = %v",
-					seed, n, m, src, targets, i, got[i], v, row[v])
+			one := s.DistsTo(src, []int{v}, nil)[0]
+			for _, x := range []float64{got[i], one} {
+				if math.Float64bits(x) != math.Float64bits(row[v]) {
+					t.Fatalf("seed=%d n=%d m=%d family=%d src=%d: DistsTo(%v)[%d] = %v, DistsTo([%d]) = %v, row says d[%d] = %v",
+						seed, n, m, family%3, src, targets, i, got[i], v, one, v, row[v])
+				}
 			}
 		}
 	})
