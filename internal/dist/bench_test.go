@@ -63,8 +63,8 @@ func BenchmarkSSSP(b *testing.B) {
 	}
 }
 
-// BenchmarkDistsToPoint times the oracle's point fill, a one-target DistsTo.
-// One op answers a fixed list of 256 seeded uniform pairs. The graphs span
+// BenchmarkDistsToPoint times the oracle's point fill, a DistTo. One op
+// answers a fixed list of 256 seeded uniform pairs. The graphs span
 // the two-sided search's range: a spanner-like subgraph of benchGraph(40k),
 // an expander on which two half-balls hold a small fraction of one ball, and
 // a 200×200 grid, where they save the least. relaxations is the per-op count
@@ -87,10 +87,9 @@ func BenchmarkDistsToPoint(b *testing.B) {
 			for i := range src {
 				src[i], dst[i] = r.Intn(c.g.N()), r.Intn(c.g.N())
 			}
-			var out [1]float64
 			pass := func(s *Solver) {
 				for i, v := range src {
-					s.DistsTo(v, dst[i:i+1], out[:])
+					s.DistTo(v, dst[i])
 				}
 			}
 			s := NewSolver(c.g, SolverOptions{})
@@ -133,20 +132,6 @@ func BenchmarkDijkstraWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if d := DijkstraInto(g, i%g.N(), buf); len(d) != g.N() {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkMultiSourceDijkstra(b *testing.B) {
-	g := benchGraph(50_000)
-	sources := make([]int, 64)
-	for i := range sources {
-		sources[i] = (i * 677) % g.N()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if d, _ := MultiSourceDijkstra(g, sources); len(d) != g.N() {
 			b.Fatal("bad result")
 		}
 	}
@@ -200,13 +185,27 @@ func BenchmarkSampledEdgeStretch(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeStretchFull times the exact edge check, one DistTo per edge
+// of g over a spanner-like subgraph h. Beside the expander-like bench graph it
+// runs a 100×100 grid, where the two half-radius balls of a probe hold most
+// of one ball, so a probe saves least there.
 func BenchmarkEdgeStretchFull(b *testing.B) {
-	g := benchGraph(5_000)
-	h := g.Subgraph(spannerLikeSubset(g))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EdgeStretch(g, h); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"graph=spanner-like-5k", benchGraph(5_000)},
+		{"graph=grid-100x100", graph.Grid(100, 100, graph.UniformWeight(1, 100), 7)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := c.g.Subgraph(spannerLikeSubset(c.g))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EdgeStretch(c.g, h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

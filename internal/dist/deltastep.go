@@ -3,20 +3,20 @@ package dist
 // This file is the delta-stepping SSSP engine (Meyer & Sanders 2003): the
 // bucketed replacement for the binary-heap Dijkstra on every path that needs
 // shortest-path distances from one source — oracle row fills, APSP
-// materialization, the pair-stretch estimators — and, through DistsTo, on
-// every path that needs only a few of them: the oracle's point fills and the
-// edge-stretch probes. DistsTo's early exit is a bucket boundary: once the
-// bucket holding the farthest target has settled, the run stops. With one
-// target other than the source, DistsTo runs two such searches, from the
-// source and from the target, that meet in the middle (bidirectional search,
-// Pohl 1971), then finishes the forward one through the corridor of
-// near-shortest paths the two leave (distTo). A run is one serial kernel;
-// every bucket of every run, full row or side, settles through one step.
-// Parallelism comes only from running many sources at once (the oracle's
-// QueryMany pool, concurrent requests, forWorkers), which keeps every core
-// busy without the atomics a shared row would need. The heap stays behind
-// MultiSourceDijkstra on purpose: its nearest-source attribution breaks ties
-// by heap pop order, an order delta-stepping does not reproduce.
+// materialization, the pair-stretch estimators — and, through DistTo, on
+// every path that needs one distance: the oracle's point fills and the
+// edge-stretch probes. DistTo runs two searches, from the source and from the
+// target, that meet in the middle (bidirectional search, Pohl 1971), then
+// finishes the forward one through the corridor of near-shortest paths the
+// two leave (distTo); it stops at the bucket boundary where the target's
+// label is final. A side's row is never cleared: it holds a label only where
+// its run's queue stamp says the run wrote one, so a side pays only for the
+// vertices it reaches. A run is one serial kernel; every bucket of every run,
+// full row or side, settles through one step. Parallelism comes only from
+// running many sources at once (the oracle's QueryMany pool, concurrent
+// requests, forWorkers), which keeps every core busy without the atomics a
+// shared row would need. The heap engine stays as the reference every
+// exactness test compares against.
 //
 // Exactness: with strictly positive weights every label-correcting schedule
 // — heap order, bucket order, any order that keeps relaxing until no edge
@@ -103,26 +103,27 @@ type SolverOptions struct {
 	// select the auto heuristic Δ = (average edge weight) / (average degree):
 	// wider buckets on heavy edges amortize phase overhead, narrower buckets
 	// on dense graphs bound re-relaxation within a bucket. The width is
-	// clamped up if the implied bucket array would exceed maxDeltaBuckets.
+	// clamped up if the implied bucket array would exceed maxDeltaBuckets,
+	// and to at least 2⁻¹⁰²², so that 1/Δ is finite.
 	Delta float64
 
 	// Metrics, when non-nil, exposes the dist_* series: row counts and
 	// latencies (dist_sssp_rows_total, dist_sssp_row_seconds) plus the
 	// delta-stepping internals (dist_delta_relaxations_total,
 	// dist_delta_buckets_total, dist_delta_light_phases_total and the
-	// per-phase dist_delta_{light,heavy}_seconds histograms); DistsTo runs
+	// per-phase dist_delta_{light,heavy}_seconds histograms); DistTo runs
 	// count in the delta-stepping internals only. When nil the fill path
 	// reads no clocks, mirroring the oracle's discipline.
 	Metrics *obs.Registry
 }
 
-// Solver answers full single-source distance rows (RowInto) and
-// target-bounded queries (DistsTo) over one frozen graph, with the engine
-// and Δ resolved once at construction. The light/heavy edge split is
-// precomputed per CSR adjacency at construction; per-run state (buckets,
-// marks, DistsTo's row) is drawn from a per-Solver sync.Pool, so
-// steady-state rows allocate nothing beyond the row itself. A Solver is
-// safe for concurrent use: each run is serial on its caller's goroutine.
+// Solver answers full single-source distance rows (RowInto) and one-pair
+// queries (DistTo) over one frozen graph, with the engine and Δ resolved
+// once at construction. The light/heavy edge split is precomputed per CSR
+// adjacency at construction; per-run state (buckets, marks, a side's row)
+// is drawn from a per-Solver sync.Pool, so steady-state rows allocate
+// nothing beyond the row itself. A Solver is safe for concurrent use: each
+// run is serial on its caller's goroutine.
 type Solver struct {
 	g       *graph.Graph
 	engine  Engine  // resolved: EngineHeap or EngineDelta, never EngineAuto
@@ -189,6 +190,11 @@ func NewSolver(g *graph.Graph, opt SolverOptions) *Solver {
 	if maxW/delta+3 > maxDeltaBuckets {
 		delta = maxW / float64(maxDeltaBuckets-3)
 	}
+	// A subnormal Δ, possible only when every weight is below about 2⁻¹⁰⁰²
+	// (the clamp keeps Δ ≥ maxW/2²⁰), has no finite reciprocal: bucketOf
+	// would bin every label at int64(+Inf). Every width is exact, so the
+	// least normal float64 stands in.
+	delta = max(delta, 0x1p-1022)
 	s.delta = delta
 	s.invDel = 1 / delta
 	s.buckets = int(maxW/delta) + 3
@@ -275,7 +281,7 @@ func (s *Solver) fill(src int, d []float64) {
 		DijkstraInto(s.g, src, d)
 	} else {
 		sc := s.getScratch()
-		s.runDelta(sc, src, d, nil)
+		s.runDelta(sc, src, d)
 		s.pool.Put(sc)
 	}
 	if s.rows != nil {
@@ -283,46 +289,25 @@ func (s *Solver) fill(src int, d []float64) {
 	}
 }
 
-// DistsTo writes the distance from src to targets[i] into out[i] and returns
-// out; unreachable targets get Inf. It runs the row kernel on a pooled row
-// and stops once the bucket holding the farthest target has settled, so a
-// near target costs a fraction of a row. A list of exactly one target other
-// than src takes the two-sided search instead, which settles two balls of
-// about half the radius. The answers are bit-identical to RowInto's entries.
-// Targets may repeat and may include src. An out of the wrong length (nil
-// included) is replaced by a fresh allocation; a reused len(targets)-sized
-// buffer makes the steady-state call allocation-free. It panics if src or a
-// target is not a vertex. DistsTo is not a row fill: it counts under no
+// DistTo returns the distance from src to t, or Inf if t is unreachable;
+// src and t must be vertices. It answers 0 for src == t. Otherwise the
+// delta-stepping engine runs distTo's two-sided search, which settles two
+// balls of about half the radius, and the heap engine fills a pooled row.
+// The answer is bit-identical to RowInto's entry, and a steady-state call
+// allocates nothing. DistTo is not a row fill: it counts under no
 // dist_sssp_* series, and both sides of a two-sided search count in the
 // delta-stepping internals.
-func (s *Solver) DistsTo(src int, targets []int, out []float64) []float64 {
-	if len(out) != len(targets) {
-		out = make([]float64, len(targets))
-	}
-	if len(targets) == 0 {
-		return out
-	}
+func (s *Solver) DistTo(src, t int) float64 {
 	if s.engine == EngineHeap {
 		sc := acquire(s.g.N())
-		d := DijkstraInto(s.g, src, sc.dist)
-		for i, t := range targets {
-			out[i] = d[t]
-		}
+		d := DijkstraInto(s.g, src, sc.dist)[t]
 		sc.release()
-		return out
+		return d
 	}
-	if len(targets) == 1 && targets[0] != src {
-		out[0] = s.distTo(src, targets[0])
-		return out
+	if src == t {
+		return 0
 	}
-	sc := s.getScratch()
-	d := sc.rowOf(s.g.N())
-	s.runDelta(sc, src, d, targets)
-	for i, t := range targets {
-		out[i] = d[t]
-	}
-	s.pool.Put(sc)
-	return out
+	return s.distTo(src, t)
 }
 
 // deltaScratch is the pooled per-run state of one delta-stepping execution.
@@ -349,14 +334,16 @@ type deltaScratch struct {
 	cur     int64 // lowest bucket that may hold a live entry (see step)
 	arcs    int64 // arcs scanned this run: distTo advances the side with fewer
 
-	row []float64 // DistsTo's distance row, allocated on its first use
+	// A side's distance row, allocated on its first use and never cleared:
+	// only the entries label admits belong to the current run.
+	row []float64
 
 	// distTo's side state; nil on every other run. In phase 1, other is the
-	// opposite side's row and mu the least meeting sum this side has seen.
-	// In phase 2 the forward side skips the arcs of every vertex v with
-	// d[v] + min(lb[v], lbMax) > limit: lb is the backward row, lbMax the
-	// backward radius and limit mu·(1+δ).
-	other, lb        []float64
+	// opposite side and mu the least meeting sum this side has seen. In
+	// phase 2 the forward side skips the arcs of every vertex v with
+	// d[v] + min(lb.label(v), lbMax) > limit: lb is the backward side, lbMax
+	// its radius and limit mu·(1+δ).
+	other, lb        *deltaScratch
 	mu, lbMax, limit float64
 
 	// Local metric accumulators, flushed once per row (Add per edge would be
@@ -377,12 +364,23 @@ func (s *Solver) getScratch() *deltaScratch {
 	}
 }
 
-// rowOf returns sc's pooled DistsTo row, allocating it on first use.
+// rowOf returns sc's pooled side row, allocating it on first use.
 func (sc *deltaScratch) rowOf(n int) []float64 {
 	if sc.row == nil {
 		sc.row = make([]float64, n)
 	}
 	return sc.row
+}
+
+// label is v's label in a side's run: its row entry if the run wrote one,
+// which enqueue's stamp qmark[v] == qgen records, and +Inf otherwise. Every
+// write of a label is followed by its enqueue, and no stamp is withdrawn
+// within a run, so an unstamped entry is a stale label of an earlier run.
+func (sc *deltaScratch) label(v int32) float64 {
+	if sc.qmark[v] == sc.qgen {
+		return sc.row[v]
+	}
+	return Inf
 }
 
 // bucketOf bins a finite tentative distance. Multiplication by 1/Δ is
@@ -412,65 +410,59 @@ func (sc *deltaScratch) enqueue(v int32, b int64, nbuckets int) {
 	sc.pending++
 }
 
-// runDelta fills d with the exact distance row from src. With targets
-// non-nil it stops at the first bucket boundary where every target's label
-// is final, and only those labels are exact; the rest hold upper bounds.
-func (s *Solver) runDelta(sc *deltaScratch, src int, d []float64, targets []int) {
+// runDelta fills d with the exact distance row from src.
+func (s *Solver) runDelta(sc *deltaScratch, src int, d []float64) {
+	for i := range d {
+		d[i] = Inf
+	}
 	s.start(sc, src, d)
-	settled := 0 // targets[:settled] hold final labels
 	for sc.pending > 0 {
-		s.step(sc, d)
-		for settled < len(targets) && s.final(sc, d[targets[settled]]) {
-			settled++
-		}
-		if targets != nil && settled == len(targets) {
-			sc.recycle(sc.cur, s.buckets)
-			break
-		}
+		s.step(sc, d, false)
 	}
 	s.flush(sc)
 }
 
-// distTo is DistsTo for one target t ≠ src: two delta-stepping runs, a
-// forward one from src into f's row and a backward one from t into b's row
-// (the graph is undirected, so the backward run is a forward run from t),
-// that meet in the middle. DESIGN §12 "Target-bounded runs" proves the
-// answer bit-identical to the row's entry.
+// distTo is DistTo for t ≠ src: two delta-stepping runs, a forward one from
+// src on f and a backward one from t on b (the graph is undirected, so the
+// backward run is a forward run from t), that meet in the middle. Each side
+// runs on its scratch's uncleared row and reads labels through label. DESIGN
+// §12 "Target-bounded runs" proves the answer bit-identical to the row's
+// entry.
 //
 // Phase 1 advances the side that has scanned fewer arcs by one bucket at a
 // time. Every relaxation that improves a label meets the other side's label
 // of that vertex, and mu keeps the least such sum. The phase ends when the
 // radii of the two sides sum to at least mu, or when a side runs out; then
-// mu = +Inf means t is unreachable and f's row already says so.
+// mu = +Inf means t is unreachable, and f never labeled it.
 //
 // Phase 2 runs the forward side alone, through the corridor only: it skips
 // the arcs of every vertex v with d_s(v) + lb(v) > mu·(1+δ), where lb(v) is
 // the backward label if the backward run settled v and the backward radius
 // otherwise (the lesser of the two is that bound in both cases). It stops
-// once t's label is final, by runDelta's early-exit rule.
+// once t's label is final: finite and binned below f.cur.
 func (s *Solver) distTo(src, t int) float64 {
 	f, b := s.getScratch(), s.getScratch()
 	df, db := f.rowOf(s.g.N()), b.rowOf(s.g.N())
 	s.start(f, src, df)
 	s.start(b, t, db)
-	f.other, b.other = db, df
+	f.other, b.other = b, f
 	f.mu, b.mu = Inf, Inf
 	for f.pending > 0 && b.pending > 0 && s.radius(f)+s.radius(b) < min(f.mu, b.mu) {
 		if f.arcs <= b.arcs {
-			s.step(f, df)
+			s.step(f, df, true)
 		} else {
-			s.step(b, db)
+			s.step(b, db, true)
 		}
 	}
 	f.other, b.other = nil, nil
 	if mu := min(f.mu, b.mu); mu < Inf {
-		f.lb, f.lbMax, f.limit = db, s.radius(b), mu*s.slack
-		for f.pending > 0 && !s.final(f, df[t]) {
-			s.step(f, df)
+		f.lb, f.lbMax, f.limit = b, s.radius(b), mu*s.slack
+		for f.pending > 0 && !s.final(f, f.label(int32(t))) {
+			s.step(f, df, true)
 		}
 		f.lb = nil
 	}
-	d := df[t]
+	d := f.label(int32(t))
 	for _, sc := range [2]*deltaScratch{f, b} {
 		sc.recycle(sc.cur, s.buckets)
 		s.flush(sc)
@@ -479,18 +471,16 @@ func (s *Solver) distTo(src, t int) float64 {
 	return d
 }
 
-// start resets sc for a run from src into d: every label +Inf but src's 0,
-// and src queued alone in bucket 0.
+// start resets sc for a run from src into d: src's label 0, queued alone in
+// bucket 0. It writes no other entry of d: runDelta clears its row first,
+// and a side reads only the labels its run stamped.
 func (s *Solver) start(sc *deltaScratch, src int, d []float64) {
-	for i := range d {
-		d[i] = Inf
-	}
-	d[src] = 0
 	sc.qgen++
 	if sc.qgen == 0 { // epoch wrapped: invalidate stale stamps
 		clear(sc.qmark)
 		sc.qgen = 1
 	}
+	d[src] = 0
 	sc.pending, sc.cur, sc.arcs = 0, 0, 0
 	sc.enqueue(int32(src), 0, s.buckets)
 }
@@ -498,8 +488,10 @@ func (s *Solver) start(sc *deltaScratch, src int, d []float64) {
 // step settles bucket sc.cur, the lowest bucket with a live entry, and
 // advances sc.cur to the next bucket holding an entry. Afterwards every label
 // binned below sc.cur is final: bucketOf is monotone and weights are
-// positive, so no later relaxation can land below sc.cur.
-func (s *Solver) step(sc *deltaScratch, d []float64) {
+// positive, so no later relaxation can land below sc.cur. A side of distTo
+// steps with side set, so it relaxes through relaxSide alone; every other run
+// relaxes through relax, whose loop carries none of relaxSide's checks.
+func (s *Solver) step(sc *deltaScratch, d []float64, side bool) {
 	cur := sc.cur
 	// Light loop: drain bucket cur until it stays empty. Relaxing a light
 	// edge can refill the active bucket (w ≤ Δ keeps nd in the same bin),
@@ -541,7 +533,7 @@ func (s *Solver) step(sc *deltaScratch, d []float64) {
 		}
 		sc.fr = fr
 		sc.free = append(sc.free, take[:0])
-		s.relax(sc, d, fr, s.lightOff, s.lightTo, s.lightW)
+		s.relax(sc, d, fr, s.lightOff, s.lightTo, s.lightW, side)
 		sc.nLight++
 	}
 	if s.lightSeconds != nil {
@@ -553,7 +545,7 @@ func (s *Solver) step(sc *deltaScratch, d []float64) {
 	// buckets (w > Δ), except at most one bucket of float-rounding slack
 	// — if that lands back in cur, sc.cur stays at cur and the next step
 	// re-enters the light loop for it, so nothing is stranded.
-	s.relax(sc, d, sc.r, s.heavyOff, s.heavyTo, s.heavyW)
+	s.relax(sc, d, sc.r, s.heavyOff, s.heavyTo, s.heavyW, side)
 	if s.heavySeconds != nil {
 		s.heavySeconds.Observe(time.Since(phaseStart).Seconds())
 	}
@@ -603,11 +595,10 @@ func (sc *deltaScratch) recycle(from int64, nbuckets int) {
 }
 
 // relax applies one relaxation pass of the given CSR split (light or heavy)
-// over list, enqueueing every target whose distance improves. A side of
-// distTo relaxes through relaxSide instead, so the loop of every other run
-// carries none of its checks.
-func (s *Solver) relax(sc *deltaScratch, d []float64, list []int32, off, to []int32, w []float64) {
-	if sc.other != nil || sc.lb != nil {
+// over list, enqueueing every target whose distance improves. With side set
+// it is relaxSide's pass instead.
+func (s *Solver) relax(sc *deltaScratch, d []float64, list []int32, off, to []int32, w []float64, side bool) {
+	if side {
 		s.relaxSide(sc, d, list, off, to, w)
 		return
 	}
@@ -626,14 +617,15 @@ func (s *Solver) relax(sc *deltaScratch, d []float64, list []int32, off, to []in
 	}
 }
 
-// relaxSide is relax on a side of distTo. It counts the arcs it scans, meets
-// every improved label with the other side's row in phase 1, and in phase 2
+// relaxSide is relax on a side of distTo, whose row d is never cleared: an
+// entry without the run's stamp counts as +Inf. It counts the arcs it scans,
+// meets every improved label with the other side's in phase 1, and in phase 2
 // skips the arcs of every vertex outside the corridor.
 func (s *Solver) relaxSide(sc *deltaScratch, d []float64, list []int32, off, to []int32, w []float64) {
 	other, lb := sc.other, sc.lb
 	for _, v := range list {
 		dv := d[v]
-		if lb != nil && dv+min(lb[v], sc.lbMax) > sc.limit {
+		if lb != nil && dv+min(lb.label(v), sc.lbMax) > sc.limit {
 			continue
 		}
 		start, end := off[v], off[v+1]
@@ -641,11 +633,13 @@ func (s *Solver) relaxSide(sc *deltaScratch, d []float64, list []int32, off, to 
 		for i := start; i < end; i++ {
 			u := to[i]
 			nd := dv + w[i]
-			if nd < d[u] {
+			if sc.qmark[u] != sc.qgen || nd < d[u] {
 				d[u] = nd
 				sc.nRelax++
-				if other != nil && nd+other[u] < sc.mu {
-					sc.mu = nd + other[u]
+				if other != nil {
+					if m := nd + other.label(u); m < sc.mu {
+						sc.mu = m
+					}
 				}
 				sc.enqueue(u, s.bucketOf(nd), s.buckets)
 			}

@@ -27,8 +27,8 @@ func requireRowEqual(t *testing.T, want, got []float64, ctx string) {
 }
 
 // checkAllSources compares delta-stepping against heap Dijkstra from every
-// source (or a stride of sources for larger graphs), and DistsTo against the
-// full row on a few target lists per source.
+// source (or a stride of sources for larger graphs), and DistTo against the
+// full row on a few targets per source.
 func checkAllSources(t *testing.T, g *graph.Graph, name string, delta float64) {
 	t.Helper()
 	stride := 1
@@ -45,15 +45,14 @@ func checkAllSources(t *testing.T, g *graph.Graph, name string, delta float64) {
 		got := s.RowInto(src, row)
 		ctx := fmt.Sprintf("%s delta=%v src=%d", name, delta, src)
 		requireRowEqual(t, want, got, ctx)
-		requireDistsToMatchRow(t, s, src, got, ctx)
+		requireDistToMatchRow(t, s, src, got, ctx)
 	}
 }
 
-// requireDistsToMatchRow checks DistsTo from src against row, the full row,
-// on target lists that stop at different buckets: src alone, the farthest
-// reachable vertex alone, one other vertex alone, and all three with
-// repeats.
-func requireDistsToMatchRow(t *testing.T, s *Solver, src int, row []float64, ctx string) {
+// requireDistToMatchRow checks DistTo from src against row, the full row, on
+// targets that stop at different buckets: src itself, the farthest reachable
+// vertex and one other vertex.
+func requireDistToMatchRow(t *testing.T, s *Solver, src int, row []float64, ctx string) {
 	t.Helper()
 	far := src
 	for v, d := range row {
@@ -61,13 +60,9 @@ func requireDistsToMatchRow(t *testing.T, s *Solver, src int, row []float64, ctx
 			far = v
 		}
 	}
-	other := (src + 1) % len(row)
-	for _, targets := range [][]int{{src}, {far}, {other}, {other, far, src, other, far}} {
-		got := s.DistsTo(src, targets, nil)
-		for i, v := range targets {
-			if math.Float64bits(got[i]) != math.Float64bits(row[v]) {
-				t.Fatalf("%s: DistsTo(%v)[%d] = %v, full row says d[%d] = %v", ctx, targets, i, got[i], v, row[v])
-			}
+	for _, v := range []int{src, far, (src + 1) % len(row)} {
+		if got := s.DistTo(src, v); math.Float64bits(got) != math.Float64bits(row[v]) {
+			t.Fatalf("%s: DistTo(%d, %d) = %v, full row says %v", ctx, src, v, got, row[v])
 		}
 	}
 }
@@ -167,7 +162,8 @@ func TestDeltaRejectsZeroWeight(t *testing.T) {
 
 // TestDeltaDenormalWeights runs the engines over subnormal float weights,
 // where d[u] + w can round to exactly d[u]: relaxation must still terminate
-// and agree with the heap.
+// and agree with the heap. On a graph whose weights are all subnormal the
+// auto-tuned Δ is subnormal too, and its reciprocal would overflow.
 func TestDeltaDenormalWeights(t *testing.T) {
 	denormal := math.SmallestNonzeroFloat64
 	edges := []graph.Edge{
@@ -184,6 +180,15 @@ func TestDeltaDenormalWeights(t *testing.T) {
 	}
 	checkAllSources(t, g, "denormal", 0)
 	checkAllSources(t, g, "denormal-wide", 10)
+
+	tiny, err := graph.New(4, []graph.Edge{
+		{U: 0, V: 1, W: denormal}, {U: 1, V: 2, W: 1e-320}, {U: 2, V: 3, W: 1e-310}, {U: 0, V: 3, W: 2e-310},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllSources(t, tiny, "all-subnormal", 0)
+	checkAllSources(t, tiny, "all-subnormal-explicit", denormal)
 }
 
 func TestDeltaParallelEdges(t *testing.T) {
@@ -258,21 +263,20 @@ func TestSolverMetrics(t *testing.T) {
 		t.Fatalf("dist_delta_light_phases_total = %d; want > 0", v)
 	}
 
-	// A one-target DistsTo is no row fill, and both of its sides count. On a
-	// unit-weight path from one end to the other, the forward side alone
-	// improves exactly n−1 labels, once each; the backward side's come on
-	// top.
+	// DistTo is no row fill, and both of its sides count. On a unit-weight
+	// path from one end to the other, the forward side alone improves
+	// exactly n−1 labels, once each; the backward side's come on top.
 	reg = obs.NewRegistry()
 	path := graph.Path(64, graph.UnitWeight, 1)
 	s = NewSolver(path, SolverOptions{Engine: EngineDelta, Metrics: reg})
-	if d := s.DistsTo(0, []int{63}, nil)[0]; d != 63 {
-		t.Fatalf("DistsTo(0, [63]) on a unit path = %v; want 63", d)
+	if d := s.DistTo(0, 63); d != 63 {
+		t.Fatalf("DistTo(0, 63) on a unit path = %v; want 63", d)
 	}
 	if v := reg.Counter("dist_sssp_rows_total").Value(); v != 0 {
-		t.Fatalf("one-target DistsTo counted %d rows; want 0", v)
+		t.Fatalf("DistTo counted %d rows; want 0", v)
 	}
 	if v := reg.Counter("dist_delta_relaxations_total").Value(); v <= 63 {
-		t.Fatalf("one-target DistsTo counted %d relaxations; want more than the forward side's 63", v)
+		t.Fatalf("DistTo counted %d relaxations; want more than the forward side's 63", v)
 	}
 }
 
@@ -295,51 +299,44 @@ func TestSolverRowIntoReuse(t *testing.T) {
 	}
 }
 
-// TestDistsToSettlesTargets checks target-bounded runs against the full row
-// on a connected graph, including a repeated target and the source itself,
-// and that an unreachable target ends the run with Inf.
+// TestDistsToSettlesTargets checks DistTo against the full row on a
+// connected graph, on both engines, for several targets, the source itself
+// among them, and that an unreachable target ends the run with Inf.
 func TestDistsToSettlesTargets(t *testing.T) {
 	g := graph.Connectify(graph.GNP(300, 0.02, graph.UniformWeight(1, 60), 29), 30)
-	s := NewSolver(g, SolverOptions{})
 	full := Dijkstra(g, 0)
-	targets := []int{1, g.N() / 3, g.N() - 1, 0, 1}
-	for _, s := range []*Solver{s, NewSolver(g, SolverOptions{Engine: EngineHeap})} {
-		d := s.DistsTo(0, targets, nil)
-		for i, v := range targets {
-			if d[i] != full[v] {
-				t.Fatalf("%v: target-bounded distance to %d is %v, full run says %v", s.Engine(), v, d[i], full[v])
+	for _, s := range []*Solver{NewSolver(g, SolverOptions{}), NewSolver(g, SolverOptions{Engine: EngineHeap})} {
+		for _, v := range []int{1, g.N() / 3, g.N() - 1, 0} {
+			if d := s.DistTo(0, v); d != full[v] {
+				t.Fatalf("%v: DistTo(0, %d) = %v, full run says %v", s.Engine(), v, d, full[v])
 			}
 		}
 	}
-	// Unreachable target: the run must terminate and report Inf, and the
-	// reachable target beside it must still be exact.
+	// Unreachable target: the run must terminate and report Inf, and a
+	// reachable target after it must still be exact.
 	ti := twoIslands()
-	d := NewSolver(ti, SolverOptions{}).DistsTo(0, []int{4, 2}, nil)
-	if !math.IsInf(d[0], 1) || d[1] != Dijkstra(ti, 0)[2] {
-		t.Fatalf("DistsTo(0, [4 2]) on two islands = %v", d)
+	s := NewSolver(ti, SolverOptions{})
+	if d := s.DistTo(0, 4); !math.IsInf(d, 1) {
+		t.Fatalf("DistTo(0, 4) across two islands = %v; want +Inf", d)
 	}
-	if got := s.DistsTo(0, nil, nil); len(got) != 0 {
-		t.Fatalf("empty target list answered %v", got)
+	if d := s.DistTo(0, 2); d != Dijkstra(ti, 0)[2] {
+		t.Fatalf("DistTo(0, 2) on two islands = %v", d)
 	}
 }
 
-// TestDistsToReusedScratch pins the recycling discipline: back-to-back
-// target-bounded runs on one solver must not leak buckets or queue state
-// between runs, whether the previous run stopped early or ran to the end.
+// TestDistsToReusedScratch pins the recycling discipline: DistTo runs and
+// full rows interleaved on one solver share its pooled scratches, and a
+// side's uncleared row still holds labels of earlier runs from other
+// sources. No bucket, queue state or stale label may leak between runs,
+// whether the previous run stopped early or ran to the end.
 func TestDistsToReusedScratch(t *testing.T) {
 	g := graph.Connectify(graph.GNP(300, 0.02, graph.UniformWeight(1, 60), 31), 17)
 	s := NewSolver(g, SolverOptions{})
-	out := make([]float64, 3)
 	for src := 0; src < 12; src++ {
 		full := Dijkstra(g, src)
-		targets := []int{(src + 7) % g.N(), (src * 13) % g.N(), src}
-		d := s.DistsTo(src, targets, out)
-		if &d[0] != &out[0] {
-			t.Fatal("DistsTo must fill the provided right-sized buffer")
-		}
-		for i, v := range targets {
-			if d[i] != full[v] {
-				t.Fatalf("run %d: target-bounded distance to %d is %v, full run says %v", src, v, d[i], full[v])
+		for _, v := range []int{(src + 7) % g.N(), (src * 13) % g.N(), src} {
+			if d := s.DistTo(src, v); d != full[v] {
+				t.Fatalf("run %d: DistTo(%d, %d) = %v, full run says %v", src, src, v, d, full[v])
 			}
 		}
 		if src%3 == 0 {
@@ -348,22 +345,18 @@ func TestDistsToReusedScratch(t *testing.T) {
 	}
 }
 
-// TestDistsToAllocationFree pins the pooled-row contract: with a reused
-// output buffer, a steady-state target-bounded run allocates nothing.
+// TestDistsToAllocationFree pins the pooled-scratch contract: a
+// steady-state DistTo, which draws two scratches and their rows from the
+// pool, allocates nothing.
 func TestDistsToAllocationFree(t *testing.T) {
 	if raceEnabled { // under -race, sync.Pool drops entries by design
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	g := graph.Connectify(graph.GNP(500, 8.0/500, graph.UniformWeight(1, 100), 51), 50)
 	s := NewSolver(g, SolverOptions{})
-	// Three targets take the forward loop, one takes the two-sided search,
-	// which draws two scratches and two rows from the pool.
-	for _, targets := range [][]int{{7, 250, 499}, {250}} {
-		out := make([]float64, len(targets))
-		s.DistsTo(1, targets, out) // warm the pool and the pooled rows
-		if allocs := testing.AllocsPerRun(20, func() { s.DistsTo(1, targets, out) }); allocs > 0 {
-			t.Fatalf("warm DistsTo(%v) allocates %v objects per run; want 0", targets, allocs)
-		}
+	s.DistTo(1, 250) // warm the pool and the pooled rows
+	if allocs := testing.AllocsPerRun(20, func() { s.DistTo(1, 250) }); allocs > 0 {
+		t.Fatalf("warm DistTo(1, 250) allocates %v objects per run; want 0", allocs)
 	}
 }
 
@@ -428,36 +421,47 @@ func TestSolverHugeWeights(t *testing.T) {
 			what := fmt.Sprintf("huge weights Δ=%g src=%d", delta, src)
 			row := s.Row(src)
 			requireRowEqual(t, Dijkstra(g, src), row, what)
-			requireDistsToMatchRow(t, s, src, row, what)
+			requireDistToMatchRow(t, s, src, row, what)
 		}
 	}
 }
 
-// FuzzDistsToVsRow derives a random graph with two isolated vertices, a
-// source and a target list from the fuzz input, and checks DistsTo against
-// RowInto bit for bit: on the whole list, which always carries a repeat, the
-// source itself and an unreachable vertex, and on each of its targets alone,
-// which takes the two-sided path. Weights are uniform, a wide-range power
-// ladder, or small integers, where ties abound.
-func FuzzDistsToVsRow(f *testing.F) {
+// fuzzWeight maps a fuzz family byte to a weight generator: uniform, a
+// wide-range power ladder, small integers, where ties abound, or raw float64
+// bit patterns over the whole weight domain graph.New admits, subnormals
+// included. A raw weight is at most MaxFloat64/4096, so the weights of the
+// at most 2 000 edges a fuzz graph holds have a finite sum.
+func fuzzWeight(family uint8) graph.WeightFn {
+	switch family % 4 {
+	case 1:
+		return graph.PowerWeight(4, 12)
+	case 2:
+		return func(r *xrand.Source) float64 { return float64(1 + r.Intn(4)) }
+	case 3:
+		top := math.Float64bits(math.MaxFloat64 / 4096)
+		return func(r *xrand.Source) float64 { return math.Float64frombits(1 + r.Uint64()%top) }
+	}
+	return graph.UniformWeight(0.1, 10)
+}
+
+// FuzzDistToVsRow derives a random graph with two isolated vertices, a source
+// and a list of targets from the fuzz input, and checks DistTo against
+// RowInto bit for bit on every target. The list always holds the source
+// itself, an unreachable vertex and a repeat, and the runs share the
+// solver's pooled scratches with the row and with each other.
+func FuzzDistToVsRow(f *testing.F) {
 	f.Add(uint64(1), 16, 30, uint8(0), []byte{3, 9, 3})
 	f.Add(uint64(7), 40, 120, uint8(1), []byte{0, 39, 41})
 	f.Add(uint64(42), 3, 1, uint8(0), []byte{})
 	f.Add(uint64(99), 25, 0, uint8(1), []byte{24, 24})
 	f.Add(uint64(5), 60, 240, uint8(2), []byte{7, 59, 31})
 	f.Add(uint64(13), 120, 600, uint8(1), []byte{1, 119, 60})
+	f.Add(uint64(3), 80, 400, uint8(3), []byte{2, 79, 40})
 	f.Fuzz(func(t *testing.T, seed uint64, n, m int, family uint8, raw []byte) {
 		if n < 1 || n > 200 || m < 0 || m > 2000 || len(raw) > 64 {
 			t.Skip()
 		}
-		w := graph.UniformWeight(0.1, 10)
-		switch family % 3 {
-		case 1:
-			w = graph.PowerWeight(4, 12)
-		case 2:
-			w = func(r *xrand.Source) float64 { return float64(1 + r.Intn(4)) }
-		}
-		g, err := graph.New(n+2, graph.GNM(n, m, w, seed).Edges())
+		g, err := graph.New(n+2, graph.GNM(n, m, fuzzWeight(family), seed).Edges())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,38 +473,31 @@ func FuzzDistsToVsRow(f *testing.F) {
 		targets = append(targets, targets[len(targets)-1])
 		s := NewSolver(g, SolverOptions{})
 		row := s.RowInto(src, nil)
-		got := s.DistsTo(src, targets, nil)
-		for i, v := range targets {
-			one := s.DistsTo(src, []int{v}, nil)[0]
-			for _, x := range []float64{got[i], one} {
-				if math.Float64bits(x) != math.Float64bits(row[v]) {
-					t.Fatalf("seed=%d n=%d m=%d family=%d src=%d: DistsTo(%v)[%d] = %v, DistsTo([%d]) = %v, row says d[%d] = %v",
-						seed, n, m, family%3, src, targets, i, got[i], v, one, v, row[v])
-				}
+		for _, v := range targets {
+			if got := s.DistTo(src, v); math.Float64bits(got) != math.Float64bits(row[v]) {
+				t.Fatalf("seed=%d n=%d m=%d family=%d src=%d: DistTo(%d) = %v, row says %v",
+					seed, n, m, family%4, src, v, got, row[v])
 			}
 		}
 	})
 }
 
 // FuzzDeltaVsHeap derives a random weighted graph from the fuzz input and
-// checks the exactness contract.
+// checks the exactness contract, on fuzzWeight's families.
 func FuzzDeltaVsHeap(f *testing.F) {
-	f.Add(uint64(1), 16, 30, false)
-	f.Add(uint64(7), 40, 120, true)
-	f.Add(uint64(42), 3, 1, false)
-	f.Add(uint64(99), 25, 0, true)
-	f.Fuzz(func(t *testing.T, seed uint64, n, m int, heavyTail bool) {
+	f.Add(uint64(1), 16, 30, uint8(0))
+	f.Add(uint64(7), 40, 120, uint8(1))
+	f.Add(uint64(42), 3, 1, uint8(0))
+	f.Add(uint64(99), 25, 0, uint8(1))
+	f.Add(uint64(3), 80, 400, uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, n, m int, family uint8) {
 		if n < 1 || n > 200 || m < 0 || m > 2000 {
 			t.Skip()
 		}
-		w := graph.UniformWeight(0.1, 10)
-		if heavyTail {
-			w = graph.PowerWeight(4, 12)
-		}
-		g := graph.GNM(n, m, w, seed)
+		g := graph.GNM(n, m, fuzzWeight(family), seed)
 		s := NewSolver(g, SolverOptions{Engine: EngineDelta})
 		src := int(seed % uint64(n))
 		requireRowEqual(t, Dijkstra(g, src), s.Row(src),
-			fmt.Sprintf("fuzz seed=%d n=%d m=%d", seed, n, m))
+			fmt.Sprintf("fuzz seed=%d n=%d m=%d family=%d", seed, n, m, family%4))
 	})
 }

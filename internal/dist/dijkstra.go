@@ -28,41 +28,13 @@ func DijkstraInto(g *graph.Graph, src int, d []float64) []float64 {
 	d[src] = 0
 	s := acquire(n)
 	s.heap.push(0, int32(src))
-	s.run(g, d, nil)
+	s.run(g, d)
 	s.release()
 	return d
 }
 
-// MultiSourceDijkstra runs Dijkstra from all sources simultaneously (the
-// distance to the nearest source). It returns the distance array and, for
-// every vertex, the index into sources of the source that settled it, or -1
-// for unreachable vertices. With unit weights the distances are hop counts,
-// which is how the Appendix B ball/hitting-set machinery uses it. Both
-// returned arrays are caller-owned; the frontier heap is pooled.
-func MultiSourceDijkstra(g *graph.Graph, sources []int) (dist []float64, nearest []int) {
-	n := g.N()
-	dist = make([]float64, n)
-	nearest = make([]int, n)
-	for i := range dist {
-		dist[i] = Inf
-		nearest[i] = -1
-	}
-	s := acquire(n)
-	for i, src := range sources {
-		if nearest[src] == -1 { // duplicate sources: first occurrence wins
-			dist[src] = 0
-			nearest[src] = i
-			s.heap.push(0, int32(src))
-		}
-	}
-	s.run(g, dist, nearest)
-	s.release()
-	return dist, nearest
-}
-
-// run drains the heap, settling labels into d. If origin is non-nil it is
-// propagated along relaxed arcs (multi-source attribution).
-func (s *scratch) run(g *graph.Graph, d []float64, origin []int) {
+// run drains the heap, settling labels into d.
+func (s *scratch) run(g *graph.Graph, d []float64) {
 	h := &s.heap
 	for h.len() > 0 {
 		it := h.pop()
@@ -74,9 +46,6 @@ func (s *scratch) run(g *graph.Graph, d []float64, origin []int) {
 			nd := it.d + g.Edge(a.Edge).W
 			if nd < d[a.To] {
 				d[a.To] = nd
-				if origin != nil {
-					origin[a.To] = origin[v]
-				}
 				h.push(nd, int32(a.To))
 			}
 		}

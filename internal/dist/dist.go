@@ -2,10 +2,11 @@
 // subsystem. Every result of the reproduced paper — spanner stretch bounds
 // (§3–§5), MPC APSP (§7), Congested Clique APSP (§8) — is stated in terms of
 // shortest-path distances, and this package is the single place they are
-// computed: single- and multi-source Dijkstra over the frozen CSR adjacency
-// of internal/graph, truncated BFS balls for the Appendix B sparse/dense
-// split, a parallel all-pairs solver, and the sampled stretch estimators the
-// verification layer and benchmark tables consume.
+// computed: single-source shortest paths (delta-stepping, with heap Dijkstra
+// as its reference) over the frozen CSR adjacency of internal/graph,
+// truncated BFS balls for the Appendix B sparse/dense split, a parallel
+// all-pairs solver, and the sampled stretch estimators the verification layer
+// and benchmark tables consume.
 //
 // All sampled estimators draw their randomness through internal/xrand keyed
 // by an explicit seed, so equal seeds yield bit-identical reports — the test

@@ -82,57 +82,6 @@ func TestDijkstraDisconnectedInf(t *testing.T) {
 	}
 }
 
-func TestMultiSourceDijkstra(t *testing.T) {
-	for name, g := range testGraphs() {
-		if g.N() < 3 {
-			continue
-		}
-		sources := []int{0, g.N() / 2, g.N() - 1}
-		d, nearest := MultiSourceDijkstra(g, sources)
-		// Oracle: min over per-source runs.
-		per := make([][]float64, len(sources))
-		for i, s := range sources {
-			per[i] = bellmanFord(g, s)
-		}
-		for v := 0; v < g.N(); v++ {
-			want := math.Inf(1)
-			for i := range sources {
-				want = math.Min(want, per[i][v])
-			}
-			if math.Abs(d[v]-want) > 1e-9 && !(math.IsInf(d[v], 1) && math.IsInf(want, 1)) {
-				t.Fatalf("%s: multi-source d[%d] = %v, oracle %v", name, v, d[v], want)
-			}
-			if math.IsInf(want, 1) {
-				if nearest[v] != -1 {
-					t.Fatalf("%s: unreachable %d has nearest %d", name, v, nearest[v])
-				}
-				continue
-			}
-			if nearest[v] < 0 || nearest[v] >= len(sources) {
-				t.Fatalf("%s: nearest[%d] = %d out of range", name, v, nearest[v])
-			}
-			// The attributed source must achieve the min distance.
-			if math.Abs(per[nearest[v]][v]-want) > 1e-9 {
-				t.Fatalf("%s: nearest[%d] = sources[%d] does not achieve the min", name, v, nearest[v])
-			}
-		}
-	}
-}
-
-func TestMultiSourceDijkstraEmptyAndDuplicates(t *testing.T) {
-	g := graph.Grid(4, 4, graph.UnitWeight, 1)
-	d, nearest := MultiSourceDijkstra(g, nil)
-	for v := range d {
-		if d[v] != Inf || nearest[v] != -1 {
-			t.Fatalf("empty sources: vertex %d got (%v, %d)", v, d[v], nearest[v])
-		}
-	}
-	_, near := MultiSourceDijkstra(g, []int{5, 5, 5})
-	if near[5] != 0 {
-		t.Fatalf("duplicate sources: first occurrence should win, got index %d", near[5])
-	}
-}
-
 func TestBFSBallSemantics(t *testing.T) {
 	g := graph.Path(10, graph.UnitWeight, 1) // 0-1-2-...-9
 	ball, truncated := BFSBall(g, 0, 3, 100)

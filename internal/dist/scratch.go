@@ -6,10 +6,10 @@ import "sync"
 // shortest-path run draws its mutable state — the frontier heap, and for
 // internal read-then-discard runs the distance array — from a sync.Pool
 // keyed by the vertex count, so repeated runs stop paying one heap growth and
-// one O(n) allocation per source. Results that outlive the call (Dijkstra's
-// returned row, MultiSourceDijkstra's arrays) are still freshly allocated;
-// only state whose lifetime ends inside this package is pooled. Delta-stepping
-// runs pool their state per Solver (deltaScratch).
+// one O(n) allocation per source. A result that outlives the call, such as
+// Dijkstra's returned row, is still freshly allocated; only state whose
+// lifetime ends inside this package is pooled. Delta-stepping runs pool their
+// state per Solver (deltaScratch).
 
 // heapItem is a (distance, vertex) pair on the Dijkstra frontier.
 type heapItem struct {
@@ -82,7 +82,7 @@ func (h *heap4) pop() heapItem {
 
 // scratch is the reusable per-run state of a shortest-path execution, sized
 // for an n-vertex graph. dist backs the internal read-then-discard rows (the
-// pair-stretch estimators, a heap Solver's DistsTo); the heap backs every
+// pair-stretch estimators, a heap Solver's DistTo); the heap backs every
 // heap run.
 type scratch struct {
 	pool *sync.Pool // owning pool, for release

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"mpcspanner/internal/graph"
@@ -22,10 +21,10 @@ const (
 // how Verify certifies the paper's bounds. Edges whose endpoints h
 // disconnects contribute Inf. h must share g's vertex set.
 //
-// Each source only needs its incident edges' far endpoints, so the edge
-// estimators probe h with Solver.DistsTo, which stops once the bucket of the
-// farthest endpoint has settled — typically a small ball. The full-row
-// estimators (PairStretchOpts, StretchCDFOpts) fill whole rows.
+// Each edge needs one distance, so the edge estimators probe h once per edge
+// with Solver.DistTo, whose two searches, one from each endpoint, stop once
+// they meet — typically two small balls. The full-row estimators
+// (PairStretchOpts, StretchCDFOpts) fill whole rows.
 func EdgeStretch(g, h *graph.Graph) (StretchReport, error) {
 	if err := compatible(g, h); err != nil {
 		return StretchReport{}, err
@@ -59,35 +58,16 @@ func SampledEdgeStretch(g, h *graph.Graph, samples int, seed uint64) (StretchRep
 }
 
 // edgeRatios computes d_h(u,v)/w for the given g-edge ids (duplicates
-// allowed), in no particular order. Probes are grouped by source endpoint —
-// sorting the keys U<<32 | pos puts each source's probes in one run — so
-// each distinct source costs one target-bounded run of a Solver over h
-// (DistsTo), and the runs are fanned out over the worker pool. Each run
-// writes only its own slots, so the output is independent of scheduling.
+// allowed), ratio i for ids[i]: one Solver.DistTo over h per probe, fanned
+// out over the worker pool. Each probe writes only its own slot, so the
+// output is independent of scheduling.
 func edgeRatios(g, h *graph.Graph, ids []int) []float64 {
-	keys := make([]uint64, len(ids))
-	for pos, id := range ids {
-		keys[pos] = uint64(g.Edge(id).U)<<32 | uint64(pos)
-	}
-	slices.Sort(keys)
-	targets := make([]int, len(ids))
-	var starts []int
-	for j, k := range keys {
-		if j == 0 || k>>32 != keys[j-1]>>32 {
-			starts = append(starts, j)
-		}
-		targets[j] = g.Edge(ids[uint32(k)]).V
-	}
-	starts = append(starts, len(keys))
 	solver := NewSolver(h, SolverOptions{})
 	ratios := make([]float64, len(ids))
-	parallelFor(len(starts)-1, func(i int) {
-		lo, hi := starts[i], starts[i+1]
-		solver.DistsTo(int(keys[lo]>>32), targets[lo:hi], ratios[lo:hi])
+	parallelFor(len(ids), func(i int) {
+		e := g.Edge(ids[i])
+		ratios[i] = solver.DistTo(e.U, e.V) / e.W
 	})
-	for j, k := range keys {
-		ratios[j] /= g.Edge(ids[uint32(k)]).W
-	}
 	return ratios
 }
 

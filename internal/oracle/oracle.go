@@ -28,7 +28,7 @@
 // Admission: a full shard does not give a row to every one-time source. A
 // batch source whose pairs all name one target, missing from a full shard
 // and not already being filled, is answered by a point fill
-// (dist.Solver.DistsTo, two searches from the source and the target that
+// (dist.Solver.DistTo, two searches from the source and the target that
 // meet in the middle) and installs nothing — unless it is among the last cap sources the shard answered that
 // way, so a source that misses twice inside that window earns a row (the
 // doorkeeper of TinyLFU). Query and Row always fill and install.
@@ -363,8 +363,7 @@ func (o *Oracle) acquireRow(ctx context.Context, src, point int) ([]float64, flo
 		sh.mu.Unlock()
 		o.misses.Add(1)
 		o.pointFills.Add(1)
-		var d [1]float64 // right-sized, so DistsTo allocates no output
-		return nil, o.solver.DistsTo(src, []int{point}, d[:])[0], nil
+		return nil, o.solver.DistTo(src, point), nil
 	}
 	c := &call{done: make(chan struct{})}
 	sh.inflight[src] = c

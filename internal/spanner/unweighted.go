@@ -164,9 +164,9 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 		if err := core.Check(ctx); err != nil {
 			return nil, err
 		}
-		hop, _ := dist.MultiSourceDijkstra(g, sparseSet) // unit weights: hops
+		hop := growForest(g, sparseSet).hop
 		for v := 0; v < n; v++ {
-			if hop[v] <= float64(2*k) {
+			if hop[v] >= 0 && hop[v] <= 2*k {
 				region[v] = true
 			}
 		}
@@ -202,40 +202,39 @@ func UnweightedCtx(ctx context.Context, g *graph.Graph, k int, opt UnweightedOpt
 		}
 		// Fallback promotions keep the construction correct on the tail
 		// where Z misses a dense ball: any dense vertex farther than 4k
-		// hops from Z joins Z itself.
-		for pass := 0; pass < 2; pass++ {
-			hop, _ := dist.MultiSourceDijkstra(g, zs)
-			promoted := false
-			for v := 0; v < n; v++ {
-				if !sparse[v] && !inZ[v] && hop[v] > float64(4*k) {
-					inZ[v] = true
-					zs = append(zs, v)
-					promoted = true
-				}
+		// hops from Z, or unreachable from it, joins Z itself. Hops to a
+		// grown Z only shrink, so one pass leaves no such vertex; the
+		// assignment then needs the grown Z's forest.
+		f := growForest(g, zs)
+		promoted := false
+		for v := 0; v < n; v++ {
+			if !sparse[v] && !inZ[v] && (f.hop[v] < 0 || f.hop[v] > 4*k) {
+				inZ[v] = true
+				zs = append(zs, v)
+				promoted = true
 			}
-			if !promoted {
-				break
-			}
+		}
+		if promoted {
+			f = growForest(g, zs)
 		}
 		st.HittingSetSize = len(zs)
 
-		// Assignment: nearest z and the BFS path to it.
-		_, nearest := dist.MultiSourceDijkstra(g, zs)
-		parents := multiSourceParents(g, zs)
+		// Assignment: the root of v's tree in Z's forest, and the forest
+		// path to it.
 		assigned := make([]int, n)
 		for v := range assigned {
 			assigned[v] = -1
 		}
 		for v := 0; v < n; v++ {
-			if sparse[v] || nearest[v] < 0 {
+			if sparse[v] || f.hop[v] < 0 {
 				continue
 			}
-			assigned[v] = zs[nearest[v]]
-			for x := v; parents[x].edge >= 0; x = parents[x].to {
-				if !inSpanner[parents[x].edge] {
+			assigned[v] = zs[f.root[v]]
+			for x := v; f.parent[x].edge >= 0; x = f.parent[x].to {
+				if !inSpanner[f.parent[x].edge] {
 					st.PathEdges++
 				}
-				add(parents[x].edge)
+				add(f.parent[x].edge)
 			}
 		}
 
@@ -306,36 +305,45 @@ func RoundsUnweighted(k int, gamma float64) int {
 	return perPrimitive * (doublings + aux)
 }
 
+// forest is a multi-source BFS forest over hops: hop[v] is v's least hop
+// distance to a source (−1 if no source reaches v), root[v] the index into the
+// sources of the root of v's tree, which achieves that distance, and
+// parent[v] the first arc of v's tree path to it (to and edge −1 at roots and
+// unreachable vertices). A repeated source counts at its first position.
+type forest struct {
+	hop, root []int
+	parent    []parentArc
+}
+
 type parentArc struct {
 	to   int
 	edge int
 }
 
-// multiSourceParents returns, for every vertex, the parent arc of a
-// multi-source BFS forest rooted at srcs (edge = -1 at roots/unreachable).
-func multiSourceParents(g *graph.Graph, srcs []int) []parentArc {
-	par := make([]parentArc, g.N())
-	seen := make([]bool, g.N())
-	for i := range par {
-		par[i] = parentArc{to: -1, edge: -1}
+// growForest grows the forest of srcs by one BFS, which breaks ties by queue
+// order: each vertex joins the tree of the first vertex to reach it.
+func growForest(g *graph.Graph, srcs []int) forest {
+	n := g.N()
+	f := forest{hop: make([]int, n), root: make([]int, n), parent: make([]parentArc, n)}
+	for v := 0; v < n; v++ {
+		f.hop[v], f.root[v], f.parent[v] = -1, -1, parentArc{to: -1, edge: -1}
 	}
-	queue := make([]int, 0, len(srcs))
-	for _, s := range srcs {
-		if !seen[s] {
-			seen[s] = true
+	queue := make([]int, 0, n)
+	for i, s := range srcs {
+		if f.hop[s] < 0 {
+			f.hop[s], f.root[s] = 0, i
 			queue = append(queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, a := range g.Adj(v) {
-			if !seen[a.To] {
-				seen[a.To] = true
-				par[a.To] = parentArc{to: v, edge: a.Edge}
+			if f.hop[a.To] < 0 {
+				f.hop[a.To], f.root[a.To] = f.hop[v]+1, f.root[v]
+				f.parent[a.To] = parentArc{to: v, edge: a.Edge}
 				queue = append(queue, a.To)
 			}
 		}
 	}
-	return par
+	return f
 }

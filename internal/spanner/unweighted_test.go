@@ -2,6 +2,8 @@ package spanner
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +200,66 @@ func TestUnweightedEmptyGraph(t *testing.T) {
 	}
 	if r.Size() != 0 {
 		t.Fatalf("empty graph spanner size %d", r.Size())
+	}
+}
+
+// TestGrowForest checks the dense side's multi-source BFS forest against
+// per-source distances: hop is the least distance to a source (−1 where none
+// reaches), the root's source achieves it and sits at its first position in
+// the list, and the parent path walks hop arcs of g to exactly that source.
+// With no sources every hop is −1.
+func TestGrowForest(t *testing.T) {
+	islands := graph.MustNew(7, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 3, V: 4, W: 1}})
+	for name, g := range map[string]*graph.Graph{
+		"grid":       graph.Grid(9, 11, graph.UnitWeight, 1),
+		"gnp-sparse": graph.GNP(200, 0.008, graph.UnitWeight, 2), // disconnected whp
+		"pa":         graph.PreferentialAttachment(150, 2, graph.UnitWeight, 3),
+		"islands":    islands, // 5 and 6 isolated
+	} {
+		n := g.N()
+		srcs := []int{n - 1, n / 2, 0, n / 2, n - 1}
+		per := make([][]float64, len(srcs))
+		for i, s := range srcs {
+			per[i] = dist.Dijkstra(g, s) // unit weights: hops
+		}
+		f := growForest(g, srcs)
+		for v := 0; v < n; v++ {
+			want := math.Inf(1)
+			for i := range srcs {
+				want = math.Min(want, per[i][v])
+			}
+			if math.IsInf(want, 1) {
+				if f.hop[v] != -1 || f.root[v] != -1 || f.parent[v].edge != -1 {
+					t.Fatalf("%s: unreachable %d has hop %d, root %d, parent %+v", name, v, f.hop[v], f.root[v], f.parent[v])
+				}
+				continue
+			}
+			r := f.root[v]
+			if float64(f.hop[v]) != want || r < 0 || r >= len(srcs) || per[r][v] != want {
+				t.Fatalf("%s: vertex %d has hop %d and root %d; the least distance is %v", name, v, f.hop[v], r, want)
+			}
+			if first := slices.Index(srcs, srcs[r]); first != r {
+				t.Fatalf("%s: vertex %d has root %d, but source %d first sits at %d", name, v, r, srcs[r], first)
+			}
+			x := v
+			for range f.hop[v] {
+				p := f.parent[x]
+				if p.edge < 0 {
+					t.Fatalf("%s: the path from %d stops at %d before %d hops", name, v, x, f.hop[v])
+				}
+				if e := g.Edge(p.edge); !(e.U == x && e.V == p.to || e.V == x && e.U == p.to) {
+					t.Fatalf("%s: parent arc %+v of %d is edge %+v", name, p, x, e)
+				}
+				x = p.to
+			}
+			if x != srcs[r] || f.parent[x].edge != -1 {
+				t.Fatalf("%s: the path from %d ends at %d after %d hops, not at its root %d", name, v, x, f.hop[v], srcs[r])
+			}
+		}
+		for v, h := range growForest(g, nil).hop {
+			if h != -1 {
+				t.Fatalf("%s: no sources, yet vertex %d has hop %d", name, v, h)
+			}
+		}
 	}
 }
